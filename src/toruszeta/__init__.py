@@ -27,7 +27,7 @@ from .expansion import (ExpansionResult, TaylorCoefficient,
 from .lattice import (StencilVariant, TorusGrid, apply_stencil,
                       axis_eigenvalues, eigenvalue, eigenvalue_grid,
                       operator_matrix, resolvent_trace, resolvent_trace_1d,
-                      spectral_zeta, spectral_zeta_1d)
+                      spectral_zeta, spectral_zeta_1d, stencil_symbol)
 from .quadrature import (AsymptoticDescriptor, AsymptoticTerm, IntegrandSpec,
                          Location, QuadResult, change_of_variables_check,
                          quad_finite, quad_periodic_2d, regularized_integral,

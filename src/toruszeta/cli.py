@@ -20,12 +20,12 @@ import math
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import conjecture, epstein, expansion, lattice
+from .conjecture import ScanRecord
 from .errors import (ConvergenceError, DegenerateError, DescriptorError,
                      DomainError, IllConditionedError, PoleError, RangeError,
                      ShapeError, SignalLostError, ZeroDenominatorError)
@@ -63,20 +63,14 @@ def _parse_int_list(text: str) -> list[int]:
 @dataclass
 class RunConfig:
     quad_tol: float = 1e-12
-    special_tol: float = 1e-12
     lattice_cutoff: int = 256
-    threads: int = 1
     fmt: str = "csv"
     out: str | None = None
     strict: bool = False
 
     def __post_init__(self):
-        for name in ("quad_tol", "special_tol"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1e-3:
-                raise DomainError(f"{name}={v} outside (0, 1e-3]")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
+        if not 0.0 < self.quad_tol <= 1e-3:
+            raise DomainError(f"quad_tol={self.quad_tol} outside (0, 1e-3]")
         if self.lattice_cutoff < 8:
             raise DomainError("lattice cutoff must be >= 8")
         if self.fmt not in ("csv", "json"):
@@ -105,31 +99,22 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
-class Row:
-    quantity: str
-    s: complex | None = None
-    n: int | None = None
-    value: complex = 0j
-    err_est: float | None = None
-    meta: dict = field(default_factory=dict)
-
-    def as_cells(self) -> dict:
-        meta = ";".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
-        return {
-            "quantity": self.quantity,
-            "s_re": _g17(self.s.real) if self.s is not None else "",
-            "s_im": _g17(self.s.imag) if self.s is not None else "",
-            "n": str(self.n) if self.n is not None else "",
-            "value_re": _g17(self.value.real),
-            "value_im": _g17(self.value.imag),
-            "err_est": _g17(self.err_est) if self.err_est is not None else "",
-            "meta": meta,
-        }
+def _cells(rec: ScanRecord) -> dict:
+    meta = ";".join(f"{k}={v}" for k, v in sorted(rec.meta.items()))
+    return {
+        "quantity": rec.quantity,
+        "s_re": _g17(rec.s.real) if rec.s is not None else "",
+        "s_im": _g17(rec.s.imag) if rec.s is not None else "",
+        "n": str(rec.n) if rec.n is not None else "",
+        "value_re": _g17(rec.value.real),
+        "value_im": _g17(rec.value.imag),
+        "err_est": _g17(rec.err_est) if rec.err_est is not None else "",
+        "meta": meta,
+    }
 
 
 class RecordWriter:
-    """Streams rows to ``--out`` (or stdout); one flush per row."""
+    """Streams records to ``--out`` (or stdout); one flush per record."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -143,8 +128,8 @@ class RecordWriter:
             self._fh.write("[")
         self._fh.flush()
 
-    def write(self, row: Row) -> None:
-        cells = row.as_cells()
+    def write(self, rec: ScanRecord) -> None:
+        cells = _cells(rec)
         if self.cfg.fmt == "csv":
             self._csv.writerow(cells)
         else:
@@ -188,39 +173,44 @@ def _cmd_zeta(args, cfg: RunConfig, w: RecordWriter) -> None:
     err = _sum_error_estimate(grid, variant, s)
     print(f"zeta n={args.n} variant={args.variant} done in {dt:.3f}s",
           file=sys.stderr)
-    w.write(Row("zeta_discrete", s=s, n=args.n, value=val, err_est=err,
-                meta={"variant": args.variant}))
+    w.write(ScanRecord(s, "zeta_discrete", val, n=args.n, err_est=err,
+                       meta={"variant": args.variant}))
 
 
 def _cmd_zeta1d(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
     val = lattice.spectral_zeta_1d(args.n, s)
-    w.write(Row("zeta_circle", s=s, n=args.n, value=val))
+    w.write(ScanRecord(s, "zeta_circle", val, n=args.n))
 
 
 def _cmd_epstein(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
-    w.write(Row("epstein", s=s, value=epstein.epstein_zeta_2d(s)))
+    w.write(ScanRecord(s, "epstein", epstein.epstein_zeta_2d(s)))
     if args.direct_cutoff:
         val, bound = epstein.epstein_direct_sum(s, args.direct_cutoff)
-        w.write(Row("epstein_direct", s=s, value=val, err_est=bound,
-                    meta={"cutoff": str(args.direct_cutoff)}))
+        w.write(ScanRecord(s, "epstein_direct", val, err_est=bound,
+                           meta={"cutoff": str(args.direct_cutoff)}))
+
+
+def _xi_with_defect(s: complex) -> tuple[complex, float]:
+    """xi_2(s) and its relative functional-equation defect."""
+    val = epstein.complete_xi(s)
+    return val, abs(val - epstein.complete_xi(1.0 - s)) / (1.0 + abs(val))
 
 
 def _cmd_xi(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
-    val = epstein.complete_xi(s)
-    defect = abs(val - epstein.complete_xi(1.0 - s)) / (1.0 + abs(val))
-    w.write(Row("xi", s=s, value=val, meta={"fe_defect": _g17(defect)}))
+    val, defect = _xi_with_defect(s)
+    w.write(ScanRecord(s, "xi", val, meta={"fe_defect": _g17(defect)}))
 
 
 def _cmd_omega(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
     if args.ratio:
         val = conjecture.omega_ratio(s, route=args.route)
-        w.write(Row("omega_ratio", s=s, value=val, meta={"route": args.route}))
+        w.write(ScanRecord(s, "omega_ratio", val, meta={"route": args.route}))
     else:
-        w.write(Row("omega", s=s, value=epstein.omega(s)))
+        w.write(ScanRecord(s, "omega", epstein.omega(s)))
 
 
 def _cmd_coeff(args, cfg: RunConfig, w: RecordWriter) -> None:
@@ -229,20 +219,20 @@ def _cmd_coeff(args, cfg: RunConfig, w: RecordWriter) -> None:
     if kind == "a":
         variant = _variant(args.variant)
         val = expansion.leading_coeff(s, variant, cfg.quad_tol)
-        w.write(Row("coeff_a", s=s, value=val, err_est=cfg.quad_tol,
-                    meta={"variant": args.variant}))
+        w.write(ScanRecord(s, "coeff_a", val, err_est=cfg.quad_tol,
+                           meta={"variant": args.variant}))
     elif kind == "b0":
-        w.write(Row("coeff_b0", s=s, value=expansion.coeff_b0(s)))
+        w.write(ScanRecord(s, "coeff_b0", expansion.coeff_b0(s)))
     elif kind == "b1tilde":
-        w.write(Row("coeff_b1tilde", s=s, value=expansion.coeff_b1_tilde(s)))
+        w.write(ScanRecord(s, "coeff_b1tilde", expansion.coeff_b1_tilde(s)))
     elif kind == "b1":
         val = expansion.coeff_b1(s, cfg.lattice_cutoff)
-        w.write(Row("coeff_b1", s=s, value=val,
-                    meta={"cutoff": str(cfg.lattice_cutoff)}))
+        w.write(ScanRecord(s, "coeff_b1", val,
+                           meta={"cutoff": str(cfg.lattice_cutoff)}))
     elif kind == "angular":
         res = expansion.angular_lattice_sum(s, cfg.lattice_cutoff, cfg.quad_tol)
-        w.write(Row("angular_sum", s=s, value=res.value, err_est=res.error,
-                    meta={"cutoff": str(cfg.lattice_cutoff)}))
+        w.write(ScanRecord(s, "angular_sum", res.value, err_est=res.error,
+                           meta={"cutoff": str(cfg.lattice_cutoff)}))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
 
@@ -264,12 +254,12 @@ def _cmd_expansion(args, cfg: RunConfig, w: RecordWriter) -> None:
     coeff_meta = dict(meta,
                       leading=_g17(res.leading.real) + "+" + _g17(res.leading.imag) + "i",
                       v_front=_g17(res.v_front.real) + "+" + _g17(res.v_front.imag) + "i")
-    w.write(Row("expansion_b0", s=s, value=res.b0, meta=coeff_meta))
-    w.write(Row("expansion_b1", s=s, value=res.b1, meta=meta))
+    w.write(ScanRecord(s, "expansion_b0", res.b0, meta=coeff_meta))
+    w.write(ScanRecord(s, "expansion_b1", res.b1, meta=meta))
     for n, resid in res.residuals:
-        w.write(Row("expansion_residual", s=s, n=n, value=complex(resid),
-                    meta=meta))
-    w.write(Row("expansion_slope", s=s, value=complex(res.slope), meta=meta))
+        w.write(ScanRecord(s, "expansion_residual", complex(resid), n=n,
+                           meta=meta))
+    w.write(ScanRecord(s, "expansion_slope", complex(res.slope), meta=meta))
 
 
 def _cmd_hn(args, cfg: RunConfig, w: RecordWriter) -> None:
@@ -277,8 +267,7 @@ def _cmd_hn(args, cfg: RunConfig, w: RecordWriter) -> None:
     _require_strip(s, cfg)
     n_list = _parse_int_list(args.n_list)
     for rec in conjecture.hn_ratio_study(s, n_list, tol=cfg.quad_tol):
-        w.write(Row(rec.quantity, s=rec.s, n=rec.n, value=complex(rec.value),
-                    meta=rec.meta))
+        w.write(rec)
 
 
 def _cmd_emcheck(args, cfg: RunConfig, w: RecordWriter) -> None:
@@ -291,16 +280,10 @@ def _cmd_emcheck(args, cfg: RunConfig, w: RecordWriter) -> None:
         deriv = lambda k, x: 2.0 * x if k == 1 else 0.0
     lhs, rhs = expansion.em_verify(args.m, args.n, fn, deriv)
     meta = {"fn": args.fn, "m": str(args.m)}
-    w.write(Row("em_lhs", n=args.n, value=complex(lhs), meta=meta))
-    w.write(Row("em_rhs", n=args.n, value=complex(rhs), meta=meta))
-    w.write(Row("em_diff", n=args.n, value=complex(abs(lhs - rhs)), meta=meta))
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    w.write(ScanRecord(None, "em_lhs", complex(lhs), n=args.n, meta=meta))
+    w.write(ScanRecord(None, "em_rhs", complex(rhs), n=args.n, meta=meta))
+    w.write(ScanRecord(None, "em_diff", complex(abs(lhs - rhs)), n=args.n,
+                       meta=meta))
 
 
 def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
@@ -313,20 +296,19 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
         if args.points < 1:
             return
         grid = np.linspace(args.a_min, args.a_max, args.points)
-        vals = _parallel_map(
-            lambda a: abs(conjecture.omega_ratio(complex(a, args.b))),
-            list(grid), cfg.threads)
+        vals = [abs(conjecture.omega_ratio(complex(a, args.b))) for a in grid]
         monotone = all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
         for a, v in zip(grid, vals):
-            w.write(Row("omega_ratio", s=complex(a, args.b), value=complex(v),
-                        meta={"monotone_scan": str(monotone).lower()}))
+            w.write(ScanRecord(complex(a, args.b), "omega_ratio", complex(v),
+                               meta={"monotone_scan": str(monotone).lower()}))
     elif kind == "zeros":
         if args.t_min >= args.t_max:
             return
         recs = epstein.find_critical_zeros(args.t_min, args.t_max, args.step)
         for r in recs:
-            w.write(Row("zero", s=complex(0.5, r.t), value=complex(r.t),
-                        err_est=r.residual, meta={"source": r.source.value}))
+            w.write(ScanRecord(complex(0.5, r.t), "zero", complex(r.t),
+                               err_est=r.residual,
+                               meta={"source": r.source.value}))
     elif kind == "hn":
         if args.s is None:
             raise ValueError("scan --kind hn requires --s")
@@ -335,14 +317,9 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
         res = np.linspace(args.re_min, args.re_max, args.re_points)
         ims = np.linspace(args.im_min, args.im_max, args.im_points)
         pts = [complex(a, b) for a in res for b in ims]
-
-        def defect(s):
-            v = epstein.complete_xi(s)
-            return abs(v - epstein.complete_xi(1.0 - s)) / (1.0 + abs(v))
-
-        vals = _parallel_map(defect, pts, cfg.threads)
+        vals = [_xi_with_defect(s)[1] for s in pts]
         for s, v in zip(pts, vals):
-            w.write(Row("xi_defect", s=s, value=complex(v)))
+            w.write(ScanRecord(s, "xi_defect", complex(v)))
     else:  # pragma: no cover
         raise ValueError(kind)
 
@@ -358,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the Epstein-Riemann machinery")
     p.add_argument("--tol", type=float, default=None,
                    help="quadrature tolerance override")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--config", default=None,
@@ -446,8 +422,7 @@ def _build_config(args) -> RunConfig:
     values: dict = {}
     if args.config:
         raw = _load_config_file(args.config)
-        casts = {"quad_tol": float, "special_tol": float,
-                 "lattice_cutoff": int, "threads": int, "fmt": str,
+        casts = {"quad_tol": float, "lattice_cutoff": int, "fmt": str,
                  "out": str, "strict": lambda v: v.lower() == "true"}
         for key, val in raw.items():
             if key not in casts:
@@ -455,8 +430,6 @@ def _build_config(args) -> RunConfig:
             values[key] = casts[key](val)
     if args.tol is not None:
         values["quad_tol"] = args.tol
-    if args.threads is not None:
-        values["threads"] = args.threads
     if args.format is not None:
         values["fmt"] = args.format
     if args.out is not None:

@@ -22,18 +22,23 @@ _TINY = 1e-280
 
 QUANTITY_REGISTRY = frozenset({
     "omega_ratio", "q", "eta", "rho", "hn_ratio", "hn_ratio_defect_n2",
-    "xi_defect", "zero",
+    "xi_defect", "zero", "zeta_discrete", "zeta_circle", "epstein",
+    "epstein_direct", "xi", "omega", "coeff_a", "coeff_b0", "coeff_b1tilde",
+    "coeff_b1", "angular_sum", "expansion_b0", "expansion_b1",
+    "expansion_residual", "expansion_slope", "em_lhs", "em_rhs", "em_diff",
 })
 
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One persisted scan row; ``quantity`` must be in QUANTITY_REGISTRY."""
+    """One result row, the unit the CLI writes; ``quantity`` must be in
+    QUANTITY_REGISTRY.  ``s`` is None for rows not tied to a point s."""
 
-    s: complex
+    s: complex | None
     quantity: str
     value: complex
     n: int | None = None
+    err_est: float | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):

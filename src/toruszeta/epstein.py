@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError, StepTooCoarseWarning
-from .special import (complex_gamma, complex_log_gamma, dirichlet_beta,
-                      reciprocal_gamma, riemann_zeta)
+from .special import (_is_gamma_pole, complex_gamma, complex_log_gamma,
+                      dirichlet_beta, reciprocal_gamma, riemann_zeta)
 from .summation import pairwise_sum
 
 
@@ -113,7 +113,7 @@ def omega(s: complex, route: OmegaRoute = OmegaRoute.DIRECT) -> complex:
     cross-checked in the test suite.
     """
     s = complex(s)
-    if _is_nonpositive_int(s):
+    if _is_gamma_pole(s):
         raise PoleError("Omega inherits the Gamma pole", location=s)
     if s == 2.0:
         raise PoleError("Omega has a pole at s = 2 from zeta(Delta, s-1)",
@@ -124,10 +124,6 @@ def omega(s: complex, route: OmegaRoute = OmegaRoute.DIRECT) -> complex:
                             location=s)
         return (s * (s - 1.0) * math.pi / 3.0) * complete_xi(s - 1.0)
     return (s / 3.0) * math.pi ** 2 * _pi_pow_gamma(s) * epstein_zeta_2d(s - 1.0)
-
-
-def _is_nonpositive_int(s: complex) -> bool:
-    return s.imag == 0.0 and s.real <= 0.0 and s.real == math.floor(s.real)
 
 
 class ZeroSource(enum.Enum):
@@ -197,6 +193,8 @@ def find_critical_zeros(t_min: float, t_max: float,
                 found.append(ts[i])
             elif vals[i] * vals[i + 1] < 0:
                 found.append(_bisect(fn, ts[i], ts[i + 1], vals[i]))
+        # the grid's last point overshoots t_max by up to one step
+        found = [t0 for t0 in found if t0 <= t_max]
         if any(b - a < 2 * step for a, b in zip(found, found[1:])):
             warnings.warn(
                 f"{source.value} factor: adjacent sign changes within 2*step; "

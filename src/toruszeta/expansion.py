@@ -29,7 +29,6 @@ polynomial, so the moments are exact trapezoid sums).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -37,7 +36,8 @@ import numpy as np
 
 from .epstein import epstein_zeta_2d, v_factor, v_factor_inv, _pi_pow_gamma
 from .errors import ConvergenceError, DomainError, RangeError, SignalLostError
-from .lattice import StencilVariant, TorusGrid, spectral_zeta
+from .lattice import (StencilVariant, TorusGrid, spectral_zeta,
+                      stencil_symbol)
 from .quadrature import QuadResult, quad_periodic_2d, _gl_rule
 from .special import bernoulli_fraction, bernoulli_polynomial
 
@@ -55,9 +55,7 @@ def _h_moments(variant: StencilVariant, jmax: int = 40) -> np.ndarray:
     n = 128
     g = np.arange(n) / n
     sx = np.sin(np.pi * g) ** 2 / math.pi ** 2
-    h = sx[:, None] + sx[None, :]
-    if variant is StencilVariant.NINE_POINT:
-        h = h - _TWO_THIRDS_PISQ * np.outer(sx, sx)
+    h = stencil_symbol(variant, sx[:, None], sx[None, :], _TWO_THIRDS_PISQ)
     out = np.empty(jmax + 1)
     p = np.ones_like(h)
     for j in range(jmax + 1):
@@ -97,10 +95,7 @@ def _inner_j(z: np.ndarray, variant: StencilVariant) -> np.ndarray:
     return 2.0 * (y @ w)
 
 
-_LEAD_MEMO: dict = {}
-_LEAD_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=64)
 def leading_coeff(s: complex, variant: StencilVariant,
                   tol: float = 1e-12) -> complex:
     """Leading expansion coefficient a(s) / a~(s).
@@ -117,10 +112,6 @@ def leading_coeff(s: complex, variant: StencilVariant,
             f"leading coefficient defined for 0 < Re(s) < 1.75, s != 1; got {s}")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    key = (s, variant, tol)
-    with _LEAD_LOCK:
-        if key in _LEAD_MEMO:
-            return _LEAD_MEMO[key]
 
     # z in (0,1]: subtract the corner contribution pi/z^2 of J and add back
     # pi * reg-int of z^(1-2s), which is pi/(2-2s).
@@ -178,11 +169,7 @@ def leading_coeff(s: complex, variant: StencilVariant,
                 break
         else:
             small = 0
-    value += tail_acc
-
-    with _LEAD_LOCK:
-        _LEAD_MEMO[key] = value
-    return value
+    return value + tail_acc
 
 
 def coeff_b0(s: complex) -> complex:
@@ -282,11 +269,13 @@ def angular_lattice_sum(s: complex, cutoff: int = 256,
     return QuadResult(value, bound)
 
 
+@lru_cache(maxsize=64)
 def coeff_b1(s: complex, cutoff: int = 256) -> complex:
     """b1(s) = b1~(s) - (4 pi^2/(2-s)) * angular lattice sum (5-point).
 
     The denominator exponent 4 and the absence of an extra V_2(s) factor
-    follow the partial-fraction derivation of the coefficient.
+    follow the partial-fraction derivation of the coefficient.  Memoized per
+    (s, cutoff), so an expansion study runs the angular sum once.
     """
     s = complex(s)
     ang = angular_lattice_sum(s, cutoff)
@@ -397,10 +386,8 @@ def symbol_value(variant: StencilVariant, x: float, y: float, n: float,
     """f(x,y,n,z) resp. g(x,y,n,z): the exact discrete symbol."""
     sx = (n / math.pi) ** 2 * math.sin(math.pi * x / n) ** 2
     sy = (n / math.pi) ** 2 * math.sin(math.pi * y / n) ** 2
-    val = sx + sy + z * z
-    if variant is StencilVariant.NINE_POINT:
-        val -= 2.0 * math.pi ** 2 / (3.0 * n * n) * sx * sy
-    return val
+    return stencil_symbol(variant, sx, sy,
+                          2.0 * math.pi ** 2 / (3.0 * n * n)) + z * z
 
 
 def series_truncation_check(variant: StencilVariant, big_n: int,
@@ -485,9 +472,7 @@ def resolvent_leading_term(n: int, variant: StencilVariant, alpha: int,
     def f(x, y):
         sx = np.sin(np.pi * x) ** 2 / math.pi ** 2
         sy = np.sin(np.pi * y) ** 2 / math.pi ** 2
-        val = sx + sy + zn * zn
-        if variant is StencilVariant.NINE_POINT:
-            val = val - _TWO_THIRDS_PISQ * sx * sy
+        val = stencil_symbol(variant, sx, sy, _TWO_THIRDS_PISQ) + zn * zn
         return val ** -float(alpha)
 
     inner = quad_periodic_2d(f, tol)

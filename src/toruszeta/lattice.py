@@ -31,16 +31,13 @@ class StencilVariant(enum.Enum):
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """n points per axis on the 2-torus (dim=1 serves the circle ops)."""
+    """n points per axis on the 2-torus."""
 
     n: int
-    dim: int = 2
 
     def __post_init__(self):
         if self.n < 1:
             raise RangeError(f"grid size n={self.n} must be >= 1")
-        if self.dim not in (1, 2):
-            raise RangeError(f"dim={self.dim} unsupported (1 or 2)")
 
 
 def axis_eigenvalues(n: int) -> np.ndarray:
@@ -58,14 +55,23 @@ def axis_eigenvalues(n: int) -> np.ndarray:
     return out
 
 
+def stencil_symbol(variant: StencilVariant, a, b, c: float):
+    """Combine the two per-axis symbols a, b (scalars or broadcastable arrays).
+
+    5-point: a + b.  9-point: a + b - c (a b), where c is the correction
+    scale in the caller's units: 2 pi^2 / (3 n^2) for eigenvalues, 2 pi^2 / 3
+    on the unit square.
+    """
+    if variant is StencilVariant.NINE_POINT:
+        return a + b - c * (a * b)
+    return a + b
+
+
 def eigenvalue_grid(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
     """All n x n eigenvalues, indexed by (k1, k2)."""
     e = axis_eigenvalues(grid.n)
-    lam = e[:, None] + e[None, :]
-    if variant is StencilVariant.NINE_POINT:
-        scale = 2.0 * math.pi ** 2 / (3.0 * grid.n ** 2)
-        lam = lam - scale * np.outer(e, e)
-    return lam
+    return stencil_symbol(variant, e[:, None], e[None, :],
+                          2.0 * math.pi ** 2 / (3.0 * grid.n ** 2))
 
 
 def eigenvalue(grid: TorusGrid, variant: StencilVariant, k1: int, k2: int) -> float:
@@ -75,9 +81,7 @@ def eigenvalue(grid: TorusGrid, variant: StencilVariant, k1: int, k2: int) -> fl
         raise RangeError(f"indices ({k1},{k2}) outside [0,{n})^2")
     a = (n / math.pi) ** 2 * math.sin(math.pi * k1 / n) ** 2
     b = (n / math.pi) ** 2 * math.sin(math.pi * k2 / n) ** 2
-    if variant is StencilVariant.FIVE_POINT:
-        return a + b
-    return a + b - 2.0 * math.pi ** 2 / (3.0 * n ** 2) * a * b
+    return stencil_symbol(variant, a, b, 2.0 * math.pi ** 2 / (3.0 * n ** 2))
 
 
 def apply_stencil(grid: TorusGrid, variant: StencilVariant,
@@ -124,7 +128,7 @@ def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,
 
     Principal-branch powers (all eigenvalues are positive once the zero mode
     is excluded).  Summation uses a fixed pairwise tree with compensated
-    leaves, so results are bit-identical across runs and thread counts.
+    leaves, so results are bit-identical across runs.
     """
     s = complex(s)
     n = grid.n

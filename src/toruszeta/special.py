@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PoleError, RangeError
+from .summation import _kahan
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -49,12 +50,13 @@ _LANCZOS_C = (
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _is_nonpositive_integer(s: complex) -> bool:
+def _is_gamma_pole(s: complex) -> bool:
+    """True at the non-positive integers, where Gamma has its poles."""
     return s.imag == 0.0 and s.real <= 0.0 and s.real == math.floor(s.real)
 
 
 def _require_no_pole(s: complex, what: str) -> None:
-    if _is_nonpositive_integer(s):
+    if _is_gamma_pole(s):
         raise PoleError(f"{what} has a pole at s = {s.real:g}", location=s)
 
 
@@ -146,7 +148,7 @@ def complex_gamma(s: complex) -> complex:
 def reciprocal_gamma(s: complex) -> complex:
     """1/Gamma(s); entire, returns 0 at the non-positive integers."""
     s = complex(s)
-    if _is_nonpositive_integer(s):
+    if _is_gamma_pole(s):
         return 0.0 + 0.0j
     return 1.0 / complex_gamma(s)
 
@@ -232,14 +234,7 @@ def _alternating_sum(s: complex, bases: np.ndarray, n: int) -> complex:
     w = _borwein_weights(n)
     terms = w * np.exp(-s * np.log(bases))
     terms[1::2] = -terms[1::2]
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for t in terms:
-        y = t - comp
-        u = total + y
-        comp = (u - total) - y
-        total = u
-    return total
+    return _kahan(terms)
 
 
 def _series_order(s: complex) -> int:

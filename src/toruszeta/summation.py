@@ -2,8 +2,7 @@
 
 Large spectral sums are accumulated with a fixed balanced pairwise tree and
 Kahan compensation at the leaves.  The reduction order depends only on the
-length of the input, never on threading or chunking, so repeated calls are
-bit-identical.
+length of the input, so repeated calls are bit-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ _LEAF = 64
 
 
 def _kahan(values: np.ndarray) -> complex:
+    """Kahan-compensated sum in input order."""
     s = 0.0 + 0.0j
     c = 0.0 + 0.0j
     for v in values:
@@ -28,8 +28,7 @@ def pairwise_sum(values: np.ndarray) -> complex:
     """Sum a 1-D array with a balanced pairwise tree, Kahan at the leaves.
 
     The tree splits at the midpoint, so the bracketing is a pure function of
-    ``len(values)``; parallel evaluation of the two halves would combine in
-    the same order.
+    ``len(values)`` and results are bit-identical across runs.
     """
     values = np.asarray(values).ravel()
     n = values.size

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from toruszeta.cli import main, parse_complex
+from toruszeta.conjecture import QUANTITY_REGISTRY
 from toruszeta.lattice import StencilVariant, TorusGrid, spectral_zeta
 
 
@@ -152,7 +153,7 @@ def test_emcheck(capsys):
 
 def test_config_file_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("quad_tol=1e-6\nthreads=2\nfmt=json\n")
+    cfg.write_text("quad_tol=1e-6\nfmt=json\n")
     out_path = tmp_path / "o.json"
     code, _, _ = run_cli(["--config", str(cfg), "--out", str(out_path),
                           "xi", "--s", "0.3+5i"], capsys)
@@ -167,6 +168,9 @@ def test_config_validation(tmp_path, capsys):
     code, _, err = run_cli(["--config", str(cfg), "xi", "--s", "0.3+5i"], capsys)
     assert code == 2
     cfg.write_text("nonsense=1\n")
+    code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+5i"], capsys)
+    assert code == 2
+    cfg.write_text("threads=2\n")  # the thread pool and its key are gone
     code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+5i"], capsys)
     assert code == 2
 
@@ -212,14 +216,22 @@ def test_scan_xi_defect(capsys):
     assert all(float(r["value_re"]) <= 1e-9 for r in rows)
 
 
-def test_threads_flag_deterministic(tmp_path, capsys):
-    a, b = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    for path, threads in ((a, "1"), (b, "4")):
-        code, _, _ = run_cli(["--threads", threads, "--out", str(path),
-                              "scan", "--kind", "xi-defect",
-                              "--re-points", "3", "--im-points", "2"], capsys)
-        assert code == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_every_emitted_quantity_is_registered(capsys):
+    commands = (
+        ["zeta1d", "--n", "16", "--s", "0.25"],
+        ["epstein", "--s", "2", "--direct-cutoff", "10"],
+        ["coeff", "b0", "--s", "0.3+2i"],
+        ["coeff", "b1tilde", "--s", "0.3+2i"],
+        ["coeff", "b1", "--s", "0.3+2i"],
+        ["omega", "--s", "0.3+2i"],
+        ["scan", "--kind", "hn", "--s", "0.3+2i", "--n-list", "16,32"],
+    )
+    for argv in commands:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, argv
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows, argv
+        assert {r["quantity"] for r in rows} <= QUANTITY_REGISTRY, argv
 
 
 def test_scan_required_flags(capsys):

@@ -133,6 +133,14 @@ def test_zero_scan():
         assert abs(epstein_zeta_2d(complex(0.5, rec.t))) < 1e-8
 
 
+def test_zero_scan_stays_inside_window():
+    # the first Riemann zero, t = 14.134725, lies just past t_max
+    records = find_critical_zeros(1.0, 14.13)
+    assert records
+    assert all(r.t <= 14.13 for r in records)
+    assert not [r for r in records if r.source is ZeroSource.RIEMANN_FACTOR]
+
+
 def test_zero_scan_step_too_coarse_warns():
     with pytest.warns(StepTooCoarseWarning):
         find_critical_zeros(5.0, 20.0, step=2.0)
