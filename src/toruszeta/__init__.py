@@ -14,19 +14,21 @@ from .epstein import (OmegaRoute, ZeroRecord, ZeroSource, complete_xi,
                       epstein_direct_sum, epstein_zeta_2d,
                       find_critical_zeros, omega, v_factor, v_factor_inv)
 from .errors import (ConvergenceError, DegenerateError, DescriptorError,
-                     DomainError, IllConditionedError, PoleError, RangeError,
-                     ShapeError, SignalLostError, StepTooCoarseWarning,
-                     TorusZetaError, ZeroDenominatorError)
+                     DomainError, IllConditionedError, NonFiniteError,
+                     PoleError, RangeError, ShapeError, SignalLostError,
+                     StepTooCoarseWarning, TorusZetaError,
+                     ZeroDenominatorError)
 from .expansion import (ExpansionResult, TaylorCoefficient,
                         angular_lattice_sum, coeff_b0,
                         coeff_b1, coeff_b1_tilde, em_verify,
                         expansion_summary, h_function,
-                        leading_coeff, residual_order,
+                        leading_coeff, leading_coeff_error, residual_order,
                         resolvent_leading_term, series_truncation_check,
                         symbol_value, taylor_coefficients)
 from .lattice import (StencilVariant, TorusGrid, apply_stencil,
                       axis_eigenvalues, eigenvalue, eigenvalue_grid,
-                      operator_matrix, resolvent_trace, resolvent_trace_1d,
+                      fold_square, folded_spectrum, operator_matrix,
+                      resolvent_trace, resolvent_trace_1d,
                       spectral_zeta, spectral_zeta_1d, stencil_symbol)
 from .quadrature import (AsymptoticDescriptor, AsymptoticTerm, IntegrandSpec,
                          Location, QuadResult, change_of_variables_check,

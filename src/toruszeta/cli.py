@@ -8,7 +8,8 @@ digits, so re-parsing reproduces the binary values exactly and identical
 configurations produce byte-identical output files; timing goes to stderr
 only.
 
-Exit codes: 0 ok, 2 domain/usage errors, 3 convergence errors, 4 internal.
+Exit codes: 0 ok, 2 domain/usage errors, 3 convergence errors or a
+non-finite result, 4 internal.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ import numpy as np
 from . import conjecture, epstein, expansion, lattice
 from .conjecture import ScanRecord
 from .errors import (ConvergenceError, DegenerateError, DescriptorError,
-                     DomainError, IllConditionedError, PoleError, RangeError,
-                     ShapeError, SignalLostError, ZeroDenominatorError)
+                     DomainError, IllConditionedError, NonFiniteError,
+                     PoleError, RangeError, ShapeError, SignalLostError,
+                     ZeroDenominatorError)
 
 _USAGE_ERRORS = (DomainError, RangeError, DegenerateError, PoleError,
                  ZeroDenominatorError, DescriptorError, ShapeError, ValueError)
-_CONVERGENCE_ERRORS = (ConvergenceError, SignalLostError, IllConditionedError)
+_CONVERGENCE_ERRORS = (ConvergenceError, SignalLostError, IllConditionedError,
+                       NonFiniteError)
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -129,6 +132,17 @@ class RecordWriter:
         self._fh.flush()
 
     def write(self, rec: ScanRecord) -> None:
+        """Write one record, or raise NonFiniteError before writing anything
+        if its value, s or err_est is inf or nan."""
+        nums = [rec.value.real, rec.value.imag]
+        if rec.s is not None:
+            nums += [rec.s.real, rec.s.imag]
+        if rec.err_est is not None:
+            nums.append(rec.err_est)
+        if not all(math.isfinite(x) for x in nums):
+            raise NonFiniteError(
+                f"non-finite {rec.quantity} record: value={complex(rec.value)}, "
+                f"s={rec.s}, err_est={rec.err_est}")
         cells = _cells(rec)
         if self.cfg.fmt == "csv":
             self._csv.writerow(cells)
@@ -154,9 +168,11 @@ def _variant(text: str) -> lattice.StencilVariant:
 
 
 def _sum_error_estimate(grid: lattice.TorusGrid, variant, s: complex) -> float:
-    lam = lattice.eigenvalue_grid(grid, variant).ravel()[1:]
+    """eps log2(n^2) sum |lambda^-s| over the n^2 - 1 nonzero eigenvalues."""
+    lam, mult = lattice.folded_spectrum(grid.n, variant)
     mags = np.exp(-s.real * np.log(lam))
-    return float(np.finfo(float).eps * math.log2(lam.size + 1) * mags.sum())
+    return float(np.finfo(float).eps * math.log2(grid.n ** 2)
+                 * np.dot(mult, mags))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +235,8 @@ def _cmd_coeff(args, cfg: RunConfig, w: RecordWriter) -> None:
     if kind == "a":
         variant = _variant(args.variant)
         val = expansion.leading_coeff(s, variant, cfg.quad_tol)
-        w.write(ScanRecord(s, "coeff_a", val, err_est=cfg.quad_tol,
+        err = expansion.leading_coeff_error(s, variant, cfg.quad_tol)
+        w.write(ScanRecord(s, "coeff_a", val, err_est=err,
                            meta={"variant": args.variant}))
     elif kind == "b0":
         w.write(ScanRecord(s, "coeff_b0", expansion.coeff_b0(s)))

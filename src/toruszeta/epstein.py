@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError, StepTooCoarseWarning
+from .lattice import fold_square
 from .special import (_is_gamma_pole, complex_gamma, complex_log_gamma,
                       dirichlet_beta, reciprocal_gamma, riemann_zeta)
 from .summation import pairwise_sum
@@ -40,17 +41,20 @@ def epstein_direct_sum(s: complex, cutoff: int) -> tuple[complex, float]:
 
     Returns (partial sum, tail bound).  Valid for Re(s) > 1 only; the tail
     bound 8 K^(2-2 Re s) / (2 Re s - 2) comes from comparing the max-norm
-    shells (8m points, |k|^2 >= m^2) with an integral.
+    shells (8m points, |k|^2 >= m^2) with an integral.  The sum runs over
+    0 <= k1 <= k2 <= K, each point weighted by the number of lattice points
+    that the signs and the swap k1 <-> k2 map onto it.
     """
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError("direct Epstein sum needs Re(s) > 1")
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
-    k = np.arange(-cutoff, cutoff + 1)
-    q = (k[:, None] ** 2 + k[None, :] ** 2).astype(float).ravel()
-    q = q[q > 0]
-    total = pairwise_sum(np.exp(-s * np.log(q)))
+    axis_mult = np.full(cutoff + 1, 2.0)
+    axis_mult[0] = 1.0  # k and -k coincide only at 0
+    k1, k2, mult = fold_square(axis_mult)
+    q = (k1 * k1 + k2 * k2).astype(float)
+    total = pairwise_sum(mult * np.exp(-s * np.log(q)))
     sigma = s.real
     bound = 8.0 * cutoff ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
     return total, bound

@@ -56,6 +56,10 @@ class SignalLostError(TorusZetaError):
     requested order measurement would fit noise instead of signal."""
 
 
+class NonFiniteError(TorusZetaError):
+    """A result to be reported is inf or nan."""
+
+
 class ZeroDenominatorError(TorusZetaError):
     """A ratio was requested where the denominator factor vanishes."""
 

@@ -95,7 +95,6 @@ def _inner_j(z: np.ndarray, variant: StencilVariant) -> np.ndarray:
     return 2.0 * (y @ w)
 
 
-@lru_cache(maxsize=64)
 def leading_coeff(s: complex, variant: StencilVariant,
                   tol: float = 1e-12) -> complex:
     """Leading expansion coefficient a(s) / a~(s).
@@ -106,7 +105,25 @@ def leading_coeff(s: complex, variant: StencilVariant,
     subtraction hits its roundoff floor).  Memoized per (s, variant, tol)
     because H_n calls it for every n.
     """
-    s = complex(s)
+    return _leading_coeff(complex(s), variant, tol)[0]
+
+
+def leading_coeff_error(s: complex, variant: StencilVariant,
+                        tol: float = 1e-12) -> float:
+    """Achieved error estimate of ``leading_coeff(s, variant, tol)``.
+
+    The geometric tail estimate of the z-panels left unsummed plus the
+    roundoff floor of the corner subtraction summed over the panels taken;
+    shares the memo of ``leading_coeff``, so asking for both costs one
+    quadrature.
+    """
+    return _leading_coeff(complex(s), variant, tol)[1]
+
+
+@lru_cache(maxsize=64)
+def _leading_coeff(s: complex, variant: StencilVariant,
+                   tol: float) -> tuple[complex, float]:
+    """(a(s), achieved error estimate); see ``leading_coeff``."""
     if not 0.0 < s.real < 1.75 or s == 1.0:
         raise DomainError(
             f"leading coefficient defined for 0 < Re(s) < 1.75, s != 1; got {s}")
@@ -117,6 +134,7 @@ def leading_coeff(s: complex, variant: StencilVariant,
     # pi * reg-int of z^(1-2s), which is pi/(2-2s).
     eps = float(np.finfo(float).eps)
     acc = 0j
+    noise = 0.0
     prev_mag = None
     passes = 0
     floor_passes = 0
@@ -133,6 +151,7 @@ def leading_coeff(s: complex, variant: StencilVariant,
         # J - pi/z^2 carries eps * pi/z^2 of subtraction noise; for
         # Re(s) >= 1 its panel integral grows with depth, so stop at the floor
         junk = eps * math.pi * lo ** (1.0 - 2.0 * s.real) * (hi - lo)
+        noise += junk
         if mag <= 8.0 * junk:
             floor_passes += 1
             if floor_passes >= 3 and k >= 8:
@@ -155,6 +174,7 @@ def leading_coeff(s: complex, variant: StencilVariant,
             raise ConvergenceError("leading coefficient: z-panels exhausted",
                                    estimate=acc)
     value = acc + math.pi / (2.0 - 2.0 * s)
+    err = mag + tail + noise
 
     # z in [1, oo): exact geometric-series tail.
     mom = _h_moments(variant)
@@ -169,7 +189,7 @@ def leading_coeff(s: complex, variant: StencilVariant,
                 break
         else:
             small = 0
-    return value + tail_acc
+    return value + tail_acc, err
 
 
 def coeff_b0(s: complex) -> complex:

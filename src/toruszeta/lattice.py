@@ -10,6 +10,14 @@ n^2/(4 pi^2) normalization, so eigenvalues are
 
 Zero-mode conventions differ on purpose: spectral zeta sums exclude
 (k1,k2) = (0,0); resolvent traces include it.
+
+Both symbols are invariant under k -> n-k on either axis and under
+k1 <-> k2, so the spectral zeta sums run over the fundamental domain
+0 <= k1 <= k2 <= n/2 only, each eigenvalue weighted by the number of
+(k1, k2) it stands for (1, 2, 4 or 8: ``folded_spectrum``).  The weights
+are powers of two, so weighting is exact and spectral_zeta(conj s) ==
+conj(spectral_zeta(s)) holds bit for bit.  The dense ``eigenvalue_grid``
+serves the resolvent traces.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,19 +49,47 @@ class TorusGrid:
             raise RangeError(f"grid size n={self.n} must be >= 1")
 
 
+def _axis_fold(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """1-D eigenvalues for k = 0..n//2 and how often each occurs in 0..n-1.
+
+    k and n-k give the same eigenvalue, so every k counts twice except
+    k = 0 and, for even n, the Nyquist index k = n/2.
+    """
+    half = n // 2
+    k = np.arange(half + 1)
+    head = (n / math.pi) ** 2 * np.sin(math.pi * k / n) ** 2
+    mult = np.full(half + 1, 2.0)
+    mult[0] = 1.0
+    if n % 2 == 0:
+        mult[half] = 1.0
+    return head, mult
+
+
 def axis_eigenvalues(n: int) -> np.ndarray:
     """1-D eigenvalues (n^2/pi^2) sin^2(pi k/n), k = 0..n-1.
 
     Filled from k <= n/2 and mirrored (k <-> n-k give the same value), which
     halves the sin calls and makes the symmetry exact by construction.
     """
+    head, _ = _axis_fold(n)
     half = n // 2
-    k = np.arange(half + 1)
-    head = (n / math.pi) ** 2 * np.sin(math.pi * k / n) ** 2
     out = np.empty(n)
     out[: half + 1] = head
     out[half + 1:] = head[1: n - half][::-1]
     return out
+
+
+def fold_square(axis_mult: np.ndarray):
+    """Fold a square index set over the swap k1 <-> k2.
+
+    ``axis_mult[k]`` says how many indices of one axis the folded index k
+    stands for.  Returns (k1, k2, mult) over 0 <= k1 <= k2 < len(axis_mult)
+    without (0, 0): mult counts the points of the full square that share
+    (k1, k2) up to the swap, and sums to (sum axis_mult)^2 - 1.
+    """
+    k1, k2 = np.triu_indices(axis_mult.size)
+    mult = axis_mult[k1] * axis_mult[k2] * np.where(k1 == k2, 1.0, 2.0)
+    return k1[1:], k2[1:], mult[1:]
 
 
 def stencil_symbol(variant: StencilVariant, a, b, c: float):
@@ -72,6 +109,25 @@ def eigenvalue_grid(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
     e = axis_eigenvalues(grid.n)
     return stencil_symbol(variant, e[:, None], e[None, :],
                           2.0 * math.pi ** 2 / (3.0 * grid.n ** 2))
+
+
+@lru_cache(maxsize=8)
+def folded_spectrum(n: int, variant: StencilVariant) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero eigenvalues over 0 <= k1 <= k2 <= n/2 and their multiplicities.
+
+    The values are exactly those of ``eigenvalue_grid`` at the same (k1, k2);
+    the multiplicities (1, 2, 4 or 8) sum to n^2 - 1.  Both arrays are
+    read-only, since the memo hands the same pair to every caller.
+    """
+    if n < 1:
+        raise RangeError(f"grid size n={n} must be >= 1")
+    head, axis_mult = _axis_fold(n)
+    k1, k2, mult = fold_square(axis_mult)
+    lam = stencil_symbol(variant, head[k1], head[k2],
+                         2.0 * math.pi ** 2 / (3.0 * n ** 2))
+    lam.flags.writeable = False
+    mult.flags.writeable = False
+    return lam, mult
 
 
 def eigenvalue(grid: TorusGrid, variant: StencilVariant, k1: int, k2: int) -> float:
@@ -117,9 +173,9 @@ def operator_matrix(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
     return mat
 
 
-def _powsum(lam: np.ndarray, s: complex) -> complex:
-    """sum lam^(-s) over a flat positive array, deterministic order."""
-    return pairwise_sum(np.exp(-s * np.log(lam)))
+def _powsum(lam: np.ndarray, mult: np.ndarray, s: complex) -> complex:
+    """sum mult * lam^(-s) over flat positive lam, deterministic order."""
+    return pairwise_sum(mult * np.exp(-s * np.log(lam)))
 
 
 def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,
@@ -127,8 +183,9 @@ def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,
     """zeta(Delta_n, s) = sum over (k1,k2) != (0,0) of eigenvalue^(-s).
 
     Principal-branch powers (all eigenvalues are positive once the zero mode
-    is excluded).  Summation uses a fixed pairwise tree with compensated
-    leaves, so results are bit-identical across runs.
+    is excluded), summed over the folded spectrum with multiplicities and
+    reduced by the leaf-compensated pairwise tree, so results are
+    bit-identical across runs.
     """
     s = complex(s)
     n = grid.n
@@ -136,19 +193,22 @@ def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,
         if allow_empty:
             return 0.0 + 0.0j
         raise DegenerateError("empty spectrum: n=1 torus has only the zero mode")
-    lam = eigenvalue_grid(grid, variant).ravel()[1:]  # drop (0,0), keep order
-    return _powsum(lam, s)
+    lam, mult = folded_spectrum(n, variant)
+    return _powsum(lam, mult, s)
 
 
 def spectral_zeta_1d(n: int, s: complex) -> complex:
-    """zeta(L_n, s) on the discrete circle: sum_{k=1}^{n-1} eigenvalue^(-s)."""
+    """zeta(L_n, s) on the discrete circle: sum_{k=1}^{n-1} eigenvalue^(-s).
+
+    Summed over k = 1..n/2, folding k <-> n-k.
+    """
     s = complex(s)
     if n == 1:
         raise DegenerateError("empty spectrum: n=1 circle has only the zero mode")
     if n < 1:
         raise RangeError("n must be >= 1")
-    lam = axis_eigenvalues(n)[1:]
-    return _powsum(lam, s)
+    head, mult = _axis_fold(n)
+    return _powsum(head[1:], mult[1:], s)
 
 
 def resolvent_trace(grid: TorusGrid, variant: StencilVariant, alpha: int,

@@ -186,6 +186,26 @@ def test_coeff_commands(capsys):
     assert float(rows[0]["value_re"]) == pytest.approx(-0.0161659728, abs=1e-6)
 
 
+def test_coeff_a_reports_achieved_error(capsys):
+    tol = 1e-9
+    code, out, _ = run_cli(["--tol", str(tol), "coeff", "a", "--s", "0.5",
+                            "--variant", "nine"], capsys)
+    assert code == 0
+    err = float(next(csv.DictReader(io.StringIO(out)))["err_est"])
+    assert 0.0 < err
+    assert err != tol
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_value_exits_3(capsys):
+    # the Borwein weights overflow at |Im s| ~ 800, so the ratio is nan
+    code, out, err = run_cli(["omega", "--s", "0.5+800i", "--ratio"], capsys)
+    assert code == 3
+    assert "non-finite" in err
+    assert out.splitlines() == [
+        "quantity,s_re,s_im,n,value_re,value_im,err_est,meta"]
+
+
 def test_hn_command(capsys):
     code, out, _ = run_cli(["hn", "--s", "0.3+2i", "--n-list", "32,64"], capsys)
     assert code == 0

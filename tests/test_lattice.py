@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from toruszeta.epstein import epstein_direct_sum
 from toruszeta.errors import DegenerateError, DomainError, RangeError, ShapeError
 from toruszeta.lattice import (StencilVariant, TorusGrid, apply_stencil,
                                axis_eigenvalues, eigenvalue, eigenvalue_grid,
-                               operator_matrix, resolvent_trace,
-                               resolvent_trace_1d, spectral_zeta,
-                               spectral_zeta_1d)
+                               folded_spectrum, operator_matrix,
+                               resolvent_trace, resolvent_trace_1d,
+                               spectral_zeta, spectral_zeta_1d)
 
 FIVE = StencilVariant.FIVE_POINT
 NINE = StencilVariant.NINE_POINT
@@ -164,3 +166,43 @@ def test_spectral_zeta_conjugation_exact():
             == spectral_zeta(g, v, s).conjugate()
     assert spectral_zeta_1d(12, s.conjugate()) \
         == spectral_zeta_1d(12, s).conjugate()
+
+
+def _fsum_powers(lam, s):
+    """(sum lam^-s, sum |lam^-s|) with exactly rounded real sums."""
+    terms = np.exp(-s * np.log(lam))
+    return (complex(math.fsum(terms.real), math.fsum(terms.imag)),
+            math.fsum(np.abs(terms)))
+
+
+def test_folded_spectrum_multiplicities():
+    for n in range(1, 18):
+        for v in StencilVariant:
+            lam, mult = folded_spectrum(n, v)
+            assert mult.sum() == n * n - 1
+            assert set(mult) <= {1.0, 2.0, 4.0, 8.0}
+            # the folded values are dense-grid values, bit for bit
+            dense = eigenvalue_grid(TorusGrid(n), v).ravel()[1:]
+            assert np.isin(lam, dense).all()
+            assert not lam.flags.writeable and not mult.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 64), st.sampled_from(list(StencilVariant)),
+       st.floats(0.01, 0.99), st.floats(-30.0, 30.0))
+def test_folded_spectral_zeta_matches_dense_fsum(n, variant, sigma, t):
+    s = complex(sigma, t)
+    lam = eigenvalue_grid(TorusGrid(n), variant).ravel()[1:]
+    ref, mag = _fsum_powers(lam, s)
+    assert abs(spectral_zeta(TorusGrid(n), variant, s) - ref) <= 1e-14 * mag
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.floats(1.01, 3.0), st.floats(-30.0, 30.0))
+def test_folded_direct_sum_matches_dense_fsum(cutoff, sigma, t):
+    s = complex(sigma, t)
+    k = np.arange(-cutoff, cutoff + 1)
+    q = (k[:, None] ** 2 + k[None, :] ** 2).astype(float).ravel()
+    ref, mag = _fsum_powers(q[q > 0], s)
+    total, _ = epstein_direct_sum(s, cutoff)
+    assert abs(total - ref) <= 1e-14 * mag

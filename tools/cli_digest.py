@@ -12,7 +12,9 @@ change behaviour:
     diff before.txt after.txt
 
 The package path that was imported goes to stderr, so a listing can always
-be tied to its checkout.
+be tied to its checkout.  With ``--raw`` each digest line is followed by the
+command's stdout, indented by four spaces, so that a change meant to move
+last digits can be measured value by value, not only detected.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ COMMANDS = (
 )
 
 
-def digest(argv: list[str]) -> tuple[str, int]:
-    """sha256 of the stdout of ``main(argv)`` and its exit code."""
+def digest(argv: list[str]) -> tuple[str, int, str]:
+    """sha256 of the stdout of ``main(argv)``, its exit code and the stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -77,12 +79,22 @@ def digest(argv: list[str]) -> tuple[str, int]:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
-    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+    text = out.getvalue()
+    return hashlib.sha256(text.encode()).hexdigest(), code, text
 
 
 if __name__ == "__main__":
+    import argparse
+
     import toruszeta
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--raw", action="store_true",
+                   help="print each command's stdout under its digest line")
+    raw = p.parse_args().raw
     print(f"toruszeta from {toruszeta.__file__}", file=sys.stderr)
     for line in COMMANDS:
-        sha, code = digest(shlex.split(line))
+        sha, code, text = digest(shlex.split(line))
         print(f"{sha} {code} {line}")
+        if raw:
+            for out_line in text.splitlines():
+                print(f"    {out_line}")
