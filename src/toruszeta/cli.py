@@ -66,7 +66,6 @@ def _parse_int_list(text: str) -> list[int]:
 @dataclass
 class RunConfig:
     quad_tol: float = 1e-12
-    lattice_cutoff: int = 256
     fmt: str = "csv"
     out: str | None = None
     strict: bool = False
@@ -74,8 +73,6 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.quad_tol <= 1e-3:
             raise DomainError(f"quad_tol={self.quad_tol} outside (0, 1e-3]")
-        if self.lattice_cutoff < 8:
-            raise DomainError("lattice cutoff must be >= 8")
         if self.fmt not in ("csv", "json"):
             raise DomainError(f"format {self.fmt!r} not in {{csv,json}}")
 
@@ -99,7 +96,12 @@ _COLUMNS = ("quantity", "s_re", "s_im", "n", "value_re", "value_im",
 
 
 def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+    """17 significant digits; the one gate that keeps inf and nan out of
+    every number cell, meta numbers included."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise NonFiniteError(f"non-finite number {x}")
+    return format(x, ".17g")
 
 
 def _cells(rec: ScanRecord) -> dict:
@@ -133,17 +135,11 @@ class RecordWriter:
 
     def write(self, rec: ScanRecord) -> None:
         """Write one record, or raise NonFiniteError before writing anything
-        if its value, s or err_est is inf or nan."""
-        nums = [rec.value.real, rec.value.imag]
-        if rec.s is not None:
-            nums += [rec.s.real, rec.s.imag]
-        if rec.err_est is not None:
-            nums.append(rec.err_est)
-        if not all(math.isfinite(x) for x in nums):
-            raise NonFiniteError(
-                f"non-finite {rec.quantity} record: value={complex(rec.value)}, "
-                f"s={rec.s}, err_est={rec.err_est}")
-        cells = _cells(rec)
+        if any of its numbers is inf or nan."""
+        try:
+            cells = _cells(rec)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{rec.quantity} record: {exc}") from None
         if self.cfg.fmt == "csv":
             self._csv.writerow(cells)
         else:
@@ -243,13 +239,10 @@ def _cmd_coeff(args, cfg: RunConfig, w: RecordWriter) -> None:
     elif kind == "b1tilde":
         w.write(ScanRecord(s, "coeff_b1tilde", expansion.coeff_b1_tilde(s)))
     elif kind == "b1":
-        val = expansion.coeff_b1(s, cfg.lattice_cutoff)
-        w.write(ScanRecord(s, "coeff_b1", val,
-                           meta={"cutoff": str(cfg.lattice_cutoff)}))
+        w.write(ScanRecord(s, "coeff_b1", expansion.coeff_b1(s)))
     elif kind == "angular":
-        res = expansion.angular_lattice_sum(s, cfg.lattice_cutoff, cfg.quad_tol)
-        w.write(ScanRecord(s, "angular_sum", res.value, err_est=res.error,
-                           meta={"cutoff": str(cfg.lattice_cutoff)}))
+        res = expansion.angular_lattice_sum(s)
+        w.write(ScanRecord(s, "angular_sum", res.value, err_est=res.error))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
 
@@ -265,8 +258,7 @@ def _cmd_expansion(args, cfg: RunConfig, w: RecordWriter) -> None:
     variant = _variant(args.variant)
     n_list = _parse_int_list(args.n_list)
     res = expansion.expansion_summary(
-        s, variant, n_list, orders_included=args.orders, tol=cfg.quad_tol,
-        cutoff=cfg.lattice_cutoff)
+        s, variant, n_list, orders_included=args.orders, tol=cfg.quad_tol)
     meta = {"variant": args.variant, "orders": str(args.orders)}
     coeff_meta = dict(meta,
                       leading=_g17(res.leading.real) + "+" + _g17(res.leading.imag) + "i",
@@ -439,8 +431,8 @@ def _build_config(args) -> RunConfig:
     values: dict = {}
     if args.config:
         raw = _load_config_file(args.config)
-        casts = {"quad_tol": float, "lattice_cutoff": int, "fmt": str,
-                 "out": str, "strict": lambda v: v.lower() == "true"}
+        casts = {"quad_tol": float, "fmt": str, "out": str,
+                 "strict": lambda v: v.lower() == "true"}
         for key, val in raw.items():
             if key not in casts:
                 raise ValueError(f"unknown config key {key!r}")

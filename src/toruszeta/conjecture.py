@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .epstein import (complete_xi, epstein_zeta_2d, find_critical_zeros,
                       omega)
-from .errors import PoleError, ZeroDenominatorError
+from .errors import NonFiniteError, PoleError, ZeroDenominatorError
 from .expansion import h_function
 
 _TINY = 1e-280
@@ -169,7 +169,10 @@ def hn_ratio_study(s: complex, n_list: Sequence[int], tol: float = 1e-12,
                         for z in zeros)
     meta = {"near_zero": str(near_zero).lower()}
     if near_zero:
-        meta["omega_ratio_fallback"] = repr(float(abs(omega_ratio(s))))
+        fallback = abs(omega_ratio(s))
+        if not math.isfinite(fallback):
+            raise NonFiniteError(f"non-finite Omega ratio fallback at s={s}")
+        meta["omega_ratio_fallback"] = repr(float(fallback))
     records = []
     for n in n_list:
         num = h_function(1.0 - s, n, tol)

@@ -186,6 +186,8 @@ def find_critical_zeros(t_min: float, t_max: float,
     """
     if not 0 < t_min < t_max:
         raise DomainError("need 0 < t_min < t_max")
+    if not 0 < step < math.inf:
+        raise DomainError(f"scan step must be positive and finite, got {step}")
     records = []
     for source, fn in ((ZeroSource.RIEMANN_FACTOR, hardy_z_riemann),
                        (ZeroSource.BETA_FACTOR, hardy_z_beta)):

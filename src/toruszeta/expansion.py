@@ -6,9 +6,11 @@ quadrature of
     a(s) = int_0^oo z^(3-2s) int_0^1 int_0^1 symbol(x,y,z)^-2 dx dy dz,
 
 the closed-form coefficients b0 and b1~ through the Epstein factors, the
-angular lattice sum entering b1, the Taylor coefficient polynomials of the
-symbol expansion, the Euler-Maclaurin identity verifier, H_n, and residual
-order measurements against directly computed discrete zetas.
+angular lattice sum entering b1 (inner lattice sum in closed form, outer
+one closed by an Euler-Maclaurin tail, so nothing is truncated), the Taylor
+coefficient polynomials of the symbol expansion, the Euler-Maclaurin
+identity verifier, H_n, and residual order measurements against directly
+computed discrete zetas.
 
 Implementation notes on the leading coefficient: the inner y-integral has
 the closed form
@@ -205,101 +207,92 @@ def coeff_b1_tilde(s: complex) -> complex:
         * epstein_zeta_2d(s - 1.0)
 
 
-@lru_cache(maxsize=8)
-def _angular_lattice_tables(cutoff: int):
-    k = np.arange(1, cutoff + 1, dtype=float)
-    q = (k[:, None] ** 2 + k[None, :] ** 2).ravel()
-    w = np.outer(k ** 2, k ** 2).ravel()
-    return q, w
+_ANGULAR_ORDER = 32  # GL rule of the z-panels, checked against half the order
+_ANGULAR_KMAX = 64  # k1 summed term by term, the rest by Euler-Maclaurin
+_ANGULAR_Z_EDGES = (1.0, 2.0, 3.0, 4.5, 6.0, 8.0)  # after 12 graded panels
 
 
-def _angular_sum_values(z: np.ndarray, cutoff: int) -> np.ndarray:
-    """S(z) = sum over Z^2 of k1^2 k2^2 (|k|^2 + z^2)^-4, truncated at the
-    max-norm ``cutoff`` plus the continuum integral over the exterior of the
-    truncation square (midpoint-rule tail completion)."""
-    q, w = _angular_lattice_tables(cutoff)
-    z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape)
-    for i0 in range(0, z.size, 32):
-        zz = z.ravel()[i0:i0 + 32]
-        out.ravel()[i0:i0 + 32] = 4.0 * ((w[None, :]
-                                          * (q[None, :] + (zz * zz)[:, None]) ** -4.0)
-                                         .sum(axis=1))
-    bde = cutoff + 0.5
-    u = (z * z) / (bde * bde)
-    # strip integral: (pi/32) int_B^oo x^2 (x^2+z^2)^(-5/2) dx per quadrant,
-    # closed form (1/(3 z^2)) (1 - B^3 (B^2+z^2)^(-3/2)) written cancellation-free
-    strip = (math.pi / 32.0) / (3.0 * z * z) * (-np.expm1(-1.5 * np.log1p(u)))
-    corner = _corner_integral(z, bde)
-    return out + 4.0 * (2.0 * strip - corner)
+def _k2_sum(a2: np.ndarray) -> np.ndarray:
+    """sum over k in Z of k^2 (k^2 + a^2)^-4 in closed form, for a^2 >= 1:
+    F''(b)/2 + b F'''(b)/6 at b = a^2, with F(b) = pi coth(pi a)/a the
+    Mittag-Leffler series sum_k 1/(k^2 + b).  coth(pi a) and csch^2(pi a)
+    come from q = e^(-2 pi a), which cannot overflow."""
+    a = np.sqrt(a2)
+    q = np.exp(-2.0 * math.pi * a)
+    c, u = (1.0 + q) / (1.0 - q), 4.0 * q / (1.0 - q) ** 2
+    pi2 = math.pi ** 2
+    return math.pi * c / (16.0 * a2 * a2 * a) - pi2 * pi2 * u * u / (8.0 * a2) \
+        + u * (pi2 / (16.0 * a2 * a2) - pi2 * pi2 / (12.0 * a2))
 
 
-def _corner_integral(z: np.ndarray, bde: float) -> np.ndarray:
-    """int_B^oo int_B^oo x^2 y^2 (x^2+y^2+z^2)^-4 dx dy via (B/v, B/w) map."""
-    x16, w16 = _gl_rule(16)
-    vv, ww = np.meshgrid(x16, x16, indexing="ij")
-    wt = np.outer(w16, w16).ravel()
-    v4w4 = (vv ** 4 * ww ** 4).ravel()
-    v2w2 = (vv ** 2 + ww ** 2).ravel()
-    prod = (vv * ww).ravel() ** 2
-    zb2 = np.atleast_1d(np.asarray(z, dtype=float) / bde) ** 2
-    core = v4w4[None, :] * (v2w2[None, :] + prod[None, :] * zb2[:, None]) ** -4.0
-    flat = (core @ wt) / (bde * bde)
-    return flat.reshape(np.shape(z))
+def _angular_sum_values(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(z) = sum over Z^2 of k1^2 k2^2 (|k|^2 + z^2)^-4 = 2 sum_{k1>=1} k1^2
+    _k2_sum(k1^2 + z^2) for z > 0, and a bound on its Euler-Maclaurin error.
+
+    Past K = _ANGULAR_KMAX the k2-sum is (pi/16) f(k1) up to e^(-2 pi K),
+    f(k) = k^2 (k^2 + z^2)^(-5/2), and sum_{k>K} f = int_K^oo f - f(K)/2
+    - f'(K)/12 + f'''(K)/720 - ...; for K >= 4z the odd derivatives of f
+    keep one sign, so the next term f^(5)(K)/30240 bounds the remainder."""
+    z2 = np.asarray(z, dtype=float) ** 2
+    k2 = np.arange(1, _ANGULAR_KMAX + 1, dtype=float) ** 2
+    head = 2.0 * (_k2_sum(k2 + z2[..., None]) @ k2)
+    kk = float(_ANGULAR_KMAX)
+    b, r = kk * kk, kk * kk + z2
+    # int_K^oo f = (1 - K^3 (K^2+z^2)^(-3/2)) / (3 z^2), cancellation-free
+    strip = -np.expm1(-1.5 * np.log1p(z2 / b)) / (3.0 * z2)
+    f1 = -kk * (3.0 * b - 2.0 * z2) * r ** -3.5
+    f3 = -15.0 * kk * (4.0 * b * b - 13.0 * b * z2 + 4.0 * z2 * z2) * r ** -5.5
+    f5 = -315.0 * kk * (8.0 * b ** 3 - 60.0 * b * b * z2 + 65.0 * b * z2 * z2
+                        - 10.0 * z2 ** 3) * r ** -7.5
+    tail = strip - 0.5 * b * r ** -2.5 - f1 / 12.0 + f3 / 720.0
+    return head + (math.pi / 8.0) * tail, (math.pi / 8.0) * np.abs(f5) / 30240.0
 
 
-def angular_lattice_sum(s: complex, cutoff: int = 256,
-                        tol: float = 1e-9) -> QuadResult:
-    """Regularized integral int_0^oo z^(5-2s) S(z) dz of the angular sum.
+def angular_lattice_sum(s: complex) -> QuadResult:
+    """Regularized integral A(s) = int_0^oo z^(5-2s) S(z) dz of the angular sum.
 
-    S(z) carries the weight k1^2 k2^2 (denominator exponent 4).  The only
-    divergent behavior sits at infinity, where Poisson summation gives
-    S(z) = (pi/24) z^-2 + O(e^(-2 pi z)); that power is removed analytically
-    and its regularized integral -(pi/24)/(4-2s) added back.  Returns the
-    value together with a truncation bound estimated from a half-cutoff run.
+    S(z) (weight k1^2 k2^2, denominator exponent 4) is ``_angular_sum_values``.
+    At infinity Poisson summation gives S(z) = (pi/24) z^-2 + O(e^(-2 pi z));
+    on z >= 1 that power is removed and its regularized integral
+    -(pi/24)/(4-2s) added back.  The error is an achieved estimate: the
+    GL32 - GL16 panel differences, plus the weighted Euler-Maclaurin bound
+    of S, plus bounds on the dropped ends z < 2^-12 (S <= S(0) < 0.36) and
+    z > 8 (|S - (pi/24) z^-2| <= (2 pi^3/3) z^-1/2 e^(-2 pi z)).
     """
     s = complex(s)
     if not 0.0 < s.real < 1.0:
         raise DomainError("angular lattice sum defined for Re(s) in (0,1)")
-    if cutoff < 8:
-        raise DomainError("cutoff must be >= 8")
+    edges = [2.0 ** -k for k in range(12, 0, -1)] + list(_ANGULAR_Z_EDGES)
+    lo, width = np.array(edges[:-1])[:, None], np.diff(edges)[:, None]
 
-    def weight(z):
-        return np.exp((5.0 - 2.0 * s) * np.log(z))
+    def panels(order):
+        x, w = _gl_rule(order)
+        z = lo + width * x
+        vals, rem = _angular_sum_values(z)
+        vals = vals - (z > 1.0) * (math.pi / 24.0) / (z * z)
+        weight = np.exp((5.0 - 2.0 * s) * np.log(z))
+        return (width * weight * vals) @ w, (width * np.abs(weight) * rem) @ w
 
-    def piece(cut):
-        # [0, 1]: graded panels; integrand ~ S(0) z^(5-2s) at 0, no singularity
-        total = 0j
-        for k in range(12):
-            hi = 2.0 ** (-k)
-            lo = 0.5 * hi
-            z = lo + (hi - lo) * _GLX
-            total += (hi - lo) * complex(np.dot(
-                _GLW, weight(z) * _angular_sum_values(z, cut)))
-        # [1, 4.5]: subtract the Poisson leading power; remainder ~ e^(-2 pi z)
-        for lo, hi in ((1.0, 2.0), (2.0, 3.0), (3.0, 4.5)):
-            z = lo + (hi - lo) * _GLX
-            resid = _angular_sum_values(z, cut) - (math.pi / 24.0) / (z * z)
-            total += (hi - lo) * complex(np.dot(_GLW, weight(z) * resid))
-        return total - (math.pi / 24.0) / (4.0 - 2.0 * s)
-
-    value = piece(cutoff)
-    rough = piece(cutoff // 2)
-    bound = 2.0 * abs(value - rough) + tol
-    return QuadResult(value, bound)
+    fine, em = panels(_ANGULAR_ORDER)
+    coarse, _ = panels(_ANGULAR_ORDER // 2)
+    p, top = 4.5 - 2.0 * s.real, edges[-1]
+    ends = 0.36 * edges[0] ** (p + 1.5) / (p + 1.5) + (2.0 * math.pi ** 3 / 3.0) \
+        * top ** p * math.exp(-2.0 * math.pi * top) / (2.0 * math.pi - p / top)
+    return QuadResult(complex(np.sum(fine)) - (math.pi / 24.0) / (4.0 - 2.0 * s),
+                      float(np.sum(np.abs(fine - coarse)) + np.sum(em)) + ends)
 
 
 @lru_cache(maxsize=64)
-def coeff_b1(s: complex, cutoff: int = 256) -> complex:
-    """b1(s) = b1~(s) - (4 pi^2/(2-s)) * angular lattice sum (5-point).
+def coeff_b1(s: complex) -> complex:
+    """b1(s) = b1~(s) - (4 pi^2/(2-s)) A(s) (5-point), A = angular_lattice_sum.
 
     The denominator exponent 4 and the absence of an extra V_2(s) factor
     follow the partial-fraction derivation of the coefficient.  Memoized per
-    (s, cutoff), so an expansion study runs the angular sum once.
+    s, so an expansion study runs the angular sum once.
     """
     s = complex(s)
-    ang = angular_lattice_sum(s, cutoff)
-    return coeff_b1_tilde(s) - 4.0 * math.pi ** 2 / (2.0 - s) * ang.value
+    return coeff_b1_tilde(s) \
+        - 4.0 * math.pi ** 2 / (2.0 - s) * angular_lattice_sum(s).value
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +536,13 @@ class ExpansionResult:
 
 
 def expansion_summary(s: complex, variant: StencilVariant, n_list,
-                      orders_included: int = 1, tol: float = 1e-12,
-                      cutoff: int = 256) -> ExpansionResult:
+                      orders_included: int = 1,
+                      tol: float = 1e-12) -> ExpansionResult:
     """Evaluate the expansion pieces and the residual study in one bundle."""
     s = complex(s)
-    slope, pts = residual_order(s, variant, n_list, orders_included, tol,
-                                cutoff)
+    slope, pts = residual_order(s, variant, n_list, orders_included, tol)
     b1 = coeff_b1_tilde(s) if variant is StencilVariant.NINE_POINT \
-        else coeff_b1(s, cutoff)
+        else coeff_b1(s)
     return ExpansionResult(
         s=s, variant=variant, leading=leading_coeff(s, variant, tol),
         b0=coeff_b0(s), b1=b1, v_front=v_factor(2, s),
@@ -558,8 +550,7 @@ def expansion_summary(s: complex, variant: StencilVariant, n_list,
 
 
 def residual_order(s: complex, variant: StencilVariant, n_list,
-                   orders_included: int = 1, tol: float = 1e-12,
-                   cutoff: int = 256):
+                   orders_included: int = 1, tol: float = 1e-12):
     """Log-log slope of the expansion residual over a geometric n list.
 
     The leading term and the constant term zeta(Delta, s) are always
@@ -579,7 +570,7 @@ def residual_order(s: complex, variant: StencilVariant, n_list,
     b1term = 0j
     if orders_included >= 1:
         b1 = coeff_b1_tilde(s) if variant is StencilVariant.NINE_POINT \
-            else coeff_b1(s, cutoff)
+            else coeff_b1(s)
         b1term = v2 * b1
     pts = []
     for n in n_list:

@@ -215,9 +215,16 @@ def digamma(s: complex) -> complex:
     return acc + cmath.log(w) - 0.5 * inv + tail
 
 
+_RESCALE = 2.0 ** 900
+
+
 @lru_cache(maxsize=16)
 def _borwein_weights(n: int) -> np.ndarray:
-    """Chebyshev/binomial weights (d_n - d_k)/d_n, k = 0..n-1."""
+    """Chebyshev/binomial weights (d_n - d_k)/d_n, k = 0..n-1.
+
+    d_k grows like (3+sqrt(8))^k, so the running values are divided by 2^900
+    whenever they pass it (n > ~350); orders below that keep their bits.
+    """
     d = np.empty(n + 1)
     p = 1.0 / n  # p_j = (n+j-1)! 4^j / ((n-j)! (2j)!), p_0 = (n-1)!/n!
     acc = p
@@ -225,6 +232,9 @@ def _borwein_weights(n: int) -> np.ndarray:
     for j in range(n):
         p *= 4.0 * (n + j) * (n - j) / ((2 * j + 1) * (2 * j + 2))
         acc += p
+        if acc > _RESCALE:
+            d[:j + 1] /= _RESCALE
+            p, acc = p / _RESCALE, acc / _RESCALE
         d[j + 1] = n * acc
     return (d[n] - d[:n]) / d[n]
 

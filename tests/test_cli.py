@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from toruszeta.cli import main, parse_complex
+from toruszeta.cli import _g17, main, parse_complex
 from toruszeta.conjecture import QUANTITY_REGISTRY
+from toruszeta.errors import NonFiniteError
 from toruszeta.lattice import StencilVariant, TorusGrid, spectral_zeta
 
 
@@ -173,6 +174,9 @@ def test_config_validation(tmp_path, capsys):
     cfg.write_text("threads=2\n")  # the thread pool and its key are gone
     code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+5i"], capsys)
     assert code == 2
+    cfg.write_text("lattice_cutoff=64\n")  # the angular sum is exact now
+    code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+5i"], capsys)
+    assert code == 2
 
 
 def test_coeff_commands(capsys):
@@ -198,12 +202,37 @@ def test_coeff_a_reports_achieved_error(capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_value_exits_3(capsys):
-    # the Borwein weights overflow at |Im s| ~ 800, so the ratio is nan
-    code, out, err = run_cli(["omega", "--s", "0.5+800i", "--ratio"], capsys)
+    # lambda^400 overflows, so the spectral sum is inf - inf = nan
+    code, out, err = run_cli(["zeta", "--n", "64", "--variant", "five",
+                              "--s", "-400"], capsys)
     assert code == 3
     assert "non-finite" in err
     assert out.splitlines() == [
         "quantity,s_re,s_im,n,value_re,value_im,err_est,meta"]
+
+
+def test_g17_rejects_non_finite():
+    assert _g17(0.1) == "0.10000000000000001"
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFiniteError):
+            _g17(bad)
+
+
+def test_omega_ratio_at_large_height(capsys):
+    # the Borwein weights no longer overflow at |Im s| ~ 800
+    code, out, _ = run_cli(["omega", "--s", "0.5+800i", "--ratio"], capsys)
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert abs(complex(float(row["value_re"]), float(row["value_im"]))) \
+        == pytest.approx(1.0, abs=1e-11)
+
+
+def test_zero_scan_rejects_bad_step(capsys):
+    for step in ("0", "-0.1"):
+        code, _, err = run_cli(["scan", "--kind", "zeros", "--t-min", "1",
+                                "--t-max", "20", "--step", step], capsys)
+        assert code == 2, step
+        assert "step" in err
 
 
 def test_hn_command(capsys):

@@ -20,6 +20,12 @@ def test_omega_ratio_unit_modulus_on_line():
         assert abs(omega_ratio(complex(0.5, b))) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_omega_ratio_unit_modulus_at_large_height():
+    # past |Im s| ~ 450 the Borwein weights need their 2^-900 rescaling
+    for b in (450.0, 800.0):
+        assert abs(omega_ratio(complex(0.5, b))) == pytest.approx(1.0, abs=1e-11)
+
+
 def test_omega_ratio_routes_agree():
     for s in (0.3 + 66.0j, 0.7 + 12.0j, 0.45 + 3.0j):
         r = omega_ratio_routes(s)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _trace_utils import make_truncated_trace
+from toruszeta import expansion
 from toruszeta.epstein import epstein_zeta_2d, v_factor, v_factor_inv
 from toruszeta.errors import DomainError, RangeError, SignalLostError
 from toruszeta.expansion import (angular_lattice_sum, coeff_b0, coeff_b1,
@@ -14,7 +16,7 @@ from toruszeta.expansion import (angular_lattice_sum, coeff_b0, coeff_b1,
                                  resolvent_leading_term,
                                  series_truncation_check, symbol_value,
                                  taylor_coefficients)
-from toruszeta.expansion import _angular_sum_values, _inner_j
+from toruszeta.expansion import _angular_sum_values, _inner_j, _k2_sum
 from toruszeta.lattice import StencilVariant, TorusGrid, resolvent_trace
 from toruszeta.quadrature import (AsymptoticDescriptor, AsymptoticTerm,
                                   IntegrandSpec, Location, quad_periodic_2d,
@@ -94,9 +96,29 @@ def test_coeff_b1_tilde_examples():
     assert abs(val.imag) <= 1e-13 * abs(val)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1.0, 50.0))
+def test_k2_sum_closed_form_matches_fsum(a):
+    big_k = 2000
+    k = np.arange(-big_k, big_k + 1, dtype=float)
+    direct = math.fsum(k ** 2 / (k ** 2 + a * a) ** 4)
+    # |k| > K: k^2 (k^2+a^2)^-4 = sum_j C(-4,j) a^2j k^-(6+2j), each power
+    # summed by Euler-Maclaurin
+    tail = 0.0
+    for j, c in enumerate((1.0, -4.0, 10.0, -20.0)):
+        m = 6 + 2 * j
+        tail += c * a ** (2 * j) * (big_k ** (1 - m) / (m - 1)
+                                    - 0.5 * big_k ** -m
+                                    + m * big_k ** (-m - 1) / 12.0)
+    assert _k2_sum(np.array(a * a)) == pytest.approx(direct + 2.0 * tail,
+                                                     rel=1e-14)
+
+
 def test_angular_sum_octant_symmetry_and_values():
     # axes contribute nothing (k1^2 k2^2 = 0), so the plain lattice part is
-    # four times the positive quadrant; the tail correction is O(K^-2)
+    # four times the positive quadrant; the exact S exceeds the square's sum
+    # by its exterior, which stays below the strip bound (pi/8)/K^2 and
+    # scales as K^-2
     z = 0.7
     K = 12
     brute = 0.0
@@ -108,35 +130,40 @@ def test_angular_sum_octant_symmetry_and_values():
         for k2 in range(1, K + 1):
             octant += k1 ** 2 * k2 ** 2 / (k1 ** 2 + k2 ** 2 + z * z) ** 4
     assert brute == pytest.approx(4 * octant, rel=1e-14)
-    got = _angular_sum_values(np.array([z]), K)[0]
-    tail = got - brute
-    assert 0 < tail < (math.pi / 8) / K ** 2
-    # the corrected small-cutoff value agrees with a large-cutoff one far
-    # better than the raw truncated sum does
-    ref = _angular_sum_values(np.array([z]), 400)[0]
-    assert abs(got - ref) < 0.01 * abs(ref - brute)
+    got = _angular_sum_values(np.array([z]))[0][0]
+    excess = {}
+    for K in (12, 100, 200):
+        k = np.arange(-K, K + 1, dtype=float)
+        k1, k2 = np.meshgrid(k, k)
+        brute = math.fsum((k1 ** 2 * k2 ** 2
+                           / (k1 ** 2 + k2 ** 2 + z * z) ** 4).ravel())
+        assert 0 < got - brute < (math.pi / 8) / K ** 2
+        excess[K] = (got - brute) * K ** 2
+    assert excess[100] == pytest.approx(excess[200], rel=0.01)
 
 
-def test_angular_sum_cutoff_convergence():
-    # cutoff-doubling oracle with a Richardson-style stability check
-    vals = {}
-    for K in (64, 128, 256):
-        res = angular_lattice_sum(0.5, K)
-        vals[K] = res.value.real
-        assert res.error > 0
-    assert abs(vals[128] - vals[256]) <= abs(vals[64] - vals[128])
-    assert abs(vals[128] - vals[256]) <= angular_lattice_sum(0.5, 128).error
+def test_angular_sum_cutoff_convergence(monkeypatch):
+    # refinement oracle: GL48 panels, K = 128 explicit k1 terms and z-panels
+    # out to 10 move the value by no more than the reported error
+    base = {s: angular_lattice_sum(s) for s in (0.5, 0.3 + 2.0j, 0.7 + 2.0j)}
+    monkeypatch.setattr(expansion, "_ANGULAR_ORDER", 48)
+    monkeypatch.setattr(expansion, "_ANGULAR_KMAX", 128)
+    monkeypatch.setattr(expansion, "_ANGULAR_Z_EDGES",
+                        (1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 10.0))
+    for s, res in base.items():
+        assert 0 < res.error <= 1e-9
+        assert abs(angular_lattice_sum(s).value - res.value) <= res.error
     # frozen from the K=512 run at first build
-    assert vals[256] == pytest.approx(-0.016165972832640093, abs=5e-7)
+    assert base[0.5].value.real == pytest.approx(-0.016165972832640093,
+                                                 abs=5e-7)
 
 
 def test_angular_integrand_tail_decay():
     # after removing the Poisson power, the integrand dies faster than any
-    # power (e^(-2 pi z) per unit step ~ 1/535); measured at a cutoff large
-    # enough that lattice-truncation error does not mask the signal
+    # power (e^(-2 pi z) per unit step ~ 1/535)
     vals = []
     for z in (2.0, 3.0, 4.0):
-        s_val = _angular_sum_values(np.array([z]), 512)[0]
+        s_val = _angular_sum_values(np.array([z]))[0][0]
         vals.append(abs(s_val - (math.pi / 24) / z ** 2))
     assert vals[0] / vals[1] > 100.0
     assert vals[1] / vals[2] > 30.0
@@ -144,12 +171,12 @@ def test_angular_integrand_tail_decay():
 
 def test_coeff_b1_structure():
     s = 0.5
-    ang = angular_lattice_sum(s, 128).value
-    diff = coeff_b1(s, 128) - coeff_b1_tilde(s)
+    ang = angular_lattice_sum(s).value
+    diff = coeff_b1(s) - coeff_b1_tilde(s)
     assert abs(diff - (-4 * math.pi ** 2 / (2 - s)) * ang) <= 1e-12 * abs(diff)
     sc = 0.4 + 1.5j
-    assert abs(coeff_b1(sc.conjugate(), 64) - coeff_b1(sc, 64).conjugate()) \
-        <= 1e-10 * abs(coeff_b1(sc, 64))
+    assert abs(coeff_b1(sc.conjugate()) - coeff_b1(sc).conjugate()) \
+        <= 1e-10 * abs(coeff_b1(sc))
 
 
 def test_coeff_b1_improves_five_point_residual():
@@ -160,6 +187,13 @@ def test_coeff_b1_improves_five_point_residual():
     assert pts1[2][1] < pts0[2][1] / 50.0
     assert slope1 <= -3.5
     assert slope0 == pytest.approx(-2.0, abs=0.3)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.3 + 2.0j, 0.7 + 2.0j])
+def test_five_point_residual_order_is_four(s):
+    # with the exact angular sum, b1 leaves no n^-2 trace in the residual
+    slope, _ = residual_order(s, FIVE, [32, 64, 128, 256], orders_included=1)
+    assert slope == pytest.approx(-4.0, abs=0.02)
 
 
 def test_taylor_coefficients_explicit():

@@ -48,10 +48,12 @@ COMMANDS = (
     "omega --s 0.3+2i",
     "omega --s 0.3+2i --ratio --route omega2",
     "omega --s 0.3+2i --ratio --route direct",
+    "omega --s 0.5+800i --ratio",
     "coeff a --s 0.3+2i --variant five",
     "coeff b0 --s 0.3+2i",
     "coeff b1tilde --s 0.3+2i",
     "coeff b1 --s 0.3+2i",
+    "coeff angular --s 0.3+2i",
     "expansion --s 0.3+2i --variant five --n-list 32,64,128 --orders 1",
     "hn --s 0.5+14.1347i --n-list 32,64",
     "scan --kind hn --s 0.3+2i --n-list 32,64",
@@ -66,6 +68,7 @@ COMMANDS = (
     "--strict expansion --s 1.5+1i --variant nine --n-list 32,64,128",
     "zeta --n 1 --variant five --s 1",
     "scan --kind nope",
+    "scan --kind zeros --t-min 1 --t-max 20 --step -0.1",
     "--tol 1e-4 expansion --s 0.3+2i --variant nine --n-list 64,128,256 --orders 1",
 )
 
