@@ -34,7 +34,7 @@ from .quadrature import (AsymptoticDescriptor, AsymptoticTerm, IntegrandSpec,
                          Location, QuadResult, change_of_variables_check,
                          quad_finite, quad_periodic_2d, regularized_integral,
                          regularized_limit)
-from .special import (BernoulliTable, bernoulli_fraction, bernoulli_number,
+from .special import (bernoulli_fraction, bernoulli_number,
                       bernoulli_polynomial, complex_gamma, complex_log_gamma,
                       digamma, dirichlet_beta, riemann_zeta)
 

@@ -19,6 +19,7 @@ from .errors import NonFiniteError, PoleError, ZeroDenominatorError
 from .expansion import h_function
 
 _TINY = 1e-280
+_ZERO_DISTANCE_TAG = 0.05  # |s - zero| below which hn_ratio_study tags s
 
 QUANTITY_REGISTRY = frozenset({
     "omega_ratio", "q", "eta", "rho", "hn_ratio", "hn_ratio_defect_n2",
@@ -150,22 +151,21 @@ def monotonicity_scan(b: float, a_grid: Sequence[float]):
     return records, verdict
 
 
-def hn_ratio_study(s: complex, n_list: Sequence[int], tol: float = 1e-12,
-                   zero_distance_tag: float = 0.05):
+def hn_ratio_study(s: complex, n_list: Sequence[int], tol: float = 1e-12):
     """|H_n(1-s)/H_n(s)| along a geometric n list.
 
     Each record also carries |ratio - 1| n^2 (the Omega-driven correction
-    scale) and, when s lies within ``zero_distance_tag`` of a detected
+    scale) and, when s lies within ``_ZERO_DISTANCE_TAG`` of a detected
     critical zero, a ``near_zero`` tag plus the |Omega(1-s)/Omega(s)|
     fallback value that the ratio converges to there.
     """
     s = complex(s)
     near_zero = False
     # detected zeros all sit on Re = 1/2, so only nearby Re(s) can qualify
-    if abs(s.real - 0.5) < zero_distance_tag and abs(s.imag) > 1.0:
+    if abs(s.real - 0.5) < _ZERO_DISTANCE_TAG and abs(s.imag) > 1.0:
         b = abs(s.imag)
         zeros = find_critical_zeros(max(1.0, b - 1.5), b + 1.5)
-        near_zero = any(abs(s - complex(0.5, z.t)) < zero_distance_tag
+        near_zero = any(abs(s - complex(0.5, z.t)) < _ZERO_DISTANCE_TAG
                         for z in zeros)
     meta = {"near_zero": str(near_zero).lower()}
     if near_zero:

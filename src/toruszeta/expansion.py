@@ -19,8 +19,10 @@ the closed form
         = (A + B/(2 pi^2)) (A (A + B/pi^2))^(-3/2),
 
 leaving a 2-D (x, z) quadrature with geometrically graded panels toward the
-corner singularity; on z >= 1 the integrand is analytic in 1/z^2 and the
-tail integral is summed exactly as
+corner singularity (the z-panels are ``quadrature._graded_panels``, whose
+floor exit takes over past Re(s) = 1; ``leading_coeff_error`` is its achieved
+error); on z >= 1 the integrand is analytic in 1/z^2 and the tail integral
+is summed exactly as
 
     int_1^oo = sum_{j>=0} (j+1) (-1)^j <h^j> / (2s + 2j),
 
@@ -37,13 +39,12 @@ from functools import lru_cache
 import numpy as np
 
 from .epstein import epstein_zeta_2d, v_factor, v_factor_inv, _pi_pow_gamma
-from .errors import ConvergenceError, DomainError, RangeError, SignalLostError
+from .errors import DomainError, RangeError, SignalLostError
 from .lattice import (StencilVariant, TorusGrid, spectral_zeta,
                       stencil_symbol)
-from .quadrature import QuadResult, quad_periodic_2d, _gl_rule
+from .quadrature import QuadResult, quad_periodic_2d, _gl_rule, _graded_panels
 from .special import bernoulli_fraction, bernoulli_polynomial
 
-_GLX, _GLW = _gl_rule(32)
 _TWO_THIRDS_PISQ = 2.0 * math.pi ** 2 / 3.0
 
 
@@ -71,12 +72,13 @@ def _inner_xshape(variant: StencilVariant, zmin: float):
     edges = [0.5]
     while edges[-1] > 0.25 * zmin and edges[-1] > 2.0 ** -200:
         edges.append(0.5 * edges[-1])
+    gx, gw = _gl_rule(32)
     xs, ws = [], []
     for lo, hi in zip(edges[1:], edges[:-1]):
-        xs.append(lo + (hi - lo) * _GLX)
-        ws.append((hi - lo) * _GLW)
-    xs.append(edges[-1] * _GLX)
-    ws.append(edges[-1] * _GLW)
+        xs.append(lo + (hi - lo) * gx)
+        ws.append((hi - lo) * gw)
+    xs.append(edges[-1] * gx)
+    ws.append(edges[-1] * gw)
     x = np.concatenate(xs)
     w = np.concatenate(ws)
     sx = np.sin(np.pi * x) ** 2 / math.pi ** 2
@@ -133,50 +135,22 @@ def _leading_coeff(s: complex, variant: StencilVariant,
         raise DomainError("tol must be positive")
 
     # z in (0,1]: subtract the corner contribution pi/z^2 of J and add back
-    # pi * reg-int of z^(1-2s), which is pi/(2-2s).
+    # pi * reg-int of z^(1-2s), which is pi/(2-2s).  J - pi/z^2 carries
+    # eps * pi/z^2 of subtraction noise; for Re(s) >= 1 its panel integral
+    # grows with depth, so the panels stop at that floor.  The tolerance exit
+    # aims well below the requested tol: residual-order studies subtract
+    # V a(s) n^(2-2s), which amplifies any quadrature error by n^(2-2Re s).
     eps = float(np.finfo(float).eps)
-    acc = 0j
-    noise = 0.0
-    prev_mag = None
-    passes = 0
-    floor_passes = 0
-    k = 0
-    while True:
-        hi = 2.0 ** (-k)
-        lo = 0.5 * hi
-        z = lo + (hi - lo) * _GLX
-        resid = _inner_j(z, variant) - math.pi / (z * z)
-        vals = np.exp((3.0 - 2.0 * s) * np.log(z)) * resid
-        contrib = (hi - lo) * complex(np.dot(_GLW, vals))
-        acc += contrib
-        mag = abs(contrib)
-        # J - pi/z^2 carries eps * pi/z^2 of subtraction noise; for
-        # Re(s) >= 1 its panel integral grows with depth, so stop at the floor
-        junk = eps * math.pi * lo ** (1.0 - 2.0 * s.real) * (hi - lo)
-        noise += junk
-        if mag <= 8.0 * junk:
-            floor_passes += 1
-            if floor_passes >= 3 and k >= 8:
-                break
-        else:
-            floor_passes = 0
-        ratio = mag / prev_mag if prev_mag else 0.0
-        tail = mag * ratio / (1.0 - ratio) if 0.0 < ratio < 0.999 else mag
-        # aim well below the requested tol: residual-order studies subtract
-        # V a(s) n^(2-2s), which amplifies any quadrature error by n^(2-2Re s)
-        if mag + tail <= 1e-3 * tol * max(1.0, abs(acc)):
-            passes += 1
-            if passes >= 3 and k >= 12:
-                break
-        else:
-            passes = 0
-        prev_mag = mag
-        k += 1
-        if k > 800:
-            raise ConvergenceError("leading coefficient: z-panels exhausted",
-                                   estimate=acc)
+
+    def residual(z):
+        return np.exp((3.0 - 2.0 * s) * np.log(z)) \
+            * (_inner_j(z, variant) - math.pi / (z * z))
+
+    def floor(lo, hi, z):
+        return eps * math.pi * lo ** (1.0 - 2.0 * s.real) * (hi - lo)
+
+    acc, err = _graded_panels(residual, tol, floor, 1e-3, 8)
     value = acc + math.pi / (2.0 - 2.0 * s)
-    err = mag + tail + noise
 
     # z in [1, oo): exact geometric-series tail.
     mom = _h_moments(variant)
@@ -447,10 +421,11 @@ def em_verify(big_m: int, n: int, fn, derivative, upper_open: bool = False):
     top = n if not upper_open else n - 1
     lhs = math.fsum(fn(float(i)) for i in range(top + 1))
 
+    gx, gw = _gl_rule(32)
     integral = 0.0
     for i in range(n):
-        xs = i + _GLX
-        integral += float(np.dot(_GLW, np.array([fn(v) for v in xs])))
+        xs = i + gx
+        integral += float(np.dot(gw, np.array([fn(v) for v in xs])))
     if upper_open:
         boundary = 0.5 * (fn(0.0) - fn(float(n)))
     else:
@@ -463,10 +438,10 @@ def em_verify(big_m: int, n: int, fn, derivative, upper_open: bool = False):
     order = 2 * big_m + 1
     remainder = 0.0
     for i in range(n):
-        xs = i + _GLX
+        xs = i + gx
         kern = np.array([bernoulli_polynomial(order, float(v - i)) for v in xs])
         dv = np.array([derivative(order, float(v)) for v in xs])
-        remainder += float(np.dot(_GLW, kern * dv))
+        remainder += float(np.dot(gw, kern * dv))
     remainder /= math.factorial(order)
     rhs = integral + boundary + corr + remainder
     return lhs, rhs

@@ -29,7 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, RangeError, ShapeError
+from .errors import (DegenerateError, DomainError, NonFiniteError, RangeError,
+                     ShapeError)
 from .summation import pairwise_sum
 
 
@@ -175,7 +176,10 @@ def operator_matrix(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
 
 def _powsum(lam: np.ndarray, mult: np.ndarray, s: complex) -> complex:
     """sum mult * lam^(-s) over flat positive lam, deterministic order."""
-    return pairwise_sum(mult * np.exp(-s * np.log(lam)))
+    total = pairwise_sum(mult * np.exp(-s * np.log(lam)))
+    if not np.isfinite(total):
+        raise NonFiniteError(f"non-finite spectral sum {total} at s={s} (lam^-s overflows)")
+    return total
 
 
 def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,

@@ -8,7 +8,10 @@ asymptotic descriptors of the form
 
 The regularized integral subtracts the descriptor terms analytically and
 adds back their closed-form regularized antiderivatives, so pure powers
-integrate to exactly zero by construction.
+integrate to exactly zero by construction.  Its residual at each end, and
+the leading coefficient's in ``expansion``, go through the one graded-panel
+routine ``_graded_panels``: it stops on a tolerance test or on the roundoff
+floor of the subtraction and reports an achieved error.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+# eager: this ~6 ms import would otherwise land inside every integrating job
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, DescriptorError, IllConditionedError
 
@@ -141,18 +147,18 @@ def _as_spec(f) -> IntegrandSpec:
     return f if isinstance(f, IntegrandSpec) else IntegrandSpec(f)
 
 
+@lru_cache(maxsize=8)
 def _gl_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss-Legendre rule on [0, 1]; read-only arrays, shared by the memo."""
+    x, w = leggauss(order)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
-_GL8 = _gl_rule(8)
-_GL16 = _gl_rule(16)
-_GL32 = _gl_rule(32)
-
-
-def _panel(f: IntegrandSpec, a: float, b: float, rule) -> complex:
-    x, w = rule
+def _panel(f: IntegrandSpec, a: float, b: float, order: int) -> complex:
+    x, w = _gl_rule(order)
     vals = f(a + (b - a) * x)
     return (b - a) * complex(np.dot(w, vals))
 
@@ -172,8 +178,8 @@ def quad_finite(f, a: float, b: float, tol: float = 1e-12,
     f = _as_spec(f)
 
     def make(lo, hi):
-        v16 = _panel(f, lo, hi, _GL16)
-        v8 = _panel(f, lo, hi, _GL8)
+        v16 = _panel(f, lo, hi, 16)
+        v8 = _panel(f, lo, hi, 8)
         return v16, abs(v16 - v8)
 
     counter = 0
@@ -225,7 +231,8 @@ def quad_periodic_2d(f: Callable, tol: float = 1e-11, n_start: int = 8,
 
 
 def _reg_power_log_01(a: complex, k: int) -> complex:
-    """Regularized integral of z^a log^k z over [0, 1]."""
+    """Regularized integral of z^a log^k z over [0, 1]; over [1, oo) it is
+    the negative of this."""
     a = complex(a)
     if a == -1.0 + 0.0j:
         return 0j
@@ -233,64 +240,56 @@ def _reg_power_log_01(a: complex, k: int) -> complex:
     return sign * math.factorial(k) / (a + 1.0) ** (k + 1)
 
 
-def _reg_power_log_1inf(a: complex, k: int) -> complex:
-    """Regularized integral of z^a log^k z over [1, oo)."""
-    a = complex(a)
-    if a == -1.0 + 0.0j:
-        return 0j
-    sign = -1.0 if k & 1 else 1.0
-    return -sign * math.factorial(k) / (a + 1.0) ** (k + 1)
+def _graded_panels(residual: Callable, tol: float, floor: Callable,
+                   tol_frac: float, floor_depth: int) -> tuple[complex, float]:
+    """Sum of residual over (0, 1] by GL32 panels [2^-k-1, 2^-k], k <= 800.
 
-
-def _graded_panels(residual: Callable, tol: float, scale_hint: float = 1.0,
-                   floor_fn: Callable | None = None,
-                   min_depth: int = 12, max_depth: int = 4000) -> complex:
-    """Sum of residual over (0, 1] by geometric panels [2^-k-1, 2^-k].
-
-    Assumes the residual is integrable at 0; panel contributions then decay
-    geometrically and the loop stops once the extrapolated tail has been
-    negligible for three consecutive panels (phase oscillation of complex
-    powers can make a single panel dip).  ``floor_fn(z)`` gives the local
-    roundoff floor of the subtraction f - descriptor; panels at that floor
-    count as converged, which is what keeps exact-cancellation cases (pure
-    powers) from chasing amplified rounding noise to ever deeper panels.
+    Assumes the residual is integrable at 0, so panels decay geometrically.
+    Either exit needs three passing panels in a row, since phase oscillation
+    of complex powers can make one panel dip: tolerance (depth >= 12), when
+    the panel plus its ratio-extrapolated tail is below tol_frac * tol *
+    max(1, |sum|); roundoff floor (depth >= floor_depth), when the panel is
+    within 8x of floor(lo, hi, z), the noise of the subtraction forming the
+    residual there, so exact cancellations do not chase it ever deeper.
+    Returns (sum, last panel + tail + summed floors); the floor test comes
+    first, so a floor exit reports the previous panel's tail.
     """
-    x32, w32 = _GL32
+    x, w = _gl_rule(32)
     acc = 0j
+    noise = 0.0
     prev_mag = None
-    tol_passes = 0
-    floor_passes = 0
-    for k in range(max_depth):
+    tol_passes = floor_passes = 0
+    for k in range(801):
         hi = 2.0 ** (-k)
         lo = 0.5 * hi
-        z = lo + (hi - lo) * x32
-        contrib = (hi - lo) * complex(np.dot(w32, residual(z)))
+        z = lo + (hi - lo) * x
+        contrib = (hi - lo) * complex(np.dot(w, residual(z)))
         acc += contrib
         mag = abs(contrib)
         if not math.isfinite(mag):
             raise ConvergenceError(
-                "regularized integral: residual is not finite near the endpoint",
+                "graded panels: residual is not finite near the endpoint",
                 estimate=acc)
-        # Exact-cancellation noise amplifies with depth, so the floor exit
-        # must not wait for min_depth.
-        if floor_fn is not None and mag <= 8.0 * (hi - lo) * float(np.max(floor_fn(z))):
+        junk = floor(lo, hi, z)
+        noise += junk
+        if mag <= 8.0 * junk:
             floor_passes += 1
-            if floor_passes >= 3 and k >= 4:
-                return acc
+            if floor_passes >= 3 and k >= floor_depth:
+                return acc, mag + tail + noise
         else:
             floor_passes = 0
         ratio = mag / prev_mag if prev_mag else 0.0
         tail = mag * ratio / (1.0 - ratio) if 0.0 < ratio < 0.999 else mag
-        if mag + tail <= 0.02 * tol * max(scale_hint, abs(acc)):
+        if mag + tail <= tol_frac * tol * max(1.0, abs(acc)):
             tol_passes += 1
-            if tol_passes >= 3 and k >= min_depth:
-                return acc
+            if tol_passes >= 3 and k >= 12:
+                return acc, mag + tail + noise
         else:
             tol_passes = 0
         prev_mag = mag
     raise ConvergenceError(
-        "regularized integral: endpoint panels did not converge "
-        "(residual decays too slowly)", estimate=acc)
+        "graded panels: no convergence by depth 800 (residual decays too "
+        "slowly)", estimate=acc)
 
 
 _PROBE_ZERO = np.array([1e-3, 1e-4, 1e-5, 1e-6])
@@ -318,64 +317,45 @@ def _check_integrable(residual: Callable, raw_scale: Callable,
             "descriptor is missing divergent terms")
 
 
+def _half_integral(d: AsymptoticDescriptor, residual: Callable,
+                   raw: Callable, tol: float) -> complex:
+    """Regularized integral of f = residual + d over d's half of (0, oo)."""
+    at_zero = d.location is Location.AT_ZERO
+    eps = np.finfo(float).eps
+    if at_zero:
+        integrand, noise = residual, lambda z: eps * raw(z)
+    else:  # [1, oo) onto (0, 1] by z = 1/t, dz = dt / t^2
+        integrand = lambda t: residual(1.0 / t) / (t * t)
+        noise = lambda t: eps * raw(1.0 / t) / (t * t)
+    part, _ = _graded_panels(
+        integrand, tol, lambda lo, hi, t: (hi - lo) * float(np.max(noise(t))),
+        0.02, 4)
+    for term in d.terms:
+        reg = term.coefficient * _reg_power_log_01(term.exponent, term.log_power)
+        part = part + reg if at_zero else part - reg
+    return part
+
+
 def regularized_integral(f, tol: float = 1e-12) -> complex:
     """Hadamard-regularized integral of f over (0, oo).
 
-    Descriptor terms are subtracted from the integrand on [0,1] (terms at 0)
-    and on [1,oo) (terms at infinity), the residual is integrated
+    Descriptor terms are subtracted from the integrand on (0, 1] (terms at
+    0) and on [1, oo) (terms at infinity), the residual is integrated
     numerically, and the closed-form regularized integrals of the
-    subtracted terms are added back.  The splitting point is 1.
+    subtracted terms are added back.  The splitting point is 1.  Both ends
+    are checked for integrability before any panel work.
     """
     f = _as_spec(f)
-    d0 = f.descriptor_zero
-    dinf = f.descriptor_infinity
-
-    def residual0(z):
-        out = f(z)
-        if d0 is not None:
-            out = out - d0.evaluate(z)
-        return out
-
-    def residual_inf(z):
-        out = f(z)
-        if dinf is not None:
-            out = out - dinf.evaluate(z)
-        return out
-
-    def raw0(z):
-        base = np.abs(f(z))
-        if d0 is not None:
-            base = base + np.abs(d0.evaluate(z))
-        return base
-
-    def rawinf(z):
-        base = np.abs(f(z))
-        if dinf is not None:
-            base = base + np.abs(dinf.evaluate(z))
-        return base
-
-    _check_integrable(residual0, raw0, at_zero=True)
-    _check_integrable(residual_inf, rawinf, at_zero=False)
-
-    eps = np.finfo(float).eps
-
-    part0 = _graded_panels(residual0, tol,
-                           floor_fn=lambda z: eps * raw0(z))
-    if d0 is not None:
-        for t in d0.terms:
-            part0 += t.coefficient * _reg_power_log_01(t.exponent, t.log_power)
-
-    def tail_residual(t):
-        z = 1.0 / t
-        return residual_inf(z) / (t * t)
-
-    part_inf = _graded_panels(tail_residual, tol,
-                              floor_fn=lambda t: eps * rawinf(1.0 / t) / (t * t))
-    if dinf is not None:
-        for t in dinf.terms:
-            part_inf += t.coefficient * _reg_power_log_1inf(t.exponent, t.log_power)
-
-    return part0 + part_inf
+    halves = []
+    for d, location in ((f.descriptor_zero, Location.AT_ZERO),
+                        (f.descriptor_infinity, Location.AT_INFINITY)):
+        # an absent descriptor is an empty one: f - 0 and |f| + 0 are exact
+        d = d if d is not None else AsymptoticDescriptor((), location)
+        residual = lambda z, d=d: f(z) - d.evaluate(z)
+        raw = lambda z, d=d: np.abs(f(z)) + np.abs(d.evaluate(z))
+        _check_integrable(residual, raw, location is Location.AT_ZERO)
+        halves.append((d, residual, raw))
+    return _half_integral(*halves[0], tol) + _half_integral(*halves[1], tol)
 
 
 def regularized_limit(samples: Sequence, descriptor: AsymptoticDescriptor) -> complex:

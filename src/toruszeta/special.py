@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -218,7 +217,8 @@ def digamma(s: complex) -> complex:
 _RESCALE = 2.0 ** 900
 
 
-@lru_cache(maxsize=16)
+# holds all 104 orders (27..130) of Re(s) in [-1, 2], |Im(s)| <= 100
+@lru_cache(maxsize=128)
 def _borwein_weights(n: int) -> np.ndarray:
     """Chebyshev/binomial weights (d_n - d_k)/d_n, k = 0..n-1.
 
@@ -294,53 +294,44 @@ def dirichlet_beta(s: complex) -> complex:
     return _alternating_sum(s, bases, n)
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact Bernoulli numbers B_0..B_max_index, B_1 = -1/2 convention."""
-
-    max_index: int
-    numbers: tuple = field(repr=False, default=())
-
-    @staticmethod
-    def build(max_index: int = 64) -> "BernoulliTable":
-        vals = [Fraction(1)]
-        for m in range(1, max_index + 1):
-            acc = Fraction(0)
-            for j in range(m):
-                acc += math.comb(m + 1, j) * vals[j]
-            vals.append(-acc / (m + 1))
-        return BernoulliTable(max_index=max_index, numbers=tuple(vals))
+_BERNOULLI_MAX = 64
 
 
-_DEFAULT_BERNOULLI = BernoulliTable.build(64)
+@lru_cache(maxsize=1)
+def _bernoulli_numbers() -> tuple:
+    """Exact B_0..B_64, B_1 = -1/2 convention, built on first use."""
+    vals = [Fraction(1)]
+    for m in range(1, _BERNOULLI_MAX + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += math.comb(m + 1, j) * vals[j]
+        vals.append(-acc / (m + 1))
+    return tuple(vals)
 
 
-def bernoulli_number(k: int, table: BernoulliTable = _DEFAULT_BERNOULLI) -> float:
+def bernoulli_number(k: int) -> float:
     """B_k as a float (exact-to-double), B_1 = -1/2 convention."""
-    if not 0 <= k <= table.max_index:
-        raise RangeError(f"Bernoulli index {k} outside [0, {table.max_index}]")
-    return float(table.numbers[k])
+    return float(bernoulli_fraction(k))
 
 
-def bernoulli_fraction(k: int, table: BernoulliTable = _DEFAULT_BERNOULLI) -> Fraction:
+def bernoulli_fraction(k: int) -> Fraction:
     """B_k as an exact Fraction."""
-    if not 0 <= k <= table.max_index:
-        raise RangeError(f"Bernoulli index {k} outside [0, {table.max_index}]")
-    return table.numbers[k]
+    if not 0 <= k <= _BERNOULLI_MAX:
+        raise RangeError(f"Bernoulli index {k} outside [0, {_BERNOULLI_MAX}]")
+    return _bernoulli_numbers()[k]
 
 
-def bernoulli_polynomial(k: int, x: float,
-                         table: BernoulliTable = _DEFAULT_BERNOULLI) -> float:
+def bernoulli_polynomial(k: int, x: float) -> float:
     """B_k(x) = sum_j C(k,j) B_j x^(k-j) for x in [0, 1].
 
     Callers summing over a lattice pass the fractional part x - [x].
     """
-    if not 0 <= k <= table.max_index:
-        raise RangeError(f"Bernoulli order {k} outside [0, {table.max_index}]")
+    if not 0 <= k <= _BERNOULLI_MAX:
+        raise RangeError(f"Bernoulli order {k} outside [0, {_BERNOULLI_MAX}]")
     if not 0.0 <= x <= 1.0:
         raise RangeError(f"Bernoulli polynomial argument {x} outside [0, 1]")
     acc = Fraction(0)
     xf = Fraction(x)
     for j in range(k + 1):
-        acc = acc * xf + math.comb(k, j) * table.numbers[j]
+        acc = acc * xf + math.comb(k, j) * bernoulli_fraction(j)
     return float(acc)

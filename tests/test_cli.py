@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import toruszeta
 from toruszeta.cli import _g17, main, parse_complex
 from toruszeta.conjecture import QUANTITY_REGISTRY
 from toruszeta.errors import NonFiniteError
@@ -198,6 +202,21 @@ def test_coeff_a_reports_achieved_error(capsys):
     err = float(next(csv.DictReader(io.StringIO(out)))["err_est"])
     assert 0.0 < err
     assert err != tol
+
+
+def test_cli_import_builds_no_tables():
+    # Gauss-Legendre rules and Bernoulli numbers are built on first use, so
+    # a CLI job that needs neither does not pay for them at import
+    probe = ("import toruszeta.cli\n"
+             "from toruszeta.quadrature import _gl_rule\n"
+             "from toruszeta.special import _bernoulli_numbers\n"
+             "print(_gl_rule.cache_info().currsize,"
+             " _bernoulli_numbers.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(toruszeta.__file__))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.split() == ["0", "0"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

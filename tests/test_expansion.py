@@ -12,7 +12,8 @@ from toruszeta.epstein import epstein_zeta_2d, v_factor, v_factor_inv
 from toruszeta.errors import DomainError, RangeError, SignalLostError
 from toruszeta.expansion import (angular_lattice_sum, coeff_b0, coeff_b1,
                                  coeff_b1_tilde, em_verify, h_function,
-                                 leading_coeff, residual_order,
+                                 leading_coeff, leading_coeff_error,
+                                 residual_order,
                                  resolvent_leading_term,
                                  series_truncation_check, symbol_value,
                                  taylor_coefficients)
@@ -74,6 +75,15 @@ def test_leading_coeff_conjugation_and_domain():
         leading_coeff(1.0, NINE)
     with pytest.raises(DomainError):
         leading_coeff(1.9, FIVE)
+
+
+@pytest.mark.parametrize("variant", [FIVE, NINE])
+def test_leading_coeff_error_is_an_achieved_bound(variant):
+    # at 1.5+1i, past the strip, the panels stop on the roundoff floor
+    for s in (0.5, 0.3 + 2.0j, 0.75 + 1.0j, 1.5 + 1.0j):
+        loose = leading_coeff(s, variant, 1e-8)
+        tight = leading_coeff(s, variant, 1e-13)
+        assert abs(loose - tight) <= leading_coeff_error(s, variant, 1e-8)
 
 
 def test_coeff_b0_examples():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruszeta.epstein import epstein_direct_sum
-from toruszeta.errors import DegenerateError, DomainError, RangeError, ShapeError
+from toruszeta.errors import (DegenerateError, DomainError, NonFiniteError,
+                              RangeError, ShapeError)
 from toruszeta.lattice import (StencilVariant, TorusGrid, apply_stencil,
                                axis_eigenvalues, eigenvalue, eigenvalue_grid,
                                folded_spectrum, operator_matrix,
@@ -96,6 +97,15 @@ def test_spectral_zeta_degenerate():
     with pytest.raises(DegenerateError):
         spectral_zeta(TorusGrid(1), FIVE, 1.0)
     assert spectral_zeta(TorusGrid(1), FIVE, 1.0, allow_empty=True) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_spectral_zeta_non_finite_raises():
+    # lambda^400 overflows: the 2-D sum is inf - inf = nan, the 1-D one inf
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        spectral_zeta(TorusGrid(64), FIVE, -400.0)
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        spectral_zeta_1d(512, -400.0)
 
 
 def test_spectral_zeta_matches_operator_matrix():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruszeta.errors import PoleError, RangeError
-from toruszeta.special import (EULER_GAMMA, BernoulliTable, bernoulli_fraction,
+from toruszeta import special
+from toruszeta.special import (EULER_GAMMA, bernoulli_fraction,
                                bernoulli_number, bernoulli_polynomial,
                                complex_gamma, complex_log_gamma, digamma,
                                dirichlet_beta, riemann_zeta)
@@ -165,10 +166,25 @@ def test_bernoulli_polynomial_symmetry(k, x):
 
 
 def test_bernoulli_table_is_reusable():
-    table = BernoulliTable.build(16)
-    assert bernoulli_number(16, table) == pytest.approx(-7.09215686, rel=1e-8)
+    # one memoized table B_0..B_64 serves every call
+    assert bernoulli_number(16) == pytest.approx(-7.09215686, rel=1e-8)
+    assert bernoulli_fraction(16) is bernoulli_fraction(16)
     with pytest.raises(RangeError):
-        bernoulli_number(17, table)
+        bernoulli_number(65)
+
+
+def test_borwein_weights_memo_holds_a_critical_line_sweep():
+    # |t| <= 100 needs ~90 series orders on Re(s) = 1/2; a second sweep over
+    # the same points must find every weight vector in the memo
+    ts = np.linspace(0.0, 100.0, 201)
+    for t in ts:
+        riemann_zeta(complex(0.5, t))
+        dirichlet_beta(complex(0.5, t))
+    misses = special._borwein_weights.cache_info().misses
+    for t in ts:
+        riemann_zeta(complex(0.5, t))
+        dirichlet_beta(complex(0.5, t))
+    assert special._borwein_weights.cache_info().misses == misses
 
 
 def test_trivial_zeros():

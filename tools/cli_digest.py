@@ -50,6 +50,9 @@ COMMANDS = (
     "omega --s 0.3+2i --ratio --route direct",
     "omega --s 0.5+800i --ratio",
     "coeff a --s 0.3+2i --variant five",
+    # past Re(s) = 1 the leading coefficient's panels stop on the roundoff floor
+    "coeff a --s 1.5+1i --variant nine",
+    "coeff a --s 1.5+1i --variant five",
     "coeff b0 --s 0.3+2i",
     "coeff b1tilde --s 0.3+2i",
     "coeff b1 --s 0.3+2i",
