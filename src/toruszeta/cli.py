@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conjecture, epstein, expansion, lattice
+from . import conjecture, epstein, expansion, lattice, special
 from .conjecture import ScanRecord
 from .errors import (ConvergenceError, DegenerateError, DescriptorError,
                      DomainError, IllConditionedError, NonFiniteError,
@@ -195,8 +195,17 @@ def _cmd_zeta1d(args, cfg: RunConfig, w: RecordWriter) -> None:
     w.write(ScanRecord(s, "zeta_circle", val, n=args.n))
 
 
+def _require_series_domain(im: float, cfg: RunConfig) -> None:
+    """--strict: reject Im(s) outside the validated zeta/beta domain."""
+    if cfg.strict and abs(im) > special.SERIES_MAX_IM:
+        raise DomainError(
+            f"--strict: |Im(s)| = {abs(im):g} outside the validated "
+            f"zeta/beta domain |Im(s)| <= {special.SERIES_MAX_IM:g}")
+
+
 def _cmd_epstein(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
+    _require_series_domain(s.imag, cfg)
     w.write(ScanRecord(s, "epstein", epstein.epstein_zeta_2d(s)))
     if args.direct_cutoff:
         val, bound = epstein.epstein_direct_sum(s, args.direct_cutoff)
@@ -204,20 +213,25 @@ def _cmd_epstein(args, cfg: RunConfig, w: RecordWriter) -> None:
                            meta={"cutoff": str(args.direct_cutoff)}))
 
 
-def _xi_with_defect(s: complex) -> tuple[complex, float]:
-    """xi_2(s) and its relative functional-equation defect."""
-    val = epstein.complete_xi(s)
-    return val, abs(val - epstein.complete_xi(1.0 - s)) / (1.0 + abs(val))
+def _xi_with_defect(points: list):
+    """Yield (xi_2(s), relative functional-equation defect) for each s,
+    from one batched pass over the points and their mirrors 1 - s."""
+    s = np.array(points, dtype=complex)
+    xi = epstein.complete_xi_array(np.concatenate([s, 1.0 - s]))
+    for val, mirror in zip(xi, xi[s.size:]):
+        yield val, abs(val - mirror) / (1.0 + abs(val))
 
 
 def _cmd_xi(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
-    val, defect = _xi_with_defect(s)
+    _require_series_domain(s.imag, cfg)
+    [(val, defect)] = _xi_with_defect([s])
     w.write(ScanRecord(s, "xi", val, meta={"fe_defect": _g17(defect)}))
 
 
 def _cmd_omega(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
+    _require_series_domain(s.imag, cfg)
     if args.ratio:
         val = conjecture.omega_ratio(s, route=args.route)
         w.write(ScanRecord(s, "omega_ratio", val, meta={"route": args.route}))
@@ -302,17 +316,20 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
             raise ValueError("scan --kind omega requires --b")
         if cfg.strict and not args.b > 65.0:
             raise DomainError("--strict: omega scan requires b > 65")
+        _require_series_domain(args.b, cfg)
         if args.points < 1:
             return
         grid = np.linspace(args.a_min, args.a_max, args.points)
-        vals = [abs(conjecture.omega_ratio(complex(a, args.b))) for a in grid]
+        pts = [complex(a, args.b) for a in grid]
+        vals = [abs(v) for v in conjecture.omega_ratio_array(pts)]
         monotone = all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
-        for a, v in zip(grid, vals):
-            w.write(ScanRecord(complex(a, args.b), "omega_ratio", complex(v),
+        for s, v in zip(pts, vals):
+            w.write(ScanRecord(s, "omega_ratio", complex(v),
                                meta={"monotone_scan": str(monotone).lower()}))
     elif kind == "zeros":
         if args.t_min >= args.t_max:
             return
+        _require_series_domain(args.t_max, cfg)
         recs = epstein.find_critical_zeros(args.t_min, args.t_max, args.step)
         for r in recs:
             w.write(ScanRecord(complex(0.5, r.t), "zero", complex(r.t),
@@ -326,9 +343,10 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
         res = np.linspace(args.re_min, args.re_max, args.re_points)
         ims = np.linspace(args.im_min, args.im_max, args.im_points)
         pts = [complex(a, b) for a in res for b in ims]
-        vals = [_xi_with_defect(s)[1] for s in pts]
-        for s, v in zip(pts, vals):
-            w.write(ScanRecord(s, "xi_defect", complex(v)))
+        for s in pts:
+            _require_series_domain(s.imag, cfg)
+        for s, (_, defect) in zip(pts, _xi_with_defect(pts)):
+            w.write(ScanRecord(s, "xi_defect", complex(defect)))
     else:  # pragma: no cover
         raise ValueError(kind)
 

@@ -13,10 +13,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .epstein import (complete_xi, epstein_zeta_2d, find_critical_zeros,
-                      omega)
+import numpy as np
+
+from .epstein import (complete_xi, epstein_zeta_2d, epstein_zeta_2d_array,
+                      find_critical_zeros, omega)
 from .errors import NonFiniteError, PoleError, ZeroDenominatorError
 from .expansion import h_function
+from .special import _as_array
 
 _TINY = 1e-280
 _ZERO_DISTANCE_TAG = 0.05  # |s - zero| below which hn_ratio_study tags s
@@ -59,10 +62,7 @@ def omega_ratio(s: complex, route: str = "omega1") -> complex:
     s = complex(s)
     if route == "omega1":
         den = epstein_zeta_2d(s - 1.0)
-        if abs(den) < _TINY:
-            raise ZeroDenominatorError(
-                "zeta(Delta, s-1) vanishes", factor="zeta(Delta,s-1)")
-        return s * (s - 1.0) / math.pi ** 2 * epstein_zeta_2d(s + 1.0) / den
+        return _omega1_quotient(s, epstein_zeta_2d(s + 1.0), den)
     if route == "omega2":
         den = epstein_zeta_2d(2.0 - s)
         if abs(den) < _TINY:
@@ -77,6 +77,27 @@ def omega_ratio(s: complex, route: str = "omega1") -> complex:
             raise ZeroDenominatorError("Omega(s) vanishes", factor="Omega(s)")
         return omega(1.0 - s) / den
     raise ValueError(f"unknown route {route!r}")
+
+
+def _omega1_quotient(s: complex, num: complex, den: complex) -> complex:
+    """The omega1 quotient (s(s-1)/pi^2) num/den, from
+    num = zeta(Delta, s+1) and den = zeta(Delta, s-1)."""
+    if abs(den) < _TINY:
+        raise ZeroDenominatorError(
+            "zeta(Delta, s-1) vanishes", factor="zeta(Delta,s-1)")
+    return s * (s - 1.0) / math.pi ** 2 * num / den
+
+
+def omega_ratio_array(s) -> np.ndarray:
+    """The omega1 route of ``omega_ratio`` at every point of a 1-D array.
+
+    One batched zeta(Delta, s -+ 1) pass serves all points; the quotient is
+    formed point by point, so each value has the bits of the scalar call.
+    """
+    s = _as_array(s)
+    zeta = epstein_zeta_2d_array(np.concatenate([s - 1.0, s + 1.0]))
+    return np.fromiter(map(_omega1_quotient, map(complex, s), zeta[s.size:],
+                           zeta[:s.size]), dtype=complex, count=s.size)
 
 
 def omega_ratio_routes(s: complex) -> dict:
@@ -127,15 +148,11 @@ def monotonicity_scan(b: float, a_grid: Sequence[float]):
     if any(a2 <= a1 for a1, a2 in zip(a_grid, a_grid[1:])):
         raise ValueError("a_grid must be strictly increasing")
     exploratory = not b > 65.0
-    records = []
-    values = []
-    for a in a_grid:
-        s = complex(a, b)
-        val = abs(omega_ratio(s))
-        values.append(val)
-        records.append(ScanRecord(
-            s=s, quantity="omega_ratio", value=val,
-            meta={"exploratory": str(exploratory).lower()}))
+    points = [complex(a, b) for a in a_grid]
+    values = [abs(v) for v in omega_ratio_array(points)]
+    records = [ScanRecord(s=s, quantity="omega_ratio", value=val,
+                          meta={"exploratory": str(exploratory).lower()})
+               for s, val in zip(points, values)]
     strictly_increasing = all(
         v2 > v1 + _STRICT_SLACK for v1, v2 in zip(values, values[1:]))
     crossing = None

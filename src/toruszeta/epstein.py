@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import DomainError, PoleError, StepTooCoarseWarning
 from .lattice import fold_square
-from .special import (_is_gamma_pole, complex_gamma, complex_log_gamma,
-                      dirichlet_beta, reciprocal_gamma, riemann_zeta)
+from .special import (_as_array, _is_gamma_pole, complex_gamma,
+                      complex_log_gamma, dirichlet_beta, dirichlet_beta_array,
+                      reciprocal_gamma, riemann_zeta, riemann_zeta_array)
 from .summation import pairwise_sum
 
 
@@ -34,6 +35,22 @@ def epstein_zeta_2d(s: complex) -> complex:
     if s == 1.0:
         raise PoleError("zeta(Delta, s) has its pole at s = 1", location=s)
     return 4.0 * riemann_zeta(s) * dirichlet_beta(s)
+
+
+def epstein_zeta_2d_array(s) -> np.ndarray:
+    """``epstein_zeta_2d`` at every point of a 1-D array, from one batched
+    zeta and one batched beta pass.
+
+    Only the series is batched; the product is formed point by point on
+    the NumPy scalars, so each value has the bits of the scalar call.
+    """
+    s = _as_array(s)
+    if np.any(s == 1.0):
+        raise PoleError("zeta(Delta, s) has its pole at s = 1",
+                        location=complex(1.0))
+    zeta, beta = riemann_zeta_array(s), dirichlet_beta_array(s)
+    return np.fromiter((4.0 * z * b for z, b in zip(zeta, beta)),
+                       dtype=complex, count=s.size)
 
 
 def epstein_direct_sum(s: complex, cutoff: int) -> tuple[complex, float]:
@@ -104,6 +121,21 @@ def complete_xi(s: complex) -> complex:
     return _pi_pow_gamma(s) * epstein_zeta_2d(s)
 
 
+def complete_xi_array(s) -> np.ndarray:
+    """``complete_xi`` at every point of a 1-D array, from one batched
+    zeta(Delta, s) pass; the Gamma factor stays scalar per point, and each
+    value has the bits of the scalar call."""
+    s = _as_array(s)
+    for pole, why in ((0.0, "Gamma(s)"), (1.0, "zeta(Delta, s)")):
+        if np.any(s == pole):
+            raise PoleError(f"xi2 has a pole at s = {pole:g} from {why}",
+                            location=complex(pole))
+    zeta = epstein_zeta_2d_array(s)
+    return np.fromiter((_pi_pow_gamma(x) * z
+                        for x, z in zip(map(complex, s), zeta)),
+                       dtype=complex, count=s.size)
+
+
 class OmegaRoute(enum.Enum):
     DIRECT = "direct"
     XI = "xi"
@@ -142,12 +174,25 @@ class ZeroRecord:
     residual: float
 
 
+def _hardy_z(ts, source: ZeroSource) -> np.ndarray:
+    """The Hardy-rotated factor on s = 1/2 + it at every t of ``ts``, from
+    one batched series pass; the phase theta(t) stays scalar per point."""
+    s = np.array([complex(0.5, t) for t in ts], dtype=complex)
+    if source is ZeroSource.RIEMANN_FACTOR:
+        vals = riemann_zeta_array(s)
+        thetas = [complex_log_gamma(complex(0.25, 0.5 * t)).imag
+                  - 0.5 * t * math.log(math.pi) for t in ts]
+    else:
+        vals = dirichlet_beta_array(s)
+        thetas = [complex_log_gamma(complex(0.75, 0.5 * t)).imag
+                  + 0.5 * t * math.log(4.0 / math.pi) for t in ts]
+    return np.array([(cmath.exp(1j * theta) * v).real
+                     for theta, v in zip(thetas, vals)])
+
+
 def hardy_z_riemann(t: float) -> float:
     """Hardy Z(t): e^{i theta(t)} zeta_R(1/2 + it), real on the line."""
-    s = complex(0.5, t)
-    theta = complex_log_gamma(complex(0.25, 0.5 * t)).imag \
-        - 0.5 * t * math.log(math.pi)
-    return (cmath.exp(1j * theta) * riemann_zeta(s)).real
+    return _hardy_z([t], ZeroSource.RIEMANN_FACTOR)[0]
 
 
 def hardy_z_beta(t: float) -> float:
@@ -156,23 +201,34 @@ def hardy_z_beta(t: float) -> float:
     Rotates by the phase of (4/pi)^((s+1)/2) Gamma((s+1)/2) at s = 1/2+it,
     under which the completed beta L-function is real on the line.
     """
-    s = complex(0.5, t)
-    theta = complex_log_gamma(complex(0.75, 0.5 * t)).imag \
-        + 0.5 * t * math.log(4.0 / math.pi)
-    return (cmath.exp(1j * theta) * dirichlet_beta(s)).real
+    return _hardy_z([t], ZeroSource.BETA_FACTOR)[0]
 
 
-def _bisect(fn, lo: float, hi: float, flo: float, tol: float = 1e-9) -> float:
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect_lockstep(fn, brackets, tol: float = 1e-9) -> list:
+    """Bisect every sign-change bracket (lo, hi, fn(lo)) to ``tol``.
+
+    ``fn`` maps a list of t to their values; it is called once per step for
+    all open brackets.  Each bracket takes the midpoints a bisection of it
+    alone would take, so the roots do not depend on the other brackets.
+    """
+    state = [[lo, hi, flo, None] for lo, hi, flo in brackets]
+    active = [b for b in state if b[1] - b[0] > tol]
+    while active:
+        mids = [0.5 * (b[0] + b[1]) for b in active]
+        still = []
+        for b, mid, fm in zip(active, mids, fn(mids)):
+            if fm == 0.0:
+                b[3] = mid
+                continue
+            if (fm > 0) == (b[2] > 0):
+                b[0], b[2] = mid, fm
+            else:
+                b[1] = mid
+            if b[1] - b[0] > tol:
+                still.append(b)
+        active = still
+    return [0.5 * (lo + hi) if root is None else root
+            for lo, hi, _, root in state]
 
 
 def find_critical_zeros(t_min: float, t_max: float,
@@ -189,25 +245,26 @@ def find_critical_zeros(t_min: float, t_max: float,
     if not 0 < step < math.inf:
         raise DomainError(f"scan step must be positive and finite, got {step}")
     records = []
-    for source, fn in ((ZeroSource.RIEMANN_FACTOR, hardy_z_riemann),
-                       (ZeroSource.BETA_FACTOR, hardy_z_beta)):
+    for source in (ZeroSource.RIEMANN_FACTOR, ZeroSource.BETA_FACTOR):
         ts = np.arange(t_min, t_max + step, step)
-        vals = np.array([fn(t) for t in ts])
-        found = []
+        vals = _hardy_z(ts, source)
+        brackets = []
         for i in range(len(ts) - 1):
-            if vals[i] == 0.0:
-                found.append(ts[i])
+            if vals[i] == 0.0:  # a grid point on the zero: a closed bracket
+                brackets.append((ts[i], ts[i], vals[i]))
             elif vals[i] * vals[i + 1] < 0:
-                found.append(_bisect(fn, ts[i], ts[i + 1], vals[i]))
+                brackets.append((ts[i], ts[i + 1], vals[i]))
+        found = _bisect_lockstep(lambda mids: _hardy_z(mids, source),
+                                 brackets)
         # the grid's last point overshoots t_max by up to one step
         found = [t0 for t0 in found if t0 <= t_max]
         if any(b - a < 2 * step for a, b in zip(found, found[1:])):
             warnings.warn(
                 f"{source.value} factor: adjacent sign changes within 2*step; "
                 "decrease the scan step", StepTooCoarseWarning)
-        for t0 in found:
-            records.append(ZeroRecord(
-                t=float(t0), source=source,
-                residual=abs(epstein_zeta_2d(complex(0.5, t0)))))
+        zeta = epstein_zeta_2d_array([complex(0.5, t0) for t0 in found])
+        for t0, z in zip(found, zeta):
+            records.append(ZeroRecord(t=float(t0), source=source,
+                                      residual=abs(z)))
     records.sort(key=lambda r: r.t)
     return records

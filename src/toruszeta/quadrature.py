@@ -301,12 +301,16 @@ def _check_integrable(residual: Callable, raw_scale: Callable,
     pts = _PROBE_ZERO if at_zero else _PROBE_INF
     r = np.abs(residual(pts))
     floor = 1e3 * np.finfo(float).eps * np.abs(raw_scale(pts)) + 1e-280
-    if np.all(r <= floor):
+    above = r > floor
+    # log-slopes only between probes above the floor; at infinity a probe
+    # that underflows to 0 decays faster than any power (slope -inf)
+    ends = above if at_zero else above | (r == 0.0)
+    use = above[:-1] & ends[1:]
+    if not np.any(use):
         return
-    with np.errstate(divide="ignore"):
-        lr = np.log(np.maximum(r, 1e-300))
-    slopes = np.diff(lr) / np.diff(np.log(pts))
-    slope = float(np.median(slopes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.diff(np.log(r)) / np.diff(np.log(pts))
+    slope = float(np.median(slopes[use]))
     if at_zero and slope <= -1.0 + 1e-3:
         raise DescriptorError(
             f"residual ~ z^{slope:.3f} at 0 is not integrable; descriptor "

@@ -8,8 +8,9 @@ leaves at once; the leaf sums are then added pairwise, level by level,
 with the rounding error of every addition recovered exactly (TwoSum) and
 carried up the tree beside the sums.  The bracketing depends only on the
 length of the input, so repeated calls are bit-identical.  Inputs of at
-most 64 elements take the scalar Kahan loop, which also serves the short
-Borwein series of ``special``.
+most 64 elements take the scalar Kahan loop, which also sums one point's
+Borwein series in ``special``; its batched series runs the same recurrence
+down a term matrix, one NumPy operation per step for all points.
 
 Error: the Kahan bound 2 eps sum|leaf| + O(64 eps^2 sum|leaf|) per leaf,
 the carried tree errors leave O(L eps^2) sum|x|, and one final rounding

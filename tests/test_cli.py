@@ -246,6 +246,34 @@ def test_omega_ratio_at_large_height(capsys):
         == pytest.approx(1.0, abs=1e-11)
 
 
+def test_strict_rejects_points_outside_series_domain(capsys):
+    # zeta/beta are validated on |Im s| <= 100; --strict refuses the rest
+    outside = (
+        ["omega", "--s", "0.5+800i", "--ratio"],
+        ["omega", "--s", "0.3-101i"],
+        ["xi", "--s", "0.3+600i"],
+        ["epstein", "--s", "2+150i"],
+        ["scan", "--kind", "omega", "--b", "120", "--points", "3"],
+        ["scan", "--kind", "xi-defect", "--re-points", "2", "--im-min", "-101",
+         "--im-max", "0", "--im-points", "2"],
+        ["scan", "--kind", "zeros", "--t-min", "99", "--t-max", "101"],
+    )
+    for argv in outside:
+        code, _, err = run_cli(["--strict"] + argv, capsys)
+        assert code == 2, argv
+        assert "|Im(s)|" in err
+    code, out, _ = run_cli(["--strict", "xi", "--s", "0.3+100i"], capsys)
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_domain_checks_only_under_strict(capsys):
+    # without --strict the points outside the domain are still computed
+    for argv in (["omega", "--s", "0.5+800i", "--ratio"],
+                 ["xi", "--s", "0.3+600i"]):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(out.splitlines()) == 2, argv
+
+
 def test_zero_scan_rejects_bad_step(capsys):
     for step in ("0", "-0.1"):
         code, _, err = run_cli(["scan", "--kind", "zeros", "--t-min", "1",

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from toruszeta.epstein import (OmegaRoute, ZeroSource, complete_xi,
+from toruszeta.epstein import (OmegaRoute, ZeroSource, _bisect_lockstep,
+                               _hardy_z, complete_xi, complete_xi_array,
                                epstein_direct_sum, epstein_zeta_2d,
-                               find_critical_zeros, omega, v_factor,
-                               v_factor_inv)
+                               epstein_zeta_2d_array, find_critical_zeros,
+                               hardy_z_beta, hardy_z_riemann, omega,
+                               v_factor, v_factor_inv)
 from toruszeta.errors import DomainError, PoleError, StepTooCoarseWarning
 
 CATALAN = 0.915965594177219015
@@ -149,3 +151,54 @@ def test_zero_scan_step_too_coarse_warns():
 def test_zero_scan_domain():
     with pytest.raises(DomainError):
         find_critical_zeros(-1.0, 5.0)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def test_batched_epstein_and_xi_match_scalar_bits():
+    # Re(s) >= 1/2 at one height shares a series order, so the grid has
+    # buckets wide enough for the batched column loop
+    points = [complex(a, b) for a in np.linspace(0.05, 0.95, 19)
+              for b in np.linspace(-99.0, 99.0, 7)]
+    for scalar, batched in ((epstein_zeta_2d, epstein_zeta_2d_array),
+                            (complete_xi, complete_xi_array)):
+        expect = [scalar(s) for s in points]
+        assert np.array_equal(_bits(batched(points)), _bits(expect))
+    with pytest.raises(PoleError):
+        epstein_zeta_2d_array([2.0, 1.0])
+    for pole in (0.0, 1.0):
+        with pytest.raises(PoleError):
+            complete_xi_array([0.5 + 3.0j, pole])
+
+
+def _bisect_one(fn, lo, hi, flo, tol=1e-9):
+    """One bracket bisected on its own, one call of fn per step."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_lockstep_bisection_matches_one_bracket_bisection():
+    for source, fn in ((ZeroSource.RIEMANN_FACTOR, hardy_z_riemann),
+                       (ZeroSource.BETA_FACTOR, hardy_z_beta)):
+        ts = np.arange(1.0, 60.0, 0.05)
+        vals = np.array([fn(t) for t in ts])
+        assert np.array_equal(vals.view(np.uint64),
+                              _hardy_z(ts, source).view(np.uint64))
+        brackets = [(ts[i], ts[i + 1], vals[i]) for i in range(len(ts) - 1)
+                    if vals[i] * vals[i + 1] < 0]
+        assert len(brackets) >= 10
+        roots = _bisect_lockstep(lambda mids: _hardy_z(mids, source),
+                                 brackets)
+        expect = [_bisect_one(fn, lo, hi, flo) for lo, hi, flo in brackets]
+        assert [float(r).hex() for r in roots] \
+            == [float(e).hex() for e in expect]

@@ -107,11 +107,22 @@ def test_regularized_exponential_integral_constant():
         -0.5772156649015328606, abs=1e-12)
 
 
+@pytest.mark.parametrize("c", (0.07, 0.3, 0.5, 0.64))
+def test_regularized_underflowing_exponential(c):
+    # exp(-c z) underflows to 0 at the probes z >= 1e4: faster than any power
+    val = regularized_integral(IntegrandSpec(lambda z: np.exp(-c * z)))
+    assert val.real == pytest.approx(1.0 / c, rel=1e-12)
+
+
 def test_regularized_missing_descriptor_rejected():
     with pytest.raises(DescriptorError):
         regularized_integral(IntegrandSpec(lambda z: z ** -2.0))
     with pytest.raises(DescriptorError):
         regularized_integral(IntegrandSpec(lambda z: 1.0 / (1.0 + z)))
+    # a zero probe at infinity does not excuse a z^-1 tail before it
+    with pytest.raises(DescriptorError):
+        regularized_integral(IntegrandSpec(
+            lambda z: np.where(z < 5e5, 1.0 / (1.0 + z), 0.0)))
 
 
 def test_descriptor_validation():

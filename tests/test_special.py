@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruszeta.errors import PoleError, RangeError
+from toruszeta.errors import PoleError, RangeError, ShapeError
 from toruszeta import special
 from toruszeta.special import (EULER_GAMMA, bernoulli_fraction,
                                bernoulli_number, bernoulli_polynomial,
                                complex_gamma, complex_log_gamma, digamma,
-                               dirichlet_beta, riemann_zeta)
+                               dirichlet_beta, dirichlet_beta_array,
+                               riemann_zeta, riemann_zeta_array)
 
 # golden values pinned offline with an arbitrary-precision oracle (30 digits)
 GAMMA_HALF_14I = complex(-4.05370307803728149e-10, -5.77329983455360516e-10)
@@ -196,3 +197,77 @@ def test_trivial_zeros():
     assert abs(dirichlet_beta(-1.0)) <= 1e-13
     # beta(-2) = -1/2 (second Euler number over two)
     assert dirichlet_beta(-2.0).real == pytest.approx(-0.5, rel=1e-12)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def _assert_batched_matches_scalar(points):
+    for scalar, batched in ((riemann_zeta, riemann_zeta_array),
+                            (dirichlet_beta, dirichlet_beta_array)):
+        expect = np.array([scalar(s) for s in points], dtype=complex)
+        assert np.array_equal(_bits(batched(points)), _bits(expect))
+
+
+# spacing of the zeros 1 + 2 pi i k / ln 2 of the eta denominator, where
+# zeta takes the reflection instead of the series
+_ETA_ZERO_SPACING = 2.0 * math.pi / math.log(2.0)
+
+
+@st.composite
+def _mixed_points(draw):
+    anywhere = st.builds(complex, st.floats(-3, 3), st.floats(-100, 100))
+    reflected = st.builds(complex, st.floats(-3, -1.0001), st.floats(-100, 100))
+    near_eta_zero = st.builds(
+        lambda k, x, y: complex(1.0 + x, k * _ETA_ZERO_SPACING + y),
+        st.sampled_from((-11, -4, -1, 1, 2, 11)),
+        st.floats(-0.03, 0.03), st.floats(-0.03, 0.03))
+    points = draw(st.lists(st.one_of(anywhere, reflected, near_eta_zero),
+                           max_size=30).map(lambda p: [s for s in p if s != 1]))
+    # Re(s) >= 1/2 at one height shares a series order: a bucket wide
+    # enough for the batched column loop
+    t = draw(st.floats(-100, 100))
+    wide = draw(st.lists(st.floats(0.5, 3.0), min_size=special._MIN_ROWS,
+                         max_size=3 * special._MIN_ROWS))
+    return draw(st.permutations(points + [complex(x, t) for x in wide]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_points())
+def test_batched_series_is_bit_identical_to_scalar(points):
+    _assert_batched_matches_scalar(points)
+
+
+def test_batched_series_spans_several_blocks():
+    # one order-27 bucket of 1500 rows: three blocks of _BLOCK // 27 rows
+    points = 0.5 + np.linspace(0.0, 2.5, 1500)
+    assert special._series_order(complex(points[0])) == 27
+    assert 1500 > 2 * (special._BLOCK // 27)
+    _assert_batched_matches_scalar(points)
+
+
+def test_batched_series_empty_and_pole():
+    for batched in (riemann_zeta_array, dirichlet_beta_array):
+        out = batched(np.array([], dtype=complex))
+        assert out.shape == (0,) and out.dtype == complex
+        with pytest.raises(ShapeError):
+            batched(np.ones((2, 2)))
+    with pytest.raises(PoleError):
+        riemann_zeta_array([0.5 + 1.0j, 1.0, 2.0])
+    # beta is entire: s = 1 is an ordinary point
+    assert dirichlet_beta_array([1.0])[0] == dirichlet_beta(1.0)
+
+
+def test_borwein_weights_memo_holds_a_batched_sweep():
+    # Re(s) in [-1, 2], |Im(s)| <= 100 needs all 104 orders 27..130; a second
+    # batched sweep must find every weight vector in the memo
+    points = (np.linspace(-1.0, 2.0, 12)[:, None]
+              + 1j * np.linspace(0.0, 100.0, 201)).ravel()
+    assert len({special._series_order(complex(s)) for s in points}) == 104
+    riemann_zeta_array(points)
+    dirichlet_beta_array(points)
+    misses = special._borwein_weights.cache_info().misses
+    riemann_zeta_array(points)
+    dirichlet_beta_array(points)
+    assert special._borwein_weights.cache_info().misses == misses

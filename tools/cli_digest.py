@@ -62,11 +62,19 @@ COMMANDS = (
     "scan --kind hn --s 0.3+2i --n-list 32,64",
     "scan --kind zeros --t-min 5 --t-max 5",
     "emcheck --m 2 --n 6 --fn square",
+    # critical-line scans over many series orders, up to the domain edge
+    "scan --kind zeros --t-min 60 --t-max 80",
+    "scan --kind omega --b 92 --points 301",
+    "scan --kind xi-defect --re-min 0.05 --re-max 0.95 --re-points 4 "
+    "--im-min -99 --im-max 99 --im-points 9",
     # global flags
     "--format json scan --kind xi-defect --re-points 3 --im-points 2",
     "--format json expansion --s 0.3+2i --variant nine --n-list 32,64,128",
     "--tol 1e-8 coeff a --s 0.5 --variant nine",
     "--strict scan --kind omega --b 70 --points 11",
+    # outside the validated zeta/beta domain |Im s| <= 100
+    "--strict omega --s 0.5+800i --ratio",
+    "--strict xi --s 0.3+600i",
     # error exits: usage (2, from the library and from argparse), noise floor (3)
     "--strict expansion --s 1.5+1i --variant nine --n-list 32,64,128",
     "zeta --n 1 --variant five --s 1",
