@@ -213,20 +213,27 @@ def _cmd_epstein(args, cfg: RunConfig, w: RecordWriter) -> None:
                            meta={"cutoff": str(args.direct_cutoff)}))
 
 
-def _xi_with_defect(points: list):
-    """Yield (xi_2(s), relative functional-equation defect) for each s,
-    from one batched pass over the points and their mirrors 1 - s."""
+def _xi_with_defect(points: list) -> list:
+    """(xi_2(s), relative functional-equation defect, meta) for each s,
+    from one batched pass over the points and their mirrors 1 - s.  Where
+    both underflow to 0 the defect is vacuous: meta says underflow=true,
+    and one warning goes to stderr."""
     s = np.array(points, dtype=complex)
     xi = epstein.complete_xi_array(np.concatenate([s, 1.0 - s]))
-    for val, mirror in zip(xi, xi[s.size:]):
-        yield val, abs(val - mirror) / (1.0 + abs(val))
+    rows = [(val, abs(val - mirror) / (1.0 + abs(val)),
+             {"underflow": "true"} if val == 0.0 == mirror else {})
+            for val, mirror in zip(xi, xi[s.size:])]
+    if any(meta for *_, meta in rows):
+        print("warning: xi_2 underflows to 0 at s and 1 - s; the "
+              "functional-equation defect there is vacuous", file=sys.stderr)
+    return rows
 
 
 def _cmd_xi(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
     _require_series_domain(s.imag, cfg)
-    [(val, defect)] = _xi_with_defect([s])
-    w.write(ScanRecord(s, "xi", val, meta={"fe_defect": _g17(defect)}))
+    [(val, defect, meta)] = _xi_with_defect([s])
+    w.write(ScanRecord(s, "xi", val, meta=dict(meta, fe_defect=_g17(defect))))
 
 
 def _cmd_omega(args, cfg: RunConfig, w: RecordWriter) -> None:
@@ -345,8 +352,8 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
         pts = [complex(a, b) for a in res for b in ims]
         for s in pts:
             _require_series_domain(s.imag, cfg)
-        for s, (_, defect) in zip(pts, _xi_with_defect(pts)):
-            w.write(ScanRecord(s, "xi_defect", complex(defect)))
+        for s, (_, defect, meta) in zip(pts, _xi_with_defect(pts)):
+            w.write(ScanRecord(s, "xi_defect", complex(defect), meta=meta))
     else:  # pragma: no cover
         raise ValueError(kind)
 

@@ -5,6 +5,11 @@ statement and the H_n-ratio limit: the Omega ratio has unit modulus exactly
 on Re(s) = 1/2, |Omega(1-s)/Omega(s)| is strictly increasing across the
 strip for large Im(s), and |H_n(1-s)/H_n(s)| converges to 1 away from zeros
 of zeta(Delta, s) with an n^-2 correction driven by Omega.
+
+The omega1 Omega ratio is array-first: ``omega_ratio_array`` makes one
+batched zeta(Delta, s -+ 1) pass and forms each quotient point by point, so
+each value has the bits of a one-point call.  The omega2 and direct routes
+stay scalar, as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -55,14 +60,14 @@ def omega_ratio(s: complex, route: str = "omega1") -> complex:
 
         Omega(1-s)/Omega(s) = (s(s-1)/pi^2) zeta(Delta,s+1)/zeta(Delta,s-1).
 
-    ``route`` selects "omega1" (above), "omega2" (the mirrored
-    zeta(Delta,-s)/zeta(Delta,2-s) form), or "direct" (quotient of the two
-    Omega evaluations); all three agree wherever defined.
+    ``route`` selects "omega1" (above, ``omega_ratio_array`` at one point),
+    "omega2" (the mirrored zeta(Delta,-s)/zeta(Delta,2-s) form), or
+    "direct" (quotient of the two Omega evaluations); all three agree
+    wherever defined.
     """
     s = complex(s)
     if route == "omega1":
-        den = epstein_zeta_2d(s - 1.0)
-        return _omega1_quotient(s, epstein_zeta_2d(s + 1.0), den)
+        return omega_ratio_array([s])[0]
     if route == "omega2":
         den = epstein_zeta_2d(2.0 - s)
         if abs(den) < _TINY:
@@ -79,25 +84,23 @@ def omega_ratio(s: complex, route: str = "omega1") -> complex:
     raise ValueError(f"unknown route {route!r}")
 
 
-def _omega1_quotient(s: complex, num: complex, den: complex) -> complex:
-    """The omega1 quotient (s(s-1)/pi^2) num/den, from
-    num = zeta(Delta, s+1) and den = zeta(Delta, s-1)."""
-    if abs(den) < _TINY:
+def _shifted_zetas(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(Delta, s+1) and zeta(Delta, s-1) at every point of s, from one
+    batched pass; raises ZeroDenominatorError where the second vanishes."""
+    zeta = epstein_zeta_2d_array(np.concatenate([s - 1.0, s + 1.0]))
+    if any(abs(z) < _TINY for z in zeta[:s.size]):
         raise ZeroDenominatorError(
             "zeta(Delta, s-1) vanishes", factor="zeta(Delta,s-1)")
-    return s * (s - 1.0) / math.pi ** 2 * num / den
+    return zeta[s.size:], zeta[:s.size]
 
 
 def omega_ratio_array(s) -> np.ndarray:
-    """The omega1 route of ``omega_ratio`` at every point of a 1-D array.
-
-    One batched zeta(Delta, s -+ 1) pass serves all points; the quotient is
-    formed point by point, so each value has the bits of the scalar call.
-    """
+    """The omega1 route of ``omega_ratio`` at every point of a 1-D array."""
     s = _as_array(s)
-    zeta = epstein_zeta_2d_array(np.concatenate([s - 1.0, s + 1.0]))
-    return np.fromiter(map(_omega1_quotient, map(complex, s), zeta[s.size:],
-                           zeta[:s.size]), dtype=complex, count=s.size)
+    num, den = _shifted_zetas(s)
+    return np.fromiter((x * (x - 1.0) / math.pi ** 2 * a / b
+                        for x, a, b in zip(map(complex, s), num, den)),
+                       dtype=complex, count=s.size)
 
 
 def omega_ratio_routes(s: complex) -> dict:
@@ -115,12 +118,8 @@ def q_factor(s: complex) -> float:
 
 def eta_factor(s: complex) -> float:
     """eta(s) = |zeta(Delta, s+1) / zeta(Delta, s-1)|."""
-    s = complex(s)
-    den = epstein_zeta_2d(s - 1.0)
-    if abs(den) < _TINY:
-        raise ZeroDenominatorError("zeta(Delta, s-1) vanishes",
-                                   factor="zeta(Delta,s-1)")
-    return abs(epstein_zeta_2d(s + 1.0)) / abs(den)
+    num, den = _shifted_zetas(_as_array([s]))
+    return abs(num[0]) / abs(den[0])
 
 
 def rho_factor(s: complex) -> float:

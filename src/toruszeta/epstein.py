@@ -9,6 +9,12 @@ exercised once, as a cross-validation, by the expansion module).  On top of
 it sit the direct lattice sum for validation, the complete xi function and
 its functional equation xi2(s) = xi2(1-s), the V_alpha front factor, Omega,
 and critical-line zero location via Hardy-rotated real signals.
+
+zeta(Delta, s), xi2 and the Hardy signals are array-first, one batched zeta
+and beta pass per call; ``epstein_zeta_2d`` and ``complete_xi`` are the
+array functions at one point.  Gamma factors and products are formed point
+by point (a vectorized complex product may differ in the last bit), so each
+value has the bits of a one-point call.
 """
 
 from __future__ import annotations
@@ -24,33 +30,24 @@ import numpy as np
 from .errors import DomainError, PoleError, StepTooCoarseWarning
 from .lattice import fold_square
 from .special import (_as_array, _is_gamma_pole, complex_gamma,
-                      complex_log_gamma, dirichlet_beta, dirichlet_beta_array,
-                      reciprocal_gamma, riemann_zeta, riemann_zeta_array)
+                      complex_log_gamma, dirichlet_beta_array,
+                      reciprocal_gamma, riemann_zeta_array)
 from .summation import pairwise_sum
 
 
-def epstein_zeta_2d(s: complex) -> complex:
-    """zeta(Delta, s) = 4 zeta_R(s) beta(s); pole only at s = 1."""
-    s = complex(s)
-    if s == 1.0:
-        raise PoleError("zeta(Delta, s) has its pole at s = 1", location=s)
-    return 4.0 * riemann_zeta(s) * dirichlet_beta(s)
-
-
 def epstein_zeta_2d_array(s) -> np.ndarray:
-    """``epstein_zeta_2d`` at every point of a 1-D array, from one batched
-    zeta and one batched beta pass.
-
-    Only the series is batched; the product is formed point by point on
-    the NumPy scalars, so each value has the bits of the scalar call.
-    """
+    """zeta(Delta, s) = 4 zeta_R(s) beta(s) at every point of a 1-D array,
+    from one batched zeta and one batched beta pass; its pole s = 1 is
+    zeta_R's."""
     s = _as_array(s)
-    if np.any(s == 1.0):
-        raise PoleError("zeta(Delta, s) has its pole at s = 1",
-                        location=complex(1.0))
     zeta, beta = riemann_zeta_array(s), dirichlet_beta_array(s)
     return np.fromiter((4.0 * z * b for z, b in zip(zeta, beta)),
                        dtype=complex, count=s.size)
+
+
+def epstein_zeta_2d(s: complex) -> complex:
+    """``epstein_zeta_2d_array`` at one point."""
+    return epstein_zeta_2d_array([s])[0]
 
 
 def epstein_direct_sum(s: complex, cutoff: int) -> tuple[complex, float]:
@@ -108,32 +105,23 @@ def _pi_pow_gamma(s: complex) -> complex:
     return math.pi ** (-s) * complex_gamma(s)
 
 
-def complete_xi(s: complex) -> complex:
-    """Complete Epstein zeta xi2(s) = pi^(-s) Gamma(s) zeta(Delta, s).
-
-    Satisfies xi2(s) = xi2(1-s).  Poles at s = 0 (Gamma) and s = 1 (zeta).
-    """
-    s = complex(s)
-    if s == 0.0:
-        raise PoleError("xi2 has a pole at s = 0 from Gamma(s)", location=s)
-    if s == 1.0:
-        raise PoleError("xi2 has a pole at s = 1 from zeta(Delta, s)", location=s)
-    return _pi_pow_gamma(s) * epstein_zeta_2d(s)
-
-
 def complete_xi_array(s) -> np.ndarray:
-    """``complete_xi`` at every point of a 1-D array, from one batched
-    zeta(Delta, s) pass; the Gamma factor stays scalar per point, and each
-    value has the bits of the scalar call."""
+    """Complete Epstein zeta xi2(s) = pi^(-s) Gamma(s) zeta(Delta, s) at
+    every point of a 1-D array, from one batched zeta(Delta, s) pass.
+
+    Satisfies xi2(s) = xi2(1-s).  Poles at s = 0 (raised by Gamma) and
+    s = 1 (raised by zeta).
+    """
     s = _as_array(s)
-    for pole, why in ((0.0, "Gamma(s)"), (1.0, "zeta(Delta, s)")):
-        if np.any(s == pole):
-            raise PoleError(f"xi2 has a pole at s = {pole:g} from {why}",
-                            location=complex(pole))
     zeta = epstein_zeta_2d_array(s)
     return np.fromiter((_pi_pow_gamma(x) * z
                         for x, z in zip(map(complex, s), zeta)),
                        dtype=complex, count=s.size)
+
+
+def complete_xi(s: complex) -> complex:
+    """``complete_xi_array`` at one point."""
+    return complete_xi_array([s])[0]
 
 
 class OmegaRoute(enum.Enum):

@@ -2,11 +2,13 @@
 
 Gamma, log-Gamma, digamma, Riemann zeta, Dirichlet beta, Bernoulli numbers
 and polynomials -- every transcendental ingredient the lattice/zeta modules
-consume.  The scalar functions take a complex or real s (reals are
-promoted); Gamma, log-Gamma and digamma return Python complex, zeta and beta
-return np.complex128.  ``riemann_zeta_array`` and ``dirichlet_beta_array``
-take a 1-D array of s and sum the series for all points in one batched
-pass, each value bit-identical to the scalar call.  Everything is pure and
+consume.  Gamma, log-Gamma and digamma take a complex or real s and return
+Python complex.  Zeta and beta are array-first: ``riemann_zeta_array`` and
+``dirichlet_beta_array`` take a 1-D array of s; ``riemann_zeta`` and
+``dirichlet_beta`` are them at one point, returning np.complex128.  Each
+value has the bits of a one-point call in any batch: a series-order bucket
+runs the scalar Kahan loop's operations down its term matrix, and Gamma
+factors and products are formed point by point.  Everything is pure and
 safe to call concurrently.
 
 Accuracy targets: 1e-13 relative for Gamma (|s| <= 200), 1e-12 relative for
@@ -26,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PoleError, RangeError, ShapeError
-from .summation import _kahan
+from .summation import _kahan, _kahan_columns
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -286,14 +288,12 @@ def _series_row(s: complex, n: int, stride: int) -> complex:
 
 def _borwein_series(s: np.ndarray, stride: int) -> np.ndarray:
     """sum_k (-1)^k w_k (1 + stride k)^(-s) for each s of a 1-D complex
-    array, w the Borwein weights of order ``_series_order(s)``,
-    Kahan-compensated.
+    array, w the Borwein weights of order ``_series_order(s)``.
 
     Points are bucketed by series order.  A bucket builds its (order x
-    rows) term matrix at most ``_BLOCK`` terms at a time and runs the Kahan
-    recurrence down the matrix for all rows at once, so every row sees
-    exactly the operation sequence of ``_series_row`` and each value has
-    the bits of a one-point call.
+    rows) term matrix at most ``_BLOCK`` terms at a time and sums it with
+    ``_kahan_columns``; buckets of fewer than ``_MIN_ROWS`` rows take
+    ``_series_row`` point by point.
     """
     out = np.empty(s.size, dtype=complex)
     if not s.size:
@@ -317,14 +317,7 @@ def _borwein_series(s: np.ndarray, stride: int) -> np.ndarray:
             terms = -s[block] * log_bases
             np.multiply(w, np.exp(terms, out=terms), out=terms)
             np.negative(terms[1::2], out=terms[1::2])
-            acc = np.zeros(len(block), dtype=complex)
-            c = np.zeros_like(acc)
-            for v in terms:
-                y = v - c
-                t = acc + y
-                c = (t - acc) - y
-                acc = t
-            out[block] = acc
+            out[block] = _kahan_columns(terms)[0]
     return out
 
 
@@ -335,79 +328,76 @@ def _as_array(s) -> np.ndarray:
     return values
 
 
-def _eta_denominator(s: complex) -> complex | None:
-    """1 - 2^(1-s), or None where zeta takes the reflection instead:
-    Re(s) < -1, and s near 1 + 2 pi i k / ln 2 (k != 0), where the
-    denominator vanishes and the series would be 0/0."""
-    if s == 1.0:
-        raise PoleError("Riemann zeta has its pole at s = 1", location=s)
+def _continue(s: np.ndarray, reflect: np.ndarray, series, front, fn):
+    """fn at every point of s: ``series`` of the points where ``reflect`` is
+    False, and front(s) fn(1 - s) where it is True, from one recursive call
+    of fn on the mirrored points."""
+    out = np.empty_like(s)
+    out[~reflect] = series(s[~reflect])
+    if reflect.any():
+        mirror = fn(1.0 - s[reflect])
+        out[reflect] = [front(x) * z
+                        for x, z in zip(map(complex, s[reflect]), mirror)]
+    return out
+
+
+def _eta_denominator(s: complex) -> complex:
+    """1 - 2^(1-s), or 0 where zeta takes the reflection instead:
+    Re(s) < -1, and s near 1 + 2 pi i k / ln 2, where the denominator
+    vanishes and the series would be 0/0."""
     if s.real < -1.0:
-        return None
+        return 0j
     # Python's scalar power: NumPy's array power differs in the last bit
     denom = 1.0 - 2.0 ** (1.0 - s)
-    return None if abs(denom) < 5e-2 else denom
+    return 0j if abs(denom) < 5e-2 else denom
 
 
-def riemann_zeta(s: complex) -> complex:
-    """Riemann zeta with analytic continuation everywhere except s = 1.
-
-    Borwein-accelerated eta series for Re(s) >= -1, functional-equation
-    reflection for Re(s) < -1 (and near the eta denominator zeros on
-    Re(s) = 1).
-    """
-    s = complex(s)
-    denom = _eta_denominator(s)
-    if denom is None:
-        return (2.0 ** s) * math.pi ** (s - 1.0) * _sinpi(0.5 * s) \
-            * complex_gamma(1.0 - s) * riemann_zeta(1.0 - s)
-    return _series_row(s, _series_order(s), 1) / denom
+def _zeta_front(s: complex) -> complex:
+    """2^s pi^(s-1) sin(pi s/2) Gamma(1-s), so zeta(s) = front zeta(1-s)."""
+    return (2.0 ** s) * math.pi ** (s - 1.0) * _sinpi(0.5 * s) \
+        * complex_gamma(1.0 - s)
 
 
 def riemann_zeta_array(s) -> np.ndarray:
-    """``riemann_zeta`` at every point of a 1-D array, in one series pass.
-
-    Each value has the bits of the scalar call.  Raises PoleError if any
-    point is s = 1.
-    """
+    """Riemann zeta at every point of a 1-D array, PoleError at s = 1:
+    Borwein-accelerated eta series for Re(s) >= -1, functional-equation
+    reflection for Re(s) < -1 and near the eta denominator zeros."""
     s = _as_array(s)
-    out = np.empty_like(s)
-    denom = np.empty_like(s)
-    series = np.ones(s.size, dtype=bool)
-    for i, x in enumerate(map(complex, s)):
-        d = _eta_denominator(x)
-        if d is None:
-            series[i] = False
-            out[i] = riemann_zeta(x)
-        else:
-            denom[i] = d
-    out[series] = _borwein_series(s[series], 1) / denom[series]
-    return out
+    if np.any(s == 1.0):
+        raise PoleError("Riemann zeta has its pole at s = 1",
+                        location=complex(1.0))
+    denom = np.array([_eta_denominator(x) for x in map(complex, s)],
+                     dtype=complex)
+    reflect = denom == 0.0
+    return _continue(s, reflect,
+                     lambda x: _borwein_series(x, 1) / denom[~reflect],
+                     _zeta_front, riemann_zeta_array)
 
 
-def dirichlet_beta(s: complex) -> complex:
-    """Dirichlet beta (the L-function of the odd character mod 4); entire.
+def riemann_zeta(s: complex) -> complex:
+    """``riemann_zeta_array`` at one point."""
+    return riemann_zeta_array([s])[0]
 
-    Accelerated alternating series for Re(s) >= -1, reflection below.
-    """
-    s = complex(s)
-    if s.real < -1.0:
-        # beta(s) = (4/pi)^((1-2s)/2) Gamma((2-s)/2)/Gamma((s+1)/2) beta(1-s)
-        front = (4.0 / math.pi) ** (0.5 * (1.0 - 2.0 * s))
-        ratio = complex_gamma(0.5 * (2.0 - s)) * reciprocal_gamma(0.5 * (s + 1.0))
-        return front * ratio * dirichlet_beta(1.0 - s)
-    return _series_row(s, _series_order(s), 2)
+
+def _beta_front(s: complex) -> complex:
+    """(4/pi)^((1-2s)/2) Gamma((2-s)/2) / Gamma((s+1)/2), so
+    beta(s) = front beta(1-s)."""
+    return (4.0 / math.pi) ** (0.5 * (1.0 - 2.0 * s)) \
+        * (complex_gamma(0.5 * (2.0 - s)) * reciprocal_gamma(0.5 * (s + 1.0)))
 
 
 def dirichlet_beta_array(s) -> np.ndarray:
-    """``dirichlet_beta`` at every point of a 1-D array, in one series pass;
-    each value has the bits of the scalar call."""
+    """Dirichlet beta (the L-function of the odd character mod 4; entire)
+    at every point of a 1-D array: accelerated alternating series for
+    Re(s) >= -1, reflection below."""
     s = _as_array(s)
-    out = np.empty_like(s)
-    series = s.real >= -1.0
-    for i in np.flatnonzero(~series):
-        out[i] = dirichlet_beta(s[i])
-    out[series] = _borwein_series(s[series], 2)
-    return out
+    return _continue(s, s.real < -1.0, lambda x: _borwein_series(x, 2),
+                     _beta_front, dirichlet_beta_array)
+
+
+def dirichlet_beta(s: complex) -> complex:
+    """``dirichlet_beta_array`` at one point."""
+    return dirichlet_beta_array([s])[0]
 
 
 _BERNOULLI_MAX = 64

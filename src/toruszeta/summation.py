@@ -7,10 +7,13 @@ Kahan summation runs down the rows, one NumPy operation per step for all
 leaves at once; the leaf sums are then added pairwise, level by level,
 with the rounding error of every addition recovered exactly (TwoSum) and
 carried up the tree beside the sums.  The bracketing depends only on the
-length of the input, so repeated calls are bit-identical.  Inputs of at
-most 64 elements take the scalar Kahan loop, which also sums one point's
-Borwein series in ``special``; its batched series runs the same recurrence
-down a term matrix, one NumPy operation per step for all points.
+length of the input, so repeated calls are bit-identical.
+
+The Kahan recurrence has two forms: the scalar loop ``_kahan`` sums inputs
+of at most 64 elements and one point's Borwein series in ``special``;
+``_kahan_columns`` runs it down the rows of a 2-D array, on the leaves here
+and on the term matrices of the batched Borwein series.  Each column sees
+the scalar loop's operations, so its sum has the scalar loop's bits.
 
 Error: the Kahan bound 2 eps sum|leaf| + O(64 eps^2 sum|leaf|) per leaf,
 the carried tree errors leave O(L eps^2) sum|x|, and one final rounding
@@ -38,6 +41,19 @@ def _kahan(values: np.ndarray) -> complex:
     return s
 
 
+def _kahan_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kahan sums of the columns of a 2-D array, one NumPy operation per
+    row, and their last compensations, not yet applied."""
+    s = np.zeros(rows.shape[1], dtype=rows.dtype)
+    c = np.zeros_like(s)
+    for row in rows:
+        y = row - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s, c
+
+
 def pairwise_sum(values: np.ndarray) -> complex:
     """Sum a 1-D array with the leaf-compensated pairwise tree.
 
@@ -52,13 +68,7 @@ def pairwise_sum(values: np.ndarray) -> complex:
     leaves = np.zeros((_LEAF, width),
                       dtype=np.result_type(values.dtype, np.float64))
     leaves.ravel()[:n] = values
-    s = np.zeros(width, dtype=leaves.dtype)
-    c = np.zeros_like(s)
-    for row in leaves:
-        y = row - c
-        t = s + y
-        c = (t - s) - y
-        s = t
+    s, c = _kahan_columns(leaves)
     s = s - c  # each leaf's last correction, not yet applied
     err = np.zeros_like(s)
     while s.size > 1:

@@ -274,6 +274,24 @@ def test_domain_checks_only_under_strict(capsys):
         assert code == 0 and len(out.splitlines()) == 2, argv
 
 
+def test_xi_underflow_is_flagged(capsys):
+    # xi_2(s) and xi_2(1-s) both underflow to 0 at Im(s) = 600, so the
+    # defect 0 there says nothing; the rows say so and stderr warns once
+    flagged = (["xi", "--s", "0.3+600i"],
+               ["scan", "--kind", "xi-defect", "--re-points", "2",
+                "--im-min", "600", "--im-max", "600", "--im-points", "1"])
+    for argv in flagged:
+        code, out, err = run_cli(argv, capsys)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and rows, argv
+        assert all("underflow=true" in r["meta"] for r in rows), argv
+        assert err.count("underflow") == 1, argv
+    for argv in (["xi", "--s", "0.3+5.0i"],
+                 ["scan", "--kind", "xi-defect", "--re-points", "2"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and "underflow" not in out + err, argv
+
+
 def test_zero_scan_rejects_bad_step(capsys):
     for step in ("0", "-0.1"):
         code, _, err = run_cli(["scan", "--kind", "zeros", "--t-min", "1",

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from toruszeta.conjecture import omega_ratio, omega_ratio_array
 from toruszeta.epstein import (OmegaRoute, ZeroSource, _bisect_lockstep,
                                _hardy_z, complete_xi, complete_xi_array,
                                epstein_direct_sum, epstein_zeta_2d,
@@ -12,6 +14,7 @@ from toruszeta.epstein import (OmegaRoute, ZeroSource, _bisect_lockstep,
                                hardy_z_beta, hardy_z_riemann, omega,
                                v_factor, v_factor_inv)
 from toruszeta.errors import DomainError, PoleError, StepTooCoarseWarning
+from toruszeta.special import riemann_zeta, riemann_zeta_array
 
 CATALAN = 0.915965594177219015
 # first critical-line zeros of the two Glasser factors, pinned by the
@@ -171,6 +174,34 @@ def test_batched_epstein_and_xi_match_scalar_bits():
     for pole in (0.0, 1.0):
         with pytest.raises(PoleError):
             complete_xi_array([0.5 + 3.0j, pole])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-0.9, 1.9).filter(lambda x: abs(x - 0.5) >= 0.05),
+       st.floats(-100, 100))
+def test_xi_functional_equation_over_the_domain(x, y):
+    # zeros on Re(s) = 1/2 make the relative defect unbounded near the line;
+    # near the poles s = 0, 1 the rounding of 1 - s costs eps/|s| relative
+    s = complex(x, y)
+    if min(abs(s), abs(1.0 - s)) < 1e-3:
+        return
+    val, mirror = complete_xi_array([s, 1.0 - s])
+    assert abs(val - mirror) <= 1e-11 * abs(val)
+
+
+@pytest.mark.parametrize("scalar, batched, pole", [
+    (riemann_zeta, riemann_zeta_array, 1.0),
+    (epstein_zeta_2d, epstein_zeta_2d_array, 1.0),
+    (complete_xi, complete_xi_array, 0.0),
+    (complete_xi, complete_xi_array, 1.0),
+    (omega_ratio, omega_ratio_array, 0.0),
+    (omega_ratio, omega_ratio_array, 2.0),
+])
+def test_poles_raise_through_scalar_and_array(scalar, batched, pole):
+    with pytest.raises(PoleError):
+        scalar(pole)
+    with pytest.raises(PoleError):
+        batched([0.5 + 3.0j, pole])
 
 
 def _bisect_one(fn, lo, hi, flo, tol=1e-9):

@@ -75,6 +75,8 @@ COMMANDS = (
     # outside the validated zeta/beta domain |Im s| <= 100
     "--strict omega --s 0.5+800i --ratio",
     "--strict xi --s 0.3+600i",
+    # without --strict: xi_2 underflows there, flagged in meta
+    "xi --s 0.3+600i",
     # error exits: usage (2, from the library and from argparse), noise floor (3)
     "--strict expansion --s 1.5+1i --variant nine --n-list 32,64,128",
     "zeta --n 1 --variant five --s 1",
