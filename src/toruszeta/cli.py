@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import re
@@ -104,22 +105,23 @@ def _g17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _cells(rec: ScanRecord) -> dict:
-    meta = ";".join(f"{k}={v}" for k, v in sorted(rec.meta.items()))
-    return {
-        "quantity": rec.quantity,
-        "s_re": _g17(rec.s.real) if rec.s is not None else "",
-        "s_im": _g17(rec.s.imag) if rec.s is not None else "",
-        "n": str(rec.n) if rec.n is not None else "",
-        "value_re": _g17(rec.value.real),
-        "value_im": _g17(rec.value.imag),
-        "err_est": _g17(rec.err_est) if rec.err_est is not None else "",
-        "meta": meta,
-    }
+def _cells(rec: ScanRecord) -> list:
+    """The row of ``rec``, in ``_COLUMNS`` order."""
+    s, value = rec.s, rec.value
+    return [
+        rec.quantity,
+        "" if s is None else _g17(s.real),
+        "" if s is None else _g17(s.imag),
+        "" if rec.n is None else str(rec.n),
+        _g17(value.real),
+        _g17(value.imag),
+        "" if rec.err_est is None else _g17(rec.err_est),
+        ";".join(f"{k}={v}" for k, v in sorted(rec.meta.items())),
+    ]
 
 
 class RecordWriter:
-    """Streams records to ``--out`` (or stdout); one flush per record."""
+    """Writes records to ``--out`` (or stdout); one flush per batch."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -127,26 +129,38 @@ class RecordWriter:
         self._owns = cfg.out is not None
         self._first_json = True
         if cfg.fmt == "csv":
-            self._csv = csv.DictWriter(self._fh, fieldnames=_COLUMNS)
-            self._csv.writeheader()
+            csv.writer(self._fh).writerow(_COLUMNS)
         else:
             self._fh.write("[")
         self._fh.flush()
 
-    def write(self, rec: ScanRecord) -> None:
-        """Write one record, or raise NonFiniteError before writing anything
-        if any of its numbers is inf or nan."""
+    def write_all(self, records) -> None:
+        """Write the records in order, with one write call and one flush.
+        At the first record with an inf or nan number, write the rows
+        before it and raise NonFiniteError."""
+        buf = io.StringIO()
+        rows = csv.writer(buf)
         try:
-            cells = _cells(rec)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"{rec.quantity} record: {exc}") from None
-        if self.cfg.fmt == "csv":
-            self._csv.writerow(cells)
-        else:
-            lead = "\n " if self._first_json else ",\n "
-            self._first_json = False
-            self._fh.write(lead + json.dumps(cells, sort_keys=True))
-        self._fh.flush()
+            for rec in records:
+                try:
+                    cells = _cells(rec)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(
+                        f"{rec.quantity} record: {exc}") from None
+                if self.cfg.fmt == "csv":
+                    rows.writerow(cells)
+                    continue
+                buf.write("\n " if self._first_json else ",\n ")
+                self._first_json = False
+                buf.write(json.dumps(dict(zip(_COLUMNS, cells)),
+                                     sort_keys=True))
+        finally:
+            self._fh.write(buf.getvalue())
+            self._fh.flush()
+
+    def write(self, rec: ScanRecord) -> None:
+        """``write_all`` of one record."""
+        self.write_all([rec])
 
     def close(self) -> None:
         if self.cfg.fmt == "json":
@@ -220,13 +234,14 @@ def _xi_with_defect(points: list) -> list:
     and one warning goes to stderr."""
     s = np.array(points, dtype=complex)
     xi = epstein.complete_xi_array(np.concatenate([s, 1.0 - s]))
-    rows = [(val, abs(val - mirror) / (1.0 + abs(val)),
-             {"underflow": "true"} if val == 0.0 == mirror else {})
-            for val, mirror in zip(xi, xi[s.size:])]
-    if any(meta for *_, meta in rows):
+    val, mirror = xi[:s.size], xi[s.size:]
+    defect = np.abs(val - mirror) / (1.0 + np.abs(val))
+    underflow = (val == 0.0) & (mirror == 0.0)
+    if underflow.any():
         print("warning: xi_2 underflows to 0 at s and 1 - s; the "
               "functional-equation defect there is vacuous", file=sys.stderr)
-    return rows
+    return [(v, d, {"underflow": "true"} if u else {})
+            for v, d, u in zip(val, defect, underflow)]
 
 
 def _cmd_xi(args, cfg: RunConfig, w: RecordWriter) -> None:
@@ -284,20 +299,19 @@ def _cmd_expansion(args, cfg: RunConfig, w: RecordWriter) -> None:
     coeff_meta = dict(meta,
                       leading=_g17(res.leading.real) + "+" + _g17(res.leading.imag) + "i",
                       v_front=_g17(res.v_front.real) + "+" + _g17(res.v_front.imag) + "i")
-    w.write(ScanRecord(s, "expansion_b0", res.b0, meta=coeff_meta))
-    w.write(ScanRecord(s, "expansion_b1", res.b1, meta=meta))
-    for n, resid in res.residuals:
-        w.write(ScanRecord(s, "expansion_residual", complex(resid), n=n,
-                           meta=meta))
-    w.write(ScanRecord(s, "expansion_slope", complex(res.slope), meta=meta))
+    w.write_all([
+        ScanRecord(s, "expansion_b0", res.b0, meta=coeff_meta),
+        ScanRecord(s, "expansion_b1", res.b1, meta=meta),
+        *(ScanRecord(s, "expansion_residual", complex(resid), n=n, meta=meta)
+          for n, resid in res.residuals),
+        ScanRecord(s, "expansion_slope", complex(res.slope), meta=meta)])
 
 
 def _cmd_hn(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
     _require_strip(s, cfg)
     n_list = _parse_int_list(args.n_list)
-    for rec in conjecture.hn_ratio_study(s, n_list, tol=cfg.quad_tol):
-        w.write(rec)
+    w.write_all(conjecture.hn_ratio_study(s, n_list, tol=cfg.quad_tol))
 
 
 def _cmd_emcheck(args, cfg: RunConfig, w: RecordWriter) -> None:
@@ -310,10 +324,9 @@ def _cmd_emcheck(args, cfg: RunConfig, w: RecordWriter) -> None:
         deriv = lambda k, x: 2.0 * x if k == 1 else 0.0
     lhs, rhs = expansion.em_verify(args.m, args.n, fn, deriv)
     meta = {"fn": args.fn, "m": str(args.m)}
-    w.write(ScanRecord(None, "em_lhs", complex(lhs), n=args.n, meta=meta))
-    w.write(ScanRecord(None, "em_rhs", complex(rhs), n=args.n, meta=meta))
-    w.write(ScanRecord(None, "em_diff", complex(abs(lhs - rhs)), n=args.n,
-                       meta=meta))
+    w.write_all([ScanRecord(None, q, complex(v), n=args.n, meta=meta)
+                 for q, v in (("em_lhs", lhs), ("em_rhs", rhs),
+                              ("em_diff", abs(lhs - rhs)))])
 
 
 def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
@@ -328,20 +341,20 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
             return
         grid = np.linspace(args.a_min, args.a_max, args.points)
         pts = [complex(a, args.b) for a in grid]
-        vals = [abs(v) for v in conjecture.omega_ratio_array(pts)]
-        monotone = all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
-        for s, v in zip(pts, vals):
-            w.write(ScanRecord(s, "omega_ratio", complex(v),
-                               meta={"monotone_scan": str(monotone).lower()}))
+        vals = np.abs(conjecture.omega_ratio_array(pts))
+        monotone = bool(np.all(vals[1:] > vals[:-1]))
+        meta = {"monotone_scan": str(monotone).lower()}
+        w.write_all(ScanRecord(s, "omega_ratio", complex(v), meta=meta)
+                    for s, v in zip(pts, vals))
     elif kind == "zeros":
         if args.t_min >= args.t_max:
             return
         _require_series_domain(args.t_max, cfg)
         recs = epstein.find_critical_zeros(args.t_min, args.t_max, args.step)
-        for r in recs:
-            w.write(ScanRecord(complex(0.5, r.t), "zero", complex(r.t),
+        w.write_all(ScanRecord(complex(0.5, r.t), "zero", complex(r.t),
                                err_est=r.residual,
-                               meta={"source": r.source.value}))
+                               meta={"source": r.source.value})
+                    for r in recs)
     elif kind == "hn":
         if args.s is None:
             raise ValueError("scan --kind hn requires --s")
@@ -352,8 +365,9 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
         pts = [complex(a, b) for a in res for b in ims]
         for s in pts:
             _require_series_domain(s.imag, cfg)
-        for s, (_, defect, meta) in zip(pts, _xi_with_defect(pts)):
-            w.write(ScanRecord(s, "xi_defect", complex(defect), meta=meta))
+        rows = _xi_with_defect(pts)
+        w.write_all(ScanRecord(s, "xi_defect", complex(defect), meta=meta)
+                    for s, (_, defect, meta) in zip(pts, rows))
     else:  # pragma: no cover
         raise ValueError(kind)
 

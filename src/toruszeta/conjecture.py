@@ -7,9 +7,9 @@ strip for large Im(s), and |H_n(1-s)/H_n(s)| converges to 1 away from zeros
 of zeta(Delta, s) with an n^-2 correction driven by Omega.
 
 The omega1 Omega ratio is array-first: ``omega_ratio_array`` makes one
-batched zeta(Delta, s -+ 1) pass and forms each quotient point by point, so
-each value has the bits of a one-point call.  The omega2 and direct routes
-stay scalar, as independent cross-checks.
+batched zeta(Delta, s -+ 1) pass and forms the quotients as one array
+operation, so each value has the same bits in any batch.  The omega2 and
+direct routes stay scalar, as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _shifted_zetas(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """zeta(Delta, s+1) and zeta(Delta, s-1) at every point of s, from one
     batched pass; raises ZeroDenominatorError where the second vanishes."""
     zeta = epstein_zeta_2d_array(np.concatenate([s - 1.0, s + 1.0]))
-    if any(abs(z) < _TINY for z in zeta[:s.size]):
+    if np.any(np.abs(zeta[:s.size]) < _TINY):
         raise ZeroDenominatorError(
             "zeta(Delta, s-1) vanishes", factor="zeta(Delta,s-1)")
     return zeta[s.size:], zeta[:s.size]
@@ -98,9 +98,7 @@ def omega_ratio_array(s) -> np.ndarray:
     """The omega1 route of ``omega_ratio`` at every point of a 1-D array."""
     s = _as_array(s)
     num, den = _shifted_zetas(s)
-    return np.fromiter((x * (x - 1.0) / math.pi ** 2 * a / b
-                        for x, a, b in zip(map(complex, s), num, den)),
-                       dtype=complex, count=s.size)
+    return s * (s - 1.0) / math.pi ** 2 * num / den
 
 
 def omega_ratio_routes(s: complex) -> dict:

@@ -12,14 +12,13 @@ and critical-line zero location via Hardy-rotated real signals.
 
 zeta(Delta, s), xi2 and the Hardy signals are array-first, one batched zeta
 and beta pass per call; ``epstein_zeta_2d`` and ``complete_xi`` are the
-array functions at one point.  Gamma factors and products are formed point
-by point (a vectorized complex product may differ in the last bit), so each
-value has the bits of a one-point call.
+array functions at one point.  The Gamma factors (through one batched
+log-Gamma call) and the products are elementwise array operations, so each
+value has the same bits in any batch.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import warnings
@@ -29,9 +28,10 @@ import numpy as np
 
 from .errors import DomainError, PoleError, StepTooCoarseWarning
 from .lattice import fold_square
-from .special import (_as_array, _is_gamma_pole, complex_gamma,
-                      complex_log_gamma, dirichlet_beta_array,
-                      reciprocal_gamma, riemann_zeta_array)
+from .special import (_LOG_PI, _as_array, _gamma_poles, _is_gamma_pole,
+                      complex_gamma, complex_log_gamma_array,
+                      dirichlet_beta_array, reciprocal_gamma,
+                      riemann_zeta_array)
 from .summation import pairwise_sum
 
 
@@ -40,9 +40,7 @@ def epstein_zeta_2d_array(s) -> np.ndarray:
     from one batched zeta and one batched beta pass; its pole s = 1 is
     zeta_R's."""
     s = _as_array(s)
-    zeta, beta = riemann_zeta_array(s), dirichlet_beta_array(s)
-    return np.fromiter((4.0 * z * b for z, b in zip(zeta, beta)),
-                       dtype=complex, count=s.size)
+    return 4.0 * riemann_zeta_array(s) * dirichlet_beta_array(s)
 
 
 def epstein_zeta_2d(s: complex) -> complex:
@@ -98,25 +96,25 @@ def v_factor_inv(alpha: int, s: complex) -> complex:
         / (2.0 * math.factorial(alpha - 1))
 
 
-def _pi_pow_gamma(s: complex) -> complex:
-    """pi^(-s) Gamma(s), through log-Gamma once Im(s) is large."""
-    if abs(s.imag) > 30.0:
-        return cmath.exp(complex_log_gamma(s) - s * math.log(math.pi))
-    return math.pi ** (-s) * complex_gamma(s)
+def _pi_pow_gamma(s) -> np.ndarray:
+    """pi^(-s) Gamma(s) = exp(log Gamma(s) - s log pi) at every point of a
+    1-D array."""
+    s = _as_array(s)
+    return np.exp(complex_log_gamma_array(s) - s * _LOG_PI)
 
 
 def complete_xi_array(s) -> np.ndarray:
     """Complete Epstein zeta xi2(s) = pi^(-s) Gamma(s) zeta(Delta, s) at
     every point of a 1-D array, from one batched zeta(Delta, s) pass.
 
-    Satisfies xi2(s) = xi2(1-s).  Poles at s = 0 (raised by Gamma) and
-    s = 1 (raised by zeta).
+    Satisfies xi2(s) = xi2(1-s).  Poles at s = 0 (raised by log-Gamma)
+    and s = 1 (raised by zeta).  At s = -k, k = 1, 2, ..., the zero of
+    zeta(Delta, s) cancels Gamma's pole, and xi2(-k) is taken as xi2(k+1).
     """
     s = _as_array(s)
-    zeta = epstein_zeta_2d_array(s)
-    return np.fromiter((_pi_pow_gamma(x) * z
-                        for x, z in zip(map(complex, s), zeta)),
-                       dtype=complex, count=s.size)
+    negative_int = _gamma_poles(s) & (s.real <= -1.0)
+    s = np.where(negative_int, 1.0 - s, s)
+    return _pi_pow_gamma(s) * epstein_zeta_2d_array(s)
 
 
 def complete_xi(s: complex) -> complex:
@@ -147,7 +145,8 @@ def omega(s: complex, route: OmegaRoute = OmegaRoute.DIRECT) -> complex:
             raise PoleError("xi route is 0/0 at s = 1; use the direct route",
                             location=s)
         return (s * (s - 1.0) * math.pi / 3.0) * complete_xi(s - 1.0)
-    return (s / 3.0) * math.pi ** 2 * _pi_pow_gamma(s) * epstein_zeta_2d(s - 1.0)
+    return (s / 3.0) * math.pi ** 2 * _pi_pow_gamma([s])[0] \
+        * epstein_zeta_2d(s - 1.0)
 
 
 class ZeroSource(enum.Enum):
@@ -163,19 +162,20 @@ class ZeroRecord:
 
 
 def _hardy_z(ts, source: ZeroSource) -> np.ndarray:
-    """The Hardy-rotated factor on s = 1/2 + it at every t of ``ts``, from
-    one batched series pass; the phase theta(t) stays scalar per point."""
-    s = np.array([complex(0.5, t) for t in ts], dtype=complex)
+    """The Hardy-rotated factor Z = cos(theta) Re v - sin(theta) Im v at
+    every t of ``ts``, v the factor's value on s = 1/2 + it: one batched
+    series pass and one batched log-Gamma call for the phases theta(t)."""
+    ts = np.asarray(ts, dtype=float)
+    s = 0.5 + 1j * ts
     if source is ZeroSource.RIEMANN_FACTOR:
         vals = riemann_zeta_array(s)
-        thetas = [complex_log_gamma(complex(0.25, 0.5 * t)).imag
-                  - 0.5 * t * math.log(math.pi) for t in ts]
+        theta = complex_log_gamma_array(0.25 + 0.5j * ts).imag \
+            - 0.5 * ts * _LOG_PI
     else:
         vals = dirichlet_beta_array(s)
-        thetas = [complex_log_gamma(complex(0.75, 0.5 * t)).imag
-                  + 0.5 * t * math.log(4.0 / math.pi) for t in ts]
-    return np.array([(cmath.exp(1j * theta) * v).real
-                     for theta, v in zip(thetas, vals)])
+        theta = complex_log_gamma_array(0.75 + 0.5j * ts).imag \
+            + 0.5 * ts * math.log(4.0 / math.pi)
+    return np.cos(theta) * vals.real - np.sin(theta) * vals.imag
 
 
 def hardy_z_riemann(t: float) -> float:
@@ -236,12 +236,11 @@ def find_critical_zeros(t_min: float, t_max: float,
     for source in (ZeroSource.RIEMANN_FACTOR, ZeroSource.BETA_FACTOR):
         ts = np.arange(t_min, t_max + step, step)
         vals = _hardy_z(ts, source)
-        brackets = []
-        for i in range(len(ts) - 1):
-            if vals[i] == 0.0:  # a grid point on the zero: a closed bracket
-                brackets.append((ts[i], ts[i], vals[i]))
-            elif vals[i] * vals[i + 1] < 0:
-                brackets.append((ts[i], ts[i + 1], vals[i]))
+        # a grid point on the zero makes a closed bracket
+        on_zero = vals[:-1] == 0.0
+        brackets = [(ts[i], ts[i] if on_zero[i] else ts[i + 1], vals[i])
+                    for i in np.flatnonzero(
+                        on_zero | (vals[:-1] * vals[1:] < 0))]
         found = _bisect_lockstep(lambda mids: _hardy_z(mids, source),
                                  brackets)
         # the grid's last point overshoots t_max by up to one step

@@ -481,7 +481,7 @@ def h_function(s: complex, n: int, tol: float = 1e-12) -> complex:
     zn = spectral_zeta(TorusGrid(n), StencilVariant.NINE_POINT, s)
     lead = leading_coeff(s, StencilVariant.NINE_POINT, tol)
     npow = complex(n) ** (2.0 - 2.0 * s)
-    return _pi_pow_gamma(s) * (zn - v_factor(2, s) * lead * npow)
+    return _pi_pow_gamma([s])[0] * (zn - v_factor(2, s) * lead * npow)
 
 
 @dataclass(frozen=True)

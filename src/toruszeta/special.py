@@ -2,14 +2,14 @@
 
 Gamma, log-Gamma, digamma, Riemann zeta, Dirichlet beta, Bernoulli numbers
 and polynomials -- every transcendental ingredient the lattice/zeta modules
-consume.  Gamma, log-Gamma and digamma take a complex or real s and return
-Python complex.  Zeta and beta are array-first: ``riemann_zeta_array`` and
-``dirichlet_beta_array`` take a 1-D array of s; ``riemann_zeta`` and
-``dirichlet_beta`` are them at one point, returning np.complex128.  Each
-value has the bits of a one-point call in any batch: a series-order bucket
-runs the scalar Kahan loop's operations down its term matrix, and Gamma
-factors and products are formed point by point.  Everything is pure and
-safe to call concurrently.
+consume.  Gamma and digamma take a complex or real s and return Python
+complex.  Log-Gamma, zeta and beta are array-first:
+``complex_log_gamma_array``, ``riemann_zeta_array`` and
+``dirichlet_beta_array`` take a 1-D array of s; ``complex_log_gamma``,
+``riemann_zeta`` and ``dirichlet_beta`` are them at one point.  Each value
+has the same bits in any batch: a series-order bucket runs the scalar Kahan
+loop's operations down its term matrix, and every other step is
+elementwise.  Everything is pure and safe to call concurrently.
 
 Accuracy targets: 1e-13 relative for Gamma (|s| <= 200), 1e-12 relative for
 zeta/beta/digamma on |Im(s)| <= 100.  Zeta and beta switch from the
@@ -53,6 +53,7 @@ _LANCZOS_C = (
 )
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 
 def _is_gamma_pole(s: complex) -> bool:
@@ -165,31 +166,61 @@ _STIRLING_LG = (
 )
 
 
-def complex_log_gamma(s: complex) -> complex:
-    """log Gamma(s), the standard analytic continuation.
+def _as_array(s) -> np.ndarray:
+    values = np.asarray(s, dtype=complex)
+    if values.ndim != 1:
+        raise ShapeError(f"expected a 1-D array of s, got shape {values.shape}")
+    return values
+
+
+def _gamma_poles(s: np.ndarray) -> np.ndarray:
+    """True at the points of s that are non-positive integers."""
+    return (s.imag == 0.0) & (s.real <= 0.0) & (s.real == np.floor(s.real))
+
+
+def complex_log_gamma_array(s) -> np.ndarray:
+    """log Gamma at every point of a 1-D array, the standard analytic
+    continuation; PoleError at the non-positive integers.
 
     Real on (0, oo), continuous on the right half-plane, and
-    exp(complex_log_gamma(s)) == complex_gamma(s) there.  For Re(s) <= 0 the
-    value is obtained by reflection; the identity exp(log_gamma) = Gamma
-    still holds but the imaginary part is only defined modulo 2*pi*i.
+    exp(log_gamma) == complex_gamma there.  Re(s) > 0: the Stirling series
+    at w = s + k, Re(w) >= 16, minus the sum of log(s + j), j < k, taken
+    term by term.  Re(s) <= 0: reflection, from one call on the mirrored
+    points; exp(log_gamma) = Gamma still holds, but the imaginary part is
+    only defined modulo 2*pi*i.
     """
-    s = complex(s)
-    _require_no_pole(s, "log-Gamma")
-    if s.real <= 0.0:
-        return math.log(math.pi) - _logsinpi(s) - complex_log_gamma(1.0 - s)
-    shift = 0.0 + 0.0j
-    w = s
-    while w.real < 16.0:
-        shift -= cmath.log(w)
-        w += 1.0
+    s = _as_array(s)
+    poles = _gamma_poles(s)
+    if poles.any():
+        _require_no_pole(complex(s[poles][0]), "log-Gamma")
+    out = np.empty_like(s)
+    reflect = s.real <= 0.0
+    if reflect.any():
+        x = s[reflect]
+        logsin = np.array([_logsinpi(z) for z in map(complex, x)],
+                          dtype=complex)
+        out[reflect] = (_LOG_PI - logsin) - complex_log_gamma_array(1.0 - x)
+    w = s[~reflect]
+    k = np.fmax(np.ceil(16.0 - w.real), 0.0)
+    shift = np.zeros_like(w)
+    for j in range(int(k.max(initial=0.0))):
+        shift += np.where(j < k, np.log(w + j), 0.0)
+    w = w + k
     inv = 1.0 / w
     inv2 = inv * inv
-    tail = 0.0 + 0.0j
+    tail = np.zeros_like(w)
     p = inv
     for c in _STIRLING_LG:
         tail += c * p
-        p *= inv2
-    return (w - 0.5) * cmath.log(w) - w + _LOG_SQRT_TWO_PI + tail + shift
+        p = p * inv2
+    out[~reflect] = ((w - 0.5) * np.log(w) - w + _LOG_SQRT_TWO_PI + tail
+                     - shift)
+    return out
+
+
+def complex_log_gamma(s: complex) -> complex:
+    """``complex_log_gamma_array`` at one point."""
+    return complex(complex_log_gamma_array([s])[0])
 
 
 # Asymptotic series coefficients B_{2k}/(2k) for digamma.
@@ -262,12 +293,16 @@ SERIES_MAX_IM = 100.0
 _LOG_CONVERGENCE_RATE = math.log(3.0 + math.sqrt(8.0))
 
 
-def _series_order(s: complex) -> int:
+def _series_order(s) -> np.ndarray:
+    """The Borwein series order of every point of s (an array or one
+    point)."""
     # Error ~ (3+sqrt(8))^-n (1+2|t|) e^{pi|t|/2}; pad for Re(s) down to -1.
-    t = abs(s.imag)
-    n = (0.5 * math.pi * t + math.log(3.0 + 2.0 * t) + 40.0) / _LOG_CONVERGENCE_RATE
-    n += 8.0 * max(0.0, 0.5 - s.real)
-    return max(24, int(n) + 4)
+    s = np.asarray(s, dtype=complex)
+    t = np.abs(s.imag)
+    n = (0.5 * math.pi * t + np.log(3.0 + 2.0 * t) + 40.0) \
+        / _LOG_CONVERGENCE_RATE
+    n += 8.0 * np.maximum(0.0, 0.5 - s.real)
+    return np.maximum(24, n.astype(int) + 4)
 
 
 # terms per block of a bucket's term matrix, which bounds its memory
@@ -298,8 +333,7 @@ def _borwein_series(s: np.ndarray, stride: int) -> np.ndarray:
     out = np.empty(s.size, dtype=complex)
     if not s.size:
         return out
-    orders = np.fromiter(map(_series_order, map(complex, s)), dtype=int,
-                         count=s.size)
+    orders = _series_order(s)
     by_order = np.argsort(orders, kind="stable")
     runs = np.flatnonzero(np.diff(orders[by_order])) + 1
     for rows in np.split(by_order, runs):  # one bucket per series order
@@ -321,13 +355,6 @@ def _borwein_series(s: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def _as_array(s) -> np.ndarray:
-    values = np.asarray(s, dtype=complex)
-    if values.ndim != 1:
-        raise ShapeError(f"expected a 1-D array of s, got shape {values.shape}")
-    return values
-
-
 def _continue(s: np.ndarray, reflect: np.ndarray, series, front, fn):
     """fn at every point of s: ``series`` of the points where ``reflect`` is
     False, and front(s) fn(1 - s) where it is True, from one recursive call
@@ -341,15 +368,15 @@ def _continue(s: np.ndarray, reflect: np.ndarray, series, front, fn):
     return out
 
 
-def _eta_denominator(s: complex) -> complex:
-    """1 - 2^(1-s), or 0 where zeta takes the reflection instead:
-    Re(s) < -1, and s near 1 + 2 pi i k / ln 2, where the denominator
-    vanishes and the series would be 0/0."""
-    if s.real < -1.0:
-        return 0j
-    # Python's scalar power: NumPy's array power differs in the last bit
-    denom = 1.0 - 2.0 ** (1.0 - s)
-    return 0j if abs(denom) < 5e-2 else denom
+def _eta_denominator(s: np.ndarray) -> np.ndarray:
+    """1 - 2^(1-s) at every point of s, or 0 where zeta takes the
+    reflection instead: Re(s) < -1, and s near 1 + 2 pi i k / ln 2, where
+    the denominator vanishes and the series would be 0/0."""
+    denom = np.zeros_like(s)
+    series = s.real >= -1.0
+    denom[series] = 1.0 - 2.0 ** (1.0 - s[series])
+    denom[np.abs(denom) < 5e-2] = 0.0
+    return denom
 
 
 def _zeta_front(s: complex) -> complex:
@@ -366,8 +393,7 @@ def riemann_zeta_array(s) -> np.ndarray:
     if np.any(s == 1.0):
         raise PoleError("Riemann zeta has its pole at s = 1",
                         location=complex(1.0))
-    denom = np.array([_eta_denominator(x) for x in map(complex, s)],
-                     dtype=complex)
+    denom = _eta_denominator(s)
     reflect = denom == 0.0
     return _continue(s, reflect,
                      lambda x: _borwein_series(x, 1) / denom[~reflect],

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import toruszeta
-from toruszeta.cli import _g17, main, parse_complex
-from toruszeta.conjecture import QUANTITY_REGISTRY
+from toruszeta import conjecture
+from toruszeta.cli import RecordWriter, RunConfig, _g17, main, parse_complex
+from toruszeta.conjecture import QUANTITY_REGISTRY, ScanRecord
 from toruszeta.errors import NonFiniteError
 from toruszeta.lattice import StencilVariant, TorusGrid, spectral_zeta
 
@@ -354,3 +355,85 @@ def test_scan_required_flags(capsys):
     code, _, err = run_cli(["scan", "--kind", "omega", "--b", "70",
                             "--points", "0"], capsys)
     assert code == 0  # empty grid -> header only
+
+
+def test_xi_at_real_integers(capsys):
+    # s = 3, and a grid with Re(s) in {2, 3} on the real axis: their
+    # mirrors 1 - s sit at the negative integers, where xi_2 is finite
+    for argv in (["xi", "--s", "3"],
+                 ["scan", "--kind", "xi-defect", "--re-min", "2",
+                  "--re-max", "3", "--re-points", "2", "--im-min", "0",
+                  "--im-max", "1", "--im-points", "2"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, (argv, err)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) in (1, 4), argv
+    defects = [float(r["value_re"]) for r in rows]
+    assert max(defects) <= 1e-12
+
+
+_GOOD = [ScanRecord(complex(0.5, 14.1), "zero", complex(14.1), err_est=1e-9,
+                    meta={"source": "riemann"}),
+         ScanRecord(None, "em_lhs", complex(1.5, -2.0), n=10,
+                    meta={"fn": "runge", "m": "3"}),
+         ScanRecord(0.3 + 2.0j, "xi", complex(0.1, 0.2))]
+_NAN = ScanRecord(0.3 + 2.0j, "xi", complex(float("nan"), 0.0))
+
+
+def _writer_output(records, fmt, path, batched, capsys):
+    """(raised, output) of RecordWriter over ``records``: one write_all
+    call, or one write per record.  Like main, it stops at a NonFiniteError
+    without closing the writer."""
+    w = RecordWriter(RunConfig(fmt=fmt, out=path))
+    raised = False
+    try:
+        if batched:
+            w.write_all(records)
+        else:
+            for rec in records:
+                w.write(rec)
+        w.close()
+    except NonFiniteError:
+        raised = True
+    text = capsys.readouterr().out
+    if path:
+        with open(path, newline="") as fh:
+            text = fh.read()
+        w._fh.close()
+    return raised, text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("records", [_GOOD, _GOOD[:1] + [_NAN] + _GOOD[1:]],
+                         ids=["finite", "nan-in-middle"])
+def test_write_all_writes_the_bytes_of_one_write_per_record(
+        fmt, to_file, records, tmp_path, capsys):
+    out = [_writer_output(records, fmt,
+                          str(tmp_path / f"{int(batched)}.out")
+                          if to_file else None, batched, capsys)
+           for batched in (False, True)]
+    assert out[0] == out[1]
+    raised, text = out[1]
+    assert raised == (_NAN in records)
+    # the rows before the bad record are written, none after it
+    assert ("14.1" in text) and (("em_lhs" in text) != raised)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_non_finite_record_mid_batch_exits_3_after_the_prefix(
+        fmt, to_file, tmp_path, capsys, monkeypatch):
+    records = _GOOD[:1] + [_NAN] + _GOOD[1:]
+    path = str(tmp_path / "run.out") if to_file else None
+    _, expect = _writer_output(records, fmt, path, False, capsys)
+    monkeypatch.setattr(conjecture, "hn_ratio_study",
+                        lambda *args, **kwargs: records)
+    argv = ["--format", fmt] + (["--out", path] if path else []) \
+        + ["hn", "--s", "0.3+2i"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and "non-finite" in err
+    if path:
+        with open(path, newline="") as fh:
+            out = fh.read()
+    assert out == expect

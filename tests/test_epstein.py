@@ -233,3 +233,15 @@ def test_lockstep_bisection_matches_one_bracket_bisection():
         expect = [_bisect_one(fn, lo, hi, flo) for lo, hi, flo in brackets]
         assert [float(r).hex() for r in roots] \
             == [float(e).hex() for e in expect]
+
+
+def test_xi_at_the_negative_integers():
+    # the zero of zeta(Delta, -k) cancels Gamma's pole: xi2(-k) = xi2(k+1)
+    for k in (1, 2, 5):
+        assert complete_xi(-float(k)) == complete_xi(k + 1.0)
+    near, at, mirror = complete_xi_array([-2.0 + 1e-3j, -2.0, 3.0])
+    assert at == mirror
+    assert abs(near - at) <= 1e-3 * abs(at)
+    for pole in (0.0, 1.0):
+        with pytest.raises(PoleError):
+            complete_xi(pole)

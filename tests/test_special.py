@@ -11,7 +11,8 @@ from toruszeta.errors import PoleError, RangeError, ShapeError
 from toruszeta import special
 from toruszeta.special import (EULER_GAMMA, bernoulli_fraction,
                                bernoulli_number, bernoulli_polynomial,
-                               complex_gamma, complex_log_gamma, digamma,
+                               complex_gamma, complex_log_gamma,
+                               complex_log_gamma_array, digamma,
                                dirichlet_beta, dirichlet_beta_array,
                                riemann_zeta, riemann_zeta_array)
 
@@ -288,3 +289,75 @@ def test_conjugation_is_exact(points):
         lhs = [scalar(s.conjugate()) for s in points[:3]]
         rhs = [scalar(s).conjugate() for s in points[:3]]
         assert np.array_equal(lhs, rhs)
+
+
+def _reference_log_gamma(s: complex) -> complex:
+    """The former scalar log-Gamma body, kept as the reference."""
+    if s.real <= 0.0:
+        return math.log(math.pi) - special._logsinpi(s) \
+            - _reference_log_gamma(1.0 - s)
+    shift = 0.0 + 0.0j
+    w = s
+    while w.real < 16.0:
+        shift -= cmath.log(w)
+        w += 1.0
+    inv = 1.0 / w
+    inv2 = inv * inv
+    tail = 0.0 + 0.0j
+    p = inv
+    for c in special._STIRLING_LG:
+        tail += c * p
+        p *= inv2
+    return (w - 0.5) * cmath.log(w) - w + special._LOG_SQRT_TWO_PI + tail \
+        + shift
+
+
+def _off_gamma_poles(s: complex) -> bool:
+    return not (s.real < 0.5 and abs(s - round(s.real)) < 0.05)
+
+
+_log_gamma_points = st.builds(complex, st.floats(-10, 10),
+                              st.floats(-200, 200)).filter(_off_gamma_poles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_gamma_points)
+def test_log_gamma_array_matches_reference(s):
+    got = complex_log_gamma_array([s])[0]
+    expect = _reference_log_gamma(s)
+    assert abs(got - expect) <= 1e-13 * max(1.0, abs(expect))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_log_gamma_points, max_size=40))
+def test_log_gamma_one_point_and_batched_bits_agree(points):
+    one = [complex_log_gamma(s) for s in points]
+    assert np.array_equal(_bits(complex_log_gamma_array(points)), _bits(one))
+
+
+def test_log_gamma_poles_raise_through_scalar_and_array():
+    for pole in (0.0, -1.0, -7.0):
+        with pytest.raises(PoleError):
+            complex_log_gamma(pole)
+        with pytest.raises(PoleError):
+            complex_log_gamma_array([2.5 + 1.0j, pole])
+
+
+def _reference_series_order(s: complex) -> int:
+    """The former per-point series order."""
+    t = abs(s.imag)
+    n = (0.5 * math.pi * t + math.log(3.0 + 2.0 * t) + 40.0) \
+        / math.log(3.0 + math.sqrt(8.0))
+    n += 8.0 * max(0.0, 0.5 - s.real)
+    return max(24, int(n) + 4)
+
+
+def test_series_orders_match_the_per_point_formula():
+    points = (np.linspace(-1.0, 2.0, 61)[:, None]
+              + 1j * np.linspace(-100.0, 100.0, 4001)).ravel()
+    orders = special._series_order(points)
+    expect = [_reference_series_order(s) for s in map(complex, points)]
+    assert np.array_equal(orders, expect)
+    # every order of the domain is one the weights memo holds
+    assert orders.min() == 27 and orders.max() == 130
+    assert special._borwein_weights.cache_info().maxsize >= 130 - 27 + 1

@@ -14,18 +14,30 @@ change behaviour:
 The package path that was imported goes to stderr, so a listing can always
 be tied to its checkout.  With ``--raw`` each digest line is followed by the
 command's stdout, indented by four spaces, so that a change meant to move
-last digits can be measured value by value, not only detected.
+last digits can be measured value by value, not only detected.  Two such
+listings are compared with ``--compare``, the tolerance gate for changes
+that may move last bits:
+
+    PYTHONPATH=/path/to/old/src python tools/cli_digest.py --raw > before.txt
+    PYTHONPATH=src python tools/cli_digest.py --raw > after.txt
+    python tools/cli_digest.py --compare before.txt after.txt
+
+It prints, per command, the exit codes, the row counts and the largest
+relative and absolute differences of the values, of ``err_est`` and of the
+numbers in ``meta``, and exits 1 when an exit code or a row count differs
+or a command is in only one listing.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import re
 import shlex
 import sys
-
-from toruszeta.cli import main
 
 COMMANDS = (
     # README examples
@@ -67,6 +79,10 @@ COMMANDS = (
     "scan --kind omega --b 92 --points 301",
     "scan --kind xi-defect --re-min 0.05 --re-max 0.95 --re-points 4 "
     "--im-min -99 --im-max 99 --im-points 9",
+    # xi2(-k) = xi2(k + 1) at the negative integers, on s and on 1 - s
+    "xi --s 3",
+    "scan --kind xi-defect --re-min 2 --re-max 3 --re-points 2 "
+    "--im-min 0 --im-max 1 --im-points 2",
     # global flags
     "--format json scan --kind xi-defect --re-points 3 --im-points 2",
     "--format json expansion --s 0.3+2i --variant nine --n-list 32,64,128",
@@ -88,6 +104,7 @@ COMMANDS = (
 
 def digest(argv: list[str]) -> tuple[str, int, str]:
     """sha256 of the stdout of ``main(argv)``, its exit code and the stdout."""
+    from toruszeta.cli import main
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -99,14 +116,121 @@ def digest(argv: list[str]) -> tuple[str, int, str]:
     return hashlib.sha256(text.encode()).hexdigest(), code, text
 
 
+def read_listing(path: str) -> dict:
+    """{argv: (exit code, stdout lines)} of a ``--raw`` listing."""
+    out, lines = {}, None
+    with open(path) as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("    "):
+                lines.append(line[4:])
+            else:
+                _, code, argv = line.split(" ", 2)
+                lines = []
+                out[argv] = (int(code), lines)
+    return out
+
+
+def _rows(argv: str, lines: list) -> list:
+    """The records of one command's stdout, CSV or JSON, as dicts."""
+    words = shlex.split(argv)
+    if "--format" in words and words[words.index("--format") + 1] == "json":
+        text = "\n".join(lines)
+        # output cut short by an error exit lacks the closing bracket
+        for candidate in (text, text + "\n]"):
+            try:
+                return json.loads(candidate)
+            except ValueError:
+                continue
+        return []
+    return list(csv.DictReader(lines))
+
+
+_FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX = re.compile(rf"^({_FLOAT})\+?({_FLOAT})i$")
+
+
+def _number(text: str):
+    """A float or a ``re+imi`` complex cell, or None for any other text."""
+    try:
+        return float(text)
+    except ValueError:
+        m = _COMPLEX.match(text)
+        return complex(float(m[1]), float(m[2])) if m else None
+
+
+def _numbers(row: dict) -> dict:
+    """The numbers of one record: its value, err_est and meta entries."""
+    out = {"value": complex(float(row["value_re"]), float(row["value_im"]))}
+    if row["err_est"]:
+        out["err_est"] = float(row["err_est"])
+    for item in filter(None, row["meta"].split(";")):
+        key, text = item.split("=", 1)
+        number = _number(text)
+        out["meta", key] = text if number is None else number
+    return out
+
+
+def _diff(a, b) -> tuple[float, float]:
+    """(relative, absolute) difference; relative to the larger modulus."""
+    d = abs(a - b)
+    scale = max(abs(a), abs(b))
+    return (d / scale if scale else 0.0), d
+
+
+def compare(before: dict, after: dict) -> int:
+    """Print the per-command differences of two listings; 1 if an exit
+    code or a row count differs, or a command is in only one of them."""
+    bad = 0
+    for argv in list(before) + [a for a in after if a not in before]:
+        if argv not in before or argv not in after:
+            side = "BEFORE" if argv in before else "AFTER"
+            print(f"only in {side}: {argv}")
+            bad += 1
+            continue
+        (code_b, lines_b), (code_a, lines_a) = before[argv], after[argv]
+        rows_b, rows_a = _rows(argv, lines_b), _rows(argv, lines_a)
+        worst = {"value": [0.0, 0.0], "err_est": [0.0, 0.0],
+                 "meta": [0.0, 0.0]}
+        seen, text = set(), 0
+        for rb, ra in zip(rows_b, rows_a):
+            nb, na = _numbers(rb), _numbers(ra)
+            text += rb["quantity"] != ra["quantity"] or nb.keys() != na.keys()
+            for key in nb.keys() & na.keys():
+                group = key if isinstance(key, str) else "meta"
+                if isinstance(nb[key], str) or isinstance(na[key], str):
+                    text += nb[key] != na[key]
+                    continue
+                seen.add(group)
+                for i, d in enumerate(_diff(nb[key], na[key])):
+                    worst[group][i] = max(worst[group][i], d)
+        mismatch = code_b != code_a or len(rows_b) != len(rows_a)
+        bad += mismatch
+        parts = [f"exit {code_b}->{code_a}",
+                 f"rows {len(rows_b)}->{len(rows_a)}"]
+        parts += [f"{g} rel {worst[g][0]:.2g} abs {worst[g][1]:.2g}"
+                  if g in seen else f"{g} -" for g in worst]
+        if text:
+            parts.append(f"{text} rows with other text")
+        flag = "MISMATCH " if mismatch else ""
+        print(f"{flag}{argv}: " + ", ".join(parts))
+    print(f"{bad} of {len(set(before) | set(after))} commands differ in "
+          "exit code, row count or presence")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
     import argparse
 
-    import toruszeta
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--raw", action="store_true",
                    help="print each command's stdout under its digest line")
-    raw = p.parse_args().raw
+    p.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                   help="compare two --raw listings instead of running")
+    args = p.parse_args()
+    if args.compare:
+        sys.exit(compare(*map(read_listing, args.compare)))
+    import toruszeta
+    raw = args.raw
     print(f"toruszeta from {toruszeta.__file__}", file=sys.stderr)
     for line in COMMANDS:
         sha, code, text = digest(shlex.split(line))
