@@ -6,7 +6,9 @@ records, either CSV (fixed column order
 of objects with the same keys).  Numbers are serialized with 17 significant
 digits, so re-parsing reproduces the binary values exactly and identical
 configurations produce byte-identical output files; timing goes to stderr
-only.
+only.  A scan writes its rows as columnar records: each is formatted with
+one %-template, its text cells escaped once, and checked for inf and nan
+one column at a time.
 
 Exit codes: 0 ok, 2 domain/usage errors, 3 convergence errors or a
 non-finite result, 4 internal.
@@ -15,8 +17,6 @@ non-finite result, 4 internal.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -97,27 +97,48 @@ _COLUMNS = ("quantity", "s_re", "s_im", "n", "value_re", "value_im",
 
 
 def _g17(x: float) -> str:
-    """17 significant digits; the one gate that keeps inf and nan out of
-    every number cell, meta numbers included."""
+    """17 significant digits, the format of every number cell; the gate
+    that keeps inf and nan out of the numbers in meta."""
     x = float(x)
     if not math.isfinite(x):
         raise NonFiniteError(f"non-finite number {x}")
     return format(x, ".17g")
 
 
-def _cells(rec: ScanRecord) -> list:
-    """The row of ``rec``, in ``_COLUMNS`` order."""
-    s, value = rec.s, rec.value
-    return [
-        rec.quantity,
-        "" if s is None else _g17(s.real),
-        "" if s is None else _g17(s.imag),
-        "" if rec.n is None else str(rec.n),
-        _g17(value.real),
-        _g17(value.imag),
-        "" if rec.err_est is None else _g17(rec.err_est),
-        ";".join(f"{k}={v}" for k, v in sorted(rec.meta.items())),
-    ]
+def _escape(text: str, fmt: str) -> str:
+    """A text cell as csv.writer writes it (quoted when it holds a comma, a
+    quote or a line break) or as a JSON string, for a %-template."""
+    if fmt == "json":
+        text = json.dumps(text)
+    elif any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text.replace("%", "%%")
+
+
+def _batch(rec: ScanRecord, fmt: str) -> tuple[str, np.ndarray]:
+    """One row of ``rec`` as a %-template, with its text cells escaped once
+    for the whole batch and %.17g (the format of ``_g17``) in its number
+    cells, and the numbers of its rows, one row per number cell.  A JSON
+    row starts with its separator from the row before."""
+    value = np.atleast_1d(np.asarray(rec.value, dtype=complex))
+    numbers = {"value_re": value.real, "value_im": value.imag}
+    if rec.s is not None:
+        s = np.atleast_1d(np.asarray(rec.s, dtype=complex))
+        numbers["s_re"], numbers["s_im"] = s.real, s.imag
+    if rec.err_est is not None:
+        numbers["err_est"] = np.atleast_1d(np.asarray(rec.err_est, float))
+    text = {"quantity": rec.quantity, "n": "" if rec.n is None else str(rec.n),
+            "meta": ";".join(f"{k}={v}" for k, v in sorted(rec.meta.items()))}
+    names = _COLUMNS if fmt == "csv" else sorted(_COLUMNS)
+    number = "%.17g" if fmt == "csv" else '"%.17g"'
+    cells = [number if c in numbers else _escape(text.get(c, ""), fmt)
+             for c in names]
+    if fmt == "csv":
+        row = ",".join(cells) + "\r\n"
+    else:
+        row = ",\n {" + ", ".join(f'"{c}": {v}' for c, v in zip(names, cells)) \
+            + "}"
+    return row, np.array([numbers[c] for c in names if c in numbers])
 
 
 class RecordWriter:
@@ -129,33 +150,32 @@ class RecordWriter:
         self._owns = cfg.out is not None
         self._first_json = True
         if cfg.fmt == "csv":
-            csv.writer(self._fh).writerow(_COLUMNS)
+            self._fh.write(",".join(_COLUMNS) + "\r\n")
         else:
             self._fh.write("[")
         self._fh.flush()
 
     def write_all(self, records) -> None:
-        """Write the records in order, with one write call and one flush.
-        At the first record with an inf or nan number, write the rows
-        before it and raise NonFiniteError."""
-        buf = io.StringIO()
-        rows = csv.writer(buf)
+        """Write the rows of the records in order, with one write call and
+        one flush.  At the first row with an inf or nan number, write the
+        rows before it and raise NonFiniteError."""
+        chunks = []
         try:
             for rec in records:
-                try:
-                    cells = _cells(rec)
-                except NonFiniteError as exc:
+                row, numbers = _batch(rec, self.cfg.fmt)
+                finite = np.isfinite(numbers).all(axis=0)
+                good = finite.size if finite.all() else int(np.argmin(finite))
+                text = (row * good) \
+                    % tuple(numbers[:, :good].T.ravel().tolist())
+                if self.cfg.fmt == "json" and self._first_json and good:
+                    text, self._first_json = text[1:], False
+                chunks.append(text)
+                if good < finite.size:
+                    bad = numbers[:, good][~np.isfinite(numbers[:, good])][0]
                     raise NonFiniteError(
-                        f"{rec.quantity} record: {exc}") from None
-                if self.cfg.fmt == "csv":
-                    rows.writerow(cells)
-                    continue
-                buf.write("\n " if self._first_json else ",\n ")
-                self._first_json = False
-                buf.write(json.dumps(dict(zip(_COLUMNS, cells)),
-                                     sort_keys=True))
+                        f"{rec.quantity} record: non-finite number {bad}")
         finally:
-            self._fh.write(buf.getvalue())
+            self._fh.write("".join(chunks))
             self._fh.flush()
 
     def write(self, rec: ScanRecord) -> None:
@@ -227,12 +247,11 @@ def _cmd_epstein(args, cfg: RunConfig, w: RecordWriter) -> None:
                            meta={"cutoff": str(args.direct_cutoff)}))
 
 
-def _xi_with_defect(points: list) -> list:
-    """(xi_2(s), relative functional-equation defect, meta) for each s,
-    from one batched pass over the points and their mirrors 1 - s.  Where
-    both underflow to 0 the defect is vacuous: meta says underflow=true,
-    and one warning goes to stderr."""
-    s = np.array(points, dtype=complex)
+def _xi_with_defect(s: np.ndarray):
+    """xi_2(s), the relative functional-equation defect and the underflow
+    flag at every point of s, from one batched pass over the points and
+    their mirrors 1 - s.  Where both underflow to 0 the defect is vacuous:
+    the flag is set, and one warning goes to stderr."""
     xi = epstein.complete_xi_array(np.concatenate([s, 1.0 - s]))
     val, mirror = xi[:s.size], xi[s.size:]
     defect = np.abs(val - mirror) / (1.0 + np.abs(val))
@@ -240,14 +259,14 @@ def _xi_with_defect(points: list) -> list:
     if underflow.any():
         print("warning: xi_2 underflows to 0 at s and 1 - s; the "
               "functional-equation defect there is vacuous", file=sys.stderr)
-    return [(v, d, {"underflow": "true"} if u else {})
-            for v, d, u in zip(val, defect, underflow)]
+    return val, defect, underflow
 
 
 def _cmd_xi(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
     _require_series_domain(s.imag, cfg)
-    [(val, defect, meta)] = _xi_with_defect([s])
+    [val], [defect], [underflow] = _xi_with_defect(np.array([s]))
+    meta = {"underflow": "true"} if underflow else {}
     w.write(ScanRecord(s, "xi", val, meta=dict(meta, fe_defect=_g17(defect))))
 
 
@@ -329,6 +348,23 @@ def _cmd_emcheck(args, cfg: RunConfig, w: RecordWriter) -> None:
                               ("em_diff", abs(lhs - rhs)))])
 
 
+def _points(re, im) -> np.ndarray:
+    """complex(a, b) for every pair of the broadcast ``re`` and ``im``, in
+    C order, as a 1-D array."""
+    re, im = np.broadcast_arrays(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out.ravel()
+
+
+def _runs(labels) -> list:
+    """(lo, hi) of each run of equal consecutive ``labels``."""
+    labels = np.asarray(labels)
+    cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(),
+            labels.size]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
 def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
     kind = args.kind
     if kind == "omega":
@@ -339,35 +375,38 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
         _require_series_domain(args.b, cfg)
         if args.points < 1:
             return
-        grid = np.linspace(args.a_min, args.a_max, args.points)
-        pts = [complex(a, args.b) for a in grid]
+        pts = _points(np.linspace(args.a_min, args.a_max, args.points),
+                      args.b)
         vals = np.abs(conjecture.omega_ratio_array(pts))
         monotone = bool(np.all(vals[1:] > vals[:-1]))
-        meta = {"monotone_scan": str(monotone).lower()}
-        w.write_all(ScanRecord(s, "omega_ratio", complex(v), meta=meta)
-                    for s, v in zip(pts, vals))
+        w.write(ScanRecord(pts, "omega_ratio", vals,
+                           meta={"monotone_scan": str(monotone).lower()}))
     elif kind == "zeros":
         if args.t_min >= args.t_max:
             return
         _require_series_domain(args.t_max, cfg)
         recs = epstein.find_critical_zeros(args.t_min, args.t_max, args.step)
-        w.write_all(ScanRecord(complex(0.5, r.t), "zero", complex(r.t),
-                               err_est=r.residual,
-                               meta={"source": r.source.value})
-                    for r in recs)
+        ts = np.array([r.t for r in recs])
+        residuals = np.array([r.residual for r in recs])
+        sources = [r.source.value for r in recs]
+        w.write_all(ScanRecord(_points(0.5, ts[lo:hi]), "zero", ts[lo:hi],
+                               err_est=residuals[lo:hi],
+                               meta={"source": sources[lo]})
+                    for lo, hi in _runs(sources))
     elif kind == "hn":
         if args.s is None:
             raise ValueError("scan --kind hn requires --s")
         _cmd_hn(args, cfg, w)
     elif kind == "xi-defect":
-        res = np.linspace(args.re_min, args.re_max, args.re_points)
-        ims = np.linspace(args.im_min, args.im_max, args.im_points)
-        pts = [complex(a, b) for a in res for b in ims]
-        for s in pts:
-            _require_series_domain(s.imag, cfg)
-        rows = _xi_with_defect(pts)
-        w.write_all(ScanRecord(s, "xi_defect", complex(defect), meta=meta)
-                    for s, (_, defect, meta) in zip(pts, rows))
+        pts = _points(
+            np.linspace(args.re_min, args.re_max, args.re_points)[:, None],
+            np.linspace(args.im_min, args.im_max, args.im_points))
+        _require_series_domain(np.abs(pts.imag).max(initial=0.0), cfg)
+        _, defect, underflow = _xi_with_defect(pts)
+        w.write_all(ScanRecord(pts[lo:hi], "xi_defect", defect[lo:hi],
+                               meta={"underflow": "true"} if underflow[lo]
+                               else {})
+                    for lo, hi in _runs(underflow))
     else:  # pragma: no cover
         raise ValueError(kind)
 

@@ -40,19 +40,28 @@ QUANTITY_REGISTRY = frozenset({
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One result row, the unit the CLI writes; ``quantity`` must be in
-    QUANTITY_REGISTRY.  ``s`` is None for rows not tied to a point s."""
+    """A batch of result rows that share ``quantity`` (which must be in
+    QUANTITY_REGISTRY), ``n`` and ``meta``: the unit the CLI writes.
 
-    s: complex | None
+    ``s``, ``value`` and ``err_est`` are each one number, one row, or a
+    1-D column with one entry per row; a record of numbers is a batch of
+    one.  ``s`` is None for rows not tied to a point s.
+    """
+
+    s: complex | np.ndarray | None
     quantity: str
-    value: complex
+    value: complex | np.ndarray
     n: int | None = None
-    err_est: float | None = None
+    err_est: float | np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.quantity not in QUANTITY_REGISTRY:
             raise ValueError(f"unknown quantity {self.quantity!r}")
+        if len({np.size(c) for c in (self.s, self.value, self.err_est)
+                if c is not None}) > 1:
+            raise ValueError(f"{self.quantity} record: columns of "
+                             "different lengths")
 
 
 def omega_ratio(s: complex, route: str = "omega1") -> complex:

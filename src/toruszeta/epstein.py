@@ -10,11 +10,13 @@ it sit the direct lattice sum for validation, the complete xi function and
 its functional equation xi2(s) = xi2(1-s), the V_alpha front factor, Omega,
 and critical-line zero location via Hardy-rotated real signals.
 
-zeta(Delta, s), xi2 and the Hardy signals are array-first, one batched zeta
-and beta pass per call; ``epstein_zeta_2d`` and ``complete_xi`` are the
-array functions at one point.  The Gamma factors (through one batched
-log-Gamma call) and the products are elementwise array operations, so each
-value has the same bits in any batch.
+zeta(Delta, s), xi2 and the Hardy signals are array-first, one batched
+series pass per call (zeta(Delta, s) takes zeta and beta from one shared
+power table); ``epstein_zeta_2d`` and ``complete_xi`` are the array
+functions at one point.  The Gamma factors (through one batched log-Gamma
+call, and the real lgamma on the real axis) and the products are
+elementwise array operations, so each value has the same bits in any
+batch.
 """
 
 from __future__ import annotations
@@ -31,16 +33,16 @@ from .lattice import fold_square
 from .special import (_LOG_PI, _as_array, _gamma_poles, _is_gamma_pole,
                       complex_gamma, complex_log_gamma_array,
                       dirichlet_beta_array, reciprocal_gamma,
-                      riemann_zeta_array)
+                      riemann_zeta_array, zeta_beta_arrays)
 from .summation import pairwise_sum
 
 
 def epstein_zeta_2d_array(s) -> np.ndarray:
     """zeta(Delta, s) = 4 zeta_R(s) beta(s) at every point of a 1-D array,
-    from one batched zeta and one batched beta pass; its pole s = 1 is
-    zeta_R's."""
-    s = _as_array(s)
-    return 4.0 * riemann_zeta_array(s) * dirichlet_beta_array(s)
+    from one batched pass that shares the power table of the two series;
+    its pole s = 1 is zeta_R's."""
+    zeta, beta = zeta_beta_arrays(s)
+    return 4.0 * zeta * beta
 
 
 def epstein_zeta_2d(s: complex) -> complex:
@@ -98,9 +100,16 @@ def v_factor_inv(alpha: int, s: complex) -> complex:
 
 def _pi_pow_gamma(s) -> np.ndarray:
     """pi^(-s) Gamma(s) = exp(log Gamma(s) - s log pi) at every point of a
-    1-D array."""
+    1-D array.  Exactly real on the real axis: there log|Gamma| is the real
+    lgamma, and Gamma's sign that of sin(pi s) in the reflection, negative
+    on (-1, 0), (-3, -2), ..."""
     s = _as_array(s)
-    return np.exp(complex_log_gamma_array(s) - s * _LOG_PI)
+    out = np.exp(complex_log_gamma_array(s) - s * _LOG_PI)
+    real = s.imag == 0.0
+    x = s.real[real]
+    sign = np.where((x < 0.0) & (np.floor(x) % 2.0 == 1.0), -1.0, 1.0)
+    out[real] = sign * np.exp([math.lgamma(v) for v in x] - x * _LOG_PI)
+    return out
 
 
 def complete_xi_array(s) -> np.ndarray:

@@ -6,10 +6,14 @@ consume.  Gamma and digamma take a complex or real s and return Python
 complex.  Log-Gamma, zeta and beta are array-first:
 ``complex_log_gamma_array``, ``riemann_zeta_array`` and
 ``dirichlet_beta_array`` take a 1-D array of s; ``complex_log_gamma``,
-``riemann_zeta`` and ``dirichlet_beta`` are them at one point.  Each value
-has the same bits in any batch: a series-order bucket runs the scalar Kahan
-loop's operations down its term matrix, and every other step is
-elementwise.  Everything is pure and safe to call concurrently.
+``riemann_zeta`` and ``dirichlet_beta`` are them at one point, and
+``zeta_beta_arrays`` gives both from one pass.  Both series sum terms
+w_k m^(-s) over m = 1..n (zeta) or the odd m up to 2n - 1 (beta), and m^(-s)
+is completely multiplicative: a table of m^(-s) needs an exp at the primes
+only, and one table serves both series.  Each value has the same bits in
+any batch: every point's terms come from elementwise operations and are
+summed in one fixed order.  Everything is pure and safe to call
+concurrently.
 
 Accuracy targets: 1e-13 relative for Gamma (|s| <= 200), 1e-12 relative for
 zeta/beta/digamma on |Im(s)| <= 100.  Zeta and beta switch from the
@@ -28,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PoleError, RangeError, ShapeError
-from .summation import _kahan, _kahan_columns
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -257,7 +260,7 @@ _RESCALE = 2.0 ** 900
 # holds all 104 orders (27..130) of Re(s) in [-1, 2], |Im(s)| <= 100
 @lru_cache(maxsize=128)
 def _borwein_weights(n: int) -> np.ndarray:
-    """Chebyshev/binomial weights (d_n - d_k)/d_n, k = 0..n-1.
+    """Signed Chebyshev/binomial weights (-1)^k (d_n - d_k)/d_n, k < n.
 
     d_k grows like (3+sqrt(8))^k, so the running values are divided by 2^900
     whenever they pass it (n > ~350); orders below that keep their bits.
@@ -273,16 +276,9 @@ def _borwein_weights(n: int) -> np.ndarray:
             d[:j + 1] /= _RESCALE
             p, acc = p / _RESCALE, acc / _RESCALE
         d[j + 1] = n * acc
-    return (d[n] - d[:n]) / d[n]
-
-
-@lru_cache(maxsize=256)
-def _log_bases(n: int, stride: int) -> np.ndarray:
-    """log(1 + stride k), k = 0..n-1: the bases of the zeta (stride 1) and
-    beta (stride 2) series of order n."""
-    out = np.log(np.arange(1, stride * n + 1, stride, dtype=float))
-    out.setflags(write=False)
-    return out
+    w = (d[n] - d[:n]) / d[n]
+    w[1::2] = -w[1::2]
+    return w
 
 
 # The validated domain of zeta and beta: their accuracy target is tested on
@@ -305,62 +301,111 @@ def _series_order(s) -> np.ndarray:
     return np.maximum(24, n.astype(int) + 4)
 
 
-# terms per block of a bucket's term matrix, which bounds its memory
+# entries per column block of the power table, (table rows x columns),
+# which bounds a block's memory at any height
 _BLOCK = 1 << 14
-# buckets with fewer rows take the scalar Kahan loop row by row: below this
-# the column loop's per-step NumPy overhead costs more than it saves (at
-# order 41 on a 2-vCPU Xeon VM, 8 rows cost ~0.14 ms either way)
-_MIN_ROWS = 8
+# tables are planned for orders rounded up to a multiple of this, so that a
+# batch over all orders of the validated domain builds 14 plans, not 104
+_PLAN_STEP = 8
 
 
-def _series_row(s: complex, n: int, stride: int) -> complex:
-    """One point's series of order n: the scalar Kahan loop over the terms
-    (-1)^k w_k (1 + stride k)^(-s)."""
-    terms = _borwein_weights(n) * np.exp(-s * _log_bases(n, stride))
-    terms[1::2] = -terms[1::2]
-    return _kahan(terms)
+def _plan_order(n: int) -> int:
+    """The order of the table plan that serves order n."""
+    return -(-n // _PLAN_STEP) * _PLAN_STEP
 
 
-def _borwein_series(s: np.ndarray, stride: int) -> np.ndarray:
-    """sum_k (-1)^k w_k (1 + stride k)^(-s) for each s of a 1-D complex
-    array, w the Borwein weights of order ``_series_order(s)``.
+@lru_cache(maxsize=128)
+def _sieve_plan(n: int, strides: tuple):
+    """How to build the table of m^(-s) over the bases m = 1 + stride k,
+    k < n, of every stride: row 0 holds m = 1, then come the primes, then
+    the composites level by level in Omega(m), the number of prime factors
+    with multiplicity, each the product of the rows of its smallest prime
+    factor and cofactor.  Returns (log of the primes, the levels as (first
+    row, end row, factor rows, cofactor rows), the rows of each stride's
+    terms, the number of rows)."""
+    bases = [1 + stride * np.arange(n) for stride in strides]
+    top = max(b[-1] for b in bases) + 1
+    spf = np.arange(top)  # smallest prime factor
+    for p in range(2, math.isqrt(top - 1) + 1):
+        spf[p * p::p] = np.minimum(spf[p * p::p], p)
+    omega, rest = np.zeros(top, dtype=int), np.maximum(np.arange(top), 1)
+    while (left := rest > 1).any():
+        omega, rest = omega + left, np.where(left, rest // spf[rest], rest)
+    ms = np.flatnonzero(np.bincount(np.concatenate(bases)))
+    ms = ms[np.argsort(omega[ms], kind="stable")]
+    row = np.empty(top, dtype=int)
+    row[ms] = np.arange(ms.size)
+    starts = np.searchsorted(omega[ms], range(1, omega[ms[-1]] + 2)).tolist()
+    levels = [(lo, hi, row[spf[ms[lo:hi]]], row[ms[lo:hi] // spf[ms[lo:hi]]])
+              for lo, hi in zip(starts[1:], starts[2:])]
+    return (np.log(ms[starts[0]:starts[1]]), levels, [row[b] for b in bases],
+            ms.size)
 
-    Points are bucketed by series order.  A bucket builds its (order x
-    rows) term matrix at most ``_BLOCK`` terms at a time and sums it with
-    ``_kahan_columns``; buckets of fewer than ``_MIN_ROWS`` rows take
-    ``_series_row`` point by point.
+
+def _column_blocks(orders: np.ndarray, strides: tuple) -> list:
+    """(lo, hi) of the column blocks of the ascending ``orders``: as many
+    columns as keep the table of the largest order within ``_BLOCK``
+    entries, and at least one."""
+    rows = _sieve_plan(_plan_order(int(orders[-1])), strides)[3]
+    width = max(1, _BLOCK // rows)
+    return [(lo, min(lo + width, orders.size))
+            for lo in range(0, orders.size, width)]
+
+
+def _borwein_series(s: np.ndarray, strides: tuple) -> np.ndarray:
+    """sum_k w_k (1 + stride k)^(-s), k < n, for each s of a 1-D complex
+    array and each stride of ``strides`` ((1,), (2,) or (1, 2)), w the
+    signed Borwein weights of the order n = ``_series_order(s)``: one row of
+    sums per stride, at the points where the series serves, Re(s) >= -1,
+    and 0 at the rest.
+
+    The points run sorted by order, in column blocks.  A block builds one
+    table of m^(-s) for all its strides: an exp at the primes, a product of
+    two rows at each composite.  A column's terms are its weights times its
+    table rows, then zeros, summed in row order by one cumsum: every point
+    gets its own terms in a fixed order, and the same bits in any batch.
     """
-    out = np.empty(s.size, dtype=complex)
-    if not s.size:
+    out = np.zeros((len(strides), s.size), dtype=complex)
+    series = np.flatnonzero(s.real >= -1.0)
+    if not series.size:
         return out
-    orders = _series_order(s)
-    by_order = np.argsort(orders, kind="stable")
-    runs = np.flatnonzero(np.diff(orders[by_order])) + 1
-    for rows in np.split(by_order, runs):  # one bucket per series order
-        n = int(orders[rows[0]])
-        if len(rows) < _MIN_ROWS:
-            for i in rows:
-                out[i] = _series_row(complex(s[i]), n, stride)
-            continue
-        w = _borwein_weights(n)[:, None]
-        log_bases = _log_bases(n, stride)[:, None]
-        width = _BLOCK // n
-        for lo in range(0, len(rows), width):
-            block = rows[lo:lo + width]
-            # in place: the block's only (n x rows) array
-            terms = -s[block] * log_bases
-            np.multiply(w, np.exp(terms, out=terms), out=terms)
-            np.negative(terms[1::2], out=terms[1::2])
-            out[block] = _kahan_columns(terms)[0]
+    orders = _series_order(s[series])
+    by_order = series[np.argsort(orders, kind="stable")]
+    orders = np.sort(orders, kind="stable")
+    blocks = _column_blocks(orders, strides)
+    size = _sieve_plan(_plan_order(int(orders[-1])), strides)[3] \
+        * (blocks[0][1] - blocks[0][0])
+    table, terms = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    for lo, hi in blocks:
+        n = int(orders[hi - 1])
+        log_primes, levels, stride_rows, rows = _sieve_plan(_plan_order(n),
+                                                            strides)
+        p = table[:rows * (hi - lo)].reshape(rows, hi - lo)
+        t = terms[:n * (hi - lo)].reshape(n, hi - lo)
+        p[0] = 1.0
+        primes = p[1:1 + log_primes.size]
+        np.exp(np.multiply.outer(log_primes, -s[by_order[lo:hi]], out=primes),
+               out=primes)
+        for first, end, factor_rows, cofactor_rows in levels:
+            np.multiply(p[factor_rows], p[cofactor_rows], out=p[first:end])
+        cuts = [0, *(np.flatnonzero(np.diff(orders[lo:hi])) + 1), hi - lo]
+        for i, term_rows in enumerate(stride_rows):
+            np.take(p, term_rows[:n], axis=0, out=t)
+            for a, b in zip(cuts, cuts[1:]):  # a run of one order
+                order = int(orders[lo + a])
+                t[:order, a:b] *= _borwein_weights(order)[:, None]
+                t[order:, a:b] = 0.0
+            out[i, by_order[lo:hi]] = np.cumsum(t, axis=0, out=t)[-1]
     return out
 
 
-def _continue(s: np.ndarray, reflect: np.ndarray, series, front, fn):
-    """fn at every point of s: ``series`` of the points where ``reflect`` is
-    False, and front(s) fn(1 - s) where it is True, from one recursive call
-    of fn on the mirrored points."""
+def _continue(s: np.ndarray, reflect: np.ndarray, values: np.ndarray,
+              front, fn) -> np.ndarray:
+    """fn at every point of s: ``values`` at the points where ``reflect``
+    is False, and front(s) fn(1 - s) where it is True, from one recursive
+    call of fn on the mirrored points."""
     out = np.empty_like(s)
-    out[~reflect] = series(s[~reflect])
+    out[~reflect] = values
     if reflect.any():
         mirror = fn(1.0 - s[reflect])
         out[reflect] = [front(x) * z
@@ -385,19 +430,24 @@ def _zeta_front(s: complex) -> complex:
         * complex_gamma(1.0 - s)
 
 
-def riemann_zeta_array(s) -> np.ndarray:
-    """Riemann zeta at every point of a 1-D array, PoleError at s = 1:
-    Borwein-accelerated eta series for Re(s) >= -1, functional-equation
-    reflection for Re(s) < -1 and near the eta denominator zeros."""
-    s = _as_array(s)
+def _zeta_from_eta(s: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """zeta at every point of s from its eta sums of ``_borwein_series``;
+    PoleError at s = 1."""
     if np.any(s == 1.0):
         raise PoleError("Riemann zeta has its pole at s = 1",
                         location=complex(1.0))
     denom = _eta_denominator(s)
     reflect = denom == 0.0
-    return _continue(s, reflect,
-                     lambda x: _borwein_series(x, 1) / denom[~reflect],
+    return _continue(s, reflect, eta[~reflect] / denom[~reflect],
                      _zeta_front, riemann_zeta_array)
+
+
+def riemann_zeta_array(s) -> np.ndarray:
+    """Riemann zeta at every point of a 1-D array, PoleError at s = 1:
+    Borwein-accelerated eta series for Re(s) >= -1, functional-equation
+    reflection for Re(s) < -1 and near the eta denominator zeros."""
+    s = _as_array(s)
+    return _zeta_from_eta(s, _borwein_series(s, (1,))[0])
 
 
 def riemann_zeta(s: complex) -> complex:
@@ -412,18 +462,32 @@ def _beta_front(s: complex) -> complex:
         * (complex_gamma(0.5 * (2.0 - s)) * reciprocal_gamma(0.5 * (s + 1.0)))
 
 
+def _beta_from_series(s: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """beta at every point of s from its sums of ``_borwein_series``."""
+    reflect = s.real < -1.0
+    return _continue(s, reflect, series[~reflect], _beta_front,
+                     dirichlet_beta_array)
+
+
 def dirichlet_beta_array(s) -> np.ndarray:
     """Dirichlet beta (the L-function of the odd character mod 4; entire)
     at every point of a 1-D array: accelerated alternating series for
     Re(s) >= -1, reflection below."""
     s = _as_array(s)
-    return _continue(s, s.real < -1.0, lambda x: _borwein_series(x, 2),
-                     _beta_front, dirichlet_beta_array)
+    return _beta_from_series(s, _borwein_series(s, (2,))[0])
 
 
 def dirichlet_beta(s: complex) -> complex:
     """``dirichlet_beta_array`` at one point."""
     return dirichlet_beta_array([s])[0]
+
+
+def zeta_beta_arrays(s) -> tuple[np.ndarray, np.ndarray]:
+    """``riemann_zeta_array(s)`` and ``dirichlet_beta_array(s)``, with
+    their bits, from one power table per block for both series."""
+    s = _as_array(s)
+    eta, series = _borwein_series(s, (1, 2))
+    return _zeta_from_eta(s, eta), _beta_from_series(s, series)
 
 
 _BERNOULLI_MAX = 64

@@ -9,11 +9,11 @@ with the rounding error of every addition recovered exactly (TwoSum) and
 carried up the tree beside the sums.  The bracketing depends only on the
 length of the input, so repeated calls are bit-identical.
 
-The Kahan recurrence has two forms: the scalar loop ``_kahan`` sums inputs
-of at most 64 elements and one point's Borwein series in ``special``;
-``_kahan_columns`` runs it down the rows of a 2-D array, on the leaves here
-and on the term matrices of the batched Borwein series.  Each column sees
-the scalar loop's operations, so its sum has the scalar loop's bits.
+The Kahan recurrence has one form, ``_kahan_columns``, which runs it down
+the rows of a 2-D array, one NumPy operation per row for all columns: on
+the leaves here, and on one column for inputs of at most 64 elements.
+Each column sees the operations of the scalar Kahan loop, so its sum has
+that loop's bits.
 
 Error: the Kahan bound 2 eps sum|leaf| + O(64 eps^2 sum|leaf|) per leaf,
 the carried tree errors leave O(L eps^2) sum|x|, and one final rounding
@@ -27,18 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 _LEAF = 64
-
-
-def _kahan(values: np.ndarray) -> complex:
-    """Kahan-compensated sum in input order."""
-    s = 0.0 + 0.0j
-    c = 0.0 + 0.0j
-    for v in values:
-        y = v - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
 
 
 def _kahan_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,11 +50,11 @@ def pairwise_sum(values: np.ndarray) -> complex:
     """
     values = np.asarray(values).ravel()
     n = values.size
+    dtype = np.result_type(values.dtype, np.float64)
     if n <= _LEAF:
-        return _kahan(values)
+        return complex(_kahan_columns(values.astype(dtype)[:, None])[0][0])
     width = -(-n // _LEAF)
-    leaves = np.zeros((_LEAF, width),
-                      dtype=np.result_type(values.dtype, np.float64))
+    leaves = np.zeros((_LEAF, width), dtype=dtype)
     leaves.ravel()[:n] = values
     s, c = _kahan_columns(leaves)
     s = s - c  # each leaf's last correction, not yet applied

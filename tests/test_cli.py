@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import toruszeta
@@ -206,18 +207,20 @@ def test_coeff_a_reports_achieved_error(capsys):
 
 
 def test_cli_import_builds_no_tables():
-    # Gauss-Legendre rules and Bernoulli numbers are built on first use, so
-    # a CLI job that needs neither does not pay for them at import
+    # Gauss-Legendre rules, Bernoulli numbers, Borwein weights and sieve
+    # plans are built on first use, so a CLI job that needs none of them
+    # does not pay for them at import
     probe = ("import toruszeta.cli\n"
              "from toruszeta.quadrature import _gl_rule\n"
-             "from toruszeta.special import _bernoulli_numbers\n"
-             "print(_gl_rule.cache_info().currsize,"
-             " _bernoulli_numbers.cache_info().currsize)")
+             "from toruszeta.special import (_bernoulli_numbers,\n"
+             "    _borwein_weights, _sieve_plan)\n"
+             "print(*(f.cache_info().currsize for f in (_gl_rule,\n"
+             "    _bernoulli_numbers, _borwein_weights, _sieve_plan)))")
     src = os.path.dirname(os.path.dirname(toruszeta.__file__))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert done.stdout.split() == ["0", "0"]
+    assert done.stdout.split() == ["0", "0", "0", "0"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -437,3 +440,54 @@ def test_non_finite_record_mid_batch_exits_3_after_the_prefix(
         with open(path, newline="") as fh:
             out = fh.read()
     assert out == expect
+
+
+_COLUMNS = ("quantity", "s_re", "s_im", "n", "value_re", "value_im",
+            "err_est", "meta")
+
+
+def _reference_text(records, fmt) -> str:
+    """The rows of one-row records as the csv and json modules write their
+    cells: the former per-row writer, kept as the reference."""
+    buf = io.StringIO()
+    rows = csv.writer(buf)
+    if fmt == "csv":
+        rows.writerow(_COLUMNS)
+    else:
+        buf.write("[")
+    for i, rec in enumerate(records):
+        cells = [rec.quantity,
+                 "" if rec.s is None else _g17(rec.s.real),
+                 "" if rec.s is None else _g17(rec.s.imag),
+                 "" if rec.n is None else str(rec.n),
+                 _g17(rec.value.real), _g17(rec.value.imag),
+                 "" if rec.err_est is None else _g17(rec.err_est),
+                 ";".join(f"{k}={v}" for k, v in sorted(rec.meta.items()))]
+        if fmt == "csv":
+            rows.writerow(cells)
+        else:
+            buf.write(",\n " if i else "\n ")
+            buf.write(json.dumps(dict(zip(_COLUMNS, cells)), sort_keys=True))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad_row", [None, 0, 2])
+def test_a_columnar_record_writes_the_bytes_of_its_rows(fmt, bad_row,
+                                                        capsys):
+    # constant cells that need quoting or escaping, and a % sign
+    meta = {"source": 'a,b "c"\n100%', "ünï": "x"}
+    s = np.array([0.5 + 14.1j, -0.0 + 1e-300j, 0.5 - 25.0j])
+    value = np.array([14.1, -2.5e17 + 1j / 3.0, 0.1])
+    if bad_row is not None:
+        value[bad_row] = complex(0.0, float("inf"))
+    err = np.array([1e-9, 0.0, 3.0])
+    record = ScanRecord(s, "zero", value, n=7, err_est=err, meta=meta)
+    rows = [ScanRecord(complex(a), "zero", complex(v), n=7, err_est=float(e),
+                       meta=meta)
+            for a, v, e in zip(s, value, err)][:bad_row]
+    expect = _reference_text(rows, fmt)
+    if bad_row is None and fmt == "json":
+        expect += "\n]\n"
+    assert _writer_output([record], fmt, None, True, capsys) \
+        == (bad_row is not None, expect)

@@ -127,6 +127,10 @@ def test_zero_denominator_reporting():
 def test_scan_record_registry():
     with pytest.raises(ValueError):
         ScanRecord(s=0.5 + 1j, quantity="not_registered", value=1.0)
+    # the columns of one batch of rows have one length
+    with pytest.raises(ValueError):
+        ScanRecord(s=np.array([0.5 + 1j, 0.5 + 2j]), quantity="xi",
+                   value=np.ones(3))
 
 
 def test_monotonicity_scan_theorem_regime():

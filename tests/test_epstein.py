@@ -245,3 +245,19 @@ def test_xi_at_the_negative_integers():
     for pole in (0.0, 1.0):
         with pytest.raises(PoleError):
             complete_xi(pole)
+
+
+def test_xi_is_exactly_real_on_the_real_axis():
+    # pi^(-s) Gamma(s) takes Gamma's sign from the reflection, not from
+    # exp(+-i pi), so no imaginary rounding is left over
+    points = [-0.5, -2.5, 0.3, 3.5]
+    for val in list(complete_xi_array(points)) \
+            + [complete_xi(s) for s in points]:
+        assert val.imag == 0.0 and val.real != 0.0
+    # the real lgamma leaves the series as the main error: zeta(-0.5) is good
+    # to ~2e-14, since the rounding of 2^0.5 enters every even power of the
+    # sieved table with one sign
+    assert abs(complete_xi(-0.5) - complete_xi(1.5)) \
+        <= 5e-14 * abs(complete_xi(1.5))
+    assert abs(complete_xi(-2.5) - complete_xi(3.5)) \
+        <= 1e-14 * abs(complete_xi(3.5))

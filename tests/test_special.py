@@ -14,7 +14,8 @@ from toruszeta.special import (EULER_GAMMA, bernoulli_fraction,
                                complex_gamma, complex_log_gamma,
                                complex_log_gamma_array, digamma,
                                dirichlet_beta, dirichlet_beta_array,
-                               riemann_zeta, riemann_zeta_array)
+                               riemann_zeta, riemann_zeta_array,
+                               zeta_beta_arrays)
 
 # golden values pinned offline with an arbitrary-precision oracle (30 digits)
 GAMMA_HALF_14I = complex(-4.05370307803728149e-10, -5.77329983455360516e-10)
@@ -205,10 +206,14 @@ def _bits(values) -> np.ndarray:
 
 
 def _assert_batched_matches_scalar(points):
-    for scalar, batched in ((riemann_zeta, riemann_zeta_array),
-                            (dirichlet_beta, dirichlet_beta_array)):
+    shared = zeta_beta_arrays(points)
+    for scalar, batched, both in ((riemann_zeta, riemann_zeta_array,
+                                   shared[0]),
+                                  (dirichlet_beta, dirichlet_beta_array,
+                                   shared[1])):
         expect = np.array([scalar(s) for s in points], dtype=complex)
         assert np.array_equal(_bits(batched(points)), _bits(expect))
+        assert np.array_equal(_bits(both), _bits(expect))
 
 
 # spacing of the zeros 1 + 2 pi i k / ln 2 of the eta denominator, where
@@ -226,13 +231,11 @@ def _mixed_points(draw):
         st.floats(-0.03, 0.03), st.floats(-0.03, 0.03))
     points = draw(st.lists(st.one_of(anywhere, reflected, near_eta_zero),
                            max_size=30).map(lambda p: [s for s in p if s != 1]))
-    # Re(s) >= 1/2 at one height shares a series order: a bucket wide
-    # enough for the batched column loop (Re(s) = 1 excluded: at height 0
-    # it is the pole)
+    # Re(s) >= 1/2 at one height shares a series order: several columns of
+    # one order in a block (Re(s) = 1 excluded: at height 0 it is the pole)
     t = draw(st.floats(-100, 100))
     wide = draw(st.lists(st.floats(0.5, 3.0).filter(lambda x: x != 1.0),
-                         min_size=special._MIN_ROWS,
-                         max_size=3 * special._MIN_ROWS))
+                         min_size=8, max_size=24))
     return draw(st.permutations(points + [complex(x, t) for x in wide]))
 
 
@@ -242,12 +245,35 @@ def test_batched_series_is_bit_identical_to_scalar(points):
     _assert_batched_matches_scalar(points)
 
 
-def test_batched_series_spans_several_blocks():
-    # one order-27 bucket of 1500 rows: three blocks of _BLOCK // 27 rows
-    points = 0.5 + np.linspace(0.0, 2.5, 1500)
-    assert special._series_order(complex(points[0])) == 27
-    assert 1500 > 2 * (special._BLOCK // 27)
+def test_batched_series_spans_blocks_and_every_order():
+    # all 104 orders 27..130 of the validated domain, in several column
+    # blocks of both tables, give the bits of one-point calls
+    points = (np.linspace(-1.0, 2.0, 12)[:, None]
+              + 1j * np.linspace(0.0, 100.0, 201)).ravel()
+    orders = np.sort(special._series_order(points))
+    assert set(orders.tolist()) == set(range(27, 131))
+    for strides in ((1,), (2,), (1, 2)):
+        assert len(list(special._column_blocks(orders, strides))) > 3
     _assert_batched_matches_scalar(points)
+
+
+def test_column_blocks_stay_within_the_budget():
+    # each block's power table holds at most _BLOCK entries, unless it is
+    # one column whose table alone is larger (orders past ~10,000)
+    rng = np.random.default_rng(2)
+    for orders in (np.sort(rng.integers(24, 131, 3000)),
+                   np.sort(rng.integers(24, 1201, 300)),
+                   np.array([27, 15_000, 20_000])):
+        for strides in ((1,), (2,), (1, 2)):
+            blocks = special._column_blocks(orders, strides)
+            assert [lo for lo, _ in blocks] \
+                == [0] + [hi for _, hi in blocks][:-1]
+            assert blocks[-1][1] == orders.size
+            for lo, hi in blocks:
+                rows = special._sieve_plan(
+                    special._plan_order(int(orders[hi - 1])), strides)[3]
+                assert rows >= orders[hi - 1]
+                assert rows * (hi - lo) <= special._BLOCK or hi - lo == 1
 
 
 def test_batched_series_empty_and_pole():
@@ -361,3 +387,87 @@ def test_series_orders_match_the_per_point_formula():
     # every order of the domain is one the weights memo holds
     assert orders.min() == 27 and orders.max() == 130
     assert special._borwein_weights.cache_info().maxsize >= 130 - 27 + 1
+
+
+# (Re s, Im s, zeta(s), beta(s)): 42 random points of Re(s) in [-0.9, 1.9],
+# |Im(s)| <= 100, 8 points 0.05 above critical-line zeros, 7 hand-picked
+# points (the real axis among them) and 3 at |Im(s)| in [600, 800], pinned
+# offline with an arbitrary-precision oracle (30 digits)
+_GOLDEN_SERIES = np.array([
+    (1.548957, 84.17885, 0.8233621887623289, -0.13454412673878993, 0.8911084667405188, -0.11385467832617863),
+    (0.18109, -29.28892, 0.19048921406281713, 2.190812177737273, 1.1146489701730307, 0.9756962597858404),
+    (-0.804645, 27.594281, 10.009039517800755, 1.3937488067581099, -10.42894119972819, -41.4079889083171),
+    (1.155446, -91.136999, 2.052878683090727, 0.5739857193321541, 0.7051797577467098, 0.2019979075653024),
+    (1.505271, -33.157552, 0.6777504258868261, -0.3034548787630098, 0.881060426874712, 0.10888568938960218),
+    (1.255871, 40.817841, 0.6152906931083841, -0.1153844234373439, 0.8076860948874954, 0.10251074578544617),
+    (0.965681, 48.309778, 0.4720517500520675, -0.1458713803127129, 1.2202825585638861, 0.28534236002719515),
+    (-0.848042, 67.846584, 3.849446951315452, 20.635945935196403, 132.20268449715343, 28.115553941784253),
+    (-0.893488, 1.515368, 0.10548595200460506, -0.12530291673876207, 0.3541988871393837, 1.0279815038092994),
+    (1.813814, 58.197914, 0.8885867205456176, -0.2022149490039342, 0.9319355294108105, 0.1554630181198094),
+    (1.531783, -6.14361, 0.9219508705762213, -0.20925912195474805, 0.7395524683865161, -0.08147531185646073),
+    (1.132519, 98.360127, 1.2222622240577057, -0.12160578824855704, 1.0423022222500444, 0.0022298210264351283),
+    (-0.463963, 12.282631, 0.9648462114773683, -1.5552881243119232, 2.8591196780371946, -6.173872459975647),
+    (-0.211023, 70.026109, -2.6504264575686394, 4.215840949162306, -6.885331996528142, -13.299651145188225),
+    (-0.570084, 8.257599, 1.4499157638781413, 0.667567729306082, 7.532321740743062, 0.7590630774610807),
+    (1.284903, 60.058911, 0.5530001207775278, 0.11161373369240583, 1.1449065758706802, -0.21210499458006757),
+    (1.236773, -88.025931, 0.6249979245107186, -0.14659008380324576, 1.054555306857085, -0.3995033473342696),
+    (-0.412524, 11.6276, 1.5579643209709495, -1.2074830278587472, 6.189347341567119, 0.8248304882973152),
+    (-0.824096, -50.507365, -9.326140162229633, -10.011084818320567, 97.09541634792191, -19.99310312646082),
+    (1.39101, 75.752495, 0.5989050332388235, -0.31975404463293455, 0.9633032856944679, 0.16635597163792326),
+    (-0.520126, 54.10168, 5.77682253409059, 10.65303496154199, 49.112385194351695, 1.3855918877106232),
+    (-0.706739, 47.210435, -11.084638808290858, -4.986137135033329, 23.748316296520354, -59.53986064748713),
+    (-0.566612, -98.242656, 1.7849549968486793, 22.99683944303234, 41.512591275110076, 72.40404408878588),
+    (-0.4999, 92.497615, -6.805218878598548, 13.395306009040654, -50.25969655071571, -18.336805980717582),
+    (0.247979, 57.465462, 2.326202857244242, 0.44136614371721955, 1.5800875743615803, 0.7200101068577234),
+    (1.478547, 13.702231, 0.5621125938681799, -0.09923157796226852, 1.0447493544932698, 0.24503271439673496),
+    (0.463384, 42.859929, 0.6401907053954351, -0.38018515430465766, 3.242163278727603, 1.6292997228252413),
+    (1.454218, -73.333489, 1.5868203395260192, -0.09618045474230415, 0.9351312835864543, 0.138654161843544),
+    (-0.204312, -56.684688, -1.8399832401035265, -3.5840739829097346, -8.478524496045589, 4.771958914670157),
+    (-0.837908, 26.021834, -3.6409959365470987, 6.224686788139999, -35.38540519544873, 28.53736686335746),
+    (1.078373, -25.791971, 0.7196069384541023, -0.6341963735762444, 0.8929713242090944, -0.07076693997309338),
+    (-0.751408, -81.240401, 36.505119058333875, 7.964740100668969, 2.581327322618694, 131.10766948877887),
+    (0.471121, -78.744265, 1.1894412016484017, 0.14249435165505867, -0.23952831632884372, 0.18839237911135964),
+    (0.642109, 68.097988, 1.1777485334043434, 0.4475694545307658, 0.33126562075623417, -0.07396253691062996),
+    (0.819429, -3.435428, 0.6183121199748335, 0.021052384625924687, 1.3938571891847795, 0.05638101326456195),
+    (0.940303, 47.535072, 0.3664356347737067, -0.6981545455584109, 0.9328987512109668, -0.07680506560022567),
+    (0.792544, 82.853671, 0.42327374242499166, -0.3692464135392542, 1.9402077123909232, -0.9915128469702588),
+    (1.519096, -47.557353, 0.7404388416101676, 0.4818764878293401, 1.0493672629149309, -0.056314261187065194),
+    (0.529199, 94.974518, 0.3204846665013092, 0.18973285440763754, 2.8589674501580324, -0.14939136764722405),
+    (1.233587, 9.236805, 1.3161279789841527, 0.05654893222030735, 1.090014047679035, -0.3892273708089332),
+    (-0.594728, 58.30653, 1.7791460914961015, -10.182717805662413, -43.51527048248839, -24.359990249837118),
+    (-0.732187, -73.860212, 28.081085221103464, 11.067670419576954, -74.59012131217649, -72.7322551200701),
+    (0.5, 14.184725, -0.00546037457231292, 0.03944203693174652, 1.99136453289612, 1.1286794530790267),
+    (0.5, 21.07204, 0.01406723674724045, 0.05490964998514472, 0.06487810497586656, -0.9853902779500442),
+    (0.5, 30.474876, 0.035144073058983365, 0.054009455849349575, 1.1018046798426417, 2.042530951142006),
+    (0.5, 49.823832, -0.029692621140843447, 0.06565702691271792, 0.1238341108427688, 0.35184809423242075),
+    (0.5, 6.070949, 0.8486793893316558, 0.34632586354502365, -0.006991128712234705, 0.06547109246853927),
+    (0.5, 10.29377, 1.5357121540466192, -0.22402317083721138, 0.018956953471877078, 0.08834723997068053),
+    (0.5, 18.341993, 2.2042416572157224, -0.5922243063052987, -0.0423054084442093, 0.1072896776712165),
+    (0.5, 23.328377, 1.4301075712631208, -0.14842982414496278, -0.02620306649483986, 0.11720804263139252),
+    (0.2, 95.0, 0.46492490607933373, 0.7328785923671569, 6.432033524459375, -0.33156288968477865),
+    (1.3, -77.5, 0.5955431112303564, -0.19635226434912847, 1.3602778454604258, -0.07150213893647184),
+    (-0.7, 0.0, -0.14623719172590807, 0.0, 0.1699716757167923, 0.0),
+    (-0.5, 0.0, -0.20788622497735457, 0.0, 0.2751797412288203, 0.0),
+    (1.5, 0.0, 2.612375348685488, 0.0, 0.864502653461202, 0.0),
+    (0.5, 0.0, -1.4603545088095868, 0.0, 0.6676914571896092, 0.0),
+    (-0.95, 33.3, -9.40626940069385, -2.468596644001037, 77.16855999409125, 3.102361592368652),
+    (0.5, 650.0, 0.20131776620570188, -0.37174611914040606, 1.5097580261569206, -0.024445097712256277),
+    (0.3, -712.5, 0.9164932728722258, 0.155308457731303, -0.6665134645052293, 6.027013821991086),
+    (1.2, 790.0, 0.8241493721733005, -0.8050127762694675, 0.8003566569241648, -0.047772175323388635),
+])
+
+
+# the largest relative error of zeta or beta on the golden set, inside and
+# outside the validated domain, of the series before the sieved table
+# (one exp per term, Kahan-summed)
+_FORMER_MAX_ERROR = {"domain": 7.36e-14, "outside": 8.79e-13}
+
+
+def test_series_accuracy_on_the_golden_set():
+    s = _GOLDEN_SERIES[:, 0] + 1j * _GOLDEN_SERIES[:, 1]
+    domain = np.abs(s.imag) <= special.SERIES_MAX_IM
+    for fn, col in ((riemann_zeta_array, 2), (dirichlet_beta_array, 4)):
+        ref = _GOLDEN_SERIES[:, col] + 1j * _GOLDEN_SERIES[:, col + 1]
+        err = np.abs(fn(s) - ref) / np.abs(ref)
+        assert err[domain].max() <= _FORMER_MAX_ERROR["domain"]
+        assert err[~domain].max() <= _FORMER_MAX_ERROR["outside"]

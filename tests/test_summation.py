@@ -4,7 +4,19 @@ import math
 
 import numpy as np
 
-from toruszeta.summation import _LEAF, _kahan, pairwise_sum
+from toruszeta.summation import _LEAF, pairwise_sum
+
+
+def _kahan(values):
+    """Kahan-compensated sum in input order: the scalar reference loop."""
+    s = 0.0 + 0.0j
+    c = 0.0 + 0.0j
+    for v in values:
+        y = v - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s
 
 
 def _recursive_pairwise(values):

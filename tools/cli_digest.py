@@ -76,6 +76,7 @@ COMMANDS = (
     "emcheck --m 2 --n 6 --fn square",
     # critical-line scans over many series orders, up to the domain edge
     "scan --kind zeros --t-min 60 --t-max 80",
+    "scan --kind zeros --t-min 1 --t-max 100",
     "scan --kind omega --b 92 --points 301",
     "scan --kind xi-defect --re-min 0.05 --re-max 0.95 --re-points 4 "
     "--im-min -99 --im-max 99 --im-points 9",
