@@ -526,9 +526,24 @@ def _build_config(args) -> RunConfig:
     return RunConfig(**values)
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--s -0.5+3i`` as ``--s=-0.5+3i``: argparse takes a word that
+    starts with '-' for an option, not for the value of the option before
+    it, unless the word is a plain negative decimal."""
+    out = list(argv[:1])
+    for arg in argv[1:]:
+        if arg.startswith("-") and _COMPLEX_RE.match(arg) \
+                and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         cfg = _build_config(args)
         writer = RecordWriter(cfg)

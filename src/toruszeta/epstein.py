@@ -13,10 +13,9 @@ and critical-line zero location via Hardy-rotated real signals.
 zeta(Delta, s), xi2 and the Hardy signals are array-first, one batched
 series pass per call (zeta(Delta, s) takes zeta and beta from one shared
 power table); ``epstein_zeta_2d`` and ``complete_xi`` are the array
-functions at one point.  The Gamma factors (through one batched log-Gamma
-call, and the real lgamma on the real axis) and the products are
-elementwise array operations, so each value has the same bits in any
-batch.
+functions at one point.  The Gamma factors (one batched Gamma call, or
+log-Gamma for the Hardy phases) and the products are elementwise array
+operations, so each value has the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ import numpy as np
 
 from .errors import DomainError, PoleError, StepTooCoarseWarning
 from .lattice import fold_square
-from .special import (_LOG_PI, _as_array, _gamma_poles, _is_gamma_pole,
-                      complex_gamma, complex_log_gamma_array,
-                      dirichlet_beta_array, reciprocal_gamma,
-                      riemann_zeta_array, zeta_beta_arrays)
+from .special import (_LD_LOG_PI, _LOG_PI, _as_array, _gamma_poles,
+                      complex_gamma_array, complex_log_gamma_array,
+                      dirichlet_beta_array, riemann_zeta_array,
+                      zeta_beta_arrays)
 from .summation import pairwise_sum
 
 
@@ -76,17 +75,14 @@ def epstein_direct_sum(s: complex, cutoff: int) -> tuple[complex, float]:
 
 def v_factor(alpha: int, s: complex) -> complex:
     """Front factor V_alpha(s) = 2 sin(pi s) Gamma(1-s) Gamma(alpha) /
-    (pi Gamma(alpha-s)).
-
-    Computed as 2 Gamma(alpha) / (Gamma(s) Gamma(alpha-s)) via reflection,
-    which is finite at the positive integers (it is an entire function of s
-    with zeros where 1/Gamma vanishes).
-    """
+    (pi Gamma(alpha-s)), by reflection 1 / ``v_factor_inv``: an entire
+    function of s, 0 where 1/Gamma(s) or 1/Gamma(alpha-s) vanishes."""
     s = complex(s)
     if alpha < 1:
         raise DomainError("alpha must be a positive integer")
-    return 2.0 * math.factorial(alpha - 1) \
-        * reciprocal_gamma(s) * reciprocal_gamma(alpha - s)
+    if _gamma_poles([s, alpha - s]).any():
+        return 0j
+    return 1.0 / v_factor_inv(alpha, s)
 
 
 def v_factor_inv(alpha: int, s: complex) -> complex:
@@ -94,29 +90,21 @@ def v_factor_inv(alpha: int, s: complex) -> complex:
     s = complex(s)
     if alpha < 1:
         raise DomainError("alpha must be a positive integer")
-    return complex_gamma(s) * complex_gamma(alpha - s) \
-        / (2.0 * math.factorial(alpha - 1))
+    gamma = complex_gamma_array([s, alpha - s])
+    return complex(gamma[0] * gamma[1] / (2.0 * math.factorial(alpha - 1)))
 
 
 def _pi_pow_gamma(s) -> np.ndarray:
-    """pi^(-s) Gamma(s) = exp(log Gamma(s) - s log pi) at every point of a
-    1-D array.  Exactly real on the real axis: there log|Gamma| is the real
-    lgamma, and Gamma's sign that of sin(pi s) in the reflection, negative
-    on (-1, 0), (-3, -2), ..."""
-    s = _as_array(s)
-    out = np.exp(complex_log_gamma_array(s) - s * _LOG_PI)
-    real = s.imag == 0.0
-    x = s.real[real]
-    sign = np.where((x < 0.0) & (np.floor(x) % 2.0 == 1.0), -1.0, 1.0)
-    out[real] = sign * np.exp([math.lgamma(v) for v in x] - x * _LOG_PI)
-    return out
+    """pi^(-s) Gamma(s) at every point of a 1-D array, with -s log pi in
+    Gamma's long-double exponent; exactly real on the real axis."""
+    return complex_gamma_array(s, _LD_LOG_PI)
 
 
 def complete_xi_array(s) -> np.ndarray:
     """Complete Epstein zeta xi2(s) = pi^(-s) Gamma(s) zeta(Delta, s) at
     every point of a 1-D array, from one batched zeta(Delta, s) pass.
 
-    Satisfies xi2(s) = xi2(1-s).  Poles at s = 0 (raised by log-Gamma)
+    Satisfies xi2(s) = xi2(1-s).  Poles at s = 0 (raised by Gamma)
     and s = 1 (raised by zeta).  At s = -k, k = 1, 2, ..., the zero of
     zeta(Delta, s) cancels Gamma's pole, and xi2(-k) is taken as xi2(k+1).
     """
@@ -144,7 +132,7 @@ def omega(s: complex, route: OmegaRoute = OmegaRoute.DIRECT) -> complex:
     cross-checked in the test suite.
     """
     s = complex(s)
-    if _is_gamma_pole(s):
+    if _gamma_poles(s):
         raise PoleError("Omega inherits the Gamma pole", location=s)
     if s == 2.0:
         raise PoleError("Omega has a pole at s = 2 from zeta(Delta, s-1)",

@@ -352,6 +352,22 @@ def test_every_emitted_quantity_is_registered(capsys):
         assert {r["quantity"] for r in rows} <= QUANTITY_REGISTRY, argv
 
 
+def test_negative_complex_after_a_space(capsys):
+    # argparse alone reads "-0.5+3i" and "-1e-3" as options, not as values
+    for argv in (["xi", "--s", "-0.5+3i"], ["xi", "--s", "-1e-3"],
+                 ["omega", "--s", "-0.7-2.5i"],
+                 ["omega", "--s", "-0.7-2.5i", "--ratio", "--route",
+                  "direct"]):
+        spaced = run_cli(argv, capsys)
+        attached = run_cli(argv[:1] + [f"--s={argv[2]}"] + argv[3:], capsys)
+        assert spaced[0] == attached[0] == 0
+        assert spaced[1] == attached[1] and spaced[1].count("\n") == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--kind", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_scan_required_flags(capsys):
     code, _, err = run_cli(["scan", "--kind", "hn"], capsys)
     assert code == 2 and "--s" in err

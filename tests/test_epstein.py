@@ -254,7 +254,7 @@ def test_xi_is_exactly_real_on_the_real_axis():
     for val in list(complete_xi_array(points)) \
             + [complete_xi(s) for s in points]:
         assert val.imag == 0.0 and val.real != 0.0
-    # the real lgamma leaves the series as the main error: zeta(-0.5) is good
+    # the long-double Gamma leaves the series as the main error: zeta(-0.5) is good
     # to ~2e-14, since the rounding of 2^0.5 enters every even power of the
     # sieved table with one sign
     assert abs(complete_xi(-0.5) - complete_xi(1.5)) \

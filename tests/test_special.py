@@ -11,8 +11,9 @@ from toruszeta.errors import PoleError, RangeError, ShapeError
 from toruszeta import special
 from toruszeta.special import (EULER_GAMMA, bernoulli_fraction,
                                bernoulli_number, bernoulli_polynomial,
-                               complex_gamma, complex_log_gamma,
-                               complex_log_gamma_array, digamma,
+                               complex_gamma, complex_gamma_array,
+                               complex_log_gamma, complex_log_gamma_array,
+                               digamma, reciprocal_gamma,
                                dirichlet_beta, dirichlet_beta_array,
                                riemann_zeta, riemann_zeta_array,
                                zeta_beta_arrays)
@@ -34,6 +35,13 @@ def test_gamma_poles():
     for s in (0.0, -1.0, -2.0, -17.0):
         with pytest.raises(PoleError):
             complex_gamma(s)
+        with pytest.raises(PoleError, match="Gamma has a pole"):
+            complex_gamma_array([2.5 + 1.0j, s])
+        assert reciprocal_gamma(s) == 0.0
+    assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi),
+                                                  rel=1e-15)
+    with pytest.raises(PoleError, match="digamma has a pole"):
+        digamma(-3.0)
 
 
 def test_log_gamma_values():
@@ -367,6 +375,96 @@ def test_log_gamma_poles_raise_through_scalar_and_array():
             complex_log_gamma(pole)
         with pytest.raises(PoleError):
             complex_log_gamma_array([2.5 + 1.0j, pole])
+
+
+# (Re s, Im s, Gamma(s), pi^(-s) Gamma(s)): 36 random points of Re(s) in
+# [-10, 3], |Im(s)| <= 200 (8 of them at |Im(s)| >= 100), 14 on the real
+# axis and 10 within 1e-5 of a pole, pinned offline with an
+# arbitrary-precision oracle (30 digits)
+_GOLDEN_GAMMA = np.array([
+    (2.577483, -119.643169, -1.09303394718716403704050132382e-77, 6.05520730106279273705678078519e-78, 1.33746819458570943755162365068e-79, 6.39841125133153493001846240912e-79),
+    (2.353795, 145.408837, -1.52028372097678799066187628454e-95, -5.85127595335082239516473116249e-96, 1.00608992427593535436181782846e-96, 4.46849562298313804376913516143e-97),
+    (1.531861, 18.006732, -1.20847055292413912651585934121e-11, -2.273510008860659801107318968e-11, -3.46367939836608554699818958293e-12, 2.80699390167294159059290184981e-12),
+    (0.39096, -111.677754, 9.74429307128567587205702057392e-77, -8.85553022451257120522253958119e-78, -3.08437593634832673192675017205e-77, 5.44072122155121620535151469602e-77),
+    (0.215241, -90.942644, -5.65238002380786510934436022024e-64, 6.30344633434900007780077391978e-63, 2.46490999177445728187826984173e-63, -4.28875784633191163353195007414e-63),
+    (1.748501, 140.328914, -1.77803367414562362337767536663e-93, 1.35255369039939240223231556248e-93, 1.4551895956143632532923891991e-94, -2.64478767861386763948536027177e-94),
+    (0.597797, 15.870775, -4.86158801571213394559981046535e-11, 5.602554399548702147546504186e-12, -2.08219889410441669416720383927e-11, -1.32603383901849284324060717932e-11),
+    (2.771804, -104.168338, 8.31068166907455421076614931569e-67, -5.70037753006118175710166215315e-68, 3.41600239555664754071226632066e-68, -7.08101820572653418924989852565e-69),
+    (2.403066, 159.045054, -1.21719680190292083573269343018e-104, 1.80631884772798680651107982404e-105, -7.85971217057181933526945443649e-106, -1.11820633262711496992287556957e-108),
+    (0.377218, 35.455965, -1.02066173087730172665519192979e-24, 2.46353035317532021967974346746e-25, 6.81687728316784404422262058211e-25, 1.1157190616561949772401829067e-26),
+    (2.787196, 42.76061, -3.65526904490493571618008132564e-26, 8.3389554029370884385388195957e-26, -3.69952679900260628917545928166e-27, -5.91146699947738021333322738748e-28),
+    (2.465025, 150.281988, -1.39010878249356120650731472576e-98, 3.47262452155347338275777796142e-99, 7.43822354850559639520453874304e-100, 4.16565187689437158879193094119e-100),
+    (1.529007, 152.189215, 8.21252817336665818862332811121e-104, -6.65372143809618532773719135727e-102, 1.1420919087495717598494606884e-102, 1.78679954745654705211187894913e-103),
+    (0.334481, 162.223475, -2.28190071540016082515701891449e-111, -4.43202806920165718088262543902e-112, 1.56576565454282786244343229019e-111, -2.46672129863288920961815368664e-112),
+    (-5.148183, 128.511489, -6.05155009792059092081442026763e-100, 2.5593353582864129529581176767e-100, 2.3578210949146872877120773855e-97, 3.41418674707025685202819942031e-98),
+    (-4.436342, 75.589365, -1.06566681851009857160424930352e-62, -3.61826048545064232291773785407e-61, 5.73155438834388467689860144588e-59, -9.54684534166742126742345167469e-60),
+    (-2.144303, 50.210904, -2.99140682944070475929757516066e-39, -3.28773030874236330097560685167e-39, -5.15079560218820976482030784354e-38, 4.99638764585594343026478971226e-39),
+    (-0.772985, 27.238559, -4.80588314343733827238556976907e-21, -8.51231512325588806801498459125e-21, -6.51811605899357873648131288469e-21, -2.27673320681567745828778183003e-20),
+    (-9.67789, 19.078934, 1.38794275920682508797762825499e-26, -3.64886273884519993505476818978e-27, -9.24259270060017355084519832299e-22, 9.84870717965543482431097449609e-23),
+    (-2.872353, 160.913754, -7.92068625271740203896725726606e-118, -1.30663904359445428204338508577e-117, -2.33240144849821447593663875883e-116, 3.36412154379955942095221496898e-116),
+    (-9.026882, -176.836633, 1.9087679730135275159683428074e-142, -1.15874622303732718832634934389e-142, 4.66961838208901814901090046179e-138, 5.03116456524102924229078673971e-138),
+    (-2.915545, -16.126309, -9.90685797246961249253631261348e-16, 1.54042833973086025439940400989e-15, -9.34331614608088819449092190774e-15, 5.0701048035230236318310960189e-14),
+    (-7.716534, 194.944056, -3.91215094432723602695598599574e-152, 3.73353119164128761495553842163e-153, 2.6416944673601706085694082061e-148, -5.36473404892763761500214071344e-149),
+    (-5.2645, 4.999685, -0.0000000291114903913049060072519405874, -0.0000000198178905400819148151129456031, -0.0000058577661097363417830949067193, -0.0000133602682381877961901065853428),
+    (-1.313376, -27.733232, 1.78058092422878915624361420811e-22, 7.06676301121933755974155327032e-22, -2.75975889992829156114891601482e-22, 3.26577365527662024087494357693e-21),
+    (-8.023984, 99.513315, 1.49033583453835058013396590012e-85, -2.60962823037824797671128379081e-85, -8.65119300733170165295706594483e-82, -2.80028167784019616208408374267e-81),
+    (-0.525814, 28.844648, -1.44672170838486196197020972438e-21, -8.42410537936452467776650365239e-22, -1.45099007833503164979367045618e-21, 2.6898868325241698056592762497e-21),
+    (-1.739847, -120.990781, -1.54414737055746059489334046284e-87, 2.75851699434884348442454442399e-88, -1.14423759358049354034504886035e-86, -1.08924066660869410997048694956e-87),
+    (2.80364, -152.375551, 6.11903246616677670343187280779e-100, -2.95006016722252686713857715451e-99, -1.17089681088167417655129237272e-100, -3.30335679416761975298420746963e-101),
+    (-6.024895, -103.770509, -2.82170168989272814854805432634e-84, -1.9546701391310522893415408163e-85, -2.42503656459281543238266505576e-81, 1.39543325297490490655425304039e-81),
+    (-9.897448, 170.352031, -9.36731084667473548174020910387e-140, -2.2539556065210606697500823229e-140, -8.0230317433122828892524271548e-135, -6.26930359247884087724654775201e-137),
+    (-7.347699, -176.466215, 5.3289228482282115492328326642e-139, -2.35983964107829250285653092141e-138, 1.00011518951160447566743634857e-134, -4.28138035417834962772793746214e-135),
+    (-9.009753, -183.526535, -3.35468041655697309427352692519e-147, 3.265572795118179357962503686e-147, 5.50153592674094423472439626941e-143, -1.29957269089966492591832302419e-142),
+    (-7.547767, -152.360099, -6.68191333834416379340472048215e-122, 4.01976638237698775350489378352e-122, 2.0704302060322885406090168131e-118, 3.89270606009411193772157607765e-118),
+    (-1.0931, -141.01227, 9.93750919839347407951964838218e-101, -5.91770493679546290646364113357e-100, -2.05335819173152368920232386525e-99, 4.26262962241665581486209157853e-100),
+    (-4.806552, 144.578837, 1.65576683597632986270676754936e-110, 1.16150035816915627608384499035e-110, 2.06384122563200359866595430356e-109, -4.95560187253915004989490131178e-108),
+    (0.5, 0.0, 1.77245385090551602729816748334, 0.0, 1.0, 0.0),
+    (1.0, 0.0, 1.0, 0.0, 0.318309886183790671537767526745, 0.0),
+    (2.5, 0.0, 1.32934038817913702047362561251, 0.0, 0.0759908877317533285829095974073, 0.0),
+    (3.0, 0.0, 2.0, 0.0, 0.0645030688663989783688441053771, 0.0),
+    (0.001, 0.0, 999.423772484595445298321040722, 0.0, 998.280356799518916009007691587, 0.0),
+    (1e-07, 0.0, 9999999.4227844344565764791421, 0.0, 9999998.27805468020308649810345, 0.0),
+    (-0.5, 0.0, -3.54490770181103205459633496668, 0.0, -6.28318530717958647692528676656, 0.0),
+    (-1.5, 0.0, 2.36327180120735470306422331112, 0.0, 13.1594725347858114917793213332, 0.0),
+    (-2.7, 0.0, -0.931082784838963965458595939287, 0.0, -20.4782553074750998370954209184, 0.0),
+    (-3.3, 0.0, 0.438517392198763089242153946801, 0.0, 19.1682031119618966083854841076, 0.0),
+    (-9.5, 0.0, 0.00000277212791157510213205870459158, 0.0, 0.146466079294720512415132764265, 0.0),
+    (-7.25, 0.0, 0.000530397706352147861852210714986, 0.0, 2.13274147355070336812889526879, 0.0),
+    (0.3, 0.0, 2.9915689876875907446421606752, 0.0, 2.12204241680917754186102490255, 0.0),
+    (2.999, 0.0, 1.99815567722003505238059499806, 0.0, 0.0645173993660819086622542219899, 0.0),
+    (-1e-09, 0.0, -1000000000.57721560360899739906, 0.0, -1000000001.72194549077435685294, 0.0),
+    (-2.99999999, 0.0, -16666666.9773107986894941271547, 0.0, -516771281.721279608278572183224, 0.0),
+    (-5.000001, 0.0, 8333.31911454636074254165293587, 0.0, 2550162.60789431862866787062849, 0.0),
+    (-9.99999, 0.0, 0.0275579673170201281148066183448, 0.0, 2580.72028920313534209572364013, 0.0),
+    (-2.0, 1e-07, 0.46139216754922636480922728809, -4999999.99999990656463454208801, -1.09525739224678793030267416731, -49348022.0054460688765381958799),
+    (0.0, 1e-06, -0.577215664900625381530432185871, -999999.999999010989256561183331, -1.72194555074826514988490288241, -999999.99999769502997859147839),
+    (-4.0, -1e-09, 0.0627549028513250195772811385955, 41666666.6666666639604141974025, 1.46676897550605462601779510327, 4058712126.41676795890975640387),
+    (-6.9999999999, 1e-10, -992063.492463417496276696236608, 992063.40997979407125191529265, -2996322647.12585644435183280817, 2996322398.68712322769932147634),
+    (1e-12, 0.0, 999999999999.42280444845182694, 0.0, 999999999998.278074562603742725, 0.0),
+    (-6.00000000001, 0.0, -138888877.394570556045472308876, 0.0, -133526265836.474032074310470675, 0.0),
+])
+
+
+def test_gamma_accuracy_on_the_golden_set():
+    s = _GOLDEN_GAMMA[:, 0] + 1j * _GOLDEN_GAMMA[:, 1]
+    right = s.real > 0.0
+    for log_base, col in ((0.0, 2), (special._LD_LOG_PI, 4)):
+        ref = _GOLDEN_GAMMA[:, col] + 1j * _GOLDEN_GAMMA[:, col + 1]
+        got = complex_gamma_array(s, log_base)
+        err = np.abs(got - ref) / np.abs(ref)
+        assert err[right].max() <= 5e-15
+        assert err[~right].max() <= 1e-14
+        # pi^(-s) Gamma(s) and Gamma(s) are exactly real on the real axis
+        assert not got[s.imag == 0.0].imag.any()
+    one_point = [complex_gamma(z) for z in s]
+    assert np.array_equal(_bits(one_point), _bits(complex_gamma_array(s)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_log_gamma_points, max_size=40))
+def test_gamma_one_point_and_batched_bits_agree(points):
+    one = [complex_gamma(s) for s in points]
+    assert np.array_equal(_bits(complex_gamma_array(points)), _bits(one))
 
 
 def _reference_series_order(s: complex) -> int:

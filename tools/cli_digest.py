@@ -84,6 +84,11 @@ COMMANDS = (
     "xi --s 3",
     "scan --kind xi-defect --re-min 2 --re-max 3 --re-points 2 "
     "--im-min 0 --im-max 1 --im-points 2",
+    # the reflections: both zeta/beta fronts, Gamma's inside pi^(-s) Gamma(s),
+    # V_2 at height
+    "epstein --s=-2.5+40i",
+    "xi --s=-0.5+3i",
+    "coeff b0 --s 0.3+150i",
     # global flags
     "--format json scan --kind xi-defect --re-points 3 --im-points 2",
     "--format json expansion --s 0.3+2i --variant nine --n-list 32,64,128",
