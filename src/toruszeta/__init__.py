@@ -17,7 +17,7 @@ from .errors import (ConvergenceError, DegenerateError, DescriptorError,
                      DomainError, IllConditionedError, NonFiniteError,
                      PoleError, RangeError, ShapeError, SignalLostError,
                      StepTooCoarseWarning, TorusZetaError,
-                     ZeroDenominatorError)
+                     ZeroDenominatorError, ZeroShortfallWarning)
 from .expansion import (ExpansionResult, TaylorCoefficient,
                         angular_lattice_sum, coeff_b0,
                         coeff_b1, coeff_b1_tilde, em_verify,

@@ -385,13 +385,16 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
         if args.t_min >= args.t_max:
             return
         _require_series_domain(args.t_max, cfg)
-        recs = epstein.find_critical_zeros(args.t_min, args.t_max, args.step)
+        recs = epstein.find_critical_zeros(args.t_min, args.t_max, args.step,
+                                           strict=cfg.strict)
         ts = np.array([r.t for r in recs])
         residuals = np.array([r.residual for r in recs])
         sources = [r.source.value for r in recs]
         w.write_all(ScanRecord(_points(0.5, ts[lo:hi]), "zero", ts[lo:hi],
                                err_est=residuals[lo:hi],
-                               meta={"source": sources[lo]})
+                               meta={"source": sources[lo],
+                                     "expected": str(recs[lo].expected),
+                                     "found": str(recs[lo].found)})
                     for lo, hi in _runs(sources))
     elif kind == "hn":
         if args.s is None:
@@ -486,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=101)
     sp.add_argument("--t-min", type=float, default=1.0)
     sp.add_argument("--t-max", type=float, default=20.0)
-    sp.add_argument("--step", type=float, default=0.02)
+    sp.add_argument("--step", type=float, default=None,
+                    help="zero scan: the largest sampling spacing in t "
+                         "(default: Gram points only)")
     sp.add_argument("--s", default=None)
     sp.add_argument("--n-list", default="32,64,128,256")
     sp.add_argument("--re-min", type=float, default=0.1)

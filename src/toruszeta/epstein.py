@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError, StepTooCoarseWarning
+from .errors import (DomainError, PoleError, SignalLostError,
+                     ZeroShortfallWarning)
 from .lattice import fold_square
 from .special import (_LD_LOG_PI, _LOG_PI, _as_array, _gamma_poles,
                       complex_gamma_array, complex_log_gamma_array,
@@ -153,31 +154,73 @@ class ZeroSource(enum.Enum):
 
 @dataclass(frozen=True)
 class ZeroRecord:
+    """A critical-line zero at height t of the factor ``source``, with the
+    residual |zeta(Delta, 1/2 + it)| there.  ``expected`` and ``found`` are
+    its factor's counts over the scanned window (see
+    ``find_critical_zeros``)."""
+
     t: float
     source: ZeroSource
     residual: float
+    expected: int = 0
+    found: int = 0
 
 
-def _hardy_z(ts, source: ZeroSource) -> np.ndarray:
+# The Hardy phase of the zeta factor (keyed False) and the beta factor (True)
+# is theta(t) = Im log Gamma(a + it/2) + (t/2) log b, a = 1/4 and b = 1/pi
+# for zeta, a = 3/4 and b = 4/pi for beta; asymptotically it is
+# (t/2) log(t/(kappa e)) + phi, kappa = 2 pi or pi/2 and phi = -pi/8 or pi/8,
+# with slope log(t/kappa)/2.  theta decreases up to its turning point t_turn
+# (theta'(t_turn) = 0, from special.digamma) and increases after it, where
+# the Gram points g_j, theta(g_j) = j pi, lie for j >= j_first.
+_PHASE_A = {False: 0.25, True: 0.75}
+_PHASE_LOG_B = {False: -_LOG_PI, True: math.log(4.0 / math.pi)}
+_KAPPA = {False: 2.0 * math.pi, True: 0.5 * math.pi}
+_PHI = {False: -math.pi / 8.0, True: math.pi / 8.0}
+_TURN = {False: 6.289835988836902, True: 1.5638815574041498}
+_FIRST_GRAM = {False: -1, True: 0}
+# the grid spacing below the turning point, and the Gram points sampled past
+# each end of a window
+_DENSE_STEP = 0.02
+_MARGIN = 3
+# rounds of interval halving a Gram block gets to show all its zeros
+_RESOLVE_ROUNDS = 8
+# a polished root lies in a bracket at most _ROOT_TOL + _ROOT_RTOL * t wide
+# (a few ulp of t past t ~ 250)
+_ROOT_TOL = 1e-13
+_ROOT_RTOL = 4e-16
+_MAX_POLISH = 100
+
+
+def _by_factor(beta: np.ndarray, table: dict) -> np.ndarray:
+    return np.where(beta, table[True], table[False])
+
+
+def _hardy_phase(ts: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """theta(t) of the zeta factor (beta False) or the beta factor (beta
+    True) at every t of ``ts``: one batched log-Gamma call."""
+    return complex_log_gamma_array(_by_factor(beta, _PHASE_A) + 0.5j * ts) \
+        .imag + 0.5 * ts * _by_factor(beta, _PHASE_LOG_B)
+
+
+def _hardy_z(ts, beta) -> np.ndarray:
     """The Hardy-rotated factor Z = cos(theta) Re v - sin(theta) Im v at
-    every t of ``ts``, v the factor's value on s = 1/2 + it: one batched
-    series pass and one batched log-Gamma call for the phases theta(t)."""
+    every t of ``ts``, v the value on s = 1/2 + it of zeta_R where ``beta``
+    (a bool, or one per t) is False and of beta where it is True: one
+    batched series pass per factor and one log-Gamma call for the phases."""
     ts = np.asarray(ts, dtype=float)
+    beta = np.broadcast_to(np.asarray(beta, dtype=bool), ts.shape)
     s = 0.5 + 1j * ts
-    if source is ZeroSource.RIEMANN_FACTOR:
-        vals = riemann_zeta_array(s)
-        theta = complex_log_gamma_array(0.25 + 0.5j * ts).imag \
-            - 0.5 * ts * _LOG_PI
-    else:
-        vals = dirichlet_beta_array(s)
-        theta = complex_log_gamma_array(0.75 + 0.5j * ts).imag \
-            + 0.5 * ts * math.log(4.0 / math.pi)
+    vals = np.empty_like(s)
+    vals[~beta] = riemann_zeta_array(s[~beta])
+    vals[beta] = dirichlet_beta_array(s[beta])
+    theta = _hardy_phase(ts, beta)
     return np.cos(theta) * vals.real - np.sin(theta) * vals.imag
 
 
 def hardy_z_riemann(t: float) -> float:
     """Hardy Z(t): e^{i theta(t)} zeta_R(1/2 + it), real on the line."""
-    return _hardy_z([t], ZeroSource.RIEMANN_FACTOR)[0]
+    return _hardy_z([t], False)[0]
 
 
 def hardy_z_beta(t: float) -> float:
@@ -186,69 +229,209 @@ def hardy_z_beta(t: float) -> float:
     Rotates by the phase of (4/pi)^((s+1)/2) Gamma((s+1)/2) at s = 1/2+it,
     under which the completed beta L-function is real on the line.
     """
-    return _hardy_z([t], ZeroSource.BETA_FACTOR)[0]
+    return _hardy_z([t], True)[0]
 
 
-def _bisect_lockstep(fn, brackets, tol: float = 1e-9) -> list:
-    """Bisect every sign-change bracket (lo, hi, fn(lo)) to ``tol``.
+def _gram_points(j: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The Gram points g_j, theta(g_j) = j pi, of the factors ``beta`` for
+    j >= j_first: Newton steps on the asymptotic phase from above, where it
+    is convex and increasing, then on the exact phase with the asymptotic
+    slope.  Every point takes the same steps, so it has the same bits in any
+    batch."""
+    kappa, phi = _by_factor(beta, _KAPPA), _by_factor(beta, _PHI)
+    target = j * math.pi
+    t = kappa * math.e * np.maximum(math.e,
+                                    2.0 * (target - phi) / (kappa * math.e))
+    for _ in range(8):
+        t = t - (0.5 * t * np.log(t / (kappa * math.e)) + phi - target) \
+            / (0.5 * np.log(t / kappa))
+    for _ in range(3):
+        t = t - (_hardy_phase(t, beta) - target) / (0.5 * np.log(t / kappa))
+    return t
 
-    ``fn`` maps a list of t to their values; it is called once per step for
-    all open brackets.  Each bracket takes the midpoints a bisection of it
-    alone would take, so the roots do not depend on the other brackets.
+
+def _illinois_lockstep(fn, lo, hi, flo, fhi) -> np.ndarray:
+    """The root of every sign-change bracket [lo, hi], with the values flo
+    and fhi of a real function at its ends, polished by the Illinois
+    variant of regula falsi until the bracket is at most
+    tol = _ROOT_TOL + _ROOT_RTOL * hi wide (each step at least tol / 2
+    inside it); the root is then the end with the smaller |value|.
+
+    ``fn(idx, t)`` gives the values at t of the brackets ``idx``; it is
+    called once per step for all open brackets.  Each bracket takes the
+    steps it would take alone, so its root does not depend on the others.
     """
-    state = [[lo, hi, flo, None] for lo, hi, flo in brackets]
-    active = [b for b in state if b[1] - b[0] > tol]
-    while active:
-        mids = [0.5 * (b[0] + b[1]) for b in active]
-        still = []
-        for b, mid, fm in zip(active, mids, fn(mids)):
-            if fm == 0.0:
-                b[3] = mid
-                continue
-            if (fm > 0) == (b[2] > 0):
-                b[0], b[2] = mid, fm
-            else:
-                b[1] = mid
-            if b[1] - b[0] > tol:
-                still.append(b)
-        active = still
-    return [0.5 * (lo + hi) if root is None else root
-            for lo, hi, _, root in state]
+    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
+    wlo, whi = flo.copy(), fhi.copy()  # end values, halved by the Illinois rule
+    moved = np.zeros(lo.size)  # the end the last step moved: -1 lo, +1 hi
+    active = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    for _ in range(_MAX_POLISH):
+        tol = _ROOT_TOL + _ROOT_RTOL * hi[active]
+        keep = hi[active] - lo[active] > tol
+        active, tol = active[keep], tol[keep]
+        if not active.size:
+            break
+        a, b = lo[active], hi[active]
+        # at least half a tolerance inside: a root that close to an end
+        # closes the bracket next step
+        x = np.clip(b - whi[active] * (b - a) / (whi[active] - wlo[active]),
+                    a + 0.5 * tol, b - 0.5 * tol)
+        fx = fn(active, x)
+        zero = active[fx == 0.0]
+        lo[zero] = hi[zero] = x[fx == 0.0]
+        flo[zero] = fhi[zero] = 0.0
+        left = (fx != 0.0) & ((fx > 0.0) == (flo[active] > 0.0))
+        right = (fx != 0.0) & ~left
+        for side, end, value, weight, other, sign in (
+                (left, lo, flo, wlo, whi, -1.0),
+                (right, hi, fhi, whi, wlo, 1.0)):
+            idx = active[side]
+            end[idx], value[idx], weight[idx] = x[side], fx[side], fx[side]
+            other[idx] *= np.where(moved[idx] == sign, 0.5, 1.0)
+            moved[idx] = sign
+    return np.where(np.abs(fhi) < np.abs(flo), hi, lo)
 
 
-def find_critical_zeros(t_min: float, t_max: float,
-                        step: float = 0.02) -> list[ZeroRecord]:
+def _factor_samples(t_min: float, t_max: float, step, beta: bool,
+                    theta_ends: np.ndarray):
+    """The first samples of one factor's scan: (t ascending, Gram index j
+    or nan, whether the first sample is a head below the first Gram
+    point).
+
+    The Gram points run from _MARGIN at or below t_min to _MARGIN above
+    t_max (``theta_ends`` is theta at max(t_min, t_turn) and
+    max(t_max, t_turn)), but from j_first at the lowest.  A window that
+    starts below the first Gram point gets a head: a grid of spacing
+    _DENSE_STEP (or ``step``, if finer) from t_min up to the turning point,
+    or t_min alone if it lies past it.  Given ``step``, every longer
+    interval is cut into equal parts no longer than it.
+    """
+    first = _FIRST_GRAM[beta]
+    j_lo, j_hi = np.floor(theta_ends / math.pi) + (1 - _MARGIN, _MARGIN)
+    j = np.arange(max(j_lo, first), j_hi + 1)
+    t = _gram_points(j, np.full(j.size, beta))
+    head = theta_ends[0] < first * math.pi
+    if head:
+        dense = min(_DENSE_STEP, step or _DENSE_STEP)
+        turn = _TURN[beta]
+        lead = np.linspace(t_min, turn, math.ceil((turn - t_min) / dense) + 1) \
+            if t_min < turn else np.array([t_min])
+        t, j, _ = _merge(t, j, lead)
+    if step is not None:
+        parts = np.ceil(np.diff(t) / step).astype(int)
+        t, j, _ = _merge(t, j, np.concatenate([[]] + [
+            np.linspace(a, b, k + 1)[1:-1]
+            for a, b, k in zip(t[:-1], t[1:], parts) if k > 1]))
+    return t, j, head
+
+
+def _merge(t, j, extra):
+    """``t`` with the points ``extra`` merged in ascending order, ``j`` with
+    nan (no Gram index) at them, and the order that merges them."""
+    order = np.argsort(np.concatenate([t, extra]), kind="stable")
+    return (np.concatenate([t, extra])[order],
+            np.concatenate([j, np.full(len(extra), np.nan)])[order], order)
+
+
+def _blocks(t, z, j, head: bool, beta: bool, t_min: float, t_max: float):
+    """The Gram blocks of one factor's samples that meet [t_min, t_max], as
+    (first sample, end sample, zeros expected, sign changes seen).
+
+    A block runs between consecutive good Gram points, (-1)^j Z(g_j) > 0,
+    and by Rosser's rule holds at least as many zeros as Gram intervals.
+    A head counts as a good Gram point of index j_first: no zero of either
+    factor lies below its first Gram point.  The first and last samples
+    close the outermost blocks, which then count every Gram interval they
+    span.
+    """
+    ends = ~np.isnan(j) & (np.where(j % 2.0 == 0.0, z, -z) > 0.0)
+    ends[[0, -1]] = True
+    ends = np.flatnonzero(ends)
+    index = j[ends].copy()
+    if head:
+        index[0] = _FIRST_GRAM[beta]
+    changes = np.concatenate([[0], np.cumsum((z[:-1] == 0.0)
+                                             | (z[:-1] * z[1:] < 0.0))])
+    return [(p, q, int(b - a), int(changes[q] - changes[p]))
+            for p, q, a, b in zip(ends[:-1], ends[1:], index[:-1], index[1:])
+            if t[q] >= t_min and t[p] <= t_max]
+
+
+def find_critical_zeros(t_min: float, t_max: float, step: float | None = None,
+                        strict: bool = False) -> list[ZeroRecord]:
     """Critical-line zeros of zeta(Delta, 1/2+it) on [t_min, t_max].
 
-    Scans the two real Hardy-rotated Glasser factors for sign changes and
-    bisects each to 1e-9 in t.  Labels every zero with the factor that
-    vanishes.  Warns (StepTooCoarseWarning) when zeros of one factor sit
-    closer than twice the scan step.
+    Samples the two real Hardy-rotated Glasser factors at their Gram points
+    (and below the first one, see ``_factor_samples``), halves the intervals
+    of every Gram block that shows fewer sign changes than Rosser's rule
+    says it holds zeros, and polishes each sign change with the lockstep
+    Illinois iteration to ~1e-13 in t.  Every Hardy-Z call serves both
+    factors.  Labels every zero with the factor that vanishes, and with its
+    factor's counts: ``found`` zeros in the window, ``expected`` = found plus
+    the zeros still missing from the blocks that meet it.  A shortfall
+    warns (ZeroShortfallWarning), or raises SignalLostError if ``strict``.
+    ``step``, if given, caps the sampling spacing.
     """
     if not 0 < t_min < t_max:
         raise DomainError("need 0 < t_min < t_max")
-    if not 0 < step < math.inf:
+    if step is not None and not 0 < step < math.inf:
         raise DomainError(f"scan step must be positive and finite, got {step}")
-    records = []
-    for source in (ZeroSource.RIEMANN_FACTOR, ZeroSource.BETA_FACTOR):
-        ts = np.arange(t_min, t_max + step, step)
-        vals = _hardy_z(ts, source)
-        # a grid point on the zero makes a closed bracket
-        on_zero = vals[:-1] == 0.0
-        brackets = [(ts[i], ts[i] if on_zero[i] else ts[i + 1], vals[i])
-                    for i in np.flatnonzero(
-                        on_zero | (vals[:-1] * vals[1:] < 0))]
-        found = _bisect_lockstep(lambda mids: _hardy_z(mids, source),
-                                 brackets)
-        # the grid's last point overshoots t_max by up to one step
-        found = [t0 for t0 in found if t0 <= t_max]
-        if any(b - a < 2 * step for a, b in zip(found, found[1:])):
-            warnings.warn(
-                f"{source.value} factor: adjacent sign changes within 2*step; "
-                "decrease the scan step", StepTooCoarseWarning)
-        zeta = epstein_zeta_2d_array([complex(0.5, t0) for t0 in found])
-        for t0, z in zip(found, zeta):
-            records.append(ZeroRecord(t=float(t0), source=source,
-                                      residual=abs(z)))
-    records.sort(key=lambda r: r.t)
-    return records
+    factors = (False, True)
+    ends = np.concatenate([np.maximum([t_min, t_max], _TURN[b])
+                           for b in factors])
+    theta = _hardy_phase(ends, np.repeat(factors, 2)).reshape(2, 2)
+    ts, js, heads = zip(*(_factor_samples(t_min, t_max, step, b, th)
+                          for b, th in zip(factors, theta)))
+    ts, js = list(ts), list(js)
+    zs = _split(_hardy_z(np.concatenate(ts), _labels(ts)), ts)
+    for rounds in range(_RESOLVE_ROUNDS + 1):
+        blocks = [_blocks(ts[i], zs[i], js[i], heads[i], b, t_min, t_max)
+                  for i, b in enumerate(factors)]
+        short = [[(p, q) for p, q, want, seen in bl if seen < want]
+                 for bl in blocks]
+        if rounds == _RESOLVE_ROUNDS or not any(short):
+            break
+        mids = [np.concatenate([[]] + [0.5 * (t[p:q] + t[p + 1:q + 1])
+                                       for p, q in sh])
+                for t, sh in zip(ts, short)]
+        for i, z in enumerate(_split(_hardy_z(np.concatenate(mids),
+                                              _labels(mids)), mids)):
+            ts[i], js[i], order = _merge(ts[i], js[i], mids[i])
+            zs[i] = np.concatenate([zs[i], z])[order]
+    brackets = []
+    for t, z in zip(ts, zs):
+        k = np.flatnonzero(((z[:-1] == 0.0) | (z[:-1] * z[1:] < 0.0))
+                           & (t[1:] >= t_min) & (t[:-1] <= t_max))
+        brackets.append((t[k], t[k + 1], z[k], z[k + 1]))
+    beta = _labels([lo for lo, _, _, _ in brackets])
+    roots = _illinois_lockstep(lambda idx, x: _hardy_z(x, beta[idx]),
+                               *map(np.concatenate, zip(*brackets)))
+    keep = (roots >= t_min) & (roots <= t_max)
+    roots, beta = roots[keep], beta[keep]
+    residuals = np.abs(epstein_zeta_2d_array(0.5 + 1j * roots))
+    found = [int(np.count_nonzero(beta == b)) for b in factors]
+    expected = [n + sum(max(0, want - seen) for _, _, want, seen in bl)
+                for n, bl in zip(found, blocks)]
+    sources = (ZeroSource.RIEMANN_FACTOR, ZeroSource.BETA_FACTOR)
+    if found != expected:
+        message = "zero scan on [%g, %g]: " % (t_min, t_max) + "; ".join(
+            f"{src.value} factor shows {n} of the {m} zeros its Gram blocks "
+            "hold" for src, n, m in zip(sources, found, expected) if n != m)
+        if strict:
+            raise SignalLostError(message)
+        warnings.warn(message, ZeroShortfallWarning)
+    return [ZeroRecord(t=t0, source=sources[b], residual=r,
+                       expected=expected[b], found=found[b])
+            for t0, b, r in sorted(zip(roots.tolist(), beta.astype(int).tolist(),
+                                       residuals.tolist()))]
+
+
+def _labels(parts) -> np.ndarray:
+    """The factor (False zeta, True beta) of every entry of the two
+    per-factor arrays ``parts``, concatenated."""
+    return np.repeat([False, True], [len(p) for p in parts])
+
+
+def _split(values: np.ndarray, parts) -> list:
+    """``values`` cut back into the sizes of the two arrays ``parts``."""
+    return np.split(values, [len(parts[0])])

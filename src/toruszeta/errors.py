@@ -68,5 +68,10 @@ class ZeroDenominatorError(TorusZetaError):
         self.factor = factor
 
 
-class StepTooCoarseWarning(UserWarning):
-    """Zero scan step too coarse: adjacent sign changes may have merged."""
+class ZeroShortfallWarning(UserWarning):
+    """A zero scan found fewer sign changes than its Gram blocks hold zeros,
+    even after halving their intervals."""
+
+
+# the zero scan's former warning; a shortfall is what it warned of
+StepTooCoarseWarning = ZeroShortfallWarning

@@ -470,8 +470,8 @@ def resolvent_leading_term(n: int, variant: StencilVariant, alpha: int,
 def h_function(s: complex, n: int, tol: float = 1e-12) -> complex:
     """H_n(s) = pi^-s Gamma(s) (zeta(Delta~_n, s) - V_2(s) a~(s) n^(2-2s)).
 
-    Always the 9-point variant; a~(s) is memoized per s so n-sweeps pay the
-    quadrature once.
+    Always the 9-point variant; a~(s) and the Gamma factors are memoized
+    per s so n-sweeps pay the quadrature and the Gamma calls once.
     """
     s = complex(s)
     if not 0.0 < s.real < 1.0:
@@ -481,7 +481,14 @@ def h_function(s: complex, n: int, tol: float = 1e-12) -> complex:
     zn = spectral_zeta(TorusGrid(n), StencilVariant.NINE_POINT, s)
     lead = leading_coeff(s, StencilVariant.NINE_POINT, tol)
     npow = complex(n) ** (2.0 - 2.0 * s)
-    return _pi_pow_gamma([s])[0] * (zn - v_factor(2, s) * lead * npow)
+    front, v2 = _h_gamma_factors(s)
+    return front * (zn - v2 * lead * npow)
+
+
+@lru_cache(maxsize=64)
+def _h_gamma_factors(s: complex) -> tuple[complex, complex]:
+    """pi^(-s) Gamma(s) and V_2(s), the Gamma factors of ``h_function``."""
+    return _pi_pow_gamma([s])[0], v_factor(2, s)
 
 
 @dataclass(frozen=True)

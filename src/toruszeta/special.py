@@ -347,6 +347,17 @@ def _column_blocks(orders: np.ndarray, strides: tuple) -> list:
             for lo in range(0, orders.size, width)]
 
 
+def _weight_columns(orders: np.ndarray, n: int) -> np.ndarray:
+    """The (n, columns) matrix of each column's Borwein weights, for the
+    ascending ``orders`` of a column block, and zeros past its order."""
+    new = np.concatenate([[True], orders[1:] != orders[:-1]])
+    distinct = orders[new]
+    flat = np.concatenate([*map(_borwein_weights, distinct.tolist()), [0.0]])
+    first = (np.cumsum(distinct) - distinct)[np.cumsum(new) - 1]
+    k = np.arange(n)[:, None]
+    return flat[np.where(k < orders, first + k, -1)]
+
+
 def _borwein_series(s: np.ndarray, strides: tuple) -> np.ndarray:
     """sum_k w_k (1 + stride k)^(-s), k < n, for each s of a 1-D complex
     array and each stride of ``strides`` ((1,), (2,) or (1, 2)), w the
@@ -355,10 +366,12 @@ def _borwein_series(s: np.ndarray, strides: tuple) -> np.ndarray:
     and 0 at the rest.
 
     The points run sorted by order, in column blocks.  A block builds one
-    table of m^(-s) for all its strides: an exp at the primes, a product of
-    two rows at each composite.  A column's terms are its weights times its
-    table rows, then zeros, summed in row order by one cumsum: every point
-    gets its own terms in a fixed order, and the same bits in any batch.
+    table of m^(-s) for all its strides: at the primes p the real
+    p^(-Re s) of each column times the phase p^(-i Im s), one complex exp
+    per distinct Im s of the block; a product of two rows at each
+    composite.  A column's terms are its weights times its table rows, then
+    zeros, summed in row order by one cumsum: every point gets its own
+    terms in a fixed order, and the same bits in any batch.
     """
     out = np.zeros((len(strides), s.size), dtype=complex)
     series = np.flatnonzero(s.real >= -1.0)
@@ -377,20 +390,19 @@ def _borwein_series(s: np.ndarray, strides: tuple) -> np.ndarray:
                                                             strides)
         p = table[:rows * (hi - lo)].reshape(rows, hi - lo)
         t = terms[:n * (hi - lo)].reshape(n, hi - lo)
+        x = s[by_order[lo:hi]]
+        heights, column = np.unique(x.imag, return_inverse=True)
+        phase = np.exp(np.multiply.outer(log_primes, -1j * heights))
         p[0] = 1.0
-        primes = p[1:1 + log_primes.size]
-        np.exp(np.multiply.outer(log_primes, -s[by_order[lo:hi]], out=primes),
-               out=primes)
+        np.multiply(np.exp(np.multiply.outer(log_primes, -x.real)),
+                    phase[:, column], out=p[1:1 + log_primes.size])
         for first, end, factor_rows, cofactor_rows in levels:
             np.multiply(p[factor_rows], p[cofactor_rows], out=p[first:end])
-        cuts = [0, *(np.flatnonzero(np.diff(orders[lo:hi])) + 1), hi - lo]
+        weights = _weight_columns(orders[lo:hi], n)
         for i, term_rows in enumerate(stride_rows):
             np.take(p, term_rows[:n], axis=0, out=t)
-            for a, b in zip(cuts, cuts[1:]):  # a run of one order
-                order = int(orders[lo + a])
-                t[:order, a:b] *= _borwein_weights(order)[:, None]
-                t[order:, a:b] = 0.0
-            out[i, by_order[lo:hi]] = np.cumsum(t, axis=0, out=t)[-1]
+            out[i, by_order[lo:hi]] = np.cumsum(
+                np.multiply(t, weights, out=t), axis=0, out=t)[-1]
     return out
 
 

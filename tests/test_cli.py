@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import toruszeta
-from toruszeta import conjecture
+from toruszeta import conjecture, epstein
 from toruszeta.cli import RecordWriter, RunConfig, _g17, main, parse_complex
 from toruszeta.conjecture import QUANTITY_REGISTRY, ScanRecord
-from toruszeta.errors import NonFiniteError
+from toruszeta.errors import NonFiniteError, ZeroShortfallWarning
 from toruszeta.lattice import StencilVariant, TorusGrid, spectral_zeta
 
 
@@ -102,10 +102,34 @@ def test_scan_zeros(capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) >= 2
-    sources = {r["meta"].split("=")[1] for r in rows}
-    assert sources == {"riemann", "beta"}
+    metas = [dict(kv.split("=") for kv in r["meta"].split(";")) for r in rows]
+    assert {m["source"] for m in metas} == {"riemann", "beta"}
+    for m in metas:
+        # zeta has 1 zero on [1, 20], beta 5
+        n = sum(x["source"] == m["source"] for x in metas)
+        assert m["expected"] == m["found"] == str(n)
     for r in rows:
         assert float(r["err_est"]) < 1e-8
+
+
+def test_scan_zeros_shortfall_warns_or_exits_3(capsys, monkeypatch):
+    # the beta signal flipped between two of its zeros hides the pair
+    real = epstein._hardy_z
+    lo, hi = 10.2437703041666, 12.9880980123124
+    monkeypatch.setattr(epstein, "_hardy_z", lambda ts, beta: np.where(
+        np.asarray(beta) & (lo < np.asarray(ts)) & (np.asarray(ts) < hi),
+        -1.0, 1.0) * real(ts, beta))
+    argv = ["scan", "--kind", "zeros", "--t-min", "1", "--t-max", "20"]
+    with pytest.warns(ZeroShortfallWarning):
+        code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    beta = [r for r in csv.DictReader(io.StringIO(out))
+            if "source=beta" in r["meta"]]
+    assert beta and all("expected=5;found=3" in r["meta"] for r in beta)
+    code, out, err = run_cli(["--strict"] + argv, capsys)
+    assert code == 3
+    assert "convergence error" in err and "beta factor shows 3 of the 5" in err
+    assert out.strip() == "quantity,s_re,s_im,n,value_re,value_im,err_est,meta"
 
 
 def test_scan_empty_region(capsys):

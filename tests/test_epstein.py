@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toruszeta
+from toruszeta import epstein
 from toruszeta.conjecture import omega_ratio, omega_ratio_array
-from toruszeta.epstein import (OmegaRoute, ZeroSource, _bisect_lockstep,
-                               _hardy_z, complete_xi, complete_xi_array,
-                               epstein_direct_sum, epstein_zeta_2d,
-                               epstein_zeta_2d_array, find_critical_zeros,
-                               hardy_z_beta, hardy_z_riemann, omega,
-                               v_factor, v_factor_inv)
-from toruszeta.errors import DomainError, PoleError, StepTooCoarseWarning
+from toruszeta.epstein import (OmegaRoute, ZeroSource, _hardy_z,
+                               _illinois_lockstep, complete_xi,
+                               complete_xi_array, epstein_direct_sum,
+                               epstein_zeta_2d, epstein_zeta_2d_array,
+                               find_critical_zeros, hardy_z_beta,
+                               hardy_z_riemann, omega, v_factor, v_factor_inv)
+from toruszeta.errors import (DomainError, PoleError, SignalLostError,
+                              StepTooCoarseWarning, ZeroShortfallWarning)
 from toruszeta.special import riemann_zeta, riemann_zeta_array
 
 CATALAN = 0.915965594177219015
@@ -146,9 +149,136 @@ def test_zero_scan_stays_inside_window():
     assert not [r for r in records if r.source is ZeroSource.RIEMANN_FACTOR]
 
 
-def test_zero_scan_step_too_coarse_warns():
-    with pytest.warns(StepTooCoarseWarning):
-        find_critical_zeros(5.0, 20.0, step=2.0)
+def _dense_reference(t_min, t_max, beta, step=0.02, tol=1e-9):
+    """The zeros of one factor on [t_min, t_max] by the former scan: the
+    Hardy signal on a grid of ``step``, each sign change bisected to
+    ``tol``, all brackets in lockstep."""
+    ts = np.arange(t_min, t_max + step, step)
+    vals = _hardy_z(ts, beta)
+    k = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    lo, hi, flo = ts[k], np.where(vals[k] == 0.0, ts[k], ts[k + 1]), vals[k]
+    while (hi - lo > tol).any():
+        mid = 0.5 * (lo + hi)
+        fm = _hardy_z(mid, beta)
+        open_ = hi - lo > tol
+        left = open_ & ((fm > 0) == (flo > 0)) & (fm != 0.0)
+        right = open_ & ~left
+        lo, flo = np.where(left, mid, lo), np.where(left, fm, flo)
+        hi = np.where(right, mid, hi)
+        lo = np.where(open_ & (fm == 0.0), mid, lo)
+    roots = 0.5 * (lo + hi)
+    return roots[roots <= t_max]
+
+
+def _split_by_source(records):
+    return ([r.t for r in records if r.source is ZeroSource.RIEMANN_FACTOR],
+            [r.t for r in records if r.source is ZeroSource.BETA_FACTOR])
+
+
+def test_gram_scan_matches_the_dense_reference_on_1_100():
+    records = find_critical_zeros(1.0, 100.0)
+    riem, beta = _split_by_source(records)
+    assert (len(records), len(riem), len(beta)) == (79, 29, 50)
+    for found, flag in ((riem, False), (beta, True)):
+        ref = _dense_reference(1.0, 100.0, flag)
+        assert len(ref) == len(found)
+        assert np.abs(np.array(found) - ref).max() <= 1e-9
+    assert max(r.residual for r in records) <= 1e-10
+    for r in records:
+        assert r.expected == r.found == (29 if r.source
+                                         is ZeroSource.RIEMANN_FACTOR else 50)
+
+
+@pytest.mark.parametrize("window, counts", [
+    ((0.5, 8.0), (0, 1)),     # starts below both turning points
+    ((1.0, 6.0), (0, 0)),     # ends below zeta's turning point
+    ((21.0, 21.1), (1, 0)),   # shorter than a Gram interval
+    ((20.0, 20.5), (0, 0)),   # shorter than a Gram interval, no zero
+    ((95.0, 100.0), (2, 3)),
+])
+def test_gram_scan_windows_match_the_dense_reference(window, counts):
+    riem, beta = _split_by_source(find_critical_zeros(*window))
+    assert (len(riem), len(beta)) == counts
+    for found, flag in ((riem, False), (beta, True)):
+        ref = _dense_reference(*window, flag, step=0.005)
+        assert len(found) == len(ref), flag
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(found, ref))
+        assert all(window[0] <= t <= window[1] for t in found)
+
+
+def _sampled(monkeypatch):
+    """Record the points of every Hardy-Z call of a scan."""
+    calls = []
+
+    def spy(ts, beta):
+        calls.append((np.array(ts, dtype=float),
+                      np.broadcast_to(beta, np.shape(ts)).copy()))
+        return real(ts, beta)
+
+    real = epstein._hardy_z
+    monkeypatch.setattr(epstein, "_hardy_z", spy)
+    return calls
+
+
+@pytest.mark.parametrize("step", [0.02, 0.5, 2.0])
+def test_zero_scan_step_caps_the_sampling_spacing(monkeypatch, step):
+    plain = find_critical_zeros(5.0, 40.0)
+    calls = _sampled(monkeypatch)
+    capped = find_critical_zeros(5.0, 40.0, step=step)
+    ts, beta = calls[0]  # the first call samples both factors
+    for flag in (False, True):
+        assert np.diff(np.sort(ts[beta == flag])).max() <= step * (1 + 1e-12)
+    assert [r.source for r in capped] == [r.source for r in plain]
+    assert np.abs(np.array([r.t for r in capped])
+                  - [r.t for r in plain]).max() <= 1e-12
+
+
+def test_zero_scan_uses_few_hardy_z_points(monkeypatch):
+    calls = _sampled(monkeypatch)
+    find_critical_zeros(1.0, 100.0)
+    assert sum(ts.size for ts, _ in calls) <= 1500
+    assert len(calls) <= 16
+
+
+def _flip(monkeypatch, flag, lo, hi):
+    """Make one factor's Hardy signal change sign on (lo, hi), which hides
+    its zeros at lo and hi (a close pair merged, or, with hi past the scan,
+    one root gone)."""
+    real = epstein._hardy_z
+
+    def fake(ts, beta):
+        ts = np.asarray(ts, dtype=float)
+        beta = np.broadcast_to(beta, ts.shape)
+        vals = real(ts, beta)
+        return np.where((beta == flag) & (lo < ts) & (ts < hi), -vals, vals)
+
+    monkeypatch.setattr(epstein, "_hardy_z", fake)
+
+
+@pytest.mark.parametrize("flag, lo, hi, missing", [
+    (True, 10.2437703041666, 12.9880980123124, 2),
+    (True, 16.3426071045872, 1e9, 1),
+    (False, 14.1347251417346938, 1e9, 1),
+], ids=["beta-pair-merges", "beta-root-gone", "riemann-root-gone"])
+def test_zero_scan_shortfall_warns_or_raises(monkeypatch, flag, lo, hi,
+                                              missing):
+    _flip(monkeypatch, flag, lo, hi)
+    full = 5 if flag else 1  # zeros of the factor on [1, 20]
+    shows = f"{'beta' if flag else 'riemann'} factor shows " \
+        f"{full - missing} of the {full} zeros"
+    with pytest.warns(ZeroShortfallWarning, match=shows):
+        records = find_critical_zeros(1.0, 20.0)
+    assert {(r.expected, r.found) for r in records
+            if (r.source is ZeroSource.BETA_FACTOR) == flag} \
+        <= {(full, full - missing)}
+    with pytest.raises(SignalLostError):
+        find_critical_zeros(1.0, 20.0, strict=True)
+
+
+def test_step_too_coarse_warning_is_the_shortfall_warning():
+    assert StepTooCoarseWarning is ZeroShortfallWarning
+    assert toruszeta.StepTooCoarseWarning is ZeroShortfallWarning
+    assert issubclass(ZeroShortfallWarning, UserWarning)
 
 
 def test_zero_scan_domain():
@@ -204,35 +334,53 @@ def test_poles_raise_through_scalar_and_array(scalar, batched, pole):
         batched([0.5 + 3.0j, pole])
 
 
-def _bisect_one(fn, lo, hi, flo, tol=1e-9):
-    """One bracket bisected on its own, one call of fn per step."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+def _illinois_one(fn, lo, hi, flo, fhi):
+    """One bracket polished on its own, one call of fn per step: the
+    Illinois iteration of ``_illinois_lockstep`` in Python floats."""
+    wlo, whi, moved = flo, fhi, 0
+    for _ in range(epstein._MAX_POLISH):
+        if flo == 0.0 or fhi == 0.0:
+            break
+        tol = epstein._ROOT_TOL + epstein._ROOT_RTOL * hi
+        if hi - lo <= tol:
+            break
+        x = hi - whi * (hi - lo) / (whi - wlo)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        fx = fn(x)
+        if fx == 0.0:
+            lo = hi = x
+            flo = fhi = 0.0
+        elif (fx > 0.0) == (flo > 0.0):
+            lo, flo, wlo = x, fx, fx
+            whi *= 0.5 if moved == -1 else 1.0
+            moved = -1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, fhi, whi = x, fx, fx
+            wlo *= 0.5 if moved == 1 else 1.0
+            moved = 1
+    return hi if abs(fhi) < abs(flo) else lo
 
 
-def test_lockstep_bisection_matches_one_bracket_bisection():
-    for source, fn in ((ZeroSource.RIEMANN_FACTOR, hardy_z_riemann),
-                       (ZeroSource.BETA_FACTOR, hardy_z_beta)):
-        ts = np.arange(1.0, 60.0, 0.05)
+def test_lockstep_illinois_matches_one_bracket_illinois():
+    ts = np.arange(1.0, 60.0, 0.05)
+    brackets, flags = [], []
+    for flag, fn in ((False, hardy_z_riemann), (True, hardy_z_beta)):
         vals = np.array([fn(t) for t in ts])
         assert np.array_equal(vals.view(np.uint64),
-                              _hardy_z(ts, source).view(np.uint64))
-        brackets = [(ts[i], ts[i + 1], vals[i]) for i in range(len(ts) - 1)
-                    if vals[i] * vals[i + 1] < 0]
-        assert len(brackets) >= 10
-        roots = _bisect_lockstep(lambda mids: _hardy_z(mids, source),
-                                 brackets)
-        expect = [_bisect_one(fn, lo, hi, flo) for lo, hi, flo in brackets]
-        assert [float(r).hex() for r in roots] \
-            == [float(e).hex() for e in expect]
+                              _hardy_z(ts, flag).view(np.uint64))
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+            brackets.append((ts[i], ts[i + 1], vals[i], vals[i + 1]))
+            flags.append(flag)
+    assert len(brackets) >= 20 and len(set(flags)) == 2
+    flags = np.array(flags)
+    # both factors in one lockstep call, as the scan polishes them
+    roots = _illinois_lockstep(lambda idx, x: _hardy_z(x, flags[idx]),
+                               *np.array(brackets).T)
+    expect = [_illinois_one(hardy_z_beta if flag else hardy_z_riemann, *b)
+              for b, flag in zip(brackets, flags)]
+    assert [float(r).hex() for r in roots] \
+        == [float(e).hex() for e in expect]
+    assert all(lo <= r <= hi for r, (lo, hi, _, _) in zip(roots, brackets))
 
 
 def test_xi_at_the_negative_integers():

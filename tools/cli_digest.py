@@ -77,6 +77,10 @@ COMMANDS = (
     # critical-line scans over many series orders, up to the domain edge
     "scan --kind zeros --t-min 60 --t-max 80",
     "scan --kind zeros --t-min 1 --t-max 100",
+    # the zero scan below both turning points, with a capped spacing, strict
+    "scan --kind zeros --t-min 0.5 --t-max 8",
+    "scan --kind zeros --t-min 1 --t-max 100 --step 0.02",
+    "--strict scan --kind zeros --t-min 1 --t-max 100",
     "scan --kind omega --b 92 --points 301",
     "scan --kind xi-defect --re-min 0.05 --re-max 0.95 --re-points 4 "
     "--im-min -99 --im-max 99 --im-points 9",
