@@ -1,6 +1,7 @@
 """Epstein zeta machinery: Glasser factors, xi, V, Omega, zero scans."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,28 @@ def test_zero_scan_shortfall_warns_or_raises(monkeypatch, flag, lo, hi,
         <= {(full, full - missing)}
     with pytest.raises(SignalLostError):
         find_critical_zeros(1.0, 20.0, strict=True)
+
+
+def test_zero_scan_halves_a_short_gram_block_until_it_shows_its_zeros(
+        monkeypatch):
+    # flipping beta's signal from its zero 10.2437... to 0.3 past the Gram
+    # point g_2 = 11.6919 moves that zero to 11.9919, next to the zero at
+    # 12.988: g_2 turns bad (Gram's law fails), and the samples at
+    # g_1, g_2, g_3 show no sign change in the block of two intervals
+    # until its intervals are halved twice
+    moved = 11.6918987309939 + 0.3
+    _flip(monkeypatch, True, 10.2437703041666, moved)
+    calls = _sampled(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = find_critical_zeros(1.0, 20.0)
+    _, beta = _split_by_source(records)
+    assert len(beta) == 5 and abs(beta[1] - moved) <= 1e-9
+    assert {(r.expected, r.found) for r in records
+            if r.source is ZeroSource.BETA_FACTOR} == {(5, 5)}
+    # the two calls after the first sampling halve that block only
+    for ts, beta in calls[1:3]:
+        assert beta.all() and ((8.28 < ts) & (ts < 14.65)).all()
 
 
 def test_step_too_coarse_warning_is_the_shortfall_warning():
