@@ -10,19 +10,28 @@ only.  A scan writes its rows as columnar records: each is formatted with
 one %-template, its text cells escaped once, and checked for inf and nan
 one column at a time.
 
+The command line is read in one pass over one table of subcommands
+(``_COMMANDS``: per subcommand its handler, help and options, per option
+its type, default or ``_REQUIRED``, and choices): global flags, then the
+subcommand, then its options and positionals in any order.  An option is
+given as ``--opt value`` or ``--opt=value``, by any unique prefix of its
+name, and the last of a repeated option wins; a value may start with '-'
+(``--s -0.5+3i``).  ``-h`` prints the help of either level, generated from
+the same table.  A bad command line exits 2 before any record is written.
+
 Exit codes: 0 ok, 2 domain/usage errors, 3 convergence errors or a
 non-finite result, 4 internal.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
 import sys
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -298,7 +307,7 @@ def _cmd_coeff(args, cfg: RunConfig, w: RecordWriter) -> None:
     elif kind == "angular":
         res = expansion.angular_lattice_sum(s)
         w.write(ScanRecord(s, "angular_sum", res.value, err_est=res.error))
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - the option table restricts choices
         raise ValueError(kind)
 
 
@@ -414,100 +423,11 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
         raise ValueError(kind)
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="toruszeta",
-        description="Spectral zeta functions of discrete-torus Laplacians "
-                    "and the Epstein-Riemann machinery")
-    p.add_argument("--tol", type=float, default=None,
-                   help="quadrature tolerance override")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--config", default=None,
-                   help="key=value file overriding defaults")
-    p.add_argument("--strict", action="store_true",
-                   help="reject arguments outside the theorem regime")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("zeta", help="discrete spectral zeta on the 2-torus")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--variant", default="five")
-    sp.add_argument("--s", required=True)
-    sp.set_defaults(handler=_cmd_zeta)
-
-    sp = sub.add_parser("zeta1d", help="discrete circle spectral zeta")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--s", required=True)
-    sp.set_defaults(handler=_cmd_zeta1d)
-
-    sp = sub.add_parser("epstein", help="zeta(Delta, s) via Glasser factors")
-    sp.add_argument("--s", required=True)
-    sp.add_argument("--direct-cutoff", type=int, default=0,
-                    help="also emit the truncated direct lattice sum")
-    sp.set_defaults(handler=_cmd_epstein)
-
-    sp = sub.add_parser("xi", help="complete Epstein zeta xi_2(s)")
-    sp.add_argument("--s", required=True)
-    sp.set_defaults(handler=_cmd_xi)
-
-    sp = sub.add_parser("omega", help="Omega(s) or the Omega ratio")
-    sp.add_argument("--s", required=True)
-    sp.add_argument("--ratio", action="store_true",
-                    help="emit Omega(1-s)/Omega(s) instead of Omega(s)")
-    sp.add_argument("--route", choices=("omega1", "omega2", "direct"),
-                    default="omega1")
-    sp.set_defaults(handler=_cmd_omega)
-
-    sp = sub.add_parser("coeff", help="expansion coefficients")
-    sp.add_argument("which", choices=("a", "b0", "b1", "b1tilde", "angular"))
-    sp.add_argument("--s", required=True)
-    sp.add_argument("--variant", default="nine")
-    sp.set_defaults(handler=_cmd_coeff)
-
-    sp = sub.add_parser("expansion", help="residual study of the expansion")
-    sp.add_argument("--s", required=True)
-    sp.add_argument("--variant", default="nine")
-    sp.add_argument("--n-list", default="32,64,128,256")
-    sp.add_argument("--orders", type=int, default=1)
-    sp.set_defaults(handler=_cmd_expansion)
-
-    sp = sub.add_parser("hn", help="|H_n(1-s)/H_n(s)| study")
-    sp.add_argument("--s", required=True)
-    sp.add_argument("--n-list", default="32,64,128,256")
-    sp.set_defaults(handler=_cmd_hn)
-
-    sp = sub.add_parser("scan", help="grid scans (omega, hn, xi-defect, zeros)")
-    sp.add_argument("--kind", choices=("omega", "hn", "xi-defect", "zeros"),
-                    required=True)
-    sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--a-min", type=float, default=0.01)
-    sp.add_argument("--a-max", type=float, default=0.99)
-    sp.add_argument("--points", type=int, default=101)
-    sp.add_argument("--t-min", type=float, default=1.0)
-    sp.add_argument("--t-max", type=float, default=20.0)
-    sp.add_argument("--step", type=float, default=None,
-                    help="zero scan: the largest sampling spacing in t "
-                         "(default: Gram points only)")
-    sp.add_argument("--s", default=None)
-    sp.add_argument("--n-list", default="32,64,128,256")
-    sp.add_argument("--re-min", type=float, default=0.1)
-    sp.add_argument("--re-max", type=float, default=0.9)
-    sp.add_argument("--re-points", type=int, default=5)
-    sp.add_argument("--im-min", type=float, default=1.0)
-    sp.add_argument("--im-max", type=float, default=40.0)
-    sp.add_argument("--im-points", type=int, default=4)
-    sp.set_defaults(handler=_cmd_scan)
-
-    sp = sub.add_parser("emcheck", help="Euler-Maclaurin two-sided identity")
-    sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--n", type=int, default=10)
-    sp.add_argument("--fn", choices=("runge", "square"), default="runge")
-    sp.set_defaults(handler=_cmd_emcheck)
-    return p
+def _config_bool(text: str) -> bool:
+    """``true`` or ``false`` in any case; anything else is an error."""
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"config strict={text!r}: expected true or false")
+    return text.lower() == "true"
 
 
 def _build_config(args) -> RunConfig:
@@ -515,7 +435,7 @@ def _build_config(args) -> RunConfig:
     if args.config:
         raw = _load_config_file(args.config)
         casts = {"quad_tol": float, "fmt": str, "out": str,
-                 "strict": lambda v: v.lower() == "true"}
+                 "strict": _config_bool}
         for key, val in raw.items():
             if key not in casts:
                 raise ValueError(f"unknown config key {key!r}")
@@ -531,24 +451,248 @@ def _build_config(args) -> RunConfig:
     return RunConfig(**values)
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """``--s -0.5+3i`` as ``--s=-0.5+3i``: argparse takes a word that
-    starts with '-' for an option, not for the value of the option before
-    it, unless the word is a plain negative decimal."""
-    out = list(argv[:1])
-    for arg in argv[1:]:
-        if arg.startswith("-") and _COMPLEX_RE.match(arg) \
-                and out[-1].startswith("--") and "=" not in out[-1]:
-            out[-1] += "=" + arg
+# ---------------------------------------------------------------------------
+# command line: one table of subcommands and options, read in one pass
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+class _Opt:
+    """One entry of the command-line table: an option ``--name`` or a
+    positional ``name``, the type its value is read with (None for a flag
+    that takes no value and stores True), its default or ``_REQUIRED``,
+    its choices and its help.  ``args.<dest>`` holds its value."""
+
+    __slots__ = ("flag", "type", "default", "choices", "help", "dest")
+
+    def __init__(self, flag, type=str, default=None, choices=(), help=""):
+        self.flag, self.type, self.default = flag, type, default
+        self.choices, self.help = choices, help
+        self.dest = flag.lstrip("-").replace("-", "_")
+
+
+_S = _Opt("--s", default=_REQUIRED)
+_N_LIST = _Opt("--n-list", default="32,64,128,256")
+
+# subcommand: (handler, help, options and positionals)
+_COMMANDS = {
+    "zeta": (_cmd_zeta, "discrete spectral zeta on the 2-torus", (
+        _Opt("--n", int, _REQUIRED), _Opt("--variant", default="five"), _S)),
+    "zeta1d": (_cmd_zeta1d, "discrete circle spectral zeta", (
+        _Opt("--n", int, _REQUIRED), _S)),
+    "epstein": (_cmd_epstein, "zeta(Delta, s) via Glasser factors", (
+        _S, _Opt("--direct-cutoff", int, 0,
+                 help="also emit the truncated direct lattice sum"))),
+    "xi": (_cmd_xi, "complete Epstein zeta xi_2(s)", (_S,)),
+    "omega": (_cmd_omega, "Omega(s) or the Omega ratio", (
+        _S, _Opt("--ratio", None, False,
+                 help="emit Omega(1-s)/Omega(s) instead of Omega(s)"),
+        _Opt("--route", default="omega1",
+             choices=("omega1", "omega2", "direct")))),
+    "coeff": (_cmd_coeff, "expansion coefficients", (
+        _Opt("which", default=_REQUIRED,
+             choices=("a", "b0", "b1", "b1tilde", "angular")),
+        _S, _Opt("--variant", default="nine"))),
+    "expansion": (_cmd_expansion, "residual study of the expansion", (
+        _S, _Opt("--variant", default="nine"), _N_LIST,
+        _Opt("--orders", int, 1))),
+    "hn": (_cmd_hn, "|H_n(1-s)/H_n(s)| study", (_S, _N_LIST)),
+    "scan": (_cmd_scan, "grid scans (omega, hn, xi-defect, zeros)", (
+        _Opt("--kind", default=_REQUIRED,
+             choices=("omega", "hn", "xi-defect", "zeros")),
+        _Opt("--b", float), _Opt("--a-min", float, 0.01),
+        _Opt("--a-max", float, 0.99), _Opt("--points", int, 101),
+        _Opt("--t-min", float, 1.0), _Opt("--t-max", float, 20.0),
+        _Opt("--step", float, help="zero scan: the largest sampling spacing "
+                                   "in t (default: Gram points only)"),
+        _Opt("--s"), _N_LIST,
+        _Opt("--re-min", float, 0.1), _Opt("--re-max", float, 0.9),
+        _Opt("--re-points", int, 5), _Opt("--im-min", float, 1.0),
+        _Opt("--im-max", float, 40.0), _Opt("--im-points", int, 4))),
+    "emcheck": (_cmd_emcheck, "Euler-Maclaurin two-sided identity", (
+        _Opt("--m", int, 3), _Opt("--n", int, 10),
+        _Opt("--fn", default="runge", choices=("runge", "square")))),
+}
+
+_GLOBAL = (
+    _Opt("--tol", float, help="quadrature tolerance override"),
+    _Opt("--format", choices=("csv", "json")),
+    _Opt("--out", help="output path (default stdout)"),
+    _Opt("--config", help="key=value file overriding defaults"),
+    _Opt("--strict", None, False,
+         help="reject arguments outside the theorem regime"),
+    _Opt("command", default=_REQUIRED, choices=tuple(_COMMANDS)),
+)
+_HELP = _Opt("--help", None, help="show this help message and exit")
+_DESCRIPTION = ("Spectral zeta functions of discrete-torus Laplacians and the "
+                "Epstein-Riemann machinery")
+
+
+def _table(prog: str) -> tuple:
+    """The options and positionals of ``toruszeta`` or ``toruszeta CMD``."""
+    command = prog.partition(" ")[2]
+    return _COMMANDS[command][2] if command else _GLOBAL
+
+
+def _spell(opt: _Opt) -> str:
+    if opt is _HELP:
+        return "-h, --help"
+    meta = "{" + ",".join(opt.choices) + "}" if opt.choices \
+        else opt.dest.upper()
+    if opt.flag[0] != "-":
+        return meta
+    return opt.flag if opt.type is None else f"{opt.flag} {meta}"
+
+
+def _usage(prog: str) -> str:
+    words = ["[-h]"]
+    opts = _table(prog)
+    for opt in sorted(opts, key=lambda o: o.flag[0] != "-"):
+        word = _spell(opt)
+        words.append(word if opt.default is _REQUIRED else f"[{word}]")
+    if opts is _GLOBAL:
+        words.append("...")
+    return f"usage: {prog} " + " ".join(words)
+
+
+def _help(prog: str) -> str:
+    """``-h`` of one level, generated from the table."""
+    command = prog.partition(" ")[2]
+    lines = [_usage(prog), "",
+             _COMMANDS[command][1] if command else _DESCRIPTION, ""]
+    opts = _table(prog)
+    if not command:
+        lines += ["commands:"] + [f"  {name:<22}{entry[1]}".rstrip()
+                                  for name, entry in _COMMANDS.items()] + [""]
+    lines.append("options:")
+    for opt in (_HELP, *opts):
+        if opt.flag[0] == "-" or command:
+            lines.append(f"  {_spell(opt):<22}{opt.help}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _fail(prog: str, message: str):
+    """A bad command line: usage and the error on stderr, exit 2."""
+    sys.stderr.write(f"{_usage(prog)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _match(word: str, flags: dict, prog: str):
+    """``(option, explicit value or None)`` for a word that names an option
+    by its flag, a unique prefix of it, or either with ``=value``;
+    ``(None, None)`` for one that looks like an option but names none; None
+    for a value (a word without a leading '-', '-', a negative number)."""
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in flags:
+        return flags[word], None
+    name, eq, value = word.partition("=")
+    if eq and name in flags:
+        return flags[name], value
+    if word[:2] == "--" and len(name) > 2:
+        hits = [flag for flag in flags if flag.startswith(name)]
+        if len(hits) > 1:
+            _fail(prog, f"ambiguous option: {word} could match "
+                        + ", ".join(hits))
+        if hits:
+            return flags[hits[0]], value if eq else None
+    elif word[:2] == "-h":
+        return _HELP, word[2:]
+    # -5, -.5 and -1.5 are negative numbers, values wherever they stand
+    whole, dot, frac = word[1:].partition(".")
+    digits = frac if dot else whole
+    if digits.isdecimal() and (not whole or whole.isdecimal()) or " " in word:
+        return None
+    return None, None
+
+
+def _convert(opt: _Opt, text: str, prog: str):
+    try:
+        value = opt.type(text)
+    except ValueError:
+        _fail(prog, f"argument {opt.flag}: invalid {opt.type.__name__} "
+                    f"value: {text!r}")
+    if opt.choices and value not in opt.choices:
+        _fail(prog, f"argument {opt.flag}: invalid choice: {value!r} "
+                    f"(choose from {', '.join(map(repr, opt.choices))})")
+    return value
+
+
+def _read(words: list, prog: str, ns: dict) -> list:
+    """Read ``words`` against the table of ``prog`` into ``ns``, and the
+    words after the subcommand against its table; return the words that
+    name nothing.  A value-taking option takes the next word unless that
+    word is an option, and a word like ``-0.5+3i`` is always a value.
+    Every word is matched first, so an ambiguous prefix is an error even
+    after ``-h``."""
+    opts = _table(prog)
+    flags = {"-h": _HELP, "--help": _HELP}
+    flags.update((opt.flag, opt) for opt in opts if opt.flag[0] == "-")
+    tokens = [_match(word, flags, prog) for word in words]
+    positionals = [opt for opt in opts if opt.flag[0] != "-"]
+    for opt in opts:
+        ns[opt.dest] = None if opt.default is _REQUIRED else opt.default
+    seen, unknown = set(), []
+    i = 0
+    while i < len(words):
+        word, token = words[i], tokens[i]
+        i += 1
+        if token is None:
+            if not positionals:
+                unknown.append(word)
+                continue
+            opt = positionals.pop(0)
+            ns[opt.dest] = _convert(opt, word, prog)
+            seen.add(opt)
+            if opt.dest == "command":
+                ns["handler"] = _COMMANDS[word][0]
+                unknown += _read(words[i:], f"{prog} {word}", ns)
+                break
+            continue
+        opt, value = token
+        if opt is None:
+            unknown.append(word)
+            continue
+        if opt.type is None:
+            if value is not None:
+                _fail(prog, f"argument {opt.flag}: ignored explicit "
+                            f"argument {value!r}")
+            if opt is _HELP:
+                sys.stdout.write(_help(prog))
+                raise SystemExit(0)
+            ns[opt.dest] = True
         else:
-            out.append(arg)
-    return out
+            if value is None:
+                if i == len(words) or (tokens[i] is not None
+                                       and not _COMPLEX_RE.match(words[i])):
+                    _fail(prog, f"argument {opt.flag}: expected one argument")
+                value = words[i]
+                i += 1
+            ns[opt.dest] = _convert(opt, value, prog)
+        seen.add(opt)
+    missing = [opt.flag for opt in opts
+               if opt.default is _REQUIRED and opt not in seen]
+    if missing:
+        _fail(prog, "the following arguments are required: "
+                    + ", ".join(missing))
+    return unknown
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The command line as ``args.<dest>`` plus ``args.handler``: global
+    flags, then the subcommand, then its options and positionals.  A bad
+    command line writes ``toruszeta[ CMD]: error: ...`` to stderr and
+    raises SystemExit(2); ``-h``/``--help`` prints help and exits 0."""
+    ns: dict = {}
+    unknown = _read(list(argv), "toruszeta", ns)
+    if unknown:
+        _fail("toruszeta", "unrecognized arguments: " + " ".join(unknown))
+    return SimpleNamespace(**ns)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(
-        sys.argv[1:] if argv is None else argv))
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = _build_config(args)
         writer = RecordWriter(cfg)

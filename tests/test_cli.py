@@ -1,18 +1,27 @@
 """CLI: record formats, round-trips, determinism, exit codes."""
 
+import argparse
+import contextlib
 import csv
+import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import toruszeta
 from toruszeta import conjecture, epstein
-from toruszeta.cli import RecordWriter, RunConfig, _g17, main, parse_complex
+from toruszeta.cli import (_COMPLEX_RE, RecordWriter, RunConfig, _cmd_coeff,
+                           _cmd_emcheck, _cmd_epstein, _cmd_expansion,
+                           _cmd_hn, _cmd_omega, _cmd_scan, _cmd_xi,
+                           _cmd_zeta, _cmd_zeta1d, _g17, main, parse_args,
+                           parse_complex)
 from toruszeta.conjecture import QUANTITY_REGISTRY, ScanRecord
 from toruszeta.errors import NonFiniteError, ZeroShortfallWarning
 from toruszeta.lattice import StencilVariant, TorusGrid, spectral_zeta
@@ -207,6 +216,18 @@ def test_config_validation(tmp_path, capsys):
     cfg.write_text("lattice_cutoff=64\n")  # the angular sum is exact now
     code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+5i"], capsys)
     assert code == 2
+    cfg.write_text("strict=yes\n")  # true or false only, in any case
+    code, out, err = run_cli(["--config", str(cfg), "xi", "--s", "0.3+600i"],
+                             capsys)
+    assert code == 2 and out == "" and "strict" in err
+    cfg.write_text("strict=TRUE\n")
+    code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+600i"],
+                         capsys)
+    assert code == 2  # outside the validated domain under strict
+    cfg.write_text("strict=False\n")
+    code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+600i"],
+                         capsys)
+    assert code == 0
 
 
 def test_coeff_commands(capsys):
@@ -245,6 +266,22 @@ def test_cli_import_builds_no_tables():
                           text=True, timeout=60, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert done.stdout.split() == ["0", "0", "0", "0"]
+
+
+def test_a_cli_job_loads_no_argparse():
+    # the command line is read from the option table in cli, so a job
+    # imports neither argparse nor the gettext and locale it pulls in
+    probe = ("import contextlib, io, sys\n"
+             "import toruszeta.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = toruszeta.cli.main(['xi', '--s', '0.3+5i'])\n"
+             "print(code, *sorted({'argparse', 'gettext', 'locale'}\n"
+             "                    & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(toruszeta.__file__))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.split() == ["0"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -377,7 +414,8 @@ def test_every_emitted_quantity_is_registered(capsys):
 
 
 def test_negative_complex_after_a_space(capsys):
-    # argparse alone reads "-0.5+3i" and "-1e-3" as options, not as values
+    # a word like "-0.5+3i" or "-1e-3" after a value-taking option is its
+    # value, spaced or attached with '='
     for argv in (["xi", "--s", "-0.5+3i"], ["xi", "--s", "-1e-3"],
                  ["omega", "--s", "-0.7-2.5i"],
                  ["omega", "--s", "-0.7-2.5i", "--ratio", "--route",
@@ -531,3 +569,258 @@ def test_a_columnar_record_writes_the_bytes_of_its_rows(fmt, bad_row,
         expect += "\n]\n"
     assert _writer_output([record], fmt, None, True, capsys) \
         == (bad_row is not None, expect)
+
+
+# ---------------------------------------------------------------------------
+# the command line: the option table against the former argparse parser
+# ---------------------------------------------------------------------------
+
+def _reference_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="toruszeta",
+        description="Spectral zeta functions of discrete-torus Laplacians "
+                    "and the Epstein-Riemann machinery")
+    p.add_argument("--tol", type=float, default=None,
+                   help="quadrature tolerance override")
+    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--config", default=None,
+                   help="key=value file overriding defaults")
+    p.add_argument("--strict", action="store_true",
+                   help="reject arguments outside the theorem regime")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("zeta", help="discrete spectral zeta on the 2-torus")
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--variant", default="five")
+    sp.add_argument("--s", required=True)
+    sp.set_defaults(handler=_cmd_zeta)
+
+    sp = sub.add_parser("zeta1d", help="discrete circle spectral zeta")
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--s", required=True)
+    sp.set_defaults(handler=_cmd_zeta1d)
+
+    sp = sub.add_parser("epstein", help="zeta(Delta, s) via Glasser factors")
+    sp.add_argument("--s", required=True)
+    sp.add_argument("--direct-cutoff", type=int, default=0,
+                    help="also emit the truncated direct lattice sum")
+    sp.set_defaults(handler=_cmd_epstein)
+
+    sp = sub.add_parser("xi", help="complete Epstein zeta xi_2(s)")
+    sp.add_argument("--s", required=True)
+    sp.set_defaults(handler=_cmd_xi)
+
+    sp = sub.add_parser("omega", help="Omega(s) or the Omega ratio")
+    sp.add_argument("--s", required=True)
+    sp.add_argument("--ratio", action="store_true",
+                    help="emit Omega(1-s)/Omega(s) instead of Omega(s)")
+    sp.add_argument("--route", choices=("omega1", "omega2", "direct"),
+                    default="omega1")
+    sp.set_defaults(handler=_cmd_omega)
+
+    sp = sub.add_parser("coeff", help="expansion coefficients")
+    sp.add_argument("which", choices=("a", "b0", "b1", "b1tilde", "angular"))
+    sp.add_argument("--s", required=True)
+    sp.add_argument("--variant", default="nine")
+    sp.set_defaults(handler=_cmd_coeff)
+
+    sp = sub.add_parser("expansion", help="residual study of the expansion")
+    sp.add_argument("--s", required=True)
+    sp.add_argument("--variant", default="nine")
+    sp.add_argument("--n-list", default="32,64,128,256")
+    sp.add_argument("--orders", type=int, default=1)
+    sp.set_defaults(handler=_cmd_expansion)
+
+    sp = sub.add_parser("hn", help="|H_n(1-s)/H_n(s)| study")
+    sp.add_argument("--s", required=True)
+    sp.add_argument("--n-list", default="32,64,128,256")
+    sp.set_defaults(handler=_cmd_hn)
+
+    sp = sub.add_parser("scan", help="grid scans (omega, hn, xi-defect, zeros)")
+    sp.add_argument("--kind", choices=("omega", "hn", "xi-defect", "zeros"),
+                    required=True)
+    sp.add_argument("--b", type=float, default=None)
+    sp.add_argument("--a-min", type=float, default=0.01)
+    sp.add_argument("--a-max", type=float, default=0.99)
+    sp.add_argument("--points", type=int, default=101)
+    sp.add_argument("--t-min", type=float, default=1.0)
+    sp.add_argument("--t-max", type=float, default=20.0)
+    sp.add_argument("--step", type=float, default=None,
+                    help="zero scan: the largest sampling spacing in t "
+                         "(default: Gram points only)")
+    sp.add_argument("--s", default=None)
+    sp.add_argument("--n-list", default="32,64,128,256")
+    sp.add_argument("--re-min", type=float, default=0.1)
+    sp.add_argument("--re-max", type=float, default=0.9)
+    sp.add_argument("--re-points", type=int, default=5)
+    sp.add_argument("--im-min", type=float, default=1.0)
+    sp.add_argument("--im-max", type=float, default=40.0)
+    sp.add_argument("--im-points", type=int, default=4)
+    sp.set_defaults(handler=_cmd_scan)
+
+    sp = sub.add_parser("emcheck", help="Euler-Maclaurin two-sided identity")
+    sp.add_argument("--m", type=int, default=3)
+    sp.add_argument("--n", type=int, default=10)
+    sp.add_argument("--fn", choices=("runge", "square"), default="runge")
+    sp.set_defaults(handler=_cmd_emcheck)
+    return p
+
+
+def _reference_attach(argv: list[str]) -> list[str]:
+    """``--s -0.5+3i`` as ``--s=-0.5+3i``: argparse takes a word that
+    starts with '-' for an option, not for the value of the option before
+    it, unless the word is a plain negative decimal."""
+    out = list(argv[:1])
+    for arg in argv[1:]:
+        if arg.startswith("-") and _COMPLEX_RE.match(arg) \
+                and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+_REFERENCE = _reference_parser()
+_REFERENCE_COMMANDS = next(
+    a for a in _REFERENCE._actions
+    if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _reference_parse(argv):
+    """The former argparse parser with its rewrite of negative values, kept
+    as the reference for ``parse_args``."""
+    return _REFERENCE.parse_args(_reference_attach(argv))
+
+
+def _outcome(parse, argv):
+    """(vars of the parsed arguments, None) or (None, exit code), and what
+    the parser wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv)), None
+        except SystemExit as exc:
+            result = None, exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _digest_commands():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "cli_digest.py")
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COMMANDS
+
+
+@pytest.mark.parametrize("line", _digest_commands())
+def test_parser_agrees_with_the_reference_on_the_digest_commands(line):
+    argv = shlex.split(line)
+    (ref, ref_code), _, _ = _outcome(_reference_parse, argv)
+    (new, code), out, err = _outcome(parse_args, argv)
+    assert (new, code) == (ref, ref_code)
+    if code is not None:
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith(
+            ("toruszeta: error: ", f"toruszeta {argv[0]}: error: "))
+
+
+# Values for each type of option, valid and not: negative numbers and
+# complex numbers that start with '-', a word that looks like an option,
+# one with a space, an empty one.
+_VALUES = {int: ("8", "-3", "0", "x", "1.5", ""),
+           float: ("70", "-1e-3", "0.25", "-.5", "-2", "inf", "x"),
+           None: ("0.3+2i", "-0.5+3i", "-1e-3", "-7", "five", "nine",
+                  "32,64", "-x", "a b", "")}
+# words that name no option or stand where no positional is expected
+_NOISE = ("--bogus", "-x", "stray", "-5", "-0.5+3i", "--re", "--r", "-h")
+
+
+@st.composite
+def _option_words(draw, action):
+    """One argument of the reference parser as command-line words: its
+    flag or a prefix of it (unique, ambiguous or naming another option),
+    spaced or with '=', or without its value."""
+    if not action.option_strings:
+        return [draw(st.sampled_from([*action.choices, "nope"]))]
+    flag = action.option_strings[0]
+    name = draw(st.sampled_from(
+        [flag, flag, flag[:draw(st.integers(3, len(flag)))]]))
+    if action.nargs == 0:
+        return [draw(st.sampled_from([name, name, name, name + "=x"]))]
+    value = draw(st.sampled_from(
+        [*action.choices, "nope"] if action.choices else _VALUES[action.type]))
+    form = draw(st.sampled_from(["spaced"] * 3 + ["attached"] * 2
+                                + ["missing"]))
+    return {"spaced": [name, value], "attached": [f"{name}={value}"],
+            "missing": [name]}[form]
+
+
+def _arguments(parser):
+    return [a for a in parser._actions if not isinstance(
+        a, (argparse._HelpAction, argparse._SubParsersAction))]
+
+
+@st.composite
+def _command_lines(draw):
+    """Global flags, a subcommand (or none, or a bad one), its required
+    arguments (rarely one left out) and optional ones, repeats, noise and a
+    global flag after the subcommand, in any order after the subcommand."""
+    flags = [st.sampled_from(_NOISE).map(lambda w: [w])] \
+        + [_option_words(a) for a in _arguments(_REFERENCE)]
+    words = sum(draw(st.lists(st.one_of(flags), max_size=3)), [])
+    command = draw(st.sampled_from([*_REFERENCE_COMMANDS, "nope", None]))
+    if command is None:
+        return words
+    arguments = _arguments(_REFERENCE_COMMANDS.get(command, _REFERENCE))
+    parts = [draw(_option_words(a)) for a in arguments
+             if (a.required or not a.option_strings)
+             and draw(st.integers(0, 9))]
+    parts += draw(st.lists(st.one_of(
+        [_option_words(a) for a in arguments] + flags), max_size=4))
+    return words + [command] + sum(draw(st.permutations(parts)), [])
+
+
+@settings(max_examples=600, deadline=None)
+@given(_command_lines())
+def test_parser_agrees_with_the_reference(argv):
+    # the same arguments and handler, or the same exit: 2 for every
+    # command line the reference rejects, 0 after help
+    (ref, ref_code), _, _ = _outcome(_reference_parse, argv)
+    (new, code), out, err = _outcome(parse_args, argv)
+    assert (new, code) == (ref, ref_code), argv
+    if code == 2:
+        assert out == "" and ": error: " in err
+
+
+def test_help_at_both_levels(capsys):
+    for argv, words in ((["-h"], ["--tol", "--strict", "emcheck", "scan"]),
+                        (["--strict", "--help"], ["--format {csv,json}"]),
+                        (["coeff", "-h"], ["--s S", "b1tilde"]),
+                        (["scan", "--kind", "zeros", "--he"],
+                         ["--re-points", "--kind", "Gram points"])):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 0 and out.err == ""
+        assert out.out.startswith("usage: toruszeta")
+        assert all(w in out.out for w in words), (argv, out.out)
+
+
+def test_a_bad_command_line_exits_2_before_the_header(capsys):
+    for argv, phrase in ((["zeta", "--n", "8"], "--s"),
+                         (["--format", "xml", "xi", "--s", "1"],
+                          "invalid choice"),
+                         (["scan", "--kind", "xi-defect", "--re", "3"],
+                          "ambiguous option"),
+                         (["xi", "--s"], "expected one argument"),
+                         (["zeta", "--n", "x", "--s", "1"],
+                          "invalid int value"),
+                         (["xi", "--strict", "--s", "0.3+5i"],
+                          "unrecognized arguments: --strict")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert ": error: " in out.err and phrase in out.err, argv

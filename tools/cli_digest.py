@@ -98,17 +98,32 @@ COMMANDS = (
     "--format json expansion --s 0.3+2i --variant nine --n-list 32,64,128",
     "--tol 1e-8 coeff a --s 0.5 --variant nine",
     "--strict scan --kind omega --b 70 --points 11",
+    # the command line: a negative value after a space, an abbreviated
+    # option, --opt=value for a global flag, the positional after an option
+    "xi --s -0.5+3i",
+    "scan --kind omega --b 70 --poi 11",
+    "--format=json xi --s 0.3+5i",
+    "coeff --s 0.3+2i b0",
     # outside the validated zeta/beta domain |Im s| <= 100
     "--strict omega --s 0.5+800i --ratio",
     "--strict xi --s 0.3+600i",
     # without --strict: xi_2 underflows there, flagged in meta
     "xi --s 0.3+600i",
-    # error exits: usage (2, from the library and from argparse), noise floor (3)
+    # error exits: usage (2, raised by the library or by the command-line
+    # parser), noise floor (3)
     "--strict expansion --s 1.5+1i --variant nine --n-list 32,64,128",
     "zeta --n 1 --variant five --s 1",
     "scan --kind nope",
     "scan --kind zeros --t-min 1 --t-max 20 --step -0.1",
     "--tol 1e-4 expansion --s 0.3+2i --variant nine --n-list 64,128,256 --orders 1",
+    # command lines the parser rejects: a missing required option, an
+    # unknown option, an ambiguous prefix, a bad int, a global flag after
+    # the subcommand
+    "zeta --n 8",
+    "xi --s 0.3+5i --bogus 1",
+    "scan --kind xi-defect --re 3",
+    "zeta --n x --s 1",
+    "xi --strict --s 0.3+5i",
 )
 
 
@@ -120,7 +135,7 @@ def digest(argv: list[str]) -> tuple[str, int, str]:
             contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
+        except SystemExit as exc:  # the command line is rejected
             code = exc.code
     text = out.getvalue()
     return hashlib.sha256(text.encode()).hexdigest(), code, text
@@ -143,7 +158,8 @@ def read_listing(path: str) -> dict:
 def _rows(argv: str, lines: list) -> list:
     """The records of one command's stdout, CSV or JSON, as dicts."""
     words = shlex.split(argv)
-    if "--format" in words and words[words.index("--format") + 1] == "json":
+    if "--format=json" in words or "--format" in words \
+            and words[words.index("--format") + 1] == "json":
         text = "\n".join(lines)
         # output cut short by an error exit lacks the closing bracket
         for candidate in (text, text + "\n]"):
