@@ -206,14 +206,6 @@ def _variant(text: str) -> lattice.StencilVariant:
         raise ValueError(f"variant must be five or nine, got {text!r}")
 
 
-def _sum_error_estimate(grid: lattice.TorusGrid, variant, s: complex) -> float:
-    """eps log2(n^2) sum |lambda^-s| over the n^2 - 1 nonzero eigenvalues."""
-    lam, mult = lattice.folded_spectrum(grid.n, variant)
-    mags = np.exp(-s.real * np.log(lam))
-    return float(np.finfo(float).eps * math.log2(grid.n ** 2)
-                 * np.dot(mult, mags))
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -223,9 +215,10 @@ def _cmd_zeta(args, cfg: RunConfig, w: RecordWriter) -> None:
     grid = lattice.TorusGrid(args.n)
     variant = _variant(args.variant)
     t0 = time.perf_counter()
-    val = lattice.spectral_zeta(grid, variant, s)
+    val, abs_sum = lattice._spectral_zeta_sums(grid, variant, s)
     dt = time.perf_counter() - t0
-    err = _sum_error_estimate(grid, variant, s)
+    # eps log2(n^2) sum |lambda^-s| over the n^2 - 1 nonzero eigenvalues
+    err = float(np.finfo(float).eps * math.log2(args.n ** 2) * abs_sum)
     print(f"zeta n={args.n} variant={args.variant} done in {dt:.3f}s",
           file=sys.stderr)
     w.write(ScanRecord(s, "zeta_discrete", val, n=args.n, err_est=err,
@@ -374,14 +367,26 @@ def _runs(labels) -> list:
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
-def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
-    kind = args.kind
-    if kind == "omega":
+def _check_scan(args, cfg: RunConfig) -> None:
+    """The per-kind requirements of ``scan``, checked before any output."""
+    if args.kind == "omega":
         if args.b is None:
             raise ValueError("scan --kind omega requires --b")
         if cfg.strict and not args.b > 65.0:
             raise DomainError("--strict: omega scan requires b > 65")
         _require_series_domain(args.b, cfg)
+    elif args.kind == "hn" and args.s is None:
+        raise ValueError("scan --kind hn requires --s")
+    elif args.kind == "zeros" and args.t_min < args.t_max:
+        _require_series_domain(args.t_max, cfg)
+    elif args.kind == "xi-defect":
+        im = np.linspace(args.im_min, args.im_max, args.im_points)
+        _require_series_domain(np.abs(im).max(initial=0.0), cfg)
+
+
+def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
+    kind = args.kind
+    if kind == "omega":
         if args.points < 1:
             return
         pts = _points(np.linspace(args.a_min, args.a_max, args.points),
@@ -393,7 +398,6 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
     elif kind == "zeros":
         if args.t_min >= args.t_max:
             return
-        _require_series_domain(args.t_max, cfg)
         recs = epstein.find_critical_zeros(args.t_min, args.t_max, args.step,
                                            strict=cfg.strict)
         ts = np.array([r.t for r in recs])
@@ -406,14 +410,11 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
                                      "found": str(recs[lo].found)})
                     for lo, hi in _runs(sources))
     elif kind == "hn":
-        if args.s is None:
-            raise ValueError("scan --kind hn requires --s")
         _cmd_hn(args, cfg, w)
     elif kind == "xi-defect":
         pts = _points(
             np.linspace(args.re_min, args.re_max, args.re_points)[:, None],
             np.linspace(args.im_min, args.im_max, args.im_points))
-        _require_series_domain(np.abs(pts.imag).max(initial=0.0), cfg)
         _, defect, underflow = _xi_with_defect(pts)
         w.write_all(ScanRecord(pts[lo:hi], "xi_defect", defect[lo:hi],
                                meta={"underflow": "true"} if underflow[lo]
@@ -695,6 +696,8 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = _build_config(args)
+        if args.handler is _cmd_scan:
+            _check_scan(args, cfg)
         writer = RecordWriter(cfg)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,12 +29,11 @@ import numpy as np
 
 from .errors import (DomainError, PoleError, SignalLostError,
                      ZeroShortfallWarning)
-from .lattice import fold_square
+from .lattice import _powsum, fold_square
 from .special import (_LD_LOG_PI, _LOG_PI, _as_array, _gamma_poles,
                       complex_gamma_array, complex_log_gamma_array,
                       dirichlet_beta_array, riemann_zeta_array,
                       zeta_beta_arrays)
-from .summation import pairwise_sum
 
 
 def epstein_zeta_2d_array(s) -> np.ndarray:
@@ -68,7 +67,7 @@ def epstein_direct_sum(s: complex, cutoff: int) -> tuple[complex, float]:
     axis_mult[0] = 1.0  # k and -k coincide only at 0
     k1, k2, mult = fold_square(axis_mult)
     q = (k1 * k1 + k2 * k2).astype(float)
-    total = pairwise_sum(mult * np.exp(-s * np.log(q)))
+    total, _ = _powsum(q, mult, s)
     sigma = s.real
     bound = 8.0 * cutoff ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
     return total, bound

@@ -14,10 +14,14 @@ Zero-mode conventions differ on purpose: spectral zeta sums exclude
 Both symbols are invariant under k -> n-k on either axis and under
 k1 <-> k2, so the spectral zeta sums run over the fundamental domain
 0 <= k1 <= k2 <= n/2 only, each eigenvalue weighted by the number of
-(k1, k2) it stands for (1, 2, 4 or 8: ``folded_spectrum``).  The weights
-are powers of two, so weighting is exact and spectral_zeta(conj s) ==
-conj(spectral_zeta(s)) holds bit for bit.  The dense ``eigenvalue_grid``
-serves the resolvent traces.
+(k1, k2) it stands for (1, 2, 4 or 8: ``folded_spectrum``, built a
+cache-sized block of rows k1 at a time into two preallocated arrays, with
+no index array of the triangle's size).  The weights are powers of two, so weighting is exact and spectral_zeta(conj s)
+== conj(spectral_zeta(s)) holds bit for bit.  ``_powsum`` forms the terms
+mult * lam^(-s) one cache-sized slice of leaf rows at a time and hands
+them to the streamed reducer, summing the magnitudes mult * lam^(-Re s)
+from the same logarithms, so no array of n^2/8 terms is ever built.  The
+dense ``eigenvalue_grid`` serves the resolvent traces.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import (DegenerateError, DomainError, NonFiniteError, RangeError,
                      ShapeError)
-from .summation import pairwise_sum
+from .summation import _SLICE, pairwise_sum, streamed_pairwise_sum
 
 
 class StencilVariant(enum.Enum):
@@ -116,16 +120,34 @@ def eigenvalue_grid(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
 def folded_spectrum(n: int, variant: StencilVariant) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero eigenvalues over 0 <= k1 <= k2 <= n/2 and their multiplicities.
 
-    The values are exactly those of ``eigenvalue_grid`` at the same (k1, k2);
-    the multiplicities (1, 2, 4 or 8) sum to n^2 - 1.  Both arrays are
-    read-only, since the memo hands the same pair to every caller.
+    Built a block of rows k1 at a time, about ``summation._SLICE`` entries
+    a block, into two preallocated arrays: a block is the symbol over its
+    rows and the columns k2 from its first row on, kept where k2 >= k1.  So
+    the flat order is that of ``fold_square``, no index array of the
+    triangle's size is built, and the values are exactly those of
+    ``eigenvalue_grid`` at the same (k1, k2); the multiplicities (1, 2, 4
+    or 8) sum to n^2 - 1.  Both arrays are read-only, since the memo hands
+    the same pair to every caller.
     """
     if n < 1:
         raise RangeError(f"grid size n={n} must be >= 1")
     head, axis_mult = _axis_fold(n)
-    k1, k2, mult = fold_square(axis_mult)
-    lam = stencil_symbol(variant, head[k1], head[k2],
-                         2.0 * math.pi ** 2 / (3.0 * n ** 2))
+    c = 2.0 * math.pi ** 2 / (3.0 * n ** 2)
+    m = head.size
+    lam = np.empty(m * (m + 1) // 2)
+    mult = np.empty(lam.size)
+    rows = max(1, _SLICE // m)
+    start = 0
+    for r0 in range(0, m, rows):
+        k1 = np.arange(r0, min(r0 + rows, m))[:, None]
+        k2 = np.arange(r0, m)
+        upper = k2 >= k1
+        stop = start + np.count_nonzero(upper)
+        lam[start:stop] = stencil_symbol(variant, head[k1], head[r0:], c)[upper]
+        mult[start:stop] = (axis_mult[k1] * axis_mult[r0:]
+                            * np.where(k1 == k2, 1.0, 2.0))[upper]
+        start = stop
+    lam, mult = lam[1:], mult[1:]  # without the zero mode (0, 0)
     lam.flags.writeable = False
     mult.flags.writeable = False
     return lam, mult
@@ -174,12 +196,33 @@ def operator_matrix(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
     return mat
 
 
-def _powsum(lam: np.ndarray, mult: np.ndarray, s: complex) -> complex:
-    """sum mult * lam^(-s) over flat positive lam, deterministic order."""
-    total = pairwise_sum(mult * np.exp(-s * np.log(lam)))
+def _powsum(lam: np.ndarray, mult: np.ndarray, s: complex) -> tuple[complex, float]:
+    """sum mult * lam^(-s) over flat positive lam, deterministic order, and
+    sum mult * lam^(-Re s) = sum |terms|, from one streamed pass."""
+    abs_parts = []
+
+    def terms(a: int, b: int) -> np.ndarray:
+        log_lam = np.log(lam[a:b])
+        abs_parts.append(float((mult[a:b] * np.exp(-s.real * log_lam)).sum()))
+        return mult[a:b] * np.exp(-s * log_lam)
+
+    total = streamed_pairwise_sum(lam.size, terms)
     if not np.isfinite(total):
         raise NonFiniteError(f"non-finite spectral sum {total} at s={s} (lam^-s overflows)")
-    return total
+    return total, math.fsum(abs_parts)
+
+
+def _spectral_zeta_sums(grid: TorusGrid, variant: StencilVariant, s: complex,
+                        allow_empty: bool = False) -> tuple[complex, float]:
+    """``spectral_zeta`` and sum |terms| = sum eigenvalue^(-Re s)."""
+    s = complex(s)
+    n = grid.n
+    if n == 1:
+        if allow_empty:
+            return 0.0 + 0.0j, 0.0
+        raise DegenerateError("empty spectrum: n=1 torus has only the zero mode")
+    lam, mult = folded_spectrum(n, variant)
+    return _powsum(lam, mult, s)
 
 
 def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,
@@ -188,17 +231,10 @@ def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,
 
     Principal-branch powers (all eigenvalues are positive once the zero mode
     is excluded), summed over the folded spectrum with multiplicities and
-    reduced by the leaf-compensated pairwise tree, so results are
-    bit-identical across runs.
+    reduced by the leaf-compensated pairwise tree, one cache-sized slice of
+    terms at a time, so results are bit-identical across runs.
     """
-    s = complex(s)
-    n = grid.n
-    if n == 1:
-        if allow_empty:
-            return 0.0 + 0.0j
-        raise DegenerateError("empty spectrum: n=1 torus has only the zero mode")
-    lam, mult = folded_spectrum(n, variant)
-    return _powsum(lam, mult, s)
+    return _spectral_zeta_sums(grid, variant, s, allow_empty)[0]
 
 
 def spectral_zeta_1d(n: int, s: complex) -> complex:
@@ -212,7 +248,7 @@ def spectral_zeta_1d(n: int, s: complex) -> complex:
     if n < 1:
         raise RangeError("n must be >= 1")
     head, mult = _axis_fold(n)
-    return _powsum(head[1:], mult[1:], s)
+    return _powsum(head[1:], mult[1:], s)[0]
 
 
 def resolvent_trace(grid: TorusGrid, variant: StencilVariant, alpha: int,

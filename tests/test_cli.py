@@ -431,8 +431,19 @@ def test_negative_complex_after_a_space(capsys):
 
 
 def test_scan_required_flags(capsys):
-    code, _, err = run_cli(["scan", "--kind", "hn"], capsys)
-    assert code == 2 and "--s" in err
+    # a scan's per-kind requirements exit 2 before the header, in both formats
+    for fmt in ("csv", "json"):
+        for argv, phrase in ((["scan", "--kind", "hn"], "requires --s"),
+                             (["scan", "--kind", "omega"], "requires --b"),
+                             (["--strict", "scan", "--kind", "omega", "--b",
+                               "60"], "b > 65"),
+                             (["--strict", "scan", "--kind", "zeros",
+                               "--t-max", "101"], "|Im(s)|"),
+                             (["--strict", "scan", "--kind", "xi-defect",
+                               "--im-min", "-101"], "|Im(s)|")):
+            code, out, err = run_cli(["--format", fmt] + argv, capsys)
+            assert (code, out) == (2, ""), (fmt, argv)
+            assert phrase in err, (fmt, argv)
     code, _, err = run_cli(["scan", "--kind", "omega", "--b", "70",
                             "--points", "0"], capsys)
     assert code == 0  # empty grid -> header only

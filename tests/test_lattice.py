@@ -1,6 +1,7 @@
 """Torus lattice operators: spectra, stencils, zeta sums, resolvents."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from toruszeta.epstein import epstein_direct_sum
 from toruszeta.errors import (DegenerateError, DomainError, NonFiniteError,
                               RangeError, ShapeError)
-from toruszeta.lattice import (StencilVariant, TorusGrid, apply_stencil,
+from toruszeta.lattice import (StencilVariant, TorusGrid, _axis_fold,
+                               _spectral_zeta_sums, apply_stencil,
                                axis_eigenvalues, eigenvalue, eigenvalue_grid,
-                               folded_spectrum, operator_matrix,
+                               fold_square, folded_spectrum, operator_matrix,
                                resolvent_trace, resolvent_trace_1d,
-                               spectral_zeta, spectral_zeta_1d)
+                               spectral_zeta, spectral_zeta_1d, stencil_symbol)
+from toruszeta.summation import pairwise_sum
 
 FIVE = StencilVariant.FIVE_POINT
 NINE = StencilVariant.NINE_POINT
@@ -216,3 +219,52 @@ def test_folded_direct_sum_matches_dense_fsum(cutoff, sigma, t):
     ref, mag = _fsum_powers(q[q > 0], s)
     total, _ = epstein_direct_sum(s, cutoff)
     assert abs(total - ref) <= 1e-14 * mag
+
+
+def _reference_folded_spectrum(n, variant):
+    """The fold before it was built in blocks: triu_indices and gathers."""
+    head, axis_mult = _axis_fold(n)
+    k1, k2, mult = fold_square(axis_mult)
+    lam = stencil_symbol(variant, head[k1], head[k2],
+                         2.0 * math.pi ** 2 / (3.0 * n ** 2))
+    return lam, mult
+
+
+def test_block_built_fold_matches_the_index_fold():
+    for n in list(range(1, 41)) + [1023, 1024]:
+        for v in StencilVariant:
+            lam, mult = folded_spectrum(n, v)
+            ref_lam, ref_mult = _reference_folded_spectrum(n, v)
+            assert lam.dtype == ref_lam.dtype and mult.dtype == ref_mult.dtype
+            assert lam.tobytes() == ref_lam.tobytes(), (n, v)
+            assert mult.tobytes() == ref_mult.tobytes(), (n, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 1500), st.sampled_from(list(StencilVariant)),
+       st.floats(-1.0, 2.0), st.floats(-50.0, 50.0))
+def test_spectral_zeta_is_the_reducer_over_the_terms(n, variant, sigma, t):
+    # the streamed pass has the bits of the reducer over the whole array
+    s = complex(sigma, t)
+    lam, mult = folded_spectrum(n, variant)
+    value, abs_sum = _spectral_zeta_sums(TorusGrid(n), variant, s)
+    assert value == spectral_zeta(TorusGrid(n), variant, s) \
+        == pairwise_sum(mult * np.exp(-s * np.log(lam)))
+    ref = math.fsum(mult * np.exp(-sigma * np.log(lam)))
+    assert abs(abs_sum - ref) <= 1e-14 * ref
+
+
+def test_spectral_sum_builds_no_n2_temporaries():
+    n, v = 2048, NINE
+    folded_spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        lam, mult = folded_spectrum(n, v)
+        held, fold_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        spectral_zeta(TorusGrid(n), v, 0.745236 + 4.850816j)
+        zeta_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert fold_peak <= 1.25 * (lam.nbytes + mult.nbytes)
+    assert zeta_peak <= 4e6

@@ -124,6 +124,14 @@ COMMANDS = (
     "scan --kind xi-defect --re 3",
     "zeta --n x --s 1",
     "xi --strict --s 0.3+5i",
+    # the streamed spectral sum: 77 terms, so the last leaf row is padded;
+    # odd n, no Nyquist row and a partial last row; many slices
+    "zeta --n 23 --variant nine --s 0.4+3i",
+    "zeta --n 1023 --variant five --s 0.6+7i",
+    "zeta --n 2048 --variant nine --s 0.745236+4.850816i",
+    # a scan's per-kind requirement missing: exit 2 before any output
+    "scan --kind hn",
+    "--format json scan --kind omega",
 )
 
 
