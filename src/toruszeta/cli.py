@@ -377,7 +377,13 @@ def _check_scan(args, cfg: RunConfig) -> None:
         _require_series_domain(args.b, cfg)
     elif args.kind == "hn" and args.s is None:
         raise ValueError("scan --kind hn requires --s")
-    elif args.kind == "zeros" and args.t_min < args.t_max:
+    elif args.kind == "zeros" and not args.t_min >= args.t_max:
+        # the handler scans unless t_min >= t_max, so nan ends count as bad
+        if not 0 < args.t_min < args.t_max:
+            raise DomainError("scan --kind zeros needs 0 < t_min < t_max")
+        if args.step is not None and not 0 < args.step < math.inf:
+            raise DomainError("scan step must be positive and finite, "
+                              f"got {args.step}")
         _require_series_domain(args.t_max, cfg)
     elif args.kind == "xi-defect":
         im = np.linspace(args.im_min, args.im_max, args.im_points)

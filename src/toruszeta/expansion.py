@@ -10,7 +10,8 @@ angular lattice sum entering b1 (inner lattice sum in closed form, outer
 one closed by an Euler-Maclaurin tail, so nothing is truncated), the Taylor
 coefficient polynomials of the symbol expansion, the Euler-Maclaurin
 identity verifier, H_n, and residual order measurements against directly
-computed discrete zetas.
+computed discrete zetas.  The symbol is ``lattice``'s (see its docstring),
+taken at n = 1 on the unit square.
 
 Implementation notes on the leading coefficient: the inner y-integral has
 the closed form
@@ -40,12 +41,16 @@ import numpy as np
 
 from .epstein import epstein_zeta_2d, v_factor, v_factor_inv, _pi_pow_gamma
 from .errors import DomainError, RangeError, SignalLostError
-from .lattice import (StencilVariant, TorusGrid, spectral_zeta,
+from .lattice import (StencilVariant, TorusGrid, axis_symbol, spectral_zeta,
                       stencil_symbol)
 from .quadrature import QuadResult, quad_periodic_2d, _gl_rule, _graded_panels
 from .special import bernoulli_fraction, bernoulli_polynomial
 
-_TWO_THIRDS_PISQ = 2.0 * math.pi ** 2 / 3.0
+
+def _cross_coeff(variant: StencilVariant) -> float:
+    """Coefficient of a b in the unit-square symbol: -2 pi^2/3 (9-point) or
+    0 (5-point), read off exactly: 2 - c and (2 - c) - 2 do not round."""
+    return stencil_symbol(variant, 1.0, 1.0, 1) - 2.0
 
 
 @lru_cache(maxsize=4)
@@ -56,9 +61,8 @@ def _h_moments(variant: StencilVariant, jmax: int = 40) -> np.ndarray:
     grid is exact (to rounding) for all j <= 40.
     """
     n = 128
-    g = np.arange(n) / n
-    sx = np.sin(np.pi * g) ** 2 / math.pi ** 2
-    h = stencil_symbol(variant, sx[:, None], sx[None, :], _TWO_THIRDS_PISQ)
+    sx = axis_symbol(np.arange(n) / n, 1)
+    h = stencil_symbol(variant, sx[:, None], sx[None, :], 1)
     out = np.empty(jmax + 1)
     p = np.ones_like(h)
     for j in range(jmax + 1):
@@ -81,11 +85,8 @@ def _inner_xshape(variant: StencilVariant, zmin: float):
     ws.append(edges[-1] * gw)
     x = np.concatenate(xs)
     w = np.concatenate(ws)
-    sx = np.sin(np.pi * x) ** 2 / math.pi ** 2
-    if variant is StencilVariant.NINE_POINT:
-        b = 1.0 - _TWO_THIRDS_PISQ * sx  # = 1 - (2/3) sin^2(pi x)
-    else:
-        b = np.ones_like(sx)
+    sx = axis_symbol(x, 1)
+    b = 1.0 + _cross_coeff(variant) * sx  # symbol = sx + b sy on the square
     return sx, b, w
 
 
@@ -319,13 +320,12 @@ def _correction_polys(variant: StencilVariant, mmax: int) -> tuple:
     """q_m polynomials with symbol = r^2 + sum_m q_m(x,y) n^-2m."""
     t = _axis_taylor(mmax)
     out = []
+    cross = _cross_coeff(variant)  # 0 for the 5-point: axpy drops the terms
     for m in range(1, mmax + 1):
         q: Poly = {(2 * m + 2, 0): t[m], (0, 2 * m + 2): t[m]}
-        if variant is StencilVariant.NINE_POINT:
-            for a in range(m):
-                b = m - 1 - a
-                _poly_axpy(q, {(2 * a + 2, 2 * b + 2): 1.0},
-                           -_TWO_THIRDS_PISQ * t[a] * t[b])
+        for a in range(m):
+            b = m - 1 - a
+            _poly_axpy(q, {(2 * a + 2, 2 * b + 2): 1.0}, cross * t[a] * t[b])
         out.append(q)
     return tuple(out)
 
@@ -370,11 +370,10 @@ def taylor_coefficients(m: int, variant: StencilVariant) -> list[TaylorCoefficie
 
 def symbol_value(variant: StencilVariant, x: float, y: float, n: float,
                  z: float) -> float:
-    """f(x,y,n,z) resp. g(x,y,n,z): the exact discrete symbol."""
-    sx = (n / math.pi) ** 2 * math.sin(math.pi * x / n) ** 2
-    sy = (n / math.pi) ** 2 * math.sin(math.pi * y / n) ** 2
-    return stencil_symbol(variant, sx, sy,
-                          2.0 * math.pi ** 2 / (3.0 * n * n)) + z * z
+    """f(x,y,n,z) resp. g(x,y,n,z): the exact discrete symbol of
+    ``lattice.stencil_symbol`` over ``lattice.axis_symbol``, plus z^2."""
+    sx, sy = axis_symbol(x, n), axis_symbol(y, n)
+    return float(stencil_symbol(variant, sx, sy, n)) + z * z
 
 
 def series_truncation_check(variant: StencilVariant, big_n: int,
@@ -458,10 +457,8 @@ def resolvent_leading_term(n: int, variant: StencilVariant, alpha: int,
     zn = z / n
 
     def f(x, y):
-        sx = np.sin(np.pi * x) ** 2 / math.pi ** 2
-        sy = np.sin(np.pi * y) ** 2 / math.pi ** 2
-        val = stencil_symbol(variant, sx, sy, _TWO_THIRDS_PISQ) + zn * zn
-        return val ** -float(alpha)
+        val = stencil_symbol(variant, axis_symbol(x, 1), axis_symbol(y, 1), 1)
+        return (val + zn * zn) ** -float(alpha)
 
     inner = quad_periodic_2d(f, tol)
     return float(n ** (2 - 2 * alpha)) * inner.value.real
@@ -560,8 +557,9 @@ def residual_order(s: complex, variant: StencilVariant, n_list,
         model = v2 * lead * complex(n) ** (2.0 - 2.0 * s) + const \
             + b1term * float(n) ** -2.0
         resid = abs(zn - model)
-        # the quadrature stop targets 1e-3 tol relative, so tol/100 is a
-        # conservative bound on the achieved leading-coefficient error
+        # tol/100 relative is an assumed floor on the leading coefficient's
+        # error, not a bound: at s = 0.3+2i and 0.7+2i (9-point),
+        # leading_coeff_error is 2.7-3.7x above it
         floor = 1e-14 * abs(zn) + 0.01 * tol * abs(v2 * lead) \
             * float(n) ** (2.0 - 2.0 * s.real)
         if resid < 10.0 * floor:

@@ -3,10 +3,14 @@
 The 5-point and 9-point star Laplacians on the n x n discrete torus, their
 exact eigenvalues, finite spectral zeta sums, discrete resolvent traces, and
 the 1-D circle case used for cross-checks.  All operators carry the
-n^2/(4 pi^2) normalization, so eigenvalues are
+n^2/(4 pi^2) normalization.
 
-    5-point:  (n^2/pi^2) [sin^2(pi k1/n) + sin^2(pi k2/n)]
-    9-point:  same - (2 n^2 / 3 pi^2) sin^2(pi k1/n) sin^2(pi k2/n)
+This module owns the discrete symbol: at integer u = k the eigenvalues, at
+n = 1 the unit-square symbol of ``expansion``.  Per axis it is
+``axis_symbol(u, n)`` = (n/pi)^2 sin^2(pi r/n), u first reduced to
+r = min(|u|, n - |u|), exactly for |u| <= 2n, which keeps full relative
+accuracy near u = n; ``stencil_symbol`` combines two axes as a + b
+(5-point) or a + b - (2 pi^2/(3 n^2)) a b (9-point).
 
 Zero-mode conventions differ on purpose: spectral zeta sums exclude
 (k1,k2) = (0,0); resolvent traces include it.
@@ -14,14 +18,13 @@ Zero-mode conventions differ on purpose: spectral zeta sums exclude
 Both symbols are invariant under k -> n-k on either axis and under
 k1 <-> k2, so the spectral zeta sums run over the fundamental domain
 0 <= k1 <= k2 <= n/2 only, each eigenvalue weighted by the number of
-(k1, k2) it stands for (1, 2, 4 or 8: ``folded_spectrum``, built a
-cache-sized block of rows k1 at a time into two preallocated arrays, with
-no index array of the triangle's size).  The weights are powers of two, so weighting is exact and spectral_zeta(conj s)
-== conj(spectral_zeta(s)) holds bit for bit.  ``_powsum`` forms the terms
-mult * lam^(-s) one cache-sized slice of leaf rows at a time and hands
-them to the streamed reducer, summing the magnitudes mult * lam^(-Re s)
-from the same logarithms, so no array of n^2/8 terms is ever built.  The
-dense ``eigenvalue_grid`` serves the resolvent traces.
+(k1, k2) it stands for (1, 2, 4 or 8: ``folded_spectrum``).  The weights
+are powers of two, so weighting is exact and spectral_zeta(conj s) ==
+conj(spectral_zeta(s)) holds bit for bit.  ``_powsum`` streams the terms
+mult * lam^(-s) to the reducer one cache-sized slice at a time, with the
+magnitudes mult * lam^(-Re s) from the same logarithms, so no array of
+n^2/8 terms is ever built.  The dense ``eigenvalue_grid`` serves the
+resolvent traces.
 """
 
 from __future__ import annotations
@@ -54,15 +57,24 @@ class TorusGrid:
             raise RangeError(f"grid size n={self.n} must be >= 1")
 
 
+def axis_symbol(u, n):
+    """(n/pi)^2 sin^2(pi u/n), scalars or arrays, after reducing u to
+    r = min(|u|, n - |u|); n = 1 is the unit square."""
+    r = np.abs(u)
+    r = np.minimum(r, n - r)
+    return (n / math.pi) ** 2 * np.sin(math.pi * r / n) ** 2
+
+
 def _axis_fold(n: int) -> tuple[np.ndarray, np.ndarray]:
     """1-D eigenvalues for k = 0..n//2 and how often each occurs in 0..n-1.
 
     k and n-k give the same eigenvalue, so every k counts twice except
     k = 0 and, for even n, the Nyquist index k = n/2.
     """
+    if n < 1:
+        raise RangeError(f"grid size n={n} must be >= 1")
     half = n // 2
-    k = np.arange(half + 1)
-    head = (n / math.pi) ** 2 * np.sin(math.pi * k / n) ** 2
+    head = axis_symbol(np.arange(half + 1), n)
     mult = np.full(half + 1, 2.0)
     mult[0] = 1.0
     if n % 2 == 0:
@@ -71,11 +83,8 @@ def _axis_fold(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def axis_eigenvalues(n: int) -> np.ndarray:
-    """1-D eigenvalues (n^2/pi^2) sin^2(pi k/n), k = 0..n-1.
-
-    Filled from k <= n/2 and mirrored (k <-> n-k give the same value), which
-    halves the sin calls and makes the symmetry exact by construction.
-    """
+    """1-D eigenvalues ``axis_symbol(k, n)``, k = 0..n-1, filled from k <= n/2
+    and mirrored, so the symmetry k <-> n-k is exact by construction."""
     head, _ = _axis_fold(n)
     half = n // 2
     out = np.empty(n)
@@ -97,14 +106,12 @@ def fold_square(axis_mult: np.ndarray):
     return k1[1:], k2[1:], mult[1:]
 
 
-def stencil_symbol(variant: StencilVariant, a, b, c: float):
-    """Combine the two per-axis symbols a, b (scalars or broadcastable arrays).
-
-    5-point: a + b.  9-point: a + b - c (a b), where c is the correction
-    scale in the caller's units: 2 pi^2 / (3 n^2) for eigenvalues, 2 pi^2 / 3
-    on the unit square.
+def stencil_symbol(variant: StencilVariant, a, b, n):
+    """Combine the axis symbols a, b of an n-point axis (scalars or
+    broadcastable arrays): 5-point a + b, 9-point a + b - (2 pi^2/(3 n^2)) a b.
     """
     if variant is StencilVariant.NINE_POINT:
+        c = 2.0 * math.pi ** 2 / (3.0 * n ** 2)
         return a + b - c * (a * b)
     return a + b
 
@@ -112,8 +119,7 @@ def stencil_symbol(variant: StencilVariant, a, b, c: float):
 def eigenvalue_grid(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
     """All n x n eigenvalues, indexed by (k1, k2)."""
     e = axis_eigenvalues(grid.n)
-    return stencil_symbol(variant, e[:, None], e[None, :],
-                          2.0 * math.pi ** 2 / (3.0 * grid.n ** 2))
+    return stencil_symbol(variant, e[:, None], e[None, :], grid.n)
 
 
 @lru_cache(maxsize=8)
@@ -129,10 +135,7 @@ def folded_spectrum(n: int, variant: StencilVariant) -> tuple[np.ndarray, np.nda
     or 8) sum to n^2 - 1.  Both arrays are read-only, since the memo hands
     the same pair to every caller.
     """
-    if n < 1:
-        raise RangeError(f"grid size n={n} must be >= 1")
     head, axis_mult = _axis_fold(n)
-    c = 2.0 * math.pi ** 2 / (3.0 * n ** 2)
     m = head.size
     lam = np.empty(m * (m + 1) // 2)
     mult = np.empty(lam.size)
@@ -143,7 +146,7 @@ def folded_spectrum(n: int, variant: StencilVariant) -> tuple[np.ndarray, np.nda
         k2 = np.arange(r0, m)
         upper = k2 >= k1
         stop = start + np.count_nonzero(upper)
-        lam[start:stop] = stencil_symbol(variant, head[k1], head[r0:], c)[upper]
+        lam[start:stop] = stencil_symbol(variant, head[k1], head[r0:], n)[upper]
         mult[start:stop] = (axis_mult[k1] * axis_mult[r0:]
                             * np.where(k1 == k2, 1.0, 2.0))[upper]
         start = stop
@@ -158,9 +161,8 @@ def eigenvalue(grid: TorusGrid, variant: StencilVariant, k1: int, k2: int) -> fl
     n = grid.n
     if not (0 <= k1 < n and 0 <= k2 < n):
         raise RangeError(f"indices ({k1},{k2}) outside [0,{n})^2")
-    a = (n / math.pi) ** 2 * math.sin(math.pi * k1 / n) ** 2
-    b = (n / math.pi) ** 2 * math.sin(math.pi * k2 / n) ** 2
-    return stencil_symbol(variant, a, b, 2.0 * math.pi ** 2 / (3.0 * n ** 2))
+    return float(stencil_symbol(variant, axis_symbol(k1, n),
+                                axis_symbol(k2, n), n))
 
 
 def apply_stencil(grid: TorusGrid, variant: StencilVariant,
@@ -245,8 +247,6 @@ def spectral_zeta_1d(n: int, s: complex) -> complex:
     s = complex(s)
     if n == 1:
         raise DegenerateError("empty spectrum: n=1 circle has only the zero mode")
-    if n < 1:
-        raise RangeError("n must be >= 1")
     head, mult = _axis_fold(n)
     return _powsum(head[1:], mult[1:], s)[0]
 

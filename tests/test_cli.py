@@ -358,11 +358,20 @@ def test_xi_underflow_is_flagged(capsys):
 
 
 def test_zero_scan_rejects_bad_step(capsys):
-    for step in ("0", "-0.1"):
-        code, _, err = run_cli(["scan", "--kind", "zeros", "--t-min", "1",
-                                "--t-max", "20", "--step", step], capsys)
-        assert code == 2, step
-        assert "step" in err
+    # rejected before any output: no CSV header, no lone "[" in JSON
+    for fmt in ([], ["--format", "json"]):
+        for step in ("0", "-0.1", "nan", "inf"):
+            code, out, err = run_cli(fmt + ["scan", "--kind", "zeros",
+                                            "--t-min", "1", "--t-max", "20",
+                                            "--step", step], capsys)
+            assert code == 2 and out == "", (fmt, step)
+            assert "step" in err
+        for t_min in ("0", "-1"):
+            code, out, err = run_cli(fmt + ["scan", "--kind", "zeros",
+                                            "--t-min", t_min,
+                                            "--t-max", "20"], capsys)
+            assert code == 2 and out == "", (fmt, t_min)
+            assert "t_min" in err
 
 
 def test_hn_command(capsys):

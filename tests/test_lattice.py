@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruszeta.epstein import epstein_direct_sum
+from toruszeta.expansion import symbol_value
 from toruszeta.errors import (DegenerateError, DomainError, NonFiniteError,
                               RangeError, ShapeError)
 from toruszeta.lattice import (StencilVariant, TorusGrid, _axis_fold,
@@ -44,8 +45,12 @@ def test_eigenvalue_nonnegativity_exhaustive():
 
 
 def test_eigenvalue_symmetries():
-    for n in (5, 8, 13):
+    eps = np.finfo(float).eps
+    for n in (5, 8, 13, 1023):
         g = TorusGrid(n)
+        # the whole square, or at n = 1023 every k1 against the columns at
+        # both edges and the middle, where k near n lost accuracy
+        cols = range(n) if n < 100 else (0, 1, 2, 511, 512, 1021, 1022)
         for v in StencilVariant:
             lam = eigenvalue_grid(g, v)
             # k <-> n-k per axis, exact by construction
@@ -53,6 +58,17 @@ def test_eigenvalue_symmetries():
             assert np.array_equal(lam[:, 1:], lam[:, :0:-1])
             # k1 <-> k2
             assert np.array_equal(lam, lam.T)
+            # the scalar paths share the owner's reduction, so the same
+            # symmetries hold bit for bit; scalar and vector sin may differ
+            # in the last bit, so against the grid only to 4 eps
+            for k1 in range(n):
+                for k2 in cols:
+                    e = eigenvalue(g, v, k1, k2)
+                    assert e == eigenvalue(g, v, (n - k1) % n, k2) \
+                        == eigenvalue(g, v, k2, k1), (n, v, k1, k2)
+                    assert symbol_value(v, k1, k2, n, 0.0) \
+                        == symbol_value(v, k1 - n, k2, n, 0.0), (n, v, k1, k2)
+                    assert abs(e - lam[k1, k2]) <= 4 * eps * lam[k1, k2]
 
 
 def test_stencil_diagonalization_modes():
@@ -169,6 +185,11 @@ def test_resolvent_trace_1d_validates():
         resolvent_trace_1d(2, 2, 0.0)
     with pytest.raises(RangeError):
         resolvent_trace(TorusGrid(2), FIVE, 0, 1.0)
+    # no axis below one point: not an empty spectrum, nor NumPy's error
+    for call in (lambda: axis_eigenvalues(0), lambda: axis_eigenvalues(-3),
+                 lambda: resolvent_trace_1d(0, 1, 1.0)):
+        with pytest.raises(RangeError, match="must be >= 1"):
+            call()
 
 
 def test_spectral_zeta_conjugation_exact():
@@ -225,8 +246,7 @@ def _reference_folded_spectrum(n, variant):
     """The fold before it was built in blocks: triu_indices and gathers."""
     head, axis_mult = _axis_fold(n)
     k1, k2, mult = fold_square(axis_mult)
-    lam = stencil_symbol(variant, head[k1], head[k2],
-                         2.0 * math.pi ** 2 / (3.0 * n ** 2))
+    lam = stencil_symbol(variant, head[k1], head[k2], n)
     return lam, mult
 
 

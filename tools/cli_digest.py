@@ -43,6 +43,9 @@ COMMANDS = (
     # README examples
     "zeta --n 256 --variant nine --s 0.3+2.0i",
     "zeta1d --n 512 --s 0.25",
+    # an odd n that is no power of two, where a change in how the axis
+    # scale (n/pi)^2 rounds would not go unseen
+    "zeta1d --n 1023 --s 0.4+3i",
     "epstein --s 2 --direct-cutoff 40",
     "xi --s 0.3+5.0i",
     "omega --s 0.5+70i --ratio",
@@ -115,6 +118,8 @@ COMMANDS = (
     "zeta --n 1 --variant five --s 1",
     "scan --kind nope",
     "scan --kind zeros --t-min 1 --t-max 20 --step -0.1",
+    # a bad zero-scan start: exit 2 before any output
+    "scan --kind zeros --t-min -1 --t-max 20",
     "--tol 1e-4 expansion --s 0.3+2i --variant nine --n-list 64,128,256 --orders 1",
     # command lines the parser rejects: a missing required option, an
     # unknown option, an ambiguous prefix, a bad int, a global flag after
