@@ -58,7 +58,7 @@ def _h_moments(variant: StencilVariant, jmax: int = 40) -> np.ndarray:
     """Moments <h^j> of the z-free symbol over the unit square.
 
     h is a trigonometric polynomial, so the trapezoid mean on a 128x128
-    grid is exact (to rounding) for all j <= 40.
+    grid is exact (to rounding) for all j <= 40.  Read-only.
     """
     n = 128
     sx = axis_symbol(np.arange(n) / n, 1)
@@ -68,6 +68,7 @@ def _h_moments(variant: StencilVariant, jmax: int = 40) -> np.ndarray:
     for j in range(jmax + 1):
         out[j] = float(np.mean(p))
         p = p * h
+    out.flags.writeable = False
     return out
 
 
@@ -166,7 +167,7 @@ def _leading_coeff(s: complex, variant: StencilVariant,
                 break
         else:
             small = 0
-    return value + tail_acc, err
+    return complex(value + tail_acc), err
 
 
 def coeff_b0(s: complex) -> complex:

@@ -15,17 +15,25 @@ the same bits in any batch: every point's terms come from elementwise
 operations and are reduced in one fixed order.  Everything is pure and safe
 to call concurrently.
 
-Accuracy: Gamma (and pi^(-s) Gamma(s)) measured within 6e-16 relative of a
-30-digit oracle on Re(s) in [-10, 3], |Im(s)| <= 200; 1e-12 relative for
-zeta/beta/digamma on |Im(s)| <= 100.  Zeta and beta switch from the
-accelerated alternating series to the functional-equation reflection at
-Re(s) = -1, so the strip -1 < Re(s) < 0 is always served by the direct
-series.
+Gamma, log-Gamma and digamma take one Stirling step: the shift
+k = max(0, ceil(8 - Re s)), the exponent (w - 1/2) log w - w +
+log sqrt(2 pi) + tail at w = s + k (long double, the tail in double), and
+the recurrence over s + j, j < k: a product for Gamma (reflected below
+Re(s) = 0), a sum of principal logs for log-Gamma (so it is the principal
+branch off the poles) and of 1/(s + j) for digamma (from the exponent's
+derivative).
+
+Accuracy, relative to 30- or 40-digit oracles: Gamma (and pi^(-s) Gamma(s))
+6e-16 on Re(s) in [-10, 3], |Im(s)| <= 200; log-Gamma 9e-16 (to
+max(1, |log Gamma|)) and digamma 6e-16 on Re(s) in [-10, 10],
+|Im(s)| <= 200; zeta/beta 1e-12 on |Im(s)| <= 100.  Zeta and beta switch
+from the accelerated alternating series to the functional-equation
+reflection at Re(s) = -1, so the strip -1 < Re(s) < 0 is always served by
+the direct series.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +44,6 @@ from .errors import PoleError, RangeError, ShapeError
 
 EULER_GAMMA = 0.5772156649015328606
 
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
 # long-double constants of the Gamma exponent, parsed to full precision
@@ -73,16 +80,27 @@ def _gamma_poles(s, what: str | None = None) -> np.ndarray:
     return poles
 
 
-def _stirling_tail(w: np.ndarray) -> np.ndarray:
-    """The Stirling series sum_k c_k w^(1-2k) of log-Gamma, Re(w) >= 8."""
-    inv = 1.0 / w
-    inv2 = inv * inv
-    tail = np.zeros_like(w)
-    p = inv
+def _stirling_shift(s: np.ndarray):
+    """The shift k = max(0, ceil(8 - Re s)) of every point of a complex
+    array s, to Re(s + k) >= 8 where the Stirling series holds to double
+    precision, and the recurrence's points: (j < k, s + j) for each j
+    below the largest k."""
+    k = np.fmax(np.ceil(8.0 - s.real), 0.0)
+    return k, ((j < k, s + j) for j in range(int(k.max(initial=0.0))))
+
+
+def _stirling_exponent(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """log Gamma(w) at w = s + k, s a long-double complex array and k its
+    shift: (w - 1/2) log w - w + log sqrt(2 pi) in long double, plus the
+    Stirling tail sum_i c_i w^(-2i-1) (below 1/96) in double."""
+    w = s + k
+    p = 1.0 / (s.astype(complex) + k)
+    inv2 = p * p
+    tail = np.zeros_like(p)
     for c in _STIRLING_LG:
         tail += c * p
         p = p * inv2
-    return tail
+    return (w - 0.5) * np.log(w) - w + _LD_LOG_SQRT_TWO_PI + tail
 
 
 def _sinpi(z: np.ndarray) -> np.ndarray:
@@ -96,9 +114,7 @@ def _gamma_ld(s: np.ndarray, log_base) -> np.ndarray:
     """b^(-s) Gamma(s), log b = ``log_base``, at every point of a
     long-double complex array off the poles, in long double.
 
-    Re(s) > 0: exp of the Stirling exponent (w - 1/2) log w - w +
-    log sqrt(2 pi) - s log b at w = s + k, Re(w) >= 8, formed in long
-    double (its Stirling tail, below 1/96, in double), divided by the
+    Re(s) > 0: exp of the Stirling exponent minus s log b, divided by the
     shift product of the s + j, j < k, in double.  Re(s) <= 0: reflection,
     pi / (sin(pi s) b G(1 - s)) with G(w) = b^(-w) Gamma(w).
     """
@@ -110,16 +126,13 @@ def _gamma_ld(s: np.ndarray, log_base) -> np.ndarray:
                                  * _gamma_ld(1.0 - x, log_base))
     s = s[~reflect]
     s_double = s.astype(complex)
-    k = np.fmax(np.ceil(8.0 - s_double.real), 0.0)
-    w = s + k
-    exponent = (w - 0.5) * np.log(w) - w + _LD_LOG_SQRT_TWO_PI \
-        + _stirling_tail(s_double + k) - s * log_base
+    k, shifted = _stirling_shift(s_double)
     shift = np.ones_like(s_double)
-    for j in range(int(k.max(initial=0.0))):
+    for taken, z in shifted:
         # not in place: numpy's in-place product of one element rounds
         # differently, and each value must keep its bits in any batch
-        shift = shift * np.where(j < k, s_double + j, 1.0)
-    out[~reflect] = np.exp(exponent) / shift
+        shift = shift * np.where(taken, z, 1.0)
+    out[~reflect] = np.exp(_stirling_exponent(s, k) - s * log_base) / shift
     return out
 
 
@@ -146,74 +159,22 @@ def reciprocal_gamma(s: complex) -> complex:
     return 0j if _gamma_poles(s) else 1.0 / complex_gamma(s)
 
 
-def _cotpi(z: complex) -> complex:
-    """cot(pi z), stable for large |Im z|."""
-    if abs(z.imag) <= 0.5:
-        n = math.floor(z.real + 0.5)
-        r = complex(z.real - n, z.imag)
-        return cmath.cos(math.pi * r) / cmath.sin(math.pi * r)
-    # cot w = i (e^{2iw} + 1)/(e^{2iw} - 1); pick the decaying exponential.
-    if z.imag > 0:
-        q = cmath.exp(2j * math.pi * z)
-        return 1j * (q + 1.0) / (q - 1.0)
-    q = cmath.exp(-2j * math.pi * z)
-    return -1j * (q + 1.0) / (q - 1.0)
-
-
-def _logsinpi(z: complex) -> complex:
-    """A logarithm of sin(pi z) that never overflows.
-
-    For |Im z| > 1 the returned branch follows the dominant exponential,
-    which is exactly what the log-Gamma reflection needs; exp(_logsinpi(z))
-    always equals sin(pi z) up to rounding.
-    """
-    n = math.floor(z.real + 0.5)
-    r = complex(z.real - n, z.imag)
-    if abs(z.imag) <= 1.0:
-        val = cmath.sin(math.pi * r)
-        return cmath.log(-val if n & 1 else val)
-    # sin(pi r) = e^{-i pi r} (e^{2 i pi r} - 1) / (2i), take the branch from
-    # the side where the exponential decays.
-    if r.imag > 0:
-        core = -1j * math.pi * r + cmath.log(1.0 - cmath.exp(2j * math.pi * r)) \
-            + complex(-math.log(2.0), 0.5 * math.pi)
-    else:
-        core = 1j * math.pi * r + cmath.log(1.0 - cmath.exp(-2j * math.pi * r)) \
-            + complex(-math.log(2.0), -0.5 * math.pi)
-    if n & 1:
-        core += complex(0.0, math.pi if r.imag <= 0 else -math.pi)
-    return core
-
-
 def complex_log_gamma_array(s) -> np.ndarray:
-    """log Gamma at every point of a 1-D array, the standard analytic
-    continuation; PoleError at the non-positive integers.
+    """The principal branch of log Gamma at every point of a 1-D array:
+    real on (0, oo), analytic off (-oo, 0], exp(log_gamma) == complex_gamma;
+    PoleError at the non-positive integers.
 
-    Real on (0, oo), continuous on the right half-plane, and
-    exp(log_gamma) == complex_gamma there.  Re(s) > 0: the Stirling series
-    at w = s + k, Re(w) >= 16, minus the sum of log(s + j), j < k, taken
-    term by term.  Re(s) <= 0: reflection, from one call on the mirrored
-    points; exp(log_gamma) = Gamma still holds, but the imaginary part is
-    only defined modulo 2*pi*i.
+    The Stirling exponent at w = s + k less the sum of the principal
+    log(s + j), j < k: the principal branch off the poles (Hare 1997).
     """
     s = _as_array(s)
     _gamma_poles(s, "log-Gamma")
-    out = np.empty_like(s)
-    reflect = s.real <= 0.0
-    if reflect.any():
-        x = s[reflect]
-        logsin = np.array([_logsinpi(z) for z in map(complex, x)],
-                          dtype=complex)
-        out[reflect] = (_LOG_PI - logsin) - complex_log_gamma_array(1.0 - x)
-    w = s[~reflect]
-    k = np.fmax(np.ceil(16.0 - w.real), 0.0)
-    shift = np.zeros_like(w)
-    for j in range(int(k.max(initial=0.0))):
-        shift += np.where(j < k, np.log(w + j), 0.0)
-    w = w + k
-    out[~reflect] = ((w - 0.5) * np.log(w) - w + _LOG_SQRT_TWO_PI
-                     + _stirling_tail(w) - shift)
-    return out
+    k, shifted = _stirling_shift(s)
+    shift = np.zeros_like(s)
+    for taken, z in shifted:
+        shift = shift + np.where(taken, np.log(z), 0.0)
+    return (_stirling_exponent(s.astype(np.clongdouble), k) - shift) \
+        .astype(complex)
 
 
 def complex_log_gamma(s: complex) -> complex:
@@ -221,32 +182,29 @@ def complex_log_gamma(s: complex) -> complex:
     return complex(complex_log_gamma_array([s])[0])
 
 
-# Asymptotic series coefficients B_{2k}/(2k) for digamma.
-_STIRLING_PSI = (
-    1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
-    -691.0 / 32760.0, 1.0 / 12.0, -3617.0 / 8160.0,
-)
-
-
 def digamma(s: complex) -> complex:
-    """psi(s) = Gamma'(s)/Gamma(s) via recurrence plus the Stirling series."""
-    s = complex(s)
+    """psi(s) = Gamma'(s)/Gamma(s), the derivative of the Stirling step:
+    log w - 1/(2w) - sum (2i+1) c_i w^(-2i-2) at w = s + k, less the sum of
+    1/(s + j), j < k."""
+    s = np.array([complex(s)])
     _gamma_poles(s, "digamma")
-    if s.real < 0.5:
-        return digamma(1.0 - s) - math.pi * _cotpi(s)
-    acc = 0.0 + 0.0j
-    w = s
-    while w.real < 16.0:
-        acc -= 1.0 / w
-        w += 1.0
-    inv = 1.0 / w
-    inv2 = inv * inv
-    tail = 0.0 + 0.0j
-    p = inv2
-    for c in _STIRLING_PSI:
-        tail -= c * p
-        p *= inv2
-    return acc + cmath.log(w) - 0.5 * inv + tail
+    k, shifted = _stirling_shift(s)
+    w = s + k
+    p = inv2 = 1.0 / (w * w)
+    tail = np.zeros_like(w)
+    for i, c in enumerate(_STIRLING_LG):
+        tail += (2 * i + 1) * c * p
+        p = p * inv2
+    shift = np.zeros_like(s)
+    for taken, z in shifted:
+        shift = shift + np.where(taken, 1.0 / z, 0.0)
+    return complex((np.log(w) - 0.5 / w - tail - shift)[0])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a memo shares it with every caller."""
+    a.flags.writeable = False
+    return a
 
 
 _RESCALE = 2.0 ** 900
@@ -273,7 +231,7 @@ def _borwein_weights(n: int) -> np.ndarray:
         d[j + 1] = n * acc
     w = (d[n] - d[:n]) / d[n]
     w[1::2] = -w[1::2]
-    return w
+    return _read_only(w)
 
 
 # The validated domain of zeta and beta: their accuracy target is tested on
@@ -317,7 +275,7 @@ def _sieve_plan(n: int, strides: tuple):
     with multiplicity, each the product of the rows of its smallest prime
     factor and cofactor.  Returns (log of the primes, the levels as (first
     row, end row, factor rows, cofactor rows), the rows of each stride's
-    terms, the number of rows)."""
+    terms, the number of rows), its arrays read-only."""
     bases = [1 + stride * np.arange(n) for stride in strides]
     top = max(b[-1] for b in bases) + 1
     spf = np.arange(top)  # smallest prime factor
@@ -331,10 +289,11 @@ def _sieve_plan(n: int, strides: tuple):
     row = np.empty(top, dtype=int)
     row[ms] = np.arange(ms.size)
     starts = np.searchsorted(omega[ms], range(1, omega[ms[-1]] + 2)).tolist()
-    levels = [(lo, hi, row[spf[ms[lo:hi]]], row[ms[lo:hi] // spf[ms[lo:hi]]])
-              for lo, hi in zip(starts[1:], starts[2:])]
-    return (np.log(ms[starts[0]:starts[1]]), levels, [row[b] for b in bases],
-            ms.size)
+    levels = tuple((lo, hi, _read_only(row[spf[ms[lo:hi]]]),
+                    _read_only(row[ms[lo:hi] // spf[ms[lo:hi]]]))
+                   for lo, hi in zip(starts[1:], starts[2:]))
+    return (_read_only(np.log(ms[starts[0]:starts[1]])), levels,
+            tuple(_read_only(row[b]) for b in bases), ms.size)
 
 
 def _column_blocks(orders: np.ndarray, strides: tuple) -> list:

@@ -18,7 +18,7 @@ from toruszeta.epstein import (OmegaRoute, ZeroSource, _hardy_z,
                                hardy_z_riemann, omega, v_factor, v_factor_inv)
 from toruszeta.errors import (DomainError, PoleError, SignalLostError,
                               StepTooCoarseWarning, ZeroShortfallWarning)
-from toruszeta.special import riemann_zeta, riemann_zeta_array
+from toruszeta.special import digamma, riemann_zeta, riemann_zeta_array
 
 CATALAN = 0.915965594177219015
 # first critical-line zeros of the two Glasser factors, pinned by the
@@ -174,6 +174,20 @@ def _dense_reference(t_min, t_max, beta, step=0.02, tol=1e-9):
 def _split_by_source(records):
     return ([r.t for r in records if r.source is ZeroSource.RIEMANN_FACTOR],
             [r.t for r in records if r.source is ZeroSource.BETA_FACTOR])
+
+
+@pytest.mark.parametrize("beta", [False, True])
+def test_turning_points_are_zeros_of_the_phase_slope(beta):
+    # theta'(t) = Re psi(a + it/2)/2 + (log b)/2 vanishes at t_turn and
+    # changes sign there, from negative to positive
+    a, log_b = epstein._PHASE_A[beta], epstein._PHASE_LOG_B[beta]
+
+    def slope(t):
+        return 0.5 * digamma(complex(a, 0.5 * t)).real + 0.5 * log_b
+
+    turn = epstein._TURN[beta]
+    assert abs(slope(turn)) <= 1e-15
+    assert slope(turn - 1e-6) < 0.0 < slope(turn + 1e-6)
 
 
 def test_gram_scan_matches_the_dense_reference_on_1_100():

@@ -40,6 +40,13 @@ def test_leading_coeff_goldens():
         A_HALF_NINE, abs=1e-12)
 
 
+def test_leading_coeff_returns_builtin_types():
+    # complex and float, not NumPy scalars, so repr() reads them back
+    for variant in (FIVE, NINE):
+        assert type(leading_coeff(0.3 + 2.0j, variant)) is complex
+        assert type(leading_coeff_error(0.3 + 2.0j, variant)) is float
+
+
 def test_leading_coeff_variants_differ():
     # the 9-point cross term lowers the symbol, so a~ exceeds a here
     a5 = leading_coeff(0.5, FIVE).real

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from toruszeta.errors import PoleError, RangeError, ShapeError
 from toruszeta import special
+from toruszeta.expansion import _h_moments
+from toruszeta.lattice import StencilVariant, folded_spectrum
+from toruszeta.quadrature import _gl_rule
 from toruszeta.special import (EULER_GAMMA, bernoulli_fraction,
                                bernoulli_number, bernoulli_polynomial,
                                complex_gamma, complex_gamma_array,
@@ -325,10 +328,40 @@ def test_conjugation_is_exact(points):
         assert np.array_equal(lhs, rhs)
 
 
+_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _logsinpi(z: complex) -> complex:
+    """A logarithm of sin(pi z) that never overflows.
+
+    For |Im z| > 1 the returned branch follows the dominant exponential,
+    which is exactly what the log-Gamma reflection needs; exp(_logsinpi(z))
+    always equals sin(pi z) up to rounding.
+    """
+    n = math.floor(z.real + 0.5)
+    r = complex(z.real - n, z.imag)
+    if abs(z.imag) <= 1.0:
+        val = cmath.sin(math.pi * r)
+        return cmath.log(-val if n & 1 else val)
+    # sin(pi r) = e^{-i pi r} (e^{2 i pi r} - 1) / (2i), take the branch from
+    # the side where the exponential decays.
+    if r.imag > 0:
+        core = -1j * math.pi * r + cmath.log(1.0 - cmath.exp(2j * math.pi * r)) \
+            + complex(-math.log(2.0), 0.5 * math.pi)
+    else:
+        core = 1j * math.pi * r + cmath.log(1.0 - cmath.exp(-2j * math.pi * r)) \
+            + complex(-math.log(2.0), -0.5 * math.pi)
+    if n & 1:
+        core += complex(0.0, math.pi if r.imag <= 0 else -math.pi)
+    return core
+
+
 def _reference_log_gamma(s: complex) -> complex:
-    """The former scalar log-Gamma body, kept as the reference."""
+    """The former scalar log-Gamma body, kept as the reference; on
+    Re(s) <= 0 its reflection defines the imaginary part only modulo
+    2 pi."""
     if s.real <= 0.0:
-        return math.log(math.pi) - special._logsinpi(s) \
+        return math.log(math.pi) - _logsinpi(s) \
             - _reference_log_gamma(1.0 - s)
     shift = 0.0 + 0.0j
     w = s
@@ -342,7 +375,7 @@ def _reference_log_gamma(s: complex) -> complex:
     for c in special._STIRLING_LG:
         tail += c * p
         p *= inv2
-    return (w - 0.5) * cmath.log(w) - w + special._LOG_SQRT_TWO_PI + tail \
+    return (w - 0.5) * cmath.log(w) - w + _LOG_SQRT_TWO_PI + tail \
         + shift
 
 
@@ -359,7 +392,11 @@ _log_gamma_points = st.builds(complex, st.floats(-10, 10),
 def test_log_gamma_array_matches_reference(s):
     got = complex_log_gamma_array([s])[0]
     expect = _reference_log_gamma(s)
-    assert abs(got - expect) <= 1e-13 * max(1.0, abs(expect))
+    diff = got - expect
+    if s.real <= 0.0:
+        # the reference's branch: compare modulo 2 pi i
+        diff -= 2j * math.pi * round(diff.imag / (2.0 * math.pi))
+    assert abs(diff) <= 1e-13 * max(1.0, abs(expect))
 
 
 @settings(max_examples=40, deadline=None)
@@ -569,3 +606,80 @@ def test_series_accuracy_on_the_golden_set():
         err = np.abs(fn(s) - ref) / np.abs(ref)
         assert err[domain].max() <= _FORMER_MAX_ERROR["domain"]
         assert err[~domain].max() <= _FORMER_MAX_ERROR["outside"]
+
+
+# (Re s, Im s, log Gamma(s), psi(s)), log Gamma the principal branch: 12
+# random points of Re(s) in [-10, 0], |Im(s)| <= 200, 7 points 0.05 from a
+# pole (3 on the negative real axis, taken from above), 11 random points of
+# Re(s) in (0, 10] (3 of them at |Im(s)| >= 150), 4 on the positive real
+# axis and 8 Hardy points a + it/2, a = 1/4 or 3/4, t up to 100 (the
+# turning points of the Hardy phases among them), pinned offline with an
+# arbitrary-precision oracle (40 digits)
+_GOLDEN_LOG_GAMMA = np.array([
+    (-1.549252, -135.610764, -222.15941919734612, -526.975306706596, 4.909900651059527, -1.5859065235084198),
+    (-4.422555, -52.768023, -101.4983136248834, -148.54414233335135, 3.970223183297695, -1.6638165740083977),
+    (-7.85058, -45.670385, -102.77716766903555, -114.98130184412166, 3.837874686322983, -1.751649991386954),
+    (-5.718355, 44.537243, -92.66685883832791, 114.34108002542197, 3.805959230483061, 1.7095266326544818),
+    (-2.636141, -193.884137, -320.15255735328384, -822.4027807390419, 5.267390444766586, -1.586970287828211),
+    (-7.459591, 41.658342, -94.25086423114377, 100.44872884792635, 3.747408362633287, 1.7595977465271526),
+    (-9.162633, 199.105472, -362.9913674120349, 839.5137909464885, 5.295009857449138, 1.6192886061190335),
+    (-1.676539, -185.289057, -301.498185180158, -778.8435758090263, 5.221984850796524, -1.5825425368244024),
+    (-4.324602, 43.736055, -86.01932164205822, 113.66322524452296, 3.784199436691576, 1.6806685856623127),
+    (-9.930734, -128.36645, -251.37009580707408, -478.0308657010863, 4.858177122607883, -1.6518760739705123),
+    (-8.350778, -15.216836, -47.53303896984287, -9.863235861145352, 2.8680396267460053, -2.097726186536428),
+    (-4.329964, -19.23631, -43.62792859771007, -29.456600783035604, 2.9872745316179072, -1.816846720715117),
+    (-0.05, 0.0, 3.0267010687919638, -3.141592653589793, 19.337390383794673, 0.0),
+    (-2.05, 0.0, 2.260071111472219, -9.42477796076938, 20.777576214224478, 0.0),
+    (-6.95, 0.0, -5.424698082115968, -21.991148575128552, -17.826272970725288, 0.0),
+    (-1.0, 0.05, 2.992429354356752, -4.691241346899188, 0.42328924668827556, 20.131987041796116),
+    (-4.0, -0.05, -0.18615386687507188, 14.061860041316345, 1.5061786519351064, -20.15315775874514),
+    (-9.0, 0.05, -9.810072707407903, -29.732542349446707, 2.251766401170352, 20.158965191697234),
+    (-5.05, 0.05, -2.2236538257978284, -17.98662456144909, 11.551233615670393, 10.156047346220564),
+    (9.197757, 125.969683, -154.8841866596624, 496.58759990743687, 4.838416719098408, 1.5018589482315154),
+    (4.011661, -118.735377, -168.8148101452252, -453.9158569022007, 4.777331511147682, -1.5412292470382722),
+    (3.583255, 144.814014, -211.21357405276447, 580.5115418803806, 4.975674877756703, 1.5495083216499574),
+    (3.488156, 196.426249, -291.84825846795815, 845.4319960529708, 5.280401656902542, 1.5555848569005144),
+    (5.657688, -105.261659, -140.40713341069898, -392.85967581481566, 4.657644506374205, -1.521836383209326),
+    (6.586973, 64.090604, -74.4216615612169, 211.81881141487116, 4.164777754377489, 1.476103961200857),
+    (5.146076, -88.362811, -117.05776332236427, -314.80723490984747, 4.4828262953965865, -1.5182646019092227),
+    (6.299182, -8.323671, 0.5440838411437939, -16.5456508854802, 2.3168071620877546, -0.9619018163077263),
+    (6.532888, 156.060557, -213.75136242127348, 641.4434792021701, 5.050989052363146, 1.5321580813327187),
+    (9.08738, 150.860663, -192.97045872956923, 619.155251060134, 5.017972307837081, 1.5139348880991832),
+    (3.107606, -167.152499, -248.29539957124155, -692.5614536465438, 5.119026740900491, -1.5551973839922308),
+    (0.5, 0.0, 0.5723649429247001, 0.0, -1.9635100260214235, 0.0),
+    (1.0, 0.0, 0.0, 0.0, -0.5772156649015329, 0.0),
+    (2.0, 0.0, 0.0, 0.0, 0.42278433509846713, 0.0),
+    (7.3, 0.0, 7.147892523022248, 0.0, 1.9178203356379862, 0.0),
+    (0.25, 3.144917994418451, -4.306730947116156, 0.06910878773975063, 1.1447298858494002, 1.6508093272098368),
+    (0.75, 0.7819407787020749, -0.3869674958848179, -0.5715546700761018, -0.2415644752704909, 1.209043148175423),
+    (0.25, 7.0673625, -10.671163452431085, 6.361550763764054, 1.9552786201418468, 1.606214747140206),
+    (0.75, 3.01045, -3.5352207409732266, 0.70350040924669, 1.100934570544853, 1.4871577823831412),
+    (0.25, 20.0, -31.24590153219264, 39.5224672417069, 2.995706229038078, 1.5832982814486947),
+    (0.75, 20.0, -29.748074473193878, 40.30786540510435, 2.995706229038078, 1.5582943721410987),
+    (0.25, 50.0, -78.59888043270185, 145.20865952425723, 3.912018838688559, 1.5757964518105263),
+    (0.75, 50.0, -76.64287518037847, 145.99405768765467, 3.912018838688559, 1.5657962017792668),
+])
+
+
+def test_log_gamma_and_digamma_accuracy_on_the_golden_set():
+    s = _GOLDEN_LOG_GAMMA[:, 0] + 1j * _GOLDEN_LOG_GAMMA[:, 1]
+    log_gamma = _GOLDEN_LOG_GAMMA[:, 2] + 1j * _GOLDEN_LOG_GAMMA[:, 3]
+    psi = _GOLDEN_LOG_GAMMA[:, 4] + 1j * _GOLDEN_LOG_GAMMA[:, 5]
+    hardy = np.isin(s.real, (0.25, 0.75))
+    err = np.abs(complex_log_gamma_array(s) - log_gamma)
+    assert (err / np.maximum(1.0, np.abs(log_gamma)))[~hardy].max() <= 2e-15
+    assert err[hardy].max() <= 2e-14
+    got = np.array([digamma(z) for z in s])
+    assert (np.abs(got - psi) / np.abs(psi)).max() <= 2e-15
+
+
+def test_memoized_arrays_are_read_only():
+    # a memo shares its arrays with every caller, so none may be written
+    log_primes, levels, stride_rows, _ = special._sieve_plan(32, (1, 2))
+    memoized = [special._borwein_weights(40), log_primes, *stride_rows,
+                *(rows for level in levels for rows in level[2:]),
+                _h_moments(StencilVariant.NINE_POINT),
+                *folded_spectrum(16, StencilVariant.FIVE_POINT), *_gl_rule(8)]
+    for a in memoized:
+        with pytest.raises(ValueError):
+            a[0] = a[0]
