@@ -17,10 +17,13 @@ subcommand, then its options and positionals in any order.  An option is
 given as ``--opt value`` or ``--opt=value``, by any unique prefix of its
 name, and the last of a repeated option wins; a value may start with '-'
 (``--s -0.5+3i``).  ``-h`` prints the help of either level, generated from
-the same table.  A bad command line exits 2 before any record is written.
+the same table.
 
 Exit codes: 0 ok, 2 domain/usage errors, 3 convergence errors or a
-non-finite result, 4 internal.
+non-finite result, 4 internal.  The header goes out with the first row, so
+a command that fails before its first row leaves stdout (or ``--out``)
+empty, whatever raised; one that fails after it leaves the rows written so
+far.
 """
 
 from __future__ import annotations
@@ -151,23 +154,24 @@ def _batch(rec: ScanRecord, fmt: str) -> tuple[str, np.ndarray]:
 
 
 class RecordWriter:
-    """Writes records to ``--out`` (or stdout); one flush per batch."""
+    """Writes records to ``--out`` (or stdout); one flush per batch.
+
+    The file is opened here, but nothing is written to it before the first
+    row: the header (the CSV header line or JSON's ``[``) goes out with the
+    first row, or with ``close`` if no row came.  So a command that fails
+    before its first row leaves its output empty."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self._fh = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
         self._owns = cfg.out is not None
-        self._first_json = True
-        if cfg.fmt == "csv":
-            self._fh.write(",".join(_COLUMNS) + "\r\n")
-        else:
-            self._fh.write("[")
-        self._fh.flush()
+        self._head = ",".join(_COLUMNS) + "\r\n" if cfg.fmt == "csv" else "["
 
     def write_all(self, records) -> None:
-        """Write the rows of the records in order, with one write call and
-        one flush.  At the first row with an inf or nan number, write the
-        rows before it and raise NonFiniteError."""
+        """Write the rows of the records in order, the header before the
+        first row ever written, with one write call and one flush.  At the
+        first row with an inf or nan number, write the rows before it and
+        raise NonFiniteError."""
         chunks = []
         try:
             for rec in records:
@@ -176,8 +180,11 @@ class RecordWriter:
                 good = finite.size if finite.all() else int(np.argmin(finite))
                 text = (row * good) \
                     % tuple(numbers[:, :good].T.ravel().tolist())
-                if self.cfg.fmt == "json" and self._first_json and good:
-                    text, self._first_json = text[1:], False
+                if good and self._head:
+                    # the first JSON row has no separator before it
+                    chunks.append(self._head)
+                    text = text[1:] if self.cfg.fmt == "json" else text
+                    self._head = ""
                 chunks.append(text)
                 if good < finite.size:
                     bad = numbers[:, good][~np.isfinite(numbers[:, good])][0]
@@ -192,8 +199,7 @@ class RecordWriter:
         self.write_all([rec])
 
     def close(self) -> None:
-        if self.cfg.fmt == "json":
-            self._fh.write("\n]\n")
+        self._fh.write(self._head + ("\n]\n" if self.cfg.fmt == "json" else ""))
         self._fh.flush()
         if self._owns:
             self._fh.close()
@@ -242,11 +248,12 @@ def _require_series_domain(im: float, cfg: RunConfig) -> None:
 def _cmd_epstein(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
     _require_series_domain(s.imag, cfg)
-    w.write(ScanRecord(s, "epstein", epstein.epstein_zeta_2d(s)))
+    records = [ScanRecord(s, "epstein", epstein.epstein_zeta_2d(s))]
     if args.direct_cutoff:
         val, bound = epstein.epstein_direct_sum(s, args.direct_cutoff)
-        w.write(ScanRecord(s, "epstein_direct", val, err_est=bound,
-                           meta={"cutoff": str(args.direct_cutoff)}))
+        records.append(ScanRecord(s, "epstein_direct", val, err_est=bound,
+                                  meta={"cutoff": str(args.direct_cutoff)}))
+    w.write_all(records)
 
 
 def _xi_with_defect(s: np.ndarray):
@@ -367,32 +374,14 @@ def _runs(labels) -> list:
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
-def _check_scan(args, cfg: RunConfig) -> None:
-    """The per-kind requirements of ``scan``, checked before any output."""
-    if args.kind == "omega":
+def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
+    kind = args.kind
+    if kind == "omega":
         if args.b is None:
             raise ValueError("scan --kind omega requires --b")
         if cfg.strict and not args.b > 65.0:
             raise DomainError("--strict: omega scan requires b > 65")
         _require_series_domain(args.b, cfg)
-    elif args.kind == "hn" and args.s is None:
-        raise ValueError("scan --kind hn requires --s")
-    elif args.kind == "zeros" and not args.t_min >= args.t_max:
-        # the handler scans unless t_min >= t_max, so nan ends count as bad
-        if not 0 < args.t_min < args.t_max:
-            raise DomainError("scan --kind zeros needs 0 < t_min < t_max")
-        if args.step is not None and not 0 < args.step < math.inf:
-            raise DomainError("scan step must be positive and finite, "
-                              f"got {args.step}")
-        _require_series_domain(args.t_max, cfg)
-    elif args.kind == "xi-defect":
-        im = np.linspace(args.im_min, args.im_max, args.im_points)
-        _require_series_domain(np.abs(im).max(initial=0.0), cfg)
-
-
-def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
-    kind = args.kind
-    if kind == "omega":
         if args.points < 1:
             return
         pts = _points(np.linspace(args.a_min, args.a_max, args.points),
@@ -404,6 +393,7 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
     elif kind == "zeros":
         if args.t_min >= args.t_max:
             return
+        _require_series_domain(args.t_max, cfg)
         recs = epstein.find_critical_zeros(args.t_min, args.t_max, args.step,
                                            strict=cfg.strict)
         ts = np.array([r.t for r in recs])
@@ -416,11 +406,14 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
                                      "found": str(recs[lo].found)})
                     for lo, hi in _runs(sources))
     elif kind == "hn":
+        if args.s is None:
+            raise ValueError("scan --kind hn requires --s")
         _cmd_hn(args, cfg, w)
     elif kind == "xi-defect":
+        im = np.linspace(args.im_min, args.im_max, args.im_points)
+        _require_series_domain(np.abs(im).max(initial=0.0), cfg)
         pts = _points(
-            np.linspace(args.re_min, args.re_max, args.re_points)[:, None],
-            np.linspace(args.im_min, args.im_max, args.im_points))
+            np.linspace(args.re_min, args.re_max, args.re_points)[:, None], im)
         _, defect, underflow = _xi_with_defect(pts)
         w.write_all(ScanRecord(pts[lo:hi], "xi_defect", defect[lo:hi],
                                meta={"underflow": "true"} if underflow[lo]
@@ -702,13 +695,8 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = _build_config(args)
-        if args.handler is _cmd_scan:
-            _check_scan(args, cfg)
         writer = RecordWriter(cfg)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (*_USAGE_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

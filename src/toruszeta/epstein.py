@@ -178,9 +178,7 @@ _KAPPA = {False: 2.0 * math.pi, True: 0.5 * math.pi}
 _PHI = {False: -math.pi / 8.0, True: math.pi / 8.0}
 _TURN = {False: 6.289835988836902, True: 1.5638815574041498}
 _FIRST_GRAM = {False: -1, True: 0}
-# the grid spacing below the turning point, and the Gram points sampled past
-# each end of a window
-_DENSE_STEP = 0.02
+# the Gram points sampled past each end of a window
 _MARGIN = 3
 # rounds of interval halving a Gram block gets to show all its zeros
 _RESOLVE_ROUNDS = 8
@@ -300,10 +298,11 @@ def _factor_samples(t_min: float, t_max: float, step, beta: bool,
     The Gram points run from _MARGIN at or below t_min to _MARGIN above
     t_max (``theta_ends`` is theta at max(t_min, t_turn) and
     max(t_max, t_turn)), but from j_first at the lowest.  A window that
-    starts below the first Gram point gets a head: a grid of spacing
-    _DENSE_STEP (or ``step``, if finer) from t_min up to the turning point,
-    or t_min alone if it lies past it.  Given ``step``, every longer
-    interval is cut into equal parts no longer than it.
+    starts below the first Gram point gets a head, t_min itself: no zero of
+    either factor lies below its first Gram point (see ``_blocks``), so
+    nothing there needs a finer grid.  Given ``step``, every longer
+    interval, the head's included, is cut into equal parts no longer than
+    it.
     """
     first = _FIRST_GRAM[beta]
     j_lo, j_hi = np.floor(theta_ends / math.pi) + (1 - _MARGIN, _MARGIN)
@@ -311,11 +310,7 @@ def _factor_samples(t_min: float, t_max: float, step, beta: bool,
     t = _gram_points(j, np.full(j.size, beta))
     head = theta_ends[0] < first * math.pi
     if head:
-        dense = min(_DENSE_STEP, step or _DENSE_STEP)
-        turn = _TURN[beta]
-        lead = np.linspace(t_min, turn, math.ceil((turn - t_min) / dense) + 1) \
-            if t_min < turn else np.array([t_min])
-        t, j, _ = _merge(t, j, lead)
+        t, j, _ = _merge(t, j, [t_min])
     if step is not None:
         parts = np.ceil(np.diff(t) / step).astype(int)
         t, j, _ = _merge(t, j, np.concatenate([[]] + [

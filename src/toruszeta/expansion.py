@@ -43,7 +43,7 @@ from .epstein import epstein_zeta_2d, v_factor, v_factor_inv, _pi_pow_gamma
 from .errors import DomainError, RangeError, SignalLostError
 from .lattice import (StencilVariant, TorusGrid, axis_symbol, spectral_zeta,
                       stencil_symbol)
-from .quadrature import QuadResult, quad_periodic_2d, _gl_rule, _graded_panels
+from .quadrature import QuadResult, quad_periodic_2d, _gl_panels, _graded_panels
 from .special import bernoulli_fraction, bernoulli_polynomial
 
 
@@ -77,18 +77,11 @@ def _inner_xshape(variant: StencilVariant, zmin: float):
     edges = [0.5]
     while edges[-1] > 0.25 * zmin and edges[-1] > 2.0 ** -200:
         edges.append(0.5 * edges[-1])
-    gx, gw = _gl_rule(32)
-    xs, ws = [], []
-    for lo, hi in zip(edges[1:], edges[:-1]):
-        xs.append(lo + (hi - lo) * gx)
-        ws.append((hi - lo) * gw)
-    xs.append(edges[-1] * gx)
-    ws.append(edges[-1] * gw)
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    sx = axis_symbol(x, 1)
+    # the panels [e_i+1, e_i] from 1/2 down, then [0, e_last]
+    x, width, w = _gl_panels(edges[1:] + [0.0], edges, 32)
+    sx = axis_symbol(x.ravel(), 1)
     b = 1.0 + _cross_coeff(variant) * sx  # symbol = sx + b sy on the square
-    return sx, b, w
+    return sx, b, (width * w).ravel()
 
 
 def _inner_j(z: np.ndarray, variant: StencilVariant) -> np.ndarray:
@@ -144,14 +137,12 @@ def _leading_coeff(s: complex, variant: StencilVariant,
     # V a(s) n^(2-2s), which amplifies any quadrature error by n^(2-2Re s).
     eps = float(np.finfo(float).eps)
 
-    def residual(z):
-        return np.exp((3.0 - 2.0 * s) * np.log(z)) \
+    def panel(lo, hi, z):
+        residual = np.exp((3.0 - 2.0 * s) * np.log(z)) \
             * (_inner_j(z, variant) - math.pi / (z * z))
+        return residual, eps * math.pi * lo ** (1.0 - 2.0 * s.real) * (hi - lo)
 
-    def floor(lo, hi, z):
-        return eps * math.pi * lo ** (1.0 - 2.0 * s.real) * (hi - lo)
-
-    acc, err = _graded_panels(residual, tol, floor, 1e-3, 8)
+    acc, err = _graded_panels(panel, tol, 1e-3, 8)
     value = acc + math.pi / (2.0 - 2.0 * s)
 
     # z in [1, oo): exact geometric-series tail.
@@ -239,11 +230,9 @@ def angular_lattice_sum(s: complex) -> QuadResult:
     if not 0.0 < s.real < 1.0:
         raise DomainError("angular lattice sum defined for Re(s) in (0,1)")
     edges = [2.0 ** -k for k in range(12, 0, -1)] + list(_ANGULAR_Z_EDGES)
-    lo, width = np.array(edges[:-1])[:, None], np.diff(edges)[:, None]
 
     def panels(order):
-        x, w = _gl_rule(order)
-        z = lo + width * x
+        z, width, w = _gl_panels(edges[:-1], edges[1:], order)
         vals, rem = _angular_sum_values(z)
         vals = vals - (z > 1.0) * (math.pi / 24.0) / (z * z)
         weight = np.exp((5.0 - 2.0 * s) * np.log(z))
@@ -421,11 +410,6 @@ def em_verify(big_m: int, n: int, fn, derivative, upper_open: bool = False):
     top = n if not upper_open else n - 1
     lhs = math.fsum(fn(float(i)) for i in range(top + 1))
 
-    gx, gw = _gl_rule(32)
-    integral = 0.0
-    for i in range(n):
-        xs = i + gx
-        integral += float(np.dot(gw, np.array([fn(v) for v in xs])))
     if upper_open:
         boundary = 0.5 * (fn(0.0) - fn(float(n)))
     else:
@@ -435,10 +419,12 @@ def em_verify(big_m: int, n: int, fn, derivative, upper_open: bool = False):
         b2j = float(bernoulli_fraction(2 * j))
         corr += b2j / math.factorial(2 * j) \
             * (derivative(2 * j - 1, float(n)) - derivative(2 * j - 1, 0.0))
+    # the integral and the remainder in one pass over the unit panels
     order = 2 * big_m + 1
-    remainder = 0.0
-    for i in range(n):
-        xs = i + gx
+    integral = remainder = 0.0
+    nodes, _, gw = _gl_panels(np.arange(n), np.arange(1, n + 1), 32)
+    for i, xs in enumerate(nodes):
+        integral += float(np.dot(gw, np.array([fn(v) for v in xs])))
         kern = np.array([bernoulli_polynomial(order, float(v - i)) for v in xs])
         dv = np.array([derivative(order, float(v)) for v in xs])
         remainder += float(np.dot(gw, kern * dv))

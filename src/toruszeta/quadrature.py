@@ -11,7 +11,10 @@ adds back their closed-form regularized antiderivatives, so pure powers
 integrate to exactly zero by construction.  Its residual at each end, and
 the leading coefficient's in ``expansion``, go through the one graded-panel
 routine ``_graded_panels``: it stops on a tolerance test or on the roundoff
-floor of the subtraction and reports an achieved error.
+floor of the subtraction and reports an achieved error.  Each of its panels
+evaluates the integrand and the descriptor once per node, for the residual
+and its floor alike.  Every Gauss-Legendre panel rule here and in
+``expansion`` takes its nodes, widths and weights from ``_gl_panels``.
 """
 
 from __future__ import annotations
@@ -157,10 +160,15 @@ def _gl_rule(order: int):
     return x, w
 
 
-def _panel(f: IntegrandSpec, a: float, b: float, order: int) -> complex:
+def _gl_panels(lo, hi, order: int):
+    """The ``order``-point Gauss-Legendre rule on the panels [lo, hi], lo and
+    hi floats or 1-D arrays of them: the nodes lo + (hi - lo) x (one row per
+    panel), the widths hi - lo (a float, or a column) and the weights w on
+    [0, 1].  A panel's integral of f is its width times w . f(nodes)."""
     x, w = _gl_rule(order)
-    vals = f(a + (b - a) * x)
-    return (b - a) * complex(np.dot(w, vals))
+    if np.ndim(lo):
+        lo, hi = np.asarray(lo)[:, None], np.asarray(hi)[:, None]
+    return lo + (hi - lo) * x, hi - lo, w
 
 
 def quad_finite(f, a: float, b: float, tol: float = 1e-12,
@@ -168,8 +176,9 @@ def quad_finite(f, a: float, b: float, tol: float = 1e-12,
     """Globally adaptive Gauss-Legendre quadrature of f over [a, b].
 
     The per-panel error estimate is the difference between the 16- and
-    8-point rules; panels are bisected worst-first until the summed estimate
-    meets ``tol`` (absolute, or relative when |integral| > 1).
+    8-point rules, from one call of f on the nodes of both; panels are
+    bisected worst-first until the summed estimate meets ``tol`` (absolute,
+    or relative when |integral| > 1).
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -178,8 +187,11 @@ def quad_finite(f, a: float, b: float, tol: float = 1e-12,
     f = _as_spec(f)
 
     def make(lo, hi):
-        v16 = _panel(f, lo, hi, 16)
-        v8 = _panel(f, lo, hi, 8)
+        z16, width, w16 = _gl_panels(lo, hi, 16)
+        z8, _, w8 = _gl_panels(lo, hi, 8)
+        vals = f(np.concatenate([z16, z8]))
+        v16 = width * complex(np.dot(w16, vals[:16]))
+        v8 = width * complex(np.dot(w8, vals[16:]))
         return v16, abs(v16 - v8)
 
     counter = 0
@@ -240,21 +252,22 @@ def _reg_power_log_01(a: complex, k: int) -> complex:
     return sign * math.factorial(k) / (a + 1.0) ** (k + 1)
 
 
-def _graded_panels(residual: Callable, tol: float, floor: Callable,
-                   tol_frac: float, floor_depth: int) -> tuple[complex, float]:
-    """Sum of residual over (0, 1] by GL32 panels [2^-k-1, 2^-k], k <= 800.
+def _graded_panels(panel: Callable, tol: float, tol_frac: float,
+                   floor_depth: int) -> tuple[complex, float]:
+    """Integral of a residual over (0, 1] by GL32 panels [2^-k-1, 2^-k],
+    k <= 800.  ``panel(lo, hi, z)`` gives, from one evaluation, the residual
+    at the nodes z of [lo, hi] and the panel's floor: the noise of the
+    subtraction forming the residual, integrated over the panel.
 
     Assumes the residual is integrable at 0, so panels decay geometrically.
     Either exit needs three passing panels in a row, since phase oscillation
     of complex powers can make one panel dip: tolerance (depth >= 12), when
     the panel plus its ratio-extrapolated tail is below tol_frac * tol *
     max(1, |sum|); roundoff floor (depth >= floor_depth), when the panel is
-    within 8x of floor(lo, hi, z), the noise of the subtraction forming the
-    residual there, so exact cancellations do not chase it ever deeper.
-    Returns (sum, last panel + tail + summed floors); the floor test comes
-    first, so a floor exit reports the previous panel's tail.
+    within 8x of its floor, so exact cancellations do not chase it ever
+    deeper.  Returns (sum, last panel + tail + summed floors); the floor
+    test comes first, so a floor exit reports the previous panel's tail.
     """
-    x, w = _gl_rule(32)
     acc = 0j
     noise = 0.0
     prev_mag = None
@@ -262,15 +275,15 @@ def _graded_panels(residual: Callable, tol: float, floor: Callable,
     for k in range(801):
         hi = 2.0 ** (-k)
         lo = 0.5 * hi
-        z = lo + (hi - lo) * x
-        contrib = (hi - lo) * complex(np.dot(w, residual(z)))
+        z, width, w = _gl_panels(lo, hi, 32)
+        residual, junk = panel(lo, hi, z)
+        contrib = width * complex(np.dot(w, residual))
         acc += contrib
         mag = abs(contrib)
         if not math.isfinite(mag):
             raise ConvergenceError(
                 "graded panels: residual is not finite near the endpoint",
                 estimate=acc)
-        junk = floor(lo, hi, z)
         noise += junk
         if mag <= 8.0 * junk:
             floor_passes += 1
@@ -296,11 +309,19 @@ _PROBE_ZERO = np.array([1e-3, 1e-4, 1e-5, 1e-6])
 _PROBE_INF = np.array([1e3, 1e4, 1e5, 1e6])
 
 
-def _check_integrable(residual: Callable, raw_scale: Callable,
-                      at_zero: bool) -> None:
+def _residual_and_scale(f: IntegrandSpec, d: AsymptoticDescriptor, z):
+    """The residual f - d at z and the scale |f| + |d| of its rounding, from
+    one evaluation of f and of d."""
+    fz, dz = f(z), d.evaluate(z)
+    return fz - dz, np.abs(fz) + np.abs(dz)
+
+
+def _check_integrable(f: IntegrandSpec, d: AsymptoticDescriptor) -> None:
+    at_zero = d.location is Location.AT_ZERO
     pts = _PROBE_ZERO if at_zero else _PROBE_INF
-    r = np.abs(residual(pts))
-    floor = 1e3 * np.finfo(float).eps * np.abs(raw_scale(pts)) + 1e-280
+    residual, raw = _residual_and_scale(f, d, pts)
+    r = np.abs(residual)
+    floor = 1e3 * np.finfo(float).eps * raw + 1e-280
     above = r > floor
     # log-slopes only between probes above the floor; at infinity a probe
     # that underflows to 0 decays faster than any power (slope -inf)
@@ -321,19 +342,22 @@ def _check_integrable(residual: Callable, raw_scale: Callable,
             "descriptor is missing divergent terms")
 
 
-def _half_integral(d: AsymptoticDescriptor, residual: Callable,
-                   raw: Callable, tol: float) -> complex:
-    """Regularized integral of f = residual + d over d's half of (0, oo)."""
+def _half_integral(f: IntegrandSpec, d: AsymptoticDescriptor,
+                   tol: float) -> complex:
+    """Regularized integral of f over d's half of (0, oo): the graded
+    panels on the residual f - d, plus the closed forms of d's terms."""
     at_zero = d.location is Location.AT_ZERO
     eps = np.finfo(float).eps
-    if at_zero:
-        integrand, noise = residual, lambda z: eps * raw(z)
-    else:  # [1, oo) onto (0, 1] by z = 1/t, dz = dt / t^2
-        integrand = lambda t: residual(1.0 / t) / (t * t)
-        noise = lambda t: eps * raw(1.0 / t) / (t * t)
-    part, _ = _graded_panels(
-        integrand, tol, lambda lo, hi, t: (hi - lo) * float(np.max(noise(t))),
-        0.02, 4)
+
+    def panel(lo, hi, t):
+        # [1, oo) onto (0, 1] by z = 1/t, dz = dt / t^2
+        residual, raw = _residual_and_scale(f, d, t if at_zero else 1.0 / t)
+        noise = eps * raw
+        if not at_zero:
+            residual, noise = residual / (t * t), noise / (t * t)
+        return residual, (hi - lo) * float(np.max(noise))
+
+    part, _ = _graded_panels(panel, tol, 0.02, 4)
     for term in d.terms:
         reg = term.coefficient * _reg_power_log_01(term.exponent, term.log_power)
         part = part + reg if at_zero else part - reg
@@ -350,16 +374,13 @@ def regularized_integral(f, tol: float = 1e-12) -> complex:
     are checked for integrability before any panel work.
     """
     f = _as_spec(f)
-    halves = []
-    for d, location in ((f.descriptor_zero, Location.AT_ZERO),
-                        (f.descriptor_infinity, Location.AT_INFINITY)):
-        # an absent descriptor is an empty one: f - 0 and |f| + 0 are exact
-        d = d if d is not None else AsymptoticDescriptor((), location)
-        residual = lambda z, d=d: f(z) - d.evaluate(z)
-        raw = lambda z, d=d: np.abs(f(z)) + np.abs(d.evaluate(z))
-        _check_integrable(residual, raw, location is Location.AT_ZERO)
-        halves.append((d, residual, raw))
-    return _half_integral(*halves[0], tol) + _half_integral(*halves[1], tol)
+    # an absent descriptor is an empty one: f - 0 and |f| + 0 are exact
+    halves = [d if d is not None else AsymptoticDescriptor((), location)
+              for d, location in ((f.descriptor_zero, Location.AT_ZERO),
+                                  (f.descriptor_infinity, Location.AT_INFINITY))]
+    for d in halves:
+        _check_integrable(f, d)
+    return _half_integral(f, halves[0], tol) + _half_integral(f, halves[1], tol)
 
 
 def regularized_limit(samples: Sequence, descriptor: AsymptoticDescriptor) -> complex:

@@ -138,7 +138,7 @@ def test_scan_zeros_shortfall_warns_or_exits_3(capsys, monkeypatch):
     code, out, err = run_cli(["--strict"] + argv, capsys)
     assert code == 3
     assert "convergence error" in err and "beta factor shows 3 of the 5" in err
-    assert out.strip() == "quantity,s_re,s_im,n,value_re,value_im,err_est,meta"
+    assert out == ""  # raised before the first row: not even the header
 
 
 def test_scan_empty_region(capsys):
@@ -291,8 +291,7 @@ def test_non_finite_value_exits_3(capsys):
                               "--s", "-400"], capsys)
     assert code == 3
     assert "non-finite" in err
-    assert out.splitlines() == [
-        "quantity,s_re,s_im,n,value_re,value_im,err_est,meta"]
+    assert out == ""  # the only row is bad: not even the header
 
 
 def test_g17_rejects_non_finite():
@@ -584,7 +583,8 @@ def test_a_columnar_record_writes_the_bytes_of_its_rows(fmt, bad_row,
     rows = [ScanRecord(complex(a), "zero", complex(v), n=7, err_est=float(e),
                        meta=meta)
             for a, v, e in zip(s, value, err)][:bad_row]
-    expect = _reference_text(rows, fmt)
+    # the header goes out with the first row: none when row 0 is bad
+    expect = _reference_text(rows, fmt) if rows else ""
     if bad_row is None and fmt == "json":
         expect += "\n]\n"
     assert _writer_output([record], fmt, None, True, capsys) \
@@ -844,3 +844,31 @@ def test_a_bad_command_line_exits_2_before_the_header(capsys):
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == ""
         assert ": error: " in out.err and phrase in out.err, argv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("line, code", [
+    ("--strict omega --s 0.5+800i --ratio", 2),
+    ("--strict xi --s 0.3+600i", 2),
+    ("--strict expansion --s 1.5+1i --variant nine --n-list 32,64,128", 2),
+    ("zeta --n 1 --variant five --s 1", 2),
+    ("--tol 1e-4 expansion --s 0.3+2i --variant nine --n-list 64,128,256 "
+     "--orders 1", 3),
+    ("xi --s garbage", 2),
+    ("zeta --n 8 --variant seven --s 0.5", 2),
+    ("expansion --s 0.3+2i --n-list 32,x", 2),
+    ("coeff a --s 2", 2),
+    ("epstein --s 0.5 --direct-cutoff 5", 2),
+])
+def test_a_failure_before_the_first_row_writes_nothing(fmt, to_file, line,
+                                                       code, tmp_path, capsys):
+    # the header goes out with the first row: no CSV header, no lone "["
+    path = tmp_path / "run.out"
+    argv = ["--format", fmt] + (["--out", str(path)] if to_file else []) \
+        + shlex.split(line)
+    got, out, err = run_cli(argv, capsys)
+    assert (got, out) == (code, ""), err
+    assert "error" in err
+    if to_file:
+        assert path.read_text() == ""

@@ -255,6 +255,21 @@ def test_zero_scan_uses_few_hardy_z_points(monkeypatch):
     assert len(calls) <= 16
 
 
+def test_zero_scan_samples_only_t_min_below_the_first_gram_point(
+        monkeypatch):
+    # no zero of either factor lies below its first Gram point (zeta:
+    # g_-1 = 9.667 < 14.135, beta: g_0 = 3.370 < 6.021), so a window from
+    # t = 1 samples t_min there and nothing else
+    calls = _sampled(monkeypatch)
+    find_critical_zeros(1.0, 20.0)
+    for flag in (False, True):
+        first = epstein._gram_points(
+            np.array([float(epstein._FIRST_GRAM[flag])]), np.array([flag]))[0]
+        ts = np.concatenate([t[beta == flag] for t, beta in calls])
+        assert 1.0 in ts and 1.0 < first
+        assert not np.any((1.0 < ts) & (ts < first)), flag
+
+
 def _flip(monkeypatch, flag, lo, hi):
     """Make one factor's Hardy signal change sign on (lo, hi), which hides
     its zeros at lo and hi (a close pair merged, or, with hi past the scan,

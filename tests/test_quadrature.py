@@ -43,6 +43,22 @@ def test_quad_finite_closed_form():
     assert r.error <= 1e-12
 
 
+def test_quad_finite_calls_f_once_per_panel():
+    # one call on the nodes of both rules (16 + 8) of each panel, and no
+    # node twice: the adaptive loop bisects, so panels never repeat
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x))
+        return np.sqrt(x)
+
+    r = quad_finite(f, 0.0, 2.0)
+    assert r.value.real == pytest.approx(4.0 / 3.0 * math.sqrt(2.0), rel=1e-11)
+    assert len(calls) > 1 and all(z.shape == (24,) for z in calls)
+    nodes = np.concatenate(calls)
+    assert np.unique(nodes).size == nodes.size
+
+
 def test_quad_finite_budget_error():
     with pytest.raises(ConvergenceError):
         quad_finite(lambda x: np.abs(x - 1 / 3.0) ** -0.97, 0.0, 1.0,
@@ -239,3 +255,21 @@ def test_regularized_linearity():
             AsymptoticDescriptor([AsymptoticTerm(-2.0, 0, ci)], ATI))
         got = regularized_integral(comb)
         assert abs(got - (al * va + be * vb)) <= 1e-8 * max(1.0, abs(got))
+
+
+def test_regularized_integral_evaluates_f_once_per_node():
+    # the residual f - d and its rounding scale |f| + |d| share one call of
+    # f, in the integrability probes and in every panel at both ends
+    seen = []
+
+    def f(z):
+        seen.append(np.array(z))
+        return np.exp(-z) / np.sqrt(z) + 1.0 / (1.0 + z * z)
+
+    spec = IntegrandSpec(
+        f, AsymptoticDescriptor([AsymptoticTerm(-0.5, 0, 1.0)], AT0),
+        AsymptoticDescriptor([AsymptoticTerm(-2.0, 0, 1.0)], ATI))
+    val = regularized_integral(spec)
+    assert np.isfinite(val)
+    nodes = np.concatenate(seen)
+    assert nodes.size > 100 and np.unique(nodes).size == nodes.size

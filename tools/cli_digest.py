@@ -137,6 +137,13 @@ COMMANDS = (
     # a scan's per-kind requirement missing: exit 2 before any output
     "scan --kind hn",
     "--format json scan --kind omega",
+    # the header goes out with the first row, so a command that fails before
+    # it writes nothing, whatever raised: no CSV header, no lone "[", and no
+    # epstein row without its direct sum
+    "--format json --strict xi --s 0.3+600i",
+    "xi --s garbage",
+    "epstein --s 0.5 --direct-cutoff 5",
+    "coeff a --s 2 --variant nine",
 )
 
 
