@@ -198,9 +198,15 @@ class RecordWriter:
         """``write_all`` of one record."""
         self.write_all([rec])
 
-    def close(self) -> None:
-        self._fh.write(self._head + ("\n]\n" if self.cfg.fmt == "json" else ""))
-        self._fh.flush()
+    def close(self, finish: bool = True) -> None:
+        """Finish the output (the header if no row came, JSON's closing
+        bracket) and close an ``--out`` file.  Unfinished (an error exit),
+        only close the file: the output stays as far as it was written.
+        Closing twice is harmless."""
+        if finish:
+            self._fh.write(self._head
+                           + ("\n]\n" if self.cfg.fmt == "json" else ""))
+            self._fh.flush()
         if self._owns:
             self._fh.close()
 
@@ -712,6 +718,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    finally:
+        writer.close(finish=False)
 
 
 if __name__ == "__main__":

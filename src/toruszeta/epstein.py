@@ -100,6 +100,11 @@ def _pi_pow_gamma(s) -> np.ndarray:
     return complex_gamma_array(s, _LD_LOG_PI)
 
 
+def _xi(s: np.ndarray) -> np.ndarray:
+    """pi^(-s) Gamma(s) zeta(Delta, s) at every point of s, as given."""
+    return _pi_pow_gamma(s) * epstein_zeta_2d_array(s)
+
+
 def complete_xi_array(s) -> np.ndarray:
     """Complete Epstein zeta xi2(s) = pi^(-s) Gamma(s) zeta(Delta, s) at
     every point of a 1-D array, from one batched zeta(Delta, s) pass.
@@ -107,11 +112,30 @@ def complete_xi_array(s) -> np.ndarray:
     Satisfies xi2(s) = xi2(1-s).  Poles at s = 0 (raised by Gamma)
     and s = 1 (raised by zeta).  At s = -k, k = 1, 2, ..., the zero of
     zeta(Delta, s) cancels Gamma's pole, and xi2(-k) is taken as xi2(k+1).
+
+    The batch is folded to Im(s) >= 0: the points of Im(s) < 0 are
+    conjugated, each distinct point (by its bits, so an imaginary part of
+    +0 and one of -0 stay apart) is evaluated once, and the folded points
+    take the conjugate back.  Zeta, beta and Gamma commute with conjugation
+    bit for bit, so each value keeps the bits of its own evaluation, and a
+    scan over s and 1 - s evaluates a point and its mirror once where the
+    mirrored real part is exact.  Conjugation need not carry the sign of a
+    zero part (xi2 underflows far up the line) or of an inf or nan one, so
+    a folded point whose value has such a part is evaluated as given.
     """
     s = _as_array(s)
     negative_int = _gamma_poles(s) & (s.real <= -1.0)
     s = np.where(negative_int, 1.0 - s, s)
-    return _pi_pow_gamma(s) * epstein_zeta_2d_array(s)
+    folded = s.imag < 0.0
+    key = np.where(folded, s.conjugate(), s)
+    _, first, inverse = np.unique(key.view(np.dtype((np.void, 16))),
+                                  return_index=True, return_inverse=True)
+    xi = _xi(key[first])[inverse]
+    xi[folded] = xi[folded].conjugate()
+    redo = folded & ~(np.isfinite(xi) & (xi.real != 0.0) & (xi.imag != 0.0))
+    if redo.any():
+        xi[redo] = _xi(s[redo])
+    return xi
 
 
 def complete_xi(s: complex) -> complex:

@@ -12,8 +12,9 @@ series sum terms w_k m^(-s) over m = 1..n (zeta) or the odd m up to 2n - 1
 (beta), and m^(-s) is completely multiplicative: a table of m^(-s) needs an
 exp at the primes only, and one table serves both series.  Each value has
 the same bits in any batch: every point's terms come from elementwise
-operations and are reduced in one fixed order.  Everything is pure and safe
-to call concurrently.
+operations and its own order's weights, and are added in row order by one
+column sum per block of points.  The array functions reject an inf or nan s
+with DomainError.  Everything is pure and safe to call concurrently.
 
 Gamma, log-Gamma and digamma take one Stirling step: the shift
 k = max(0, ceil(8 - Re s)), the exponent (w - 1/2) log w - w +
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PoleError, RangeError, ShapeError
+from .errors import DomainError, PoleError, RangeError, ShapeError
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -61,9 +62,14 @@ _STIRLING_LG = (
 
 
 def _as_array(s) -> np.ndarray:
+    """s as a 1-D complex array; ShapeError for any other shape and
+    DomainError at the first inf or nan point."""
     values = np.asarray(s, dtype=complex)
     if values.ndim != 1:
         raise ShapeError(f"expected a 1-D array of s, got shape {values.shape}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DomainError(f"s must be finite, got {values[~finite][0]}")
     return values
 
 
@@ -215,20 +221,27 @@ _RESCALE = 2.0 ** 900
 def _borwein_weights(n: int) -> np.ndarray:
     """Signed Chebyshev/binomial weights (-1)^k (d_n - d_k)/d_n, k < n.
 
-    d_k grows like (3+sqrt(8))^k, so the running values are divided by 2^900
-    whenever they pass it (n > ~350); orders below that keep their bits.
+    d_k = n sum_{j <= k} p_j with p_0 = 1/n, p_{j+1} = p_j (4 (n+j)(n-j)) /
+    ((2j+1)(2j+2)): one running product and one running sum, in order.
+    d_k grows like (3+sqrt(8))^k, so where the sum passes 2^900 (n > ~350)
+    the values so far are divided by 2^900 and both runs resume from there;
+    orders below that keep their bits.
     """
+    j = np.arange(n)
+    steps = 4.0 * (n + j) * (n - j) / ((2 * j + 1) * (2 * j + 2))
     d = np.empty(n + 1)
-    p = 1.0 / n  # p_j = (n+j-1)! 4^j / ((n-j)! (2j)!), p_0 = (n-1)!/n!
-    acc = p
-    d[0] = n * acc
-    for j in range(n):
-        p *= 4.0 * (n + j) * (n - j) / ((2 * j + 1) * (2 * j + 2))
-        acc += p
-        if acc > _RESCALE:
-            d[:j + 1] /= _RESCALE
-            p, acc = p / _RESCALE, acc / _RESCALE
-        d[j + 1] = n * acc
+    k, p, acc = 0, 1.0 / n, 1.0 / n
+    while k <= n:
+        with np.errstate(over="ignore"):  # past a rescale, redone from it
+            ps = np.multiply.accumulate(np.concatenate([[p], steps[k:]]))
+            accs = np.add.accumulate(np.concatenate([[acc], ps[1:]]))
+        over = np.flatnonzero(accs > _RESCALE)
+        e = int(over[0]) if over.size else accs.size
+        d[k:k + e] = n * accs[:e]
+        if over.size:
+            d[:k + e] /= _RESCALE
+            p, acc = ps[e] / _RESCALE, accs[e] / _RESCALE
+        k += e
     w = (d[n] - d[:n]) / d[n]
     w[1::2] = -w[1::2]
     return _read_only(w)
@@ -306,17 +319,6 @@ def _column_blocks(orders: np.ndarray, strides: tuple) -> list:
             for lo in range(0, orders.size, width)]
 
 
-def _weight_columns(orders: np.ndarray, n: int) -> np.ndarray:
-    """The (n, columns) matrix of each column's Borwein weights, for the
-    ascending ``orders`` of a column block, and zeros past its order."""
-    new = np.concatenate([[True], orders[1:] != orders[:-1]])
-    distinct = orders[new]
-    flat = np.concatenate([*map(_borwein_weights, distinct.tolist()), [0.0]])
-    first = (np.cumsum(distinct) - distinct)[np.cumsum(new) - 1]
-    k = np.arange(n)[:, None]
-    return flat[np.where(k < orders, first + k, -1)]
-
-
 def _borwein_series(s: np.ndarray, strides: tuple) -> np.ndarray:
     """sum_k w_k (1 + stride k)^(-s), k < n, for each s of a 1-D complex
     array and each stride of ``strides`` ((1,), (2,) or (1, 2)), w the
@@ -328,9 +330,11 @@ def _borwein_series(s: np.ndarray, strides: tuple) -> np.ndarray:
     table of m^(-s) for all its strides: at the primes p the real
     p^(-Re s) of each column times the phase p^(-i Im s), one complex exp
     per distinct Im s of the block; a product of two rows at each
-    composite.  A column's terms are its weights times its table rows, then
-    zeros, summed in row order by one cumsum: every point gets its own
-    terms in a fixed order, and the same bits in any batch.
+    composite.  A column's terms are its table rows times its weights, then
+    zeros (the block's weights are laid out once per run of columns of one
+    order, for all strides); a column sum adds them in row order (a cumsum
+    for a one-column block): every point gets its own terms in a fixed
+    order, and the same bits in any batch.
     """
     out = np.zeros((len(strides), s.size), dtype=complex)
     series = np.flatnonzero(s.real >= -1.0)
@@ -343,12 +347,14 @@ def _borwein_series(s: np.ndarray, strides: tuple) -> np.ndarray:
     size = _sieve_plan(_plan_order(int(orders[-1])), strides)[3] \
         * (blocks[0][1] - blocks[0][0])
     table, terms = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    weights = np.empty(size)
     for lo, hi in blocks:
         n = int(orders[hi - 1])
         log_primes, levels, stride_rows, rows = _sieve_plan(_plan_order(n),
                                                             strides)
         p = table[:rows * (hi - lo)].reshape(rows, hi - lo)
         t = terms[:n * (hi - lo)].reshape(n, hi - lo)
+        w = weights[:n * (hi - lo)].reshape(n, hi - lo)
         x = s[by_order[lo:hi]]
         heights, column = np.unique(x.imag, return_inverse=True)
         phase = np.exp(np.multiply.outer(log_primes, -1j * heights))
@@ -357,11 +363,19 @@ def _borwein_series(s: np.ndarray, strides: tuple) -> np.ndarray:
                     phase[:, column], out=p[1:1 + log_primes.size])
         for first, end, factor_rows, cofactor_rows in levels:
             np.multiply(p[factor_rows], p[cofactor_rows], out=p[first:end])
-        weights = _weight_columns(orders[lo:hi], n)
+        block = orders[lo:hi]
+        runs = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(),
+                hi - lo]
+        for a, b in zip(runs, runs[1:]):
+            m = int(block[a])
+            w[:m, a:b] = _borwein_weights(m)[:, None]
+            w[m:, a:b] = 0.0
         for i, term_rows in enumerate(stride_rows):
-            np.take(p, term_rows[:n], axis=0, out=t)
-            out[i, by_order[lo:hi]] = np.cumsum(
-                np.multiply(t, weights, out=t), axis=0, out=t)[-1]
+            np.multiply(np.take(p, term_rows[:n], axis=0, out=t), w, out=t)
+            # numpy sums a single contiguous column pairwise, but the rows
+            # of a wider C-contiguous block in order, as cumsum does
+            out[i, by_order[lo:hi]] = t.sum(axis=0) if hi - lo > 1 \
+                else np.cumsum(t, axis=0, out=t)[-1]
     return out
 
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import importlib.util
 import io
 import json
@@ -10,6 +11,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -872,3 +874,38 @@ def test_a_failure_before_the_first_row_writes_nothing(fmt, to_file, line,
     assert "error" in err
     if to_file:
         assert path.read_text() == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("line", [
+    "scan --kind omega --b 70 --a-min nan",
+    "scan --kind omega --b nan --points 5",
+    "scan --kind xi-defect --im-max inf",
+    "scan --kind xi-defect --re-min nan --re-points 3 --im-points 2",
+])
+def test_non_finite_points_exit_2_as_a_domain_error(line, capsys):
+    # rejected where the points enter the series, not by the writer (exit
+    # 3) or by a RecursionError (exit 4)
+    code, out, err = run_cli(shlex.split(line), capsys)
+    assert (code, out) == (2, "")
+    assert "error: s must be finite" in err
+
+
+@pytest.mark.parametrize("line", ["xi --s garbage",
+                                  "scan --kind omega --b 70 --a-min nan",
+                                  "--tol 1e-4 expansion --s 0.3+2i "
+                                  "--variant nine --n-list 64,128,256",
+                                  "xi --s 0.3+5i"])
+def test_the_out_file_is_closed_on_every_exit(line, tmp_path, monkeypatch,
+                                              capsys):
+    # an unclosed file warns when it is collected; as an error there it
+    # reaches sys.unraisablehook
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    path = tmp_path / "run.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        code, _, _ = run_cli(["--out", str(path), *shlex.split(line)], capsys)
+        gc.collect()
+    assert not unraisable, unraisable[0].exc_value
+    assert (path.read_text() == "") == (code != 0)

@@ -358,6 +358,44 @@ def test_batched_epstein_and_xi_match_scalar_bits():
             complete_xi_array([0.5 + 3.0j, pole])
 
 
+def test_xi_batches_fold_to_one_evaluation_per_point(monkeypatch):
+    # duplicates, conjugate pairs, +-0 imaginary parts, an xi-defect grid
+    # with its mirrors 1 - s, points past the underflow far up the line and
+    # past Gamma's overflow: each value has the bits of its own evaluation
+    # as given and of a one-point call, the sign of every zero part included
+    evaluated = []
+    own = epstein._xi
+
+    def counted(s):
+        evaluated.append(s.size)
+        return own(s)
+
+    monkeypatch.setattr(epstein, "_xi", counted)
+    im = np.linspace(-30.0, 30.0, 7)
+    grids = [(np.linspace(lo, hi, 7)[:, None] + 1j * im).ravel()
+             for lo, hi in ((0.125, 0.875), (0.1, 0.9))]
+    # a mirror-exact grid and its mirrors: the 7 x 4 points of Im(s) >= 0
+    complete_xi_array(np.concatenate([grids[0], 1.0 - grids[0]]))
+    assert evaluated == [7 * 4]
+    special_points = np.array([
+        0.3 + 5j, 0.3 - 5j, 0.3 + 5j, 0.7 - 5j, 0.3 + 0j,
+        complex(0.3, -0.0), complex(-0.5, -0.0), 2.5 - 14j, -2.0, -2.0 - 0j,
+        0.3 + 600j, 0.3 - 600j, 0.3 - 480j, 300.0 - 5j, -300.0 - 5j])
+    batch = np.concatenate([*grids, 1.0 - grids[1], special_points])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = complete_xi_array(batch)
+        # the folded points whose value has a zero, inf or nan part again,
+        # as given
+        assert len(evaluated) == 3
+        one_point = [complete_xi(s) for s in batch]
+        as_given = own(np.where(
+            (batch.real <= -1.0) & (batch.imag == 0.0)
+            & (batch.real == np.floor(batch.real)), 1.0 - batch, batch))
+    assert np.array_equal(_bits(got), _bits(one_point))
+    assert np.array_equal(_bits(got), _bits(as_given))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-0.9, 1.9).filter(lambda x: abs(x - 0.5) >= 0.05),
        st.floats(-100, 100))
@@ -369,6 +407,14 @@ def test_xi_functional_equation_over_the_domain(x, y):
         return
     val, mirror = complete_xi_array([s, 1.0 - s])
     assert abs(val - mirror) <= 1e-11 * abs(val)
+
+
+def test_non_finite_points_raise():
+    for batched in (epstein_zeta_2d_array, complete_xi_array,
+                    omega_ratio_array):
+        for bad in (math.nan, complex(0.5, math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                batched([0.5 + 3.0j, bad])
 
 
 @pytest.mark.parametrize("scalar, batched, pole", [

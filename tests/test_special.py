@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruszeta.errors import PoleError, RangeError, ShapeError
+from toruszeta.errors import DomainError, PoleError, RangeError, ShapeError
 from toruszeta import special
 from toruszeta.expansion import _h_moments
 from toruszeta.lattice import StencilVariant, folded_spectrum
@@ -297,6 +297,102 @@ def test_batched_series_empty_and_pole():
         riemann_zeta_array([0.5 + 1.0j, 1.0, 2.0])
     # beta is entire: s = 1 is an ordinary point
     assert dirichlet_beta_array([1.0])[0] == dirichlet_beta(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.5, math.nan),
+                                 complex(0.5, math.inf)])
+def test_array_functions_reject_non_finite_points(bad):
+    # a nan point would otherwise take the reflection over and over
+    # (RecursionError) or come out as a silent 0 from the series
+    for fn in (riemann_zeta_array, dirichlet_beta_array, zeta_beta_arrays,
+               complex_gamma_array, complex_log_gamma_array):
+        with pytest.raises(DomainError, match="finite"):
+            fn([0.5 + 3.0j, bad])
+    with pytest.raises(DomainError):
+        riemann_zeta(bad)
+
+
+def _former_borwein_weights(n: int) -> np.ndarray:
+    """The weights as the former n-step loop built them: the reference the
+    running product and sum of ``_borwein_weights`` must match bit for
+    bit, rescale events included."""
+    d = np.empty(n + 1)
+    p = 1.0 / n
+    acc = p
+    d[0] = n * acc
+    for j in range(n):
+        p *= 4.0 * (n + j) * (n - j) / ((2 * j + 1) * (2 * j + 2))
+        acc += p
+        if acc > special._RESCALE:
+            d[:j + 1] /= special._RESCALE
+            p, acc = p / special._RESCALE, acc / special._RESCALE
+        d[j + 1] = n * acc
+    w = (d[n] - d[:n]) / d[n]
+    w[1::2] = -w[1::2]
+    return w
+
+
+def test_borwein_weights_match_the_former_loop_bit_for_bit():
+    # orders past ~350 pass 2^900 and rescale (past ~700 twice), which the
+    # vectorized runs must resume from with the loop's bits
+    weights = special._borwein_weights.__wrapped__
+    for n in range(24, 1001):
+        assert np.array_equal(weights(n).view(np.uint64),
+                              _former_borwein_weights(n).view(np.uint64)), n
+
+
+def _row_by_row_series(s: complex, strides: tuple) -> list:
+    """``_borwein_series`` at one point, each stride's terms added one row
+    at a time in Python: the reference order of the column sum."""
+    n = int(special._series_order(s))
+    log_primes, levels, stride_rows, rows = special._sieve_plan(
+        special._plan_order(n), strides)
+    p = np.empty((rows, 1), dtype=complex)
+    p[0] = 1.0
+    p[1:1 + log_primes.size] = np.exp(
+        np.multiply.outer(log_primes, -np.array([s.real]))) \
+        * np.exp(np.multiply.outer(log_primes, -1j * np.array([s.imag])))
+    for first, end, factor_rows, cofactor_rows in levels:
+        p[first:end] = p[factor_rows] * p[cofactor_rows]
+    sums = []
+    for term_rows in stride_rows:
+        terms = p[term_rows[:n], 0] * special._borwein_weights(n)
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = acc + term
+        sums.append(acc)
+    return sums
+
+
+def test_column_sum_adds_every_column_in_row_order():
+    # one-column blocks (one-point calls) keep the sequential cumsum, since
+    # numpy sums a lone contiguous column pairwise; wider blocks take the
+    # column sum, which adds C-contiguous rows in order
+    rng = np.random.default_rng(19)
+    grid = (np.linspace(-1.0, 2.0, 12)[:, None]
+            + 1j * np.linspace(0.0, 100.0, 201)).ravel()
+    assert set(special._series_order(grid).tolist()) == set(range(27, 131))
+    batches = [grid]
+    for width in (1, 1, 1, 1, 2, 2, 3, 3, 5, 40):
+        for _ in range(6):
+            batches.append(rng.uniform(-1.0, 2.0, width)
+                           + 1j * rng.uniform(-100.0, 100.0, width))
+    # a rescaled order: 2^900 passed in the weights
+    batches.append(np.array([0.4 + 400.0j, 0.5 - 400.0j, 1.5 + 410.0j]))
+    batches.append(np.array([0.4 + 400.0j]))
+    assert special._series_order(batches[-1]).max() > 350
+    seen_widths = set()
+    for points in batches:
+        for strides in ((1,), (2,), (1, 2)):
+            orders = np.sort(special._series_order(points))
+            seen_widths.update(hi - lo for lo, hi in
+                               special._column_blocks(orders, strides))
+            got = special._borwein_series(points, strides)
+            expect = [_row_by_row_series(s, strides) for s in points]
+            assert np.array_equal(_bits(got.T.ravel()),
+                                  _bits(np.ravel(expect)))
+    assert {1, 2, 3} <= seen_widths and max(seen_widths) > 100
 
 
 def test_borwein_weights_memo_holds_a_batched_sweep():

@@ -85,6 +85,10 @@ COMMANDS = (
     "scan --kind zeros --t-min 1 --t-max 100 --step 0.02",
     "--strict scan --kind zeros --t-min 1 --t-max 100",
     "scan --kind omega --b 92 --points 301",
+    # a grid symmetric about Im s = 0, five of its nine Re s mirrored
+    # exactly by 1 - s: xi2 folds both conjugates and mirrors
+    "scan --kind xi-defect --re-min 0.1 --re-max 0.9 --re-points 9 "
+    "--im-min -30 --im-max 30 --im-points 7",
     "scan --kind xi-defect --re-min 0.05 --re-max 0.95 --re-points 4 "
     "--im-min -99 --im-max 99 --im-points 9",
     # xi2(-k) = xi2(k + 1) at the negative integers, on s and on 1 - s
@@ -144,6 +148,9 @@ COMMANDS = (
     "xi --s garbage",
     "epstein --s 0.5 --direct-cutoff 5",
     "coeff a --s 2 --variant nine",
+    # a non-finite point is a usage error where it enters the series
+    "scan --kind omega --b 70 --a-max inf",
+    "scan --kind xi-defect --im-max inf",
 )
 
 
