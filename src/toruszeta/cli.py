@@ -227,10 +227,12 @@ def _cmd_zeta(args, cfg: RunConfig, w: RecordWriter) -> None:
     grid = lattice.TorusGrid(args.n)
     variant = _variant(args.variant)
     t0 = time.perf_counter()
-    val, abs_sum = lattice._spectral_zeta_sums(grid, variant, s)
+    abs_parts = []
+    val = lattice._spectral_zeta_sums(grid, variant, s, abs_parts=abs_parts)
     dt = time.perf_counter() - t0
     # eps log2(n^2) sum |lambda^-s| over the n^2 - 1 nonzero eigenvalues
-    err = float(np.finfo(float).eps * math.log2(args.n ** 2) * abs_sum)
+    err = float(np.finfo(float).eps * math.log2(args.n ** 2)
+                * math.fsum(abs_parts))
     print(f"zeta n={args.n} variant={args.variant} done in {dt:.3f}s",
           file=sys.stderr)
     w.write(ScanRecord(s, "zeta_discrete", val, n=args.n, err_est=err,

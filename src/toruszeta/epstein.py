@@ -67,7 +67,7 @@ def epstein_direct_sum(s: complex, cutoff: int) -> tuple[complex, float]:
     axis_mult[0] = 1.0  # k and -k coincide only at 0
     k1, k2, mult = fold_square(axis_mult)
     q = (k1 * k1 + k2 * k2).astype(float)
-    total, _ = _powsum(q, mult, s)
+    total = _powsum(q, mult, s)
     sigma = s.real
     bound = 8.0 * cutoff ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
     return total, bound
@@ -128,9 +128,14 @@ def complete_xi_array(s) -> np.ndarray:
     s = np.where(negative_int, 1.0 - s, s)
     folded = s.imag < 0.0
     key = np.where(folded, s.conjugate(), s)
-    _, first, inverse = np.unique(key.view(np.dtype((np.void, 16))),
-                                  return_index=True, return_inverse=True)
-    xi = _xi(key[first])[inverse]
+    words = key.view(np.uint64).reshape(-1, 2)  # the bits of Re, Im
+    order = np.lexsort((words[:, 1], words[:, 0]))  # stable: first comes first
+    re_bits, im_bits = words[order, 0], words[order, 1]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (re_bits[1:] != re_bits[:-1]) | (im_bits[1:] != im_bits[:-1])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    xi = _xi(key[order[new]])[inverse]
     xi[folded] = xi[folded].conjugate()
     redo = folded & ~(np.isfinite(xi) & (xi.real != 0.0) & (xi.imag != 0.0))
     if redo.any():

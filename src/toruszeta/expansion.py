@@ -29,6 +29,12 @@ is summed exactly as
 
 with <h^j> the unit-square moments of the z-free symbol (a trigonometric
 polynomial, so the moments are exact trapezoid sums).
+
+The array kernels (the (z, x) integrand of each z-panel, the closed-form
+k2-sum of the angular sum, the moments) run in place in arrays local to one
+call: each ufunc runs in the order of the written-out expression, so the
+values keep their bits, and nothing is shared between calls, so every
+function stays safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ def _h_moments(variant: StencilVariant, jmax: int = 40) -> np.ndarray:
     p = np.ones_like(h)
     for j in range(jmax + 1):
         out[j] = float(np.mean(p))
-        p = p * h
+        p *= h
     out.flags.writeable = False
     return out
 
@@ -85,12 +91,19 @@ def _inner_xshape(variant: StencilVariant, zmin: float):
 
 
 def _inner_j(z: np.ndarray, variant: StencilVariant) -> np.ndarray:
-    """J(z) = int over the unit square of symbol(x,y,z)^-2, vectorized in z."""
+    """J(z) = int over the unit square of symbol(x,y,z)^-2, vectorized in z.
+
+    The (z, x) integrand (c + b/(2 pi^2)) (c (c + b/pi^2))^-3/2, c = z^2 +
+    sx, is formed in place in two float arrays.
+    """
     z = np.asarray(z, dtype=float)
     sx, b, w = _inner_xshape(variant, float(z.min()))
-    c = sx[None, :] + (z * z)[:, None]
-    y = (c + b[None, :] / (2.0 * math.pi ** 2)) \
-        * (c * (c + b[None, :] / math.pi ** 2)) ** -1.5
+    c = np.add.outer(z * z, sx)
+    y = np.add(c, b / math.pi ** 2)
+    y *= c
+    y **= -1.5
+    c += b / (2.0 * math.pi ** 2)
+    y *= c
     return 2.0 * (y @ w)
 
 
@@ -184,12 +197,26 @@ def _k2_sum(a2: np.ndarray) -> np.ndarray:
     F''(b)/2 + b F'''(b)/6 at b = a^2, with F(b) = pi coth(pi a)/a the
     Mittag-Leffler series sum_k 1/(k^2 + b).  coth(pi a) and csch^2(pi a)
     come from q = e^(-2 pi a), which cannot overflow."""
-    a = np.sqrt(a2)
-    q = np.exp(-2.0 * math.pi * a)
-    c, u = (1.0 + q) / (1.0 - q), 4.0 * q / (1.0 - q) ** 2
+    a2 = np.asarray(a2, dtype=float)
+    a, u, c, d = (np.empty(a2.shape) for _ in range(4))
     pi2 = math.pi ** 2
-    return math.pi * c / (16.0 * a2 * a2 * a) - pi2 * pi2 * u * u / (8.0 * a2) \
-        + u * (pi2 / (16.0 * a2 * a2) - pi2 * pi2 / (12.0 * a2))
+    # in place, each product and quotient in the order of
+    #   pi c / (16 a2 a2 a) - pi2 pi2 u u / (8 a2)
+    #       + u (pi2 / (16 a2 a2) - pi2 pi2 / (12 a2)),
+    # c = (1 + q)/(1 - q), u = 4 q/(1 - q)^2, so the bits are the same
+    np.sqrt(a2, out=a)
+    q = np.exp(np.multiply(-2.0 * math.pi, a, out=u), out=u)
+    np.divide(np.add(1.0, q, out=c), np.subtract(1.0, q, out=d), out=c)
+    np.divide(np.multiply(4.0, q, out=u), np.square(d, out=d), out=u)
+    np.multiply(np.multiply(16.0, a2, out=d), a2, out=d)
+    c *= math.pi
+    c /= np.multiply(d, a, out=d)  # the first term
+    np.multiply(np.multiply(pi2 * pi2, u, out=d), u, out=d)
+    c -= np.divide(d, np.multiply(8.0, a2, out=a), out=d)  # less the second
+    np.divide(pi2, np.multiply(np.multiply(16.0, a2, out=a), a2, out=a), out=a)
+    a -= np.divide(pi2 * pi2, np.multiply(12.0, a2, out=d), out=d)
+    c += np.multiply(a, u, out=a)  # plus the third
+    return c
 
 
 def _angular_sum_values(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,10 +21,10 @@ k1 <-> k2, so the spectral zeta sums run over the fundamental domain
 (k1, k2) it stands for (1, 2, 4 or 8: ``folded_spectrum``).  The weights
 are powers of two, so weighting is exact and spectral_zeta(conj s) ==
 conj(spectral_zeta(s)) holds bit for bit.  ``_powsum`` streams the terms
-mult * lam^(-s) to the reducer one cache-sized slice at a time, with the
-magnitudes mult * lam^(-Re s) from the same logarithms, so no array of
-n^2/8 terms is ever built.  The dense ``eigenvalue_grid`` serves the
-resolvent traces.
+mult * lam^(-s) to the reducer one cache-sized slice at a time, so no
+array of n^2/8 terms is ever built; for a caller that asks (the CLI's
+``err_est``) it sums the magnitudes mult * lam^(-Re s) from the same
+logarithms.  The dense ``eigenvalue_grid`` serves the resolvent traces.
 """
 
 from __future__ import annotations
@@ -198,33 +198,38 @@ def operator_matrix(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
     return mat
 
 
-def _powsum(lam: np.ndarray, mult: np.ndarray, s: complex) -> tuple[complex, float]:
-    """sum mult * lam^(-s) over flat positive lam, deterministic order, and
-    sum mult * lam^(-Re s) = sum |terms|, from one streamed pass."""
-    abs_parts = []
+def _powsum(lam: np.ndarray, mult: np.ndarray, s: complex,
+            abs_parts: list | None = None) -> complex:
+    """sum mult * lam^(-s) over flat positive lam, deterministic order, from
+    one streamed pass.  Given a list ``abs_parts``, the pass also appends to
+    it each slice's sum mult * lam^(-Re s), whose total is sum |terms|."""
 
     def terms(a: int, b: int) -> np.ndarray:
         log_lam = np.log(lam[a:b])
-        abs_parts.append(float((mult[a:b] * np.exp(-s.real * log_lam)).sum()))
+        if abs_parts is not None:
+            abs_parts.append(
+                float((mult[a:b] * np.exp(-s.real * log_lam)).sum()))
         return mult[a:b] * np.exp(-s * log_lam)
 
     total = streamed_pairwise_sum(lam.size, terms)
     if not np.isfinite(total):
         raise NonFiniteError(f"non-finite spectral sum {total} at s={s} (lam^-s overflows)")
-    return total, math.fsum(abs_parts)
+    return total
 
 
 def _spectral_zeta_sums(grid: TorusGrid, variant: StencilVariant, s: complex,
-                        allow_empty: bool = False) -> tuple[complex, float]:
-    """``spectral_zeta`` and sum |terms| = sum eigenvalue^(-Re s)."""
+                        allow_empty: bool = False,
+                        abs_parts: list | None = None) -> complex:
+    """``spectral_zeta``; given a list ``abs_parts``, the pass also appends
+    to it the slice sums of |terms| = eigenvalue^(-Re s) (see ``_powsum``)."""
     s = complex(s)
     n = grid.n
     if n == 1:
         if allow_empty:
-            return 0.0 + 0.0j, 0.0
+            return 0.0 + 0.0j
         raise DegenerateError("empty spectrum: n=1 torus has only the zero mode")
     lam, mult = folded_spectrum(n, variant)
-    return _powsum(lam, mult, s)
+    return _powsum(lam, mult, s, abs_parts)
 
 
 def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,
@@ -236,7 +241,7 @@ def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,
     reduced by the leaf-compensated pairwise tree, one cache-sized slice of
     terms at a time, so results are bit-identical across runs.
     """
-    return _spectral_zeta_sums(grid, variant, s, allow_empty)[0]
+    return _spectral_zeta_sums(grid, variant, s, allow_empty)
 
 
 def spectral_zeta_1d(n: int, s: complex) -> complex:
@@ -248,7 +253,7 @@ def spectral_zeta_1d(n: int, s: complex) -> complex:
     if n == 1:
         raise DegenerateError("empty spectrum: n=1 circle has only the zero mode")
     head, mult = _axis_fold(n)
-    return _powsum(head[1:], mult[1:], s)[0]
+    return _powsum(head[1:], mult[1:], s)
 
 
 def resolvent_trace(grid: TorusGrid, variant: StencilVariant, alpha: int,

@@ -280,23 +280,44 @@ def _plan_order(n: int) -> int:
     return -(-n // _PLAN_STEP) * _PLAN_STEP
 
 
+# (smallest prime factor, Omega) of 0, 1, ..., size - 1: the process's one
+# sieve, replaced by one of twice the size when a plan needs more; a plan
+# reads the tuple once, so a concurrent replacement cannot mix two sieves
+_SIEVE: tuple = ()
+
+
+def _sieve(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest prime factor and Omega(m), the number of prime factors
+    with multiplicity, of every m < top (and maybe more), read-only."""
+    global _SIEVE
+    sieve = _SIEVE
+    if sieve and sieve[0].size >= top:
+        return sieve
+    size = max(256, 2 * sieve[0].size if sieve else 0)
+    while size < top:
+        size *= 2
+    spf = np.arange(size)
+    for p in range(2, math.isqrt(size - 1) + 1):
+        spf[p * p::p] = np.minimum(spf[p * p::p], p)
+    omega, rest = np.zeros(size, dtype=int), np.maximum(np.arange(size), 1)
+    while (left := rest > 1).any():
+        omega, rest = omega + left, np.where(left, rest // spf[rest], rest)
+    _SIEVE = sieve = (_read_only(spf), _read_only(omega))
+    return sieve
+
+
 @lru_cache(maxsize=128)
 def _sieve_plan(n: int, strides: tuple):
     """How to build the table of m^(-s) over the bases m = 1 + stride k,
     k < n, of every stride: row 0 holds m = 1, then come the primes, then
-    the composites level by level in Omega(m), the number of prime factors
-    with multiplicity, each the product of the rows of its smallest prime
-    factor and cofactor.  Returns (log of the primes, the levels as (first
-    row, end row, factor rows, cofactor rows), the rows of each stride's
-    terms, the number of rows), its arrays read-only."""
+    the composites level by level in Omega(m), each the product of the rows
+    of its smallest prime factor and cofactor (both from ``_sieve``).
+    Returns (log of the primes, the levels as (first row, end row, factor
+    rows, cofactor rows), the rows of each stride's terms, the number of
+    rows), its arrays read-only."""
     bases = [1 + stride * np.arange(n) for stride in strides]
     top = max(b[-1] for b in bases) + 1
-    spf = np.arange(top)  # smallest prime factor
-    for p in range(2, math.isqrt(top - 1) + 1):
-        spf[p * p::p] = np.minimum(spf[p * p::p], p)
-    omega, rest = np.zeros(top, dtype=int), np.maximum(np.arange(top), 1)
-    while (left := rest > 1).any():
-        omega, rest = omega + left, np.where(left, rest // spf[rest], rest)
+    spf, omega = _sieve(top)
     ms = np.flatnonzero(np.bincount(np.concatenate(bases)))
     ms = ms[np.argsort(omega[ms], kind="stable")]
     row = np.empty(top, dtype=int)

@@ -19,7 +19,9 @@ last slice.  ``pairwise_sum`` is the same reducer over slices of a given
 array.  Slicing changes neither the bracketing nor the bits.
 
 The Kahan recurrence has one form, ``_kahan_columns``, which runs it down
-the rows of a 2-D array, one NumPy operation per row for all columns,
+the rows of a 2-D array, one in-place NumPy operation per row for all
+columns (a leaf row at n = 2048 is 131 KB, and temporaries of that size
+may each be mapped and page-faulted afresh, as the heap's state decides),
 carrying its state from slice to slice: on the leaves here, and on one
 column for inputs of at most 64 elements.  Each column sees the
 operations of the scalar Kahan loop, so its sum has that loop's bits.
@@ -49,13 +51,15 @@ _SLICE = 2 ** 14
 def _kahan_columns(rows: np.ndarray, s: np.ndarray,
                    c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continue the Kahan sums (s, c) of columns down the rows of a 2-D
-    array, one NumPy operation per row; the last compensations are not
-    yet applied."""
+    array, one NumPy operation per row, in place in s, c and two buffers
+    of their size; the last compensations are not yet applied."""
+    y, t = np.empty_like(s), np.empty_like(s)
     for row in rows:
-        y = row - c
-        t = s + y
-        c = (t - s) - y
-        s = t
+        np.subtract(row, c, out=y)
+        np.add(s, y, out=t)
+        np.subtract(t, s, out=c)
+        c -= y
+        s, t = t, s
     return s, c
 
 

@@ -769,10 +769,61 @@ def test_log_gamma_and_digamma_accuracy_on_the_golden_set():
     assert (np.abs(got - psi) / np.abs(psi)).max() <= 2e-15
 
 
+def _former_sieve_plan(n, strides):
+    """``_sieve_plan`` as written before it sliced the one sieve: its own
+    sieve up to the plan's largest base."""
+    bases = [1 + stride * np.arange(n) for stride in strides]
+    top = max(b[-1] for b in bases) + 1
+    spf = np.arange(top)
+    for p in range(2, math.isqrt(top - 1) + 1):
+        spf[p * p::p] = np.minimum(spf[p * p::p], p)
+    omega, rest = np.zeros(top, dtype=int), np.maximum(np.arange(top), 1)
+    while (left := rest > 1).any():
+        omega, rest = omega + left, np.where(left, rest // spf[rest], rest)
+    ms = np.flatnonzero(np.bincount(np.concatenate(bases)))
+    ms = ms[np.argsort(omega[ms], kind="stable")]
+    row = np.empty(top, dtype=int)
+    row[ms] = np.arange(ms.size)
+    starts = np.searchsorted(omega[ms], range(1, omega[ms[-1]] + 2)).tolist()
+    levels = tuple((lo, hi, row[spf[ms[lo:hi]]], row[ms[lo:hi] // spf[ms[lo:hi]]])
+                   for lo, hi in zip(starts[1:], starts[2:]))
+    return (np.log(ms[starts[0]:starts[1]]), levels,
+            tuple(row[b] for b in bases), ms.size)
+
+
+def test_sieve_plans_are_sliced_from_one_growing_sieve(monkeypatch):
+    # from a fresh sieve, plans of growing and shrinking orders are those of
+    # a sieve of their own, and the sieve grows by doubling only
+    def flat(plan):
+        log_primes, levels, stride_rows, rows = plan
+        return [log_primes, *stride_rows, *(x for lv in levels for x in lv),
+                rows]
+
+    monkeypatch.setattr(special, "_SIEVE", ())
+    special._sieve_plan.cache_clear()
+    sizes = []
+    try:
+        for n in (8, 700, 24, 136, 16, 1000, 2, 512, 130):
+            for strides in ((1,), (2,), (1, 2)):
+                got = flat(special._sieve_plan(n, strides))
+                ref = flat(_former_sieve_plan(n, strides))
+                assert len(got) == len(ref)
+                for a, b in zip(got, ref):
+                    assert np.asarray(a).dtype == np.asarray(b).dtype
+                    assert np.array_equal(a, b)
+                sizes.append(special._SIEVE[0].size)
+    finally:
+        special._sieve_plan.cache_clear()
+    # 256 first; 2048 covers the largest base, 1 + 2 * 999
+    assert sizes[0] == 256 and sizes[-1] == 2048 and sizes == sorted(sizes)
+    assert all(size & (size - 1) == 0 for size in sizes)
+
+
 def test_memoized_arrays_are_read_only():
     # a memo shares its arrays with every caller, so none may be written
     log_primes, levels, stride_rows, _ = special._sieve_plan(32, (1, 2))
     memoized = [special._borwein_weights(40), log_primes, *stride_rows,
+                *special._sieve(64),
                 *(rows for level in levels for rows in level[2:]),
                 _h_moments(StencilVariant.NINE_POINT),
                 *folded_spectrum(16, StencilVariant.FIVE_POINT), *_gl_rule(8)]

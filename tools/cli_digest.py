@@ -151,6 +151,11 @@ COMMANDS = (
     # a non-finite point is a usage error where it enters the series
     "scan --kind omega --b 70 --a-max inf",
     "scan --kind xi-defect --im-max inf",
+    "scan --kind omega --b 70 --a-min nan",
+    # the benchmark's bridge region, Re s in (0.6, 0.8), Im s in (0.5, 3.5)
+    "coeff a --s 0.7+2.5i --variant five",
+    "coeff angular --s 0.7+2.5i",
+    "coeff b1 --s 0.7+2.5i",
 )
 
 
