@@ -5,37 +5,52 @@ functions, the Epstein zeta side via Glasser's factorization, Hadamard
 regularized quadrature, the asymptotic expansion coefficients linking the
 two, and the critical-line machinery (Omega ratios, H_n ratios, zero
 scans).
+
+The imports below are the ledger of public names: each group's comment
+names its users.  A name that only the library calls is not re-exported.
 """
 
-from .conjecture import (ScanRecord, eta_factor, hn_ratio_study,
-                         monotonicity_scan, omega_ratio, omega_ratio_routes,
-                         q_factor, rho_factor)
-from .epstein import (OmegaRoute, ZeroRecord, ZeroSource, complete_xi,
+# called by the CLI, with the types they take and return
+from .conjecture import (ScanRecord, hn_ratio_study, omega_ratio,
+                         omega_ratio_array)
+from .epstein import (OmegaRoute, ZeroRecord, complete_xi_array,
                       epstein_direct_sum, epstein_zeta_2d,
-                      find_critical_zeros, omega, v_factor, v_factor_inv)
-from .errors import (ConvergenceError, DegenerateError, DescriptorError,
-                     DomainError, IllConditionedError, NonFiniteError,
-                     PoleError, RangeError, ShapeError, SignalLostError,
-                     StepTooCoarseWarning, TorusZetaError,
-                     ZeroDenominatorError, ZeroShortfallWarning)
-from .expansion import (ExpansionResult, TaylorCoefficient,
-                        angular_lattice_sum, coeff_b0,
+                      find_critical_zeros, omega)
+from .expansion import (ExpansionResult, angular_lattice_sum, coeff_b0,
                         coeff_b1, coeff_b1_tilde, em_verify,
-                        expansion_summary, h_function,
-                        leading_coeff, leading_coeff_error, residual_order,
-                        resolvent_leading_term, series_truncation_check,
-                        symbol_value, taylor_coefficients)
-from .lattice import (StencilVariant, TorusGrid, apply_stencil,
-                      axis_eigenvalues, eigenvalue, eigenvalue_grid,
-                      fold_square, folded_spectrum, operator_matrix,
-                      resolvent_trace, resolvent_trace_1d,
-                      spectral_zeta, spectral_zeta_1d, stencil_symbol)
+                        expansion_summary, leading_coeff, leading_coeff_error)
+from .lattice import StencilVariant, TorusGrid, spectral_zeta_1d
+from .quadrature import QuadResult
+# raised or warned by the functions here; the CLI maps errors to exit codes
+from .errors import (ConvergenceError, DegenerateError, DescriptorError,
+                     DomainError, NonFiniteError, PoleError, RangeError,
+                     ShapeError, SignalLostError, TorusZetaError,
+                     ZeroDenominatorError, ZeroShortfallWarning)
+# called by an acceptance criterion (tests/test_acceptance.py)
+from .conjecture import monotonicity_scan
+from .epstein import ZeroSource, complete_xi, v_factor, v_factor_inv
+from .expansion import (TaylorCoefficient, h_function, series_truncation_check,
+                        taylor_coefficients)
+from .lattice import apply_stencil, eigenvalue, spectral_zeta
 from .quadrature import (AsymptoticDescriptor, AsymptoticTerm, IntegrandSpec,
-                         Location, QuadResult, change_of_variables_check,
-                         quad_finite, quad_periodic_2d, regularized_integral,
-                         regularized_limit)
-from .special import (bernoulli_fraction, bernoulli_number,
-                      bernoulli_polynomial, complex_gamma, complex_log_gamma,
-                      digamma, dirichlet_beta, riemann_zeta)
+                         Location, change_of_variables_check,
+                         regularized_integral)
+from .special import complex_gamma, riemann_zeta
+# traced by benchmark/spans.py
+from .epstein import hardy_z_beta, hardy_z_riemann
+from .expansion import residual_order
+from .lattice import eigenvalue_grid
+from .special import complex_log_gamma, dirichlet_beta
+from .summation import pairwise_sum
+# the references that tests compare other code against
+from .lattice import operator_matrix
+from .quadrature import quad_periodic_2d
+from .special import digamma
+# paper statements, each checked by a test: the leading Euler-Maclaurin
+# term of Tr (Delta_n + z^2)^(-alpha), and the factors of
+# |Omega(1-s)/Omega(s)| = eta/q behind its monotonicity for b > 65
+from .conjecture import eta_factor, q_factor, rho_factor
+from .expansion import resolvent_leading_term
+from .lattice import resolvent_trace
 
 __version__ = "0.1.0"

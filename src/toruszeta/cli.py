@@ -41,14 +41,12 @@ import numpy as np
 from . import conjecture, epstein, expansion, lattice, special
 from .conjecture import ScanRecord
 from .errors import (ConvergenceError, DegenerateError, DescriptorError,
-                     DomainError, IllConditionedError, NonFiniteError,
-                     PoleError, RangeError, ShapeError, SignalLostError,
-                     ZeroDenominatorError)
+                     DomainError, NonFiniteError, PoleError, RangeError,
+                     ShapeError, SignalLostError, ZeroDenominatorError)
 
 _USAGE_ERRORS = (DomainError, RangeError, DegenerateError, PoleError,
                  ZeroDenominatorError, DescriptorError, ShapeError, ValueError)
-_CONVERGENCE_ERRORS = (ConvergenceError, SignalLostError, IllConditionedError,
-                       NonFiniteError)
+_CONVERGENCE_ERRORS = (ConvergenceError, SignalLostError, NonFiniteError)
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"

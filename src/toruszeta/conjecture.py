@@ -30,11 +30,11 @@ _TINY = 1e-280
 _ZERO_DISTANCE_TAG = 0.05  # |s - zero| below which hn_ratio_study tags s
 
 QUANTITY_REGISTRY = frozenset({
-    "omega_ratio", "q", "eta", "rho", "hn_ratio", "hn_ratio_defect_n2",
-    "xi_defect", "zero", "zeta_discrete", "zeta_circle", "epstein",
-    "epstein_direct", "xi", "omega", "coeff_a", "coeff_b0", "coeff_b1tilde",
-    "coeff_b1", "angular_sum", "expansion_b0", "expansion_b1",
-    "expansion_residual", "expansion_slope", "em_lhs", "em_rhs", "em_diff",
+    "omega_ratio", "hn_ratio", "hn_ratio_defect_n2", "xi_defect", "zero",
+    "zeta_discrete", "zeta_circle", "epstein", "epstein_direct", "xi",
+    "omega", "coeff_a", "coeff_b0", "coeff_b1tilde", "coeff_b1",
+    "angular_sum", "expansion_b0", "expansion_b1", "expansion_residual",
+    "expansion_slope", "em_lhs", "em_rhs", "em_diff",
 })
 
 
@@ -108,11 +108,6 @@ def omega_ratio_array(s) -> np.ndarray:
     s = _as_array(s)
     num, den = _shifted_zetas(s)
     return s * (s - 1.0) / math.pi ** 2 * num / den
-
-
-def omega_ratio_routes(s: complex) -> dict:
-    """All three Omega-ratio computation routes, for cross-checking."""
-    return {r: omega_ratio(s, r) for r in ("omega1", "omega2", "direct")}
 
 
 def q_factor(s: complex) -> float:

@@ -47,10 +47,6 @@ class DescriptorError(TorusZetaError):
     divergent terms, wrong ordering, or unsupported borderline exponents)."""
 
 
-class IllConditionedError(TorusZetaError):
-    """Least-squares fit matrix condition number exceeds the safe threshold."""
-
-
 class SignalLostError(TorusZetaError):
     """Residual dropped below the estimated numerical noise floor, so the
     requested order measurement would fit noise instead of signal."""
@@ -71,7 +67,3 @@ class ZeroDenominatorError(TorusZetaError):
 class ZeroShortfallWarning(UserWarning):
     """A zero scan found fewer sign changes than its Gram blocks hold zeros,
     even after halving their intervals."""
-
-
-# the zero scan's former warning; a shortfall is what it warned of
-StepTooCoarseWarning = ZeroShortfallWarning

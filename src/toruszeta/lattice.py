@@ -1,9 +1,9 @@
 """Discrete torus operators and spectra.
 
 The 5-point and 9-point star Laplacians on the n x n discrete torus, their
-exact eigenvalues, finite spectral zeta sums, discrete resolvent traces, and
-the 1-D circle case used for cross-checks.  All operators carry the
-n^2/(4 pi^2) normalization.
+exact eigenvalues, finite spectral zeta sums (and that of the discrete
+circle) and the resolvent trace.  All operators carry the n^2/(4 pi^2)
+normalization.
 
 This module owns the discrete symbol: at integer u = k the eigenvalues, at
 n = 1 the unit-square symbol of ``expansion``.  Per axis it is
@@ -13,7 +13,7 @@ accuracy near u = n; ``stencil_symbol`` combines two axes as a + b
 (5-point) or a + b - (2 pi^2/(3 n^2)) a b (9-point).
 
 Zero-mode conventions differ on purpose: spectral zeta sums exclude
-(k1,k2) = (0,0); resolvent traces include it.
+(k1,k2) = (0,0); the resolvent trace includes it.
 
 Both symbols are invariant under k -> n-k on either axis and under
 k1 <-> k2, so the spectral zeta sums run over the fundamental domain
@@ -24,7 +24,7 @@ conj(spectral_zeta(s)) holds bit for bit.  ``_powsum`` streams the terms
 mult * lam^(-s) to the reducer one cache-sized slice at a time, so no
 array of n^2/8 terms is ever built; for a caller that asks (the CLI's
 ``err_est``) it sums the magnitudes mult * lam^(-Re s) from the same
-logarithms.  The dense ``eigenvalue_grid`` serves the resolvent traces.
+logarithms.  The dense ``eigenvalue_grid`` serves the resolvent trace.
 """
 
 from __future__ import annotations
@@ -82,17 +82,6 @@ def _axis_fold(n: int) -> tuple[np.ndarray, np.ndarray]:
     return head, mult
 
 
-def axis_eigenvalues(n: int) -> np.ndarray:
-    """1-D eigenvalues ``axis_symbol(k, n)``, k = 0..n-1, filled from k <= n/2
-    and mirrored, so the symmetry k <-> n-k is exact by construction."""
-    head, _ = _axis_fold(n)
-    half = n // 2
-    out = np.empty(n)
-    out[: half + 1] = head
-    out[half + 1:] = head[1: n - half][::-1]
-    return out
-
-
 def fold_square(axis_mult: np.ndarray):
     """Fold a square index set over the swap k1 <-> k2.
 
@@ -118,7 +107,7 @@ def stencil_symbol(variant: StencilVariant, a, b, n):
 
 def eigenvalue_grid(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
     """All n x n eigenvalues, indexed by (k1, k2)."""
-    e = axis_eigenvalues(grid.n)
+    e = axis_symbol(np.arange(grid.n), grid.n)
     return stencil_symbol(variant, e[:, None], e[None, :], grid.n)
 
 
@@ -276,13 +265,3 @@ def resolvent_trace(grid: TorusGrid, variant: StencilVariant, alpha: int,
         lam = lam[1:]
     vals = (lam + z * z) ** (-float(alpha))
     return float(pairwise_sum(vals).real)
-
-
-def resolvent_trace_1d(n: int, alpha: int, z: float) -> float:
-    """1-D resolvent trace over all k, zero mode included."""
-    if alpha < 1:
-        raise RangeError("alpha must be a positive integer")
-    if z <= 0:
-        raise DomainError("z must be positive")
-    lam = axis_eigenvalues(n)
-    return float(pairwise_sum((lam + z * z) ** (-float(alpha))).real)

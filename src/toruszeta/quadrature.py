@@ -1,8 +1,7 @@
 """Quadrature and Hadamard regularization.
 
-Finite-interval adaptive quadrature, spectrally convergent 2-D periodic
-quadrature, and regularized limits/integrals driven by caller-supplied
-asymptotic descriptors of the form
+Spectrally convergent 2-D periodic quadrature, and regularized integrals
+driven by caller-supplied asymptotic descriptors of the form
 
     u(z) ~ sum_j c_j z^(a_j) log^(k_j) z        (z -> 0 or z -> oo).
 
@@ -20,7 +19,6 @@ and its floor alike.  Every Gauss-Legendre panel rule here and in
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,11 +28,9 @@ import numpy as np
 # eager: this ~6 ms import would otherwise land inside every integrating job
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConvergenceError, DescriptorError, IllConditionedError
+from .errors import ConvergenceError, DescriptorError
 
 _OSC_TOL = 1e-13          # reject |Re a| below this with Im a != 0 (pure oscillation)
-_MERGE_TOL = 1e-10        # exponents closer than this are one fit column
-_COND_LIMIT = 1e12
 
 
 class Location(enum.Enum):
@@ -169,53 +165,6 @@ def _gl_panels(lo, hi, order: int):
     if np.ndim(lo):
         lo, hi = np.asarray(lo)[:, None], np.asarray(hi)[:, None]
     return lo + (hi - lo) * x, hi - lo, w
-
-
-def quad_finite(f, a: float, b: float, tol: float = 1e-12,
-                max_panels: int = 4096) -> QuadResult:
-    """Globally adaptive Gauss-Legendre quadrature of f over [a, b].
-
-    The per-panel error estimate is the difference between the 16- and
-    8-point rules, from one call of f on the nodes of both; panels are
-    bisected worst-first until the summed estimate meets ``tol`` (absolute,
-    or relative when |integral| > 1).
-    """
-    if not a < b:
-        raise ValueError("need a < b")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    f = _as_spec(f)
-
-    def make(lo, hi):
-        z16, width, w16 = _gl_panels(lo, hi, 16)
-        z8, _, w8 = _gl_panels(lo, hi, 8)
-        vals = f(np.concatenate([z16, z8]))
-        v16 = width * complex(np.dot(w16, vals[:16]))
-        v8 = width * complex(np.dot(w8, vals[16:]))
-        return v16, abs(v16 - v8)
-
-    counter = 0
-    v, e = make(a, b)
-    heap = [(-e, counter, a, b, v, e)]
-    total, toterr = v, e
-    n_panels = 1
-    while toterr > tol * max(1.0, abs(total)):
-        if n_panels >= max_panels:
-            raise ConvergenceError(
-                f"quad_finite: {max_panels}-panel budget exhausted "
-                f"(err ~ {toterr:.3g})", estimate=total, error=toterr)
-        nege, _, lo, hi, pv, pe = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        lv, le = make(lo, mid)
-        rv, re_ = make(mid, hi)
-        total += lv + rv - pv
-        toterr += le + re_ - pe
-        counter += 1
-        heapq.heappush(heap, (-le, counter, lo, mid, lv, le))
-        counter += 1
-        heapq.heappush(heap, (-re_, counter, mid, hi, rv, re_))
-        n_panels += 1
-    return QuadResult(total, toterr)
 
 
 def quad_periodic_2d(f: Callable, tol: float = 1e-11, n_start: int = 8,
@@ -381,44 +330,6 @@ def regularized_integral(f, tol: float = 1e-12) -> complex:
     for d in halves:
         _check_integrable(f, d)
     return _half_integral(f, halves[0], tol) + _half_integral(f, halves[1], tol)
-
-
-def regularized_limit(samples: Sequence, descriptor: AsymptoticDescriptor) -> complex:
-    """Constant term of an asymptotic expansion, fit from samples.
-
-    ``samples`` is a sequence of (x, value) pairs; the model is
-
-        u(x) = c_0 + sum over descriptor terms c_t x^a log^k x
-
-    solved by least squares.  Returns c_0.  Descriptor coefficients are
-    ignored (they are what the fit determines); exponents closer than 1e-10
-    at the same log power are merged to keep the system well conditioned.
-    """
-    xs = np.asarray([p[0] for p in samples], dtype=float)
-    ys = np.asarray([p[1] for p in samples], dtype=complex)
-    merged: list[tuple[complex, int]] = []
-    for t in descriptor.terms:
-        a = complex(t.exponent)
-        for (a2, k2) in merged:
-            if abs(a - a2) <= _MERGE_TOL and t.log_power == k2:
-                break
-        else:
-            merged.append((a, t.log_power))
-    if len(xs) < len(merged) + 1:
-        raise ValueError("need at least one sample per descriptor term plus one")
-    lx = np.log(xs)
-    cols = [np.ones_like(xs, dtype=complex)]
-    for a, k in merged:
-        cols.append(np.exp(a * lx) * lx ** k)
-    A = np.column_stack(cols)
-    norms = np.linalg.norm(A, axis=0)
-    A_scaled = A / norms
-    cond = np.linalg.cond(A_scaled)
-    if cond > _COND_LIMIT:
-        raise IllConditionedError(
-            f"fit matrix condition number {cond:.3g} exceeds {_COND_LIMIT:.0e}")
-    coef, *_ = np.linalg.lstsq(A_scaled, ys, rcond=None)
-    return complex(coef[0] / norms[0])
 
 
 def _scaled_descriptor(d: AsymptoticDescriptor | None, lam: float):

@@ -160,11 +160,6 @@ def complex_gamma(s: complex) -> complex:
     return complex(complex_gamma_array([s])[0])
 
 
-def reciprocal_gamma(s: complex) -> complex:
-    """1/Gamma(s); entire, returns 0 at the non-positive integers."""
-    return 0j if _gamma_poles(s) else 1.0 / complex_gamma(s)
-
-
 def complex_log_gamma_array(s) -> np.ndarray:
     """The principal branch of log Gamma at every point of a 1-D array:
     real on (0, oo), analytic off (-oo, 0], exp(log_gamma) == complex_gamma;
@@ -504,11 +499,6 @@ def _bernoulli_numbers() -> tuple:
             acc += math.comb(m + 1, j) * vals[j]
         vals.append(-acc / (m + 1))
     return tuple(vals)
-
-
-def bernoulli_number(k: int) -> float:
-    """B_k as a float (exact-to-double), B_1 = -1/2 convention."""
-    return float(bernoulli_fraction(k))
 
 
 def bernoulli_fraction(k: int) -> Fraction:

@@ -4,7 +4,6 @@ import argparse
 import contextlib
 import csv
 import gc
-import importlib.util
 import io
 import json
 import math
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toruszeta
+from _cli_digest import cli_digest, golden
 from toruszeta import conjecture, epstein
 from toruszeta.cli import (_COMPLEX_RE, RecordWriter, RunConfig, _cmd_coeff,
                            _cmd_emcheck, _cmd_epstein, _cmd_expansion,
@@ -423,6 +423,11 @@ def test_every_emitted_quantity_is_registered(capsys):
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows, argv
         assert {r["quantity"] for r in rows} <= QUANTITY_REGISTRY, argv
+    # and the registry holds nothing that the golden listing's commands,
+    # which run every subcommand, coeff kind and scan kind, do not write
+    written = {row["quantity"] for argv, (_, lines) in golden().items()
+               for row in cli_digest._rows(argv, lines)}
+    assert written == QUANTITY_REGISTRY
 
 
 def test_negative_complex_after_a_space(capsys):
@@ -729,15 +734,6 @@ def _outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
-def _digest_commands():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                        "cli_digest.py")
-    spec = importlib.util.spec_from_file_location("cli_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.COMMANDS
-
-
 def _same_options(a, b) -> bool:
     """a == b for two option dicts (or None), except that a nan value
     equals a nan value, and nothing else does."""
@@ -761,7 +757,7 @@ def test_same_options_equates_nan_with_nan_only():
         assert not _same_options(other, {"a": nan, "b": 1})
 
 
-@pytest.mark.parametrize("line", _digest_commands())
+@pytest.mark.parametrize("line", cli_digest.COMMANDS)
 def test_parser_agrees_with_the_reference_on_the_digest_commands(line):
     argv = shlex.split(line)
     (ref, ref_code), _, _ = _outcome(_reference_parse, argv)

@@ -1,11 +1,11 @@
-"""tools/cli_digest.py --compare: the tolerance gate between two listings."""
+"""tools/cli_digest.py: the golden listing of the CLI's output, and
+--compare, the tolerance gate between two listings."""
 
-import os
 import subprocess
 import sys
 
-TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                    "cli_digest.py")
+from _cli_digest import TOOL, cli_digest, golden, listing_now
+
 HEADER = "quantity,s_re,s_im,n,value_re,value_im,err_est,meta"
 
 
@@ -58,3 +58,63 @@ def test_compare_reports_value_differences_and_gates_on_shape(tmp_path):
     code, out = _compare(tmp_path, before, after)
     assert code == 1
     assert "only in AFTER: xi --s 3" in out
+
+
+# Bounds on how far a number in the CLI's output may move from the golden
+# listing.  Each bound is a few times the largest change seen when every
+# NumPy and math exp, log, sin, cos, expm1 and log1p result and every np.sum,
+# np.dot, np.mean and np.cumsum result was moved by up to 4 ulp (eps times
+# an integer in [-4, 4], a fixed function of the argument, so that
+# f(conj z) = conj f(z) still holds), as a different libm, SIMD or BLAS
+# build may; worst of ten such runs in the comments.  Relative bounds are
+# to the larger modulus; absolute ones are for residuals, numbers that are
+# rounding noise around zero.
+REL = 2e-11  # any other number: 5.4e-12 (omega_ratio at 0.5+800i)
+BOUNDS = {
+    # H_n(1-s)/H_n(s), each H_n a difference of spectral sums: 5.3e-11
+    ("hn_ratio", "value"): ("rel", 2e-10),
+    # past Re s = 1 the leading coefficient's panels stop on the roundoff
+    # floor; the value is good to its err_est (~1e-6 relative): 9.2e-8
+    ("coeff_a", "value"): ("rel", 5e-7),
+    # and there the estimate is mostly that floor: 0.12
+    ("coeff_a", "err_est"): ("rel", 0.5),
+    # |full - half-order rule|, a difference of two near-equal sums: 7.9e-4
+    ("angular_sum", "err_est"): ("rel", 5e-3),
+    # a log-log slope through residuals down to 6e-9: 1.6e-3
+    ("expansion_slope", "value"): ("rel", 1e-2),
+    # zeta(Delta_n, s) less its expansion, from terms of order one: 9.4e-11
+    ("expansion_residual", "value"): ("abs", 5e-10),
+    # (ratio - 1) n^2, the ratio's rounding times n^2 <= 65536: 3.5e-6
+    ("hn_ratio_defect_n2", "value"): ("abs", 2e-5),
+    # |xi_2(s) - xi_2(1 - s)|, the functional equation's residual: 4.9e-13
+    ("xi_defect", "value"): ("abs", 2e-12),
+    # the same residual at one point, relative to |xi_2(s)|: 6.2e-15
+    ("xi", "fe_defect"): ("abs", 3e-14),
+    # |Z(t)| at the polished root, a root residual near 1e-12: 3.5e-12
+    ("zero", "err_est"): ("abs", 2e-11),
+    # the Euler-Maclaurin sides' difference, each side at most 91: 4.3e-14
+    ("em_diff", "value"): ("abs", 2e-13),
+}
+
+
+def test_cli_output_matches_the_golden_listing():
+    # exit codes, row and line counts, headers and text cells exactly;
+    # every number within its bound above
+    before, after = golden(), listing_now()
+    bad = []
+    for argv, d in cli_digest.differences(before, after).items():
+        if isinstance(d, str):
+            bad.append(f"only in {d}: {argv}")
+            continue
+        if d["exit"][0] != d["exit"][1] or d["rows"][0] != d["rows"][1] \
+                or len(before[argv][1]) != len(after[argv][1]) or d["text"]:
+            bad.append(f"{argv}: exit {d['exit']}, rows {d['rows']}, "
+                       f"{d['text']} rows with other text")
+        for (quantity, key), (rel, absolute) in d["numbers"].items():
+            column = key if isinstance(key, str) else key[1]
+            kind, bound = BOUNDS.get((quantity, column), ("rel", REL))
+            moved = rel if kind == "rel" else absolute
+            if moved > bound:
+                bad.append(f"{argv}: {quantity} {column} moved {kind} "
+                           f"{moved:.2g} > {bound:.0e}")
+    assert not bad, "\n".join(bad)

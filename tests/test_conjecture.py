@@ -7,8 +7,7 @@ import pytest
 
 from toruszeta.conjecture import (ScanRecord, eta_factor, hn_ratio_study,
                                   monotonicity_scan, omega_ratio,
-                                  omega_ratio_array, omega_ratio_routes,
-                                  q_factor, rho_factor)
+                                  omega_ratio_array, q_factor, rho_factor)
 from toruszeta.errors import PoleError, ZeroDenominatorError
 
 # |zeta(Delta, s+1)/zeta(Delta, s-1)| at 0.75+70i, pinned offline (30 digits)
@@ -29,10 +28,9 @@ def test_omega_ratio_unit_modulus_at_large_height():
 
 def test_omega_ratio_routes_agree():
     for s in (0.3 + 66.0j, 0.7 + 12.0j, 0.45 + 3.0j):
-        r = omega_ratio_routes(s)
-        base = r["omega1"]
-        for v in r.values():
-            assert abs(v - base) <= 1e-10 * abs(base)
+        base = omega_ratio(s, "omega1")
+        for route in ("omega2", "direct"):
+            assert abs(omega_ratio(s, route) - base) <= 1e-10 * abs(base)
 
 
 def test_omega_ratio_array_matches_scalar_bits():

@@ -17,7 +17,7 @@ from toruszeta.epstein import (OmegaRoute, ZeroSource, _hardy_z,
                                find_critical_zeros, hardy_z_beta,
                                hardy_z_riemann, omega, v_factor, v_factor_inv)
 from toruszeta.errors import (DomainError, PoleError, SignalLostError,
-                              StepTooCoarseWarning, ZeroShortfallWarning)
+                              ZeroShortfallWarning)
 from toruszeta.special import digamma, riemann_zeta, riemann_zeta_array
 
 CATALAN = 0.915965594177219015
@@ -327,9 +327,8 @@ def test_zero_scan_halves_a_short_gram_block_until_it_shows_its_zeros(
         assert beta.all() and ((8.28 < ts) & (ts < 14.65)).all()
 
 
-def test_step_too_coarse_warning_is_the_shortfall_warning():
-    assert StepTooCoarseWarning is ZeroShortfallWarning
-    assert toruszeta.StepTooCoarseWarning is ZeroShortfallWarning
+def test_shortfall_warning_is_a_user_warning():
+    assert toruszeta.ZeroShortfallWarning is ZeroShortfallWarning
     assert issubclass(ZeroShortfallWarning, UserWarning)
 
 

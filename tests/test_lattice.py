@@ -12,11 +12,10 @@ from toruszeta.expansion import symbol_value
 from toruszeta.errors import (DegenerateError, DomainError, NonFiniteError,
                               RangeError, ShapeError)
 from toruszeta.lattice import (StencilVariant, TorusGrid, _axis_fold,
-                               _spectral_zeta_sums, apply_stencil,
-                               axis_eigenvalues, eigenvalue, eigenvalue_grid,
-                               fold_square, folded_spectrum, operator_matrix,
-                               resolvent_trace, resolvent_trace_1d,
-                               spectral_zeta, spectral_zeta_1d, stencil_symbol)
+                               _spectral_zeta_sums, apply_stencil, eigenvalue,
+                               eigenvalue_grid, fold_square, folded_spectrum,
+                               operator_matrix, resolvent_trace, spectral_zeta,
+                               spectral_zeta_1d, stencil_symbol)
 from toruszeta.summation import pairwise_sum
 
 FIVE = StencilVariant.FIVE_POINT
@@ -154,12 +153,14 @@ def test_spectral_zeta_1d():
         spectral_zeta_1d(1, 1.0)
 
 
-def test_axis_eigenvalues_mirror():
+def test_eigenvalue_grid_mirror():
     for n in (2, 5, 8, 9):
-        e = axis_eigenvalues(n)
+        for variant in (FIVE, NINE):
+            g = eigenvalue_grid(TorusGrid(n), variant)
+            assert np.array_equal(g[1:], g[:0:-1])
+            assert np.array_equal(g[:, 1:], g[:, :0:-1])
         ref = (n / math.pi) ** 2 * np.sin(math.pi * np.arange(n) / n) ** 2
-        assert np.allclose(e, ref, rtol=1e-14)
-        assert np.array_equal(e[1:], e[:0:-1])
+        assert np.allclose(g[:, 0], ref, rtol=1e-14)
 
 
 def test_resolvent_trace_hand_sum():
@@ -179,17 +180,15 @@ def test_resolvent_trace_zero_mode_conventions():
     assert val == pytest.approx(float(np.sum(lam ** -2.0)), rel=1e-13)
 
 
-def test_resolvent_trace_1d_validates():
-    assert resolvent_trace_1d(2, 2, 1.0) > 0
+def test_resolvent_trace_and_circle_validate():
     with pytest.raises(DomainError):
-        resolvent_trace_1d(2, 2, 0.0)
+        resolvent_trace(TorusGrid(2), FIVE, 2, -1.0)
     with pytest.raises(RangeError):
         resolvent_trace(TorusGrid(2), FIVE, 0, 1.0)
     # no axis below one point: not an empty spectrum, nor NumPy's error
-    for call in (lambda: axis_eigenvalues(0), lambda: axis_eigenvalues(-3),
-                 lambda: resolvent_trace_1d(0, 1, 1.0)):
+    for n in (0, -3):
         with pytest.raises(RangeError, match="must be >= 1"):
-            call()
+            spectral_zeta_1d(n, 1.0)
 
 
 def test_spectral_zeta_conjugation_exact():

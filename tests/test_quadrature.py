@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruszeta.errors import (ConvergenceError, DescriptorError,
-                              IllConditionedError)
+from toruszeta.errors import DescriptorError
 from toruszeta.quadrature import (AsymptoticDescriptor, AsymptoticTerm,
                                   IntegrandSpec, Location,
-                                  change_of_variables_check, quad_finite,
-                                  quad_periodic_2d, regularized_integral,
-                                  regularized_limit)
+                                  change_of_variables_check, quad_periodic_2d,
+                                  regularized_integral)
 
 AT0, ATI = Location.AT_ZERO, Location.AT_INFINITY
 
@@ -25,44 +23,6 @@ def _power_spec(a: float) -> IntegrandSpec:
         lambda z, a=a: z ** a,
         AsymptoticDescriptor([AsymptoticTerm(a, 0, 1.0)], AT0),
         AsymptoticDescriptor([AsymptoticTerm(a, 0, 1.0)], ATI))
-
-
-def test_quad_finite_basics():
-    r = quad_finite(lambda x: np.ones_like(x), 0.0, 1.0)
-    assert r.value.real == pytest.approx(1.0, rel=1e-14)
-    r = quad_finite(lambda x: np.sin(np.pi * x) ** 2, 0.0, 1.0)
-    assert r.value.real == pytest.approx(0.5, rel=1e-13)
-
-
-def test_quad_finite_closed_form():
-    # int_0^1 dx / (sin^2(pi x)/pi^2 + 1) = (1 + 1/pi^2)^(-1/2)
-    r = quad_finite(lambda x: 1.0 / (np.sin(np.pi * x) ** 2 / np.pi ** 2 + 1.0),
-                    0.0, 1.0, 1e-13)
-    assert r.value.real == pytest.approx(1.0 / math.sqrt(1 + 1 / math.pi ** 2),
-                                         rel=1e-12)
-    assert r.error <= 1e-12
-
-
-def test_quad_finite_calls_f_once_per_panel():
-    # one call on the nodes of both rules (16 + 8) of each panel, and no
-    # node twice: the adaptive loop bisects, so panels never repeat
-    calls = []
-
-    def f(x):
-        calls.append(np.array(x))
-        return np.sqrt(x)
-
-    r = quad_finite(f, 0.0, 2.0)
-    assert r.value.real == pytest.approx(4.0 / 3.0 * math.sqrt(2.0), rel=1e-11)
-    assert len(calls) > 1 and all(z.shape == (24,) for z in calls)
-    nodes = np.concatenate(calls)
-    assert np.unique(nodes).size == nodes.size
-
-
-def test_quad_finite_budget_error():
-    with pytest.raises(ConvergenceError):
-        quad_finite(lambda x: np.abs(x - 1 / 3.0) ** -0.97, 0.0, 1.0,
-                    tol=1e-13, max_panels=12)
 
 
 def test_quad_periodic_2d():
@@ -152,39 +112,6 @@ def test_descriptor_validation():
             [AsymptoticTerm(1.0, 0, 1.0), AsymptoticTerm(0.5, 0, 1.0)], AT0)
     with pytest.raises(DescriptorError):
         AsymptoticTerm(1.0, -1, 1.0)
-
-
-def test_regularized_limit_examples():
-    xs = np.array([32.0, 48, 64, 96, 128, 192, 256])
-    d = AsymptoticDescriptor([AsymptoticTerm(1.0, 0)], ATI)
-    got = regularized_limit([(x, 3 + 5 * x) for x in xs], d)
-    assert got.real == pytest.approx(3.0, abs=1e-10)
-    d = AsymptoticDescriptor(
-        [AsymptoticTerm(2.0, 1), AsymptoticTerm(1.0, 0)], ATI)
-    got = regularized_limit([(x, 7 + x * x * np.log(x) + 2 * x) for x in xs], d)
-    assert got.real == pytest.approx(7.0, abs=1e-9)
-    s = 0.3 + 2.0j
-    c0, c1 = 2.5 - 1.0j, 0.7 + 0.2j
-    d = AsymptoticDescriptor([AsymptoticTerm(2.0 - 2.0 * s, 0)], ATI)
-    got = regularized_limit([(x, c0 + c1 * x ** (2 - 2 * s)) for x in xs], d)
-    assert abs(got - c0) <= 1e-8
-
-
-def test_regularized_limit_ill_conditioned():
-    # many log powers sampled on a narrow window: columns nearly collinear
-    xs = np.linspace(100.0, 100.5, 9)
-    d = AsymptoticDescriptor(
-        [AsymptoticTerm(1.0, k) for k in range(5, -1, -1)], ATI)
-    with pytest.raises(IllConditionedError):
-        regularized_limit([(x, 3 + 5 * x) for x in xs], d)
-
-
-def test_regularized_limit_merges_near_duplicates():
-    xs = np.array([32.0, 48, 64, 96, 128, 192, 256])
-    d = AsymptoticDescriptor(
-        [AsymptoticTerm(1.0 + 1e-12, 0), AsymptoticTerm(1.0, 0)], ATI)
-    got = regularized_limit([(x, 3 + 5 * x) for x in xs], d)
-    assert got.real == pytest.approx(3.0, abs=1e-9)
 
 
 def _inv_power_spec() -> IntegrandSpec:

@@ -13,10 +13,9 @@ from toruszeta.expansion import _h_moments
 from toruszeta.lattice import StencilVariant, folded_spectrum
 from toruszeta.quadrature import _gl_rule
 from toruszeta.special import (EULER_GAMMA, bernoulli_fraction,
-                               bernoulli_number, bernoulli_polynomial,
-                               complex_gamma, complex_gamma_array,
-                               complex_log_gamma, complex_log_gamma_array,
-                               digamma, reciprocal_gamma,
+                               bernoulli_polynomial, complex_gamma,
+                               complex_gamma_array, complex_log_gamma,
+                               complex_log_gamma_array, digamma,
                                dirichlet_beta, dirichlet_beta_array,
                                riemann_zeta, riemann_zeta_array,
                                zeta_beta_arrays)
@@ -40,9 +39,6 @@ def test_gamma_poles():
             complex_gamma(s)
         with pytest.raises(PoleError, match="Gamma has a pole"):
             complex_gamma_array([2.5 + 1.0j, s])
-        assert reciprocal_gamma(s) == 0.0
-    assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi),
-                                                  rel=1e-15)
     with pytest.raises(PoleError, match="digamma has a pole"):
         digamma(-3.0)
 
@@ -140,16 +136,16 @@ def test_continuation_overlap_strip():
 
 
 def test_bernoulli_numbers():
-    assert bernoulli_number(0) == 1.0
-    assert bernoulli_number(1) == -0.5
-    assert bernoulli_number(2) == pytest.approx(1.0 / 6.0, rel=1e-15)
-    assert bernoulli_number(3) == 0.0
     from fractions import Fraction
+    assert bernoulli_fraction(0) == 1
+    assert bernoulli_fraction(1) == Fraction(-1, 2)
+    assert bernoulli_fraction(2) == Fraction(1, 6)
+    assert bernoulli_fraction(3) == 0
     assert bernoulli_fraction(12) == Fraction(-691, 2730)
     with pytest.raises(RangeError):
-        bernoulli_number(65)
+        bernoulli_fraction(65)
     with pytest.raises(RangeError):
-        bernoulli_number(-1)
+        bernoulli_fraction(-1)
 
 
 def test_bernoulli_recurrence():
@@ -181,10 +177,10 @@ def test_bernoulli_polynomial_symmetry(k, x):
 
 def test_bernoulli_table_is_reusable():
     # one memoized table B_0..B_64 serves every call
-    assert bernoulli_number(16) == pytest.approx(-7.09215686, rel=1e-8)
+    assert float(bernoulli_fraction(16)) == pytest.approx(-7.09215686, rel=1e-8)
     assert bernoulli_fraction(16) is bernoulli_fraction(16)
     with pytest.raises(RangeError):
-        bernoulli_number(65)
+        bernoulli_fraction(65)
 
 
 def test_borwein_weights_memo_holds_a_critical_line_sweep():

@@ -25,7 +25,16 @@ that may move last bits:
 It prints, per command, the exit codes, the row counts and the largest
 relative and absolute differences of the values, of ``err_est`` and of the
 numbers in ``meta``, and exits 1 when an exit code or a row count differs
-or a command is in only one listing.
+or a command is in only one listing.  It summarizes ``differences``, which
+gives them per quantity and column, and for the points ``s`` too.
+
+``tests/cli_digest_raw.txt`` is this tool's ``--raw`` listing, frozen; the
+test ``test_cli_output_matches_the_golden_listing`` reruns the commands and
+bounds each column's differences from it.  A change that moves a printed
+number on purpose, or adds a command, writes it anew and logs the
+``--compare`` report against the old file:
+
+    PYTHONPATH=src python tools/cli_digest.py --raw > tests/cli_digest_raw.txt
 """
 
 from __future__ import annotations
@@ -217,8 +226,10 @@ def _number(text: str):
 
 
 def _numbers(row: dict) -> dict:
-    """The numbers of one record: its value, err_est and meta entries."""
+    """The numbers of one record: its s, value, err_est and meta entries."""
     out = {"value": complex(float(row["value_re"]), float(row["value_im"]))}
+    if row["s_re"]:
+        out["s"] = complex(float(row["s_re"]), float(row["s_im"]))
     if row["err_est"]:
         out["err_est"] = float(row["err_est"])
     for item in filter(None, row["meta"].split(";")):
@@ -235,43 +246,73 @@ def _diff(a, b) -> tuple[float, float]:
     return (d / scale if scale else 0.0), d
 
 
-def compare(before: dict, after: dict) -> int:
-    """Print the per-command differences of two listings; 1 if an exit
-    code or a row count differs, or a command is in only one of them."""
-    bad = 0
+def differences(before: dict, after: dict) -> dict:
+    """{argv: what differs} for every command of two listings.
+
+    A command in only one listing maps to the side it is in, "BEFORE" or
+    "AFTER".  Any other maps to a dict: ``exit`` and ``rows``, the exit
+    codes and row counts (before, after); ``text``, the number of paired
+    rows whose columns, quantity or ``n`` differ, plus the text cells that
+    differ; ``numbers``, {(quantity, column): [relative, absolute]}, the
+    largest differences of each number column of each quantity, the column
+    "s", "value", "err_est" or ("meta", key).
+    """
+    out = {}
     for argv in list(before) + [a for a in after if a not in before]:
         if argv not in before or argv not in after:
-            side = "BEFORE" if argv in before else "AFTER"
-            print(f"only in {side}: {argv}")
-            bad += 1
+            out[argv] = "BEFORE" if argv in before else "AFTER"
             continue
         (code_b, lines_b), (code_a, lines_a) = before[argv], after[argv]
         rows_b, rows_a = _rows(argv, lines_b), _rows(argv, lines_a)
-        worst = {"value": [0.0, 0.0], "err_est": [0.0, 0.0],
-                 "meta": [0.0, 0.0]}
-        seen, text = set(), 0
+        numbers, text = {}, 0
         for rb, ra in zip(rows_b, rows_a):
             nb, na = _numbers(rb), _numbers(ra)
-            text += rb["quantity"] != ra["quantity"] or nb.keys() != na.keys()
+            text += (rb.keys() != ra.keys() or nb.keys() != na.keys()
+                     or (rb["quantity"], rb["n"]) != (ra["quantity"], ra["n"]))
             for key in nb.keys() & na.keys():
-                group = key if isinstance(key, str) else "meta"
                 if isinstance(nb[key], str) or isinstance(na[key], str):
                     text += nb[key] != na[key]
                     continue
-                seen.add(group)
+                worst = numbers.setdefault((rb["quantity"], key), [0.0, 0.0])
                 for i, d in enumerate(_diff(nb[key], na[key])):
-                    worst[group][i] = max(worst[group][i], d)
-        mismatch = code_b != code_a or len(rows_b) != len(rows_a)
+                    worst[i] = max(worst[i], d)
+        out[argv] = {"exit": (code_b, code_a),
+                     "rows": (len(rows_b), len(rows_a)),
+                     "text": text, "numbers": numbers}
+    return out
+
+
+def compare(before: dict, after: dict) -> int:
+    """Print the per-command differences of two listings; 1 if an exit
+    code or a row count differs, or a command is in only one of them.
+    Per command it prints the largest differences of the values, of
+    ``err_est`` and of the numbers in ``meta``, over all quantities."""
+    bad = 0
+    diffs = differences(before, after)
+    for argv, d in diffs.items():
+        if isinstance(d, str):
+            print(f"only in {d}: {argv}")
+            bad += 1
+            continue
+        worst = {"value": [0.0, 0.0], "err_est": [0.0, 0.0],
+                 "meta": [0.0, 0.0]}
+        seen = set()
+        for (_, key), diff in d["numbers"].items():
+            group = key if isinstance(key, str) else "meta"
+            if group in worst:
+                seen.add(group)
+                worst[group] = [max(w, x) for w, x in zip(worst[group], diff)]
+        (code_b, code_a), (n_b, n_a) = d["exit"], d["rows"]
+        mismatch = code_b != code_a or n_b != n_a
         bad += mismatch
-        parts = [f"exit {code_b}->{code_a}",
-                 f"rows {len(rows_b)}->{len(rows_a)}"]
+        parts = [f"exit {code_b}->{code_a}", f"rows {n_b}->{n_a}"]
         parts += [f"{g} rel {worst[g][0]:.2g} abs {worst[g][1]:.2g}"
                   if g in seen else f"{g} -" for g in worst]
-        if text:
-            parts.append(f"{text} rows with other text")
+        if d["text"]:
+            parts.append(f"{d['text']} rows with other text")
         flag = "MISMATCH " if mismatch else ""
         print(f"{flag}{argv}: " + ", ".join(parts))
-    print(f"{bad} of {len(set(before) | set(after))} commands differ in "
+    print(f"{bad} of {len(diffs)} commands differ in "
           "exit code, row count or presence")
     return 1 if bad else 0
 
