@@ -4,6 +4,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from _cli_digest import TOOL, cli_digest, golden, listing_now
 
 HEADER = "quantity,s_re,s_im,n,value_re,value_im,err_est,meta"
@@ -60,6 +62,43 @@ def test_compare_reports_value_differences_and_gates_on_shape(tmp_path):
     assert "only in AFTER: xi --s 3" in out
 
 
+def test_differences_gives_each_quantity_and_column():
+    row = "{q},0.3,{im},{n},2.0,0,{err},leading={lead};route=omega1"
+    before = {"xi": (0, [HEADER, row.format(q="xi", im=5, n="", err="1e-9",
+                                            lead="1.5+-2e-05i")]),
+              "hn": (3, [HEADER, row.format(q="hn", im=5, n=32, err="",
+                                            lead="1")])}
+    after = {"xi": (0, [HEADER, row.format(q="xi", im=5.5, n="", err="4e-9",
+                                           lead="1.5+-2e-05i")]),
+             "hn": (3, [HEADER, row.format(q="hn", im=5, n=64, err="",
+                                           lead="x"),
+                        row.format(q="hn", im=5, n=64, err="", lead="1")])}
+    d = cli_digest.differences(before, after)
+    assert d["xi"]["exit"] == (0, 0) and d["xi"]["rows"] == (1, 1)
+    assert d["xi"]["text"] == 0
+    numbers = d["xi"]["numbers"]
+    assert numbers["xi", "value"] == [0.0, 0.0]
+    assert numbers["xi", ("meta", "leading")] == [0.0, 0.0]
+    assert numbers["xi", "err_est"] == pytest.approx([0.75, 3e-9])
+    rel, absolute = numbers["xi", "s"]
+    assert absolute == pytest.approx(0.5)
+    assert rel == pytest.approx(0.5 / abs(0.3 + 5.5j))
+    # n is compared as text, and so is a meta cell that is no number;
+    # rows past the shorter listing are only counted
+    assert d["hn"] == {"exit": (3, 3), "rows": (1, 2), "text": 2,
+                       "numbers": {("hn", "value"): [0.0, 0.0],
+                                   ("hn", "s"): [0.0, 0.0]}}
+
+
+def test_differences_names_the_listing_a_command_is_only_in():
+    rows = (0, [HEADER])
+    d = cli_digest.differences({"a": rows, "b": rows}, {"b": rows, "c": rows})
+    assert list(d) == ["a", "b", "c"]
+    assert d["a"] == "BEFORE" and d["c"] == "AFTER"
+    assert d["b"] == {"exit": (0, 0), "rows": (0, 0), "text": 0,
+                      "numbers": {}}
+
+
 # Bounds on how far a number in the CLI's output may move from the golden
 # listing.  Each bound is a few times the largest change seen when every
 # NumPy and math exp, log, sin, cos, expm1 and log1p result and every np.sum,
@@ -95,6 +134,15 @@ BOUNDS = {
     # the Euler-Maclaurin sides' difference, each side at most 91: 4.3e-14
     ("em_diff", "value"): ("abs", 2e-13),
 }
+
+
+def test_every_bound_names_a_column_of_the_golden_listing():
+    # a bound on a column the CLI no longer writes would guard nothing
+    listing = golden()
+    columns = {(quantity, key if isinstance(key, str) else key[1])
+               for d in cli_digest.differences(listing, listing).values()
+               for quantity, key in d["numbers"]}
+    assert set(BOUNDS) <= columns, set(BOUNDS) - columns
 
 
 def test_cli_output_matches_the_golden_listing():

@@ -12,9 +12,10 @@ from toruszeta.expansion import symbol_value
 from toruszeta.errors import (DegenerateError, DomainError, NonFiniteError,
                               RangeError, ShapeError)
 from toruszeta.lattice import (StencilVariant, TorusGrid, _axis_fold,
-                               _spectral_zeta_sums, apply_stencil, eigenvalue,
-                               eigenvalue_grid, fold_square, folded_spectrum,
-                               operator_matrix, resolvent_trace, spectral_zeta,
+                               _spectral_zeta_sums, apply_stencil, axis_symbol,
+                               eigenvalue, eigenvalue_grid, fold_square,
+                               folded_spectrum, operator_matrix,
+                               resolvent_trace, spectral_zeta,
                                spectral_zeta_1d, stencil_symbol)
 from toruszeta.summation import pairwise_sum
 
@@ -161,6 +162,28 @@ def test_eigenvalue_grid_mirror():
             assert np.array_equal(g[:, 1:], g[:, :0:-1])
         ref = (n / math.pi) ** 2 * np.sin(math.pi * np.arange(n) / n) ** 2
         assert np.allclose(g[:, 0], ref, rtol=1e-14)
+
+
+def _mirrored_axis(n):
+    # the former axis_eigenvalues: k <= n/2 from _axis_fold, then mirrored
+    head, _ = _axis_fold(n)
+    half = n // 2
+    out = np.empty(n)
+    out[: half + 1] = head
+    out[half + 1:] = head[1: n - half][::-1]
+    return out
+
+
+def test_eigenvalue_grid_axis_is_the_former_mirrored_axis():
+    # eigenvalue_grid builds from axis_symbol(arange(n), n), whose reduction
+    # to min(u, n - u) gives the mirrored construction's bits exactly
+    for n in range(1, 3000):
+        assert np.array_equal(axis_symbol(np.arange(n), n), _mirrored_axis(n)), n
+    for n in (1, 2, 7, 64):
+        for variant in (FIVE, NINE):
+            e = _mirrored_axis(n)
+            ref = stencil_symbol(variant, e[:, None], e[None, :], n)
+            assert np.array_equal(eigenvalue_grid(TorusGrid(n), variant), ref)
 
 
 def test_resolvent_trace_hand_sum():
