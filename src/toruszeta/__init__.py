@@ -11,15 +11,14 @@ names its users.  A name that only the library calls is not re-exported.
 """
 
 # called by the CLI, with the types they take and return
-from .conjecture import (ScanRecord, hn_ratio_study, omega_ratio,
-                         omega_ratio_array)
+from .conjecture import hn_ratio_study, omega_ratio, omega_ratio_array
 from .epstein import (OmegaRoute, ZeroRecord, complete_xi_array,
                       epstein_direct_sum, epstein_zeta_2d,
-                      find_critical_zeros, omega)
-from .expansion import (ExpansionResult, angular_lattice_sum, coeff_b0,
-                        coeff_b1, coeff_b1_tilde, em_verify,
-                        expansion_summary, leading_coeff, leading_coeff_error)
-from .lattice import StencilVariant, TorusGrid, spectral_zeta_1d
+                      find_critical_zeros, omega, v_factor)
+from .expansion import (angular_lattice_sum, coeff_b0, coeff_b1,
+                        coeff_b1_tilde, em_verify, leading_coeff,
+                        leading_coeff_error, residual_order)
+from .lattice import StencilVariant, TorusGrid, spectral_zeta, spectral_zeta_1d
 from .quadrature import QuadResult
 # raised or warned by the functions here; the CLI maps errors to exit codes
 from .errors import (ConvergenceError, DegenerateError, DescriptorError,
@@ -28,17 +27,16 @@ from .errors import (ConvergenceError, DegenerateError, DescriptorError,
                      ZeroDenominatorError, ZeroShortfallWarning)
 # called by an acceptance criterion (tests/test_acceptance.py)
 from .conjecture import monotonicity_scan
-from .epstein import ZeroSource, complete_xi, v_factor, v_factor_inv
+from .epstein import ZeroSource, complete_xi, v_factor_inv
 from .expansion import (TaylorCoefficient, h_function, series_truncation_check,
                         taylor_coefficients)
-from .lattice import apply_stencil, eigenvalue, spectral_zeta
+from .lattice import apply_stencil, eigenvalue
 from .quadrature import (AsymptoticDescriptor, AsymptoticTerm, IntegrandSpec,
                          Location, change_of_variables_check,
                          regularized_integral)
 from .special import complex_gamma, riemann_zeta
 # traced by benchmark/spans.py
 from .epstein import hardy_z_beta, hardy_z_riemann
-from .expansion import residual_order
 from .lattice import eigenvalue_grid
 from .special import complex_log_gamma, dirichlet_beta
 from .summation import pairwise_sum

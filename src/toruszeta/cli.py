@@ -6,9 +6,11 @@ records, either CSV (fixed column order
 of objects with the same keys).  Numbers are serialized with 17 significant
 digits, so re-parsing reproduces the binary values exactly and identical
 configurations produce byte-identical output files; timing goes to stderr
-only.  A scan writes its rows as columnar records: each is formatted with
-one %-template, its text cells escaped once, and checked for inf and nan
-one column at a time.
+only.  Rows are built here alone: each handler calls the library, which
+returns numbers, and wraps them in ``ScanRecord``s, whose quantity must be
+in ``QUANTITY_REGISTRY``.  A scan writes its rows as columnar records: each
+is formatted with one %-template, its text cells escaped once, and checked
+for inf and nan one column at a time.
 
 The command line is read in one pass over one table of subcommands
 (``_COMMANDS``: per subcommand its handler, help and options, per option
@@ -33,13 +35,12 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import conjecture, epstein, expansion, lattice, special
-from .conjecture import ScanRecord
 from .errors import (ConvergenceError, DegenerateError, DescriptorError,
                      DomainError, NonFiniteError, PoleError, RangeError,
                      ShapeError, SignalLostError, ZeroDenominatorError)
@@ -104,6 +105,40 @@ def _load_config_file(path: str) -> dict:
 
 _COLUMNS = ("quantity", "s_re", "s_im", "n", "value_re", "value_im",
             "err_est", "meta")
+
+QUANTITY_REGISTRY = frozenset({
+    "omega_ratio", "hn_ratio", "hn_ratio_defect_n2", "xi_defect", "zero",
+    "zeta_discrete", "zeta_circle", "epstein", "epstein_direct", "xi",
+    "omega", "coeff_a", "coeff_b0", "coeff_b1tilde", "coeff_b1",
+    "angular_sum", "expansion_b0", "expansion_b1", "expansion_residual",
+    "expansion_slope", "em_lhs", "em_rhs", "em_diff",
+})
+
+
+@dataclass(frozen=True)
+class ScanRecord:
+    """A batch of result rows that share ``quantity`` (which must be in
+    QUANTITY_REGISTRY), ``n`` and ``meta``: the unit the CLI writes.
+
+    ``s``, ``value`` and ``err_est`` are each one number, one row, or a
+    1-D column with one entry per row; a record of numbers is a batch of
+    one.  ``s`` is None for rows not tied to a point s.
+    """
+
+    s: complex | np.ndarray | None
+    quantity: str
+    value: complex | np.ndarray
+    n: int | None = None
+    err_est: float | np.ndarray | None = None
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.quantity not in QUANTITY_REGISTRY:
+            raise ValueError(f"unknown quantity {self.quantity!r}")
+        if len({np.size(c) for c in (self.s, self.value, self.err_est)
+                if c is not None}) > 1:
+            raise ValueError(f"{self.quantity} record: columns of "
+                             "different lengths")
 
 
 def _g17(x: float) -> str:
@@ -226,7 +261,7 @@ def _cmd_zeta(args, cfg: RunConfig, w: RecordWriter) -> None:
     variant = _variant(args.variant)
     t0 = time.perf_counter()
     abs_parts = []
-    val = lattice._spectral_zeta_sums(grid, variant, s, abs_parts=abs_parts)
+    val = lattice.spectral_zeta(grid, variant, s, abs_parts=abs_parts)
     dt = time.perf_counter() - t0
     # eps log2(n^2) sum |lambda^-s| over the n^2 - 1 nonzero eigenvalues
     err = float(np.finfo(float).eps * math.log2(args.n ** 2)
@@ -327,25 +362,39 @@ def _cmd_expansion(args, cfg: RunConfig, w: RecordWriter) -> None:
     _require_strip(s, cfg)
     variant = _variant(args.variant)
     n_list = _parse_int_list(args.n_list)
-    res = expansion.expansion_summary(
+    slope, residuals = expansion.residual_order(
         s, variant, n_list, orders_included=args.orders, tol=cfg.quad_tol)
+    b1 = (expansion.coeff_b1_tilde(s)
+          if variant is lattice.StencilVariant.NINE_POINT
+          else expansion.coeff_b1(s))
+    leading = expansion.leading_coeff(s, variant, cfg.quad_tol)
+    b0 = expansion.coeff_b0(s)
+    v_front = epstein.v_factor(2, s)
     meta = {"variant": args.variant, "orders": str(args.orders)}
     coeff_meta = dict(meta,
-                      leading=_g17(res.leading.real) + "+" + _g17(res.leading.imag) + "i",
-                      v_front=_g17(res.v_front.real) + "+" + _g17(res.v_front.imag) + "i")
+                      leading=_g17(leading.real) + "+" + _g17(leading.imag) + "i",
+                      v_front=_g17(v_front.real) + "+" + _g17(v_front.imag) + "i")
     w.write_all([
-        ScanRecord(s, "expansion_b0", res.b0, meta=coeff_meta),
-        ScanRecord(s, "expansion_b1", res.b1, meta=meta),
+        ScanRecord(s, "expansion_b0", b0, meta=coeff_meta),
+        ScanRecord(s, "expansion_b1", b1, meta=meta),
         *(ScanRecord(s, "expansion_residual", complex(resid), n=n, meta=meta)
-          for n, resid in res.residuals),
-        ScanRecord(s, "expansion_slope", complex(res.slope), meta=meta)])
+          for n, resid in residuals),
+        ScanRecord(s, "expansion_slope", complex(slope), meta=meta)])
 
 
 def _cmd_hn(args, cfg: RunConfig, w: RecordWriter) -> None:
     s = parse_complex(args.s)
     _require_strip(s, cfg)
     n_list = _parse_int_list(args.n_list)
-    w.write_all(conjecture.hn_ratio_study(s, n_list, tol=cfg.quad_tol))
+    ratios, fallback = conjecture.hn_ratio_study(s, n_list, tol=cfg.quad_tol)
+    meta = {"near_zero": str(fallback is not None).lower()}
+    if fallback is not None:
+        meta["omega_ratio_fallback"] = repr(float(fallback))
+    w.write_all(ScanRecord(s, quantity, value, n=n, meta=meta)
+                for n, ratio in zip(n_list, ratios)
+                for quantity, value in (("hn_ratio", ratio),
+                                        ("hn_ratio_defect_n2",
+                                         (ratio - 1.0) * n * n)))
 
 
 def _cmd_emcheck(args, cfg: RunConfig, w: RecordWriter) -> None:
@@ -380,11 +429,21 @@ def _runs(labels) -> list:
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
+def _require_finite(args, *dests) -> None:
+    """Reject a non-finite scan bound before any point is built from it."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if not math.isfinite(value):
+            raise DomainError(f"--{dest.replace('_', '-')} must be finite, "
+                              f"got {value}")
+
+
 def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
     kind = args.kind
     if kind == "omega":
         if args.b is None:
             raise ValueError("scan --kind omega requires --b")
+        _require_finite(args, "a_min", "a_max", "b")
         if cfg.strict and not args.b > 65.0:
             raise DomainError("--strict: omega scan requires b > 65")
         _require_series_domain(args.b, cfg)
@@ -397,6 +456,7 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
         w.write(ScanRecord(pts, "omega_ratio", vals,
                            meta={"monotone_scan": str(monotone).lower()}))
     elif kind == "zeros":
+        _require_finite(args, "t_min", "t_max")
         if args.t_min >= args.t_max:
             return
         _require_series_domain(args.t_max, cfg)
@@ -416,6 +476,7 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
             raise ValueError("scan --kind hn requires --s")
         _cmd_hn(args, cfg, w)
     elif kind == "xi-defect":
+        _require_finite(args, "re_min", "re_max", "im_min", "im_max")
         im = np.linspace(args.im_min, args.im_max, args.im_points)
         _require_series_domain(np.abs(im).max(initial=0.0), cfg)
         pts = _points(

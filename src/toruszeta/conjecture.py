@@ -10,12 +10,14 @@ The omega1 Omega ratio is array-first: ``omega_ratio_array`` makes one
 batched zeta(Delta, s -+ 1) pass and forms the quotients as one array
 operation, so each value has the same bits in any batch.  The omega2 and
 direct routes stay scalar, as independent cross-checks.
+
+The functions here return numbers and verdicts, not rows: ``cli`` alone
+builds the records it writes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,40 +30,6 @@ from .special import _as_array
 
 _TINY = 1e-280
 _ZERO_DISTANCE_TAG = 0.05  # |s - zero| below which hn_ratio_study tags s
-
-QUANTITY_REGISTRY = frozenset({
-    "omega_ratio", "hn_ratio", "hn_ratio_defect_n2", "xi_defect", "zero",
-    "zeta_discrete", "zeta_circle", "epstein", "epstein_direct", "xi",
-    "omega", "coeff_a", "coeff_b0", "coeff_b1tilde", "coeff_b1",
-    "angular_sum", "expansion_b0", "expansion_b1", "expansion_residual",
-    "expansion_slope", "em_lhs", "em_rhs", "em_diff",
-})
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    """A batch of result rows that share ``quantity`` (which must be in
-    QUANTITY_REGISTRY), ``n`` and ``meta``: the unit the CLI writes.
-
-    ``s``, ``value`` and ``err_est`` are each one number, one row, or a
-    1-D column with one entry per row; a record of numbers is a batch of
-    one.  ``s`` is None for rows not tied to a point s.
-    """
-
-    s: complex | np.ndarray | None
-    quantity: str
-    value: complex | np.ndarray
-    n: int | None = None
-    err_est: float | np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.quantity not in QUANTITY_REGISTRY:
-            raise ValueError(f"unknown quantity {self.quantity!r}")
-        if len({np.size(c) for c in (self.s, self.value, self.err_est)
-                if c is not None}) > 1:
-            raise ValueError(f"{self.quantity} record: columns of "
-                             "different lengths")
 
 
 def omega_ratio(s: complex, route: str = "omega1") -> complex:
@@ -140,7 +108,8 @@ _STRICT_SLACK = 1e-12
 def monotonicity_scan(b: float, a_grid: Sequence[float]):
     """|Omega(1-s)/Omega(s)| across s = a + ib for a in ``a_grid``.
 
-    Returns (records, verdict).  The verdict reports strict monotonicity
+    Returns (values, verdict): the moduli in grid order, and a verdict that
+    reports strict monotonicity
     (with a 1e-12 slack; ties within the slack fail strictness), the first
     grid point where the modulus crosses 1, and whether the scan is inside
     the proven regime b > 65 (smaller b is allowed but tagged exploratory).
@@ -151,9 +120,6 @@ def monotonicity_scan(b: float, a_grid: Sequence[float]):
     exploratory = not b > 65.0
     points = [complex(a, b) for a in a_grid]
     values = [abs(v) for v in omega_ratio_array(points)]
-    records = [ScanRecord(s=s, quantity="omega_ratio", value=val,
-                          meta={"exploratory": str(exploratory).lower()})
-               for s, val in zip(points, values)]
     strictly_increasing = all(
         v2 > v1 + _STRICT_SLACK for v1, v2 in zip(values, values[1:]))
     crossing = None
@@ -166,32 +132,30 @@ def monotonicity_scan(b: float, a_grid: Sequence[float]):
         "crossing_a": crossing,
         "exploratory": exploratory,
     }
-    return records, verdict
+    return values, verdict
 
 
 def hn_ratio_study(s: complex, n_list: Sequence[int], tol: float = 1e-12):
     """|H_n(1-s)/H_n(s)| along a geometric n list.
 
-    Each record also carries |ratio - 1| n^2 (the Omega-driven correction
-    scale) and, when s lies within ``_ZERO_DISTANCE_TAG`` of a detected
-    critical zero, a ``near_zero`` tag plus the |Omega(1-s)/Omega(s)|
-    fallback value that the ratio converges to there.
+    Returns (ratios, fallback): one ratio per n, and, when s lies within
+    ``_ZERO_DISTANCE_TAG`` of a detected critical zero, the
+    |Omega(1-s)/Omega(s)| value that the ratio converges to there (None
+    away from a zero).  The ratio's Omega-driven correction scale is
+    |ratio - 1| n^2.
     """
     s = complex(s)
-    near_zero = False
+    fallback = None
     # detected zeros all sit on Re = 1/2, so only nearby Re(s) can qualify
     if abs(s.real - 0.5) < _ZERO_DISTANCE_TAG and abs(s.imag) > 1.0:
         b = abs(s.imag)
         zeros = find_critical_zeros(max(1.0, b - 1.5), b + 1.5)
-        near_zero = any(abs(s - complex(0.5, z.t)) < _ZERO_DISTANCE_TAG
-                        for z in zeros)
-    meta = {"near_zero": str(near_zero).lower()}
-    if near_zero:
-        fallback = abs(omega_ratio(s))
-        if not math.isfinite(fallback):
-            raise NonFiniteError(f"non-finite Omega ratio fallback at s={s}")
-        meta["omega_ratio_fallback"] = repr(float(fallback))
-    records = []
+        if any(abs(s - complex(0.5, z.t)) < _ZERO_DISTANCE_TAG for z in zeros):
+            fallback = abs(omega_ratio(s))
+            if not math.isfinite(fallback):
+                raise NonFiniteError(
+                    f"non-finite Omega ratio fallback at s={s}")
+    ratios = []
     for n in n_list:
         num = h_function(1.0 - s, n, tol)
         den = h_function(s, n, tol)
@@ -199,10 +163,5 @@ def hn_ratio_study(s: complex, n_list: Sequence[int], tol: float = 1e-12):
             raise ZeroDenominatorError(
                 f"H_n(s) ~ 0 at n={n}; s may sit on a xi_2 zero "
                 f"(|xi_2(s)| = {abs(complete_xi(s)):.3g})", factor="H_n(s)")
-        ratio = abs(num / den)
-        records.append(ScanRecord(s=s, quantity="hn_ratio", value=ratio,
-                                  n=int(n), meta=dict(meta)))
-        records.append(ScanRecord(
-            s=s, quantity="hn_ratio_defect_n2",
-            value=(ratio - 1.0) * n * n, n=int(n), meta=dict(meta)))
-    return records
+        ratios.append(abs(num / den))
+    return ratios, fallback

@@ -190,8 +190,8 @@ class ZeroRecord:
     t: float
     source: ZeroSource
     residual: float
-    expected: int = 0
-    found: int = 0
+    expected: int
+    found: int
 
 
 # The Hardy phase of the zeta factor (keyed False) and the beta factor (True)

@@ -35,11 +35,9 @@ class DegenerateError(TorusZetaError):
 class ConvergenceError(TorusZetaError):
     """Iterative refinement exhausted its budget before reaching tolerance."""
 
-    def __init__(self, message: str, estimate: complex | None = None,
-                 error: float | None = None):
+    def __init__(self, message: str, estimate: complex | None = None):
         super().__init__(message)
         self.estimate = estimate
-        self.error = error
 
 
 class DescriptorError(TorusZetaError):

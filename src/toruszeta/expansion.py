@@ -40,7 +40,7 @@ function stays safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,7 +50,7 @@ from .errors import DomainError, RangeError, SignalLostError
 from .lattice import (StencilVariant, TorusGrid, axis_symbol, spectral_zeta,
                       stencil_symbol)
 from .quadrature import QuadResult, quad_periodic_2d, _gl_panels, _graded_panels
-from .special import bernoulli_fraction, bernoulli_polynomial
+from .special import _BERNOULLI_MAX, bernoulli_fraction, bernoulli_polynomial
 
 
 def _cross_coeff(variant: StencilVariant) -> float:
@@ -60,8 +60,8 @@ def _cross_coeff(variant: StencilVariant) -> float:
 
 
 @lru_cache(maxsize=4)
-def _h_moments(variant: StencilVariant, jmax: int = 40) -> np.ndarray:
-    """Moments <h^j> of the z-free symbol over the unit square.
+def _h_moments(variant: StencilVariant) -> np.ndarray:
+    """Moments <h^j>, j = 0..40, of the z-free symbol over the unit square.
 
     h is a trigonometric polynomial, so the trapezoid mean on a 128x128
     grid is exact (to rounding) for all j <= 40.  Read-only.
@@ -69,9 +69,9 @@ def _h_moments(variant: StencilVariant, jmax: int = 40) -> np.ndarray:
     n = 128
     sx = axis_symbol(np.arange(n) / n, 1)
     h = stencil_symbol(variant, sx[:, None], sx[None, :], 1)
-    out = np.empty(jmax + 1)
+    out = np.empty(41)
     p = np.ones_like(h)
-    for j in range(jmax + 1):
+    for j in range(41):
         out[j] = float(np.mean(p))
         p *= h
     out.flags.writeable = False
@@ -303,8 +303,7 @@ class TaylorCoefficient:
 
     m: int
     j: int
-    variant: StencilVariant
-    polynomial: Poly = field(default_factory=dict)
+    polynomial: Poly
 
     def evaluate(self, x: float, y: float) -> float:
         return sum(c * x ** i * y ** k for (i, k), c in self.polynomial.items())
@@ -353,7 +352,7 @@ def taylor_coefficients(m: int, variant: StencilVariant) -> list[TaylorCoefficie
     if not 0 <= m <= 4:
         raise RangeError("Taylor coefficients generated for 0 <= m <= 4")
     if m == 0:
-        return [TaylorCoefficient(0, 0, variant, {(0, 0): 1.0})]
+        return [TaylorCoefficient(0, 0, {(0, 0): 1.0})]
     q = _correction_polys(variant, m)
     # powers[j][mm] = coefficient polynomial of w^mm in Q(w)^j, w = n^-2
     powers: list[dict[int, Poly]] = [{0: {(0, 0): 1.0}}]
@@ -381,7 +380,7 @@ def taylor_coefficients(m: int, variant: StencilVariant) -> list[TaylorCoefficie
                 avg = 0.5 * (c + scaled.get((k, i), c))
                 sym[(i, k)] = avg
                 sym[(k, i)] = avg
-        out.append(TaylorCoefficient(m, j, variant, sym))
+        out.append(TaylorCoefficient(m, j, sym))
     return out
 
 
@@ -422,25 +421,22 @@ def series_truncation_check(variant: StencilVariant, big_n: int,
 # Euler-Maclaurin verifier
 # ---------------------------------------------------------------------------
 
-def em_verify(big_m: int, n: int, fn, derivative, upper_open: bool = False):
+def em_verify(big_m: int, n: int, fn, derivative):
     """Both sides of the Euler-Maclaurin identity for sum_{i=0}^n u(i).
 
     ``derivative(order, x)`` must return u^(order)(x); orders used are the
-    odd ones up to 2M-1 plus 2M+1 for the remainder kernel.  With
-    ``upper_open`` the sum runs to n-1 and the boundary term flips to
-    (u(0) - u(n))/2.  Returns (lhs, rhs).
+    odd ones up to 2M-1 plus 2M+1 for the remainder kernel, whose Bernoulli
+    polynomial B_{2M+1} needs 2M+1 <= 64, so 1 <= M <= 31.  Returns
+    (lhs, rhs).
     """
-    if big_m < 1:
-        raise RangeError("M must be >= 1")
+    top = (_BERNOULLI_MAX - 1) // 2
+    if not 1 <= big_m <= top:
+        raise RangeError(f"M={big_m} outside 1..{top}: the remainder kernel "
+                         f"B_(2M+1) needs 2M+1 <= {_BERNOULLI_MAX}")
     if n < 2:
         raise RangeError("n must be >= 2")
-    top = n if not upper_open else n - 1
-    lhs = math.fsum(fn(float(i)) for i in range(top + 1))
-
-    if upper_open:
-        boundary = 0.5 * (fn(0.0) - fn(float(n)))
-    else:
-        boundary = 0.5 * (fn(0.0) + fn(float(n)))
+    lhs = math.fsum(fn(float(i)) for i in range(n + 1))
+    boundary = 0.5 * (fn(0.0) + fn(float(n)))
     corr = 0.0
     for j in range(1, big_m + 1):
         b2j = float(bernoulli_fraction(2 * j))
@@ -465,7 +461,7 @@ def em_verify(big_m: int, n: int, fn, derivative, upper_open: bool = False):
 # ---------------------------------------------------------------------------
 
 def resolvent_leading_term(n: int, variant: StencilVariant, alpha: int,
-                           z: float, tol: float = 1e-11) -> float:
+                           z: float) -> float:
     """Leading Euler-Maclaurin term of the discrete resolvent trace:
     n^(2-2 alpha) times the unit-square integral of (h + (z/n)^2)^-alpha."""
     zn = z / n
@@ -474,7 +470,7 @@ def resolvent_leading_term(n: int, variant: StencilVariant, alpha: int,
         val = stencil_symbol(variant, axis_symbol(x, 1), axis_symbol(y, 1), 1)
         return (val + zn * zn) ** -float(alpha)
 
-    inner = quad_periodic_2d(f, tol)
+    inner = quad_periodic_2d(f)
     return float(n ** (2 - 2 * alpha)) * inner.value.real
 
 
@@ -502,59 +498,23 @@ def _h_gamma_factors(s: complex) -> tuple[complex, complex]:
     return _pi_pow_gamma([s])[0], v_factor(2, s)
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
-    """Bundled output of an expansion study at one s.
-
-    ``residuals`` holds (n, |residual|) pairs with strictly increasing n and
-    positive magnitudes; ``slope`` is their log-log fit.  ``b1`` is the
-    variant's n^-2 coefficient (with the angular term for the 5-point).
-    """
-
-    s: complex
-    variant: StencilVariant
-    leading: complex
-    b0: complex
-    b1: complex
-    v_front: complex
-    residuals: tuple
-    slope: float
-
-    def __post_init__(self):
-        ns = [n for n, _ in self.residuals]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise RangeError("residual n values must be strictly increasing")
-        if any(r <= 0 for _, r in self.residuals):
-            raise RangeError("residual magnitudes must be positive")
-
-
-def expansion_summary(s: complex, variant: StencilVariant, n_list,
-                      orders_included: int = 1,
-                      tol: float = 1e-12) -> ExpansionResult:
-    """Evaluate the expansion pieces and the residual study in one bundle."""
-    s = complex(s)
-    slope, pts = residual_order(s, variant, n_list, orders_included, tol)
-    b1 = coeff_b1_tilde(s) if variant is StencilVariant.NINE_POINT \
-        else coeff_b1(s)
-    return ExpansionResult(
-        s=s, variant=variant, leading=leading_coeff(s, variant, tol),
-        b0=coeff_b0(s), b1=b1, v_front=v_factor(2, s),
-        residuals=tuple(pts), slope=slope)
-
-
 def residual_order(s: complex, variant: StencilVariant, n_list,
                    orders_included: int = 1, tol: float = 1e-12):
     """Log-log slope of the expansion residual over a geometric n list.
 
-    The leading term and the constant term zeta(Delta, s) are always
-    subtracted; ``orders_included`` >= 1 also subtracts the n^-2 coefficient
-    (b1~ for the 9-point, b1 with the angular term for the 5-point).
+    Returns (slope, [(n, |residual|)]); the n list must hold at least three
+    strictly increasing values.  The leading term and the constant term
+    zeta(Delta, s) are always subtracted; ``orders_included`` >= 1 also
+    subtracts the n^-2 coefficient (b1~ for the 9-point, b1 with the angular
+    term for the 5-point).
     Raises SignalLostError when any residual sits on the summation /
     quadrature noise floor instead of the signal.
     """
     s = complex(s)
     if len(n_list) < 3:
         raise RangeError("need at least three n values")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise RangeError("residual n values must be strictly increasing")
     if not 0 <= orders_included <= 1:
         raise RangeError("orders beyond b1 are not implemented")
     lead = leading_coeff(s, variant, tol)

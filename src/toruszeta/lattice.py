@@ -23,8 +23,10 @@ are powers of two, so weighting is exact and spectral_zeta(conj s) ==
 conj(spectral_zeta(s)) holds bit for bit.  ``_powsum`` streams the terms
 mult * lam^(-s) to the reducer one cache-sized slice at a time, so no
 array of n^2/8 terms is ever built; for a caller that asks (the CLI's
-``err_est``) it sums the magnitudes mult * lam^(-Re s) from the same
-logarithms.  The dense ``eigenvalue_grid`` serves the resolvent trace.
+``err_est``, through ``spectral_zeta``'s ``abs_parts``) it sums the
+magnitudes mult * lam^(-Re s) from the same logarithms.  ``spectral_zeta``
+is the one entry point of the 2-D sums, for the CLI and the library alike.
+The dense ``eigenvalue_grid`` serves the resolvent trace.
 """
 
 from __future__ import annotations
@@ -206,31 +208,22 @@ def _powsum(lam: np.ndarray, mult: np.ndarray, s: complex,
     return total
 
 
-def _spectral_zeta_sums(grid: TorusGrid, variant: StencilVariant, s: complex,
-                        allow_empty: bool = False,
-                        abs_parts: list | None = None) -> complex:
-    """``spectral_zeta``; given a list ``abs_parts``, the pass also appends
-    to it the slice sums of |terms| = eigenvalue^(-Re s) (see ``_powsum``)."""
-    s = complex(s)
-    n = grid.n
-    if n == 1:
-        if allow_empty:
-            return 0.0 + 0.0j
-        raise DegenerateError("empty spectrum: n=1 torus has only the zero mode")
-    lam, mult = folded_spectrum(n, variant)
-    return _powsum(lam, mult, s, abs_parts)
-
-
 def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,
-                  allow_empty: bool = False) -> complex:
+                  abs_parts: list | None = None) -> complex:
     """zeta(Delta_n, s) = sum over (k1,k2) != (0,0) of eigenvalue^(-s).
 
     Principal-branch powers (all eigenvalues are positive once the zero mode
     is excluded), summed over the folded spectrum with multiplicities and
     reduced by the leaf-compensated pairwise tree, one cache-sized slice of
-    terms at a time, so results are bit-identical across runs.
+    terms at a time, so results are bit-identical across runs.  Given a list
+    ``abs_parts``, the pass also appends to it the slice sums of |terms| =
+    eigenvalue^(-Re s) (see ``_powsum``).
     """
-    return _spectral_zeta_sums(grid, variant, s, allow_empty)
+    s = complex(s)
+    if grid.n == 1:
+        raise DegenerateError("empty spectrum: n=1 torus has only the zero mode")
+    lam, mult = folded_spectrum(grid.n, variant)
+    return _powsum(lam, mult, s, abs_parts)
 
 
 def spectral_zeta_1d(n: int, s: complex) -> complex:
@@ -246,22 +239,17 @@ def spectral_zeta_1d(n: int, s: complex) -> complex:
 
 
 def resolvent_trace(grid: TorusGrid, variant: StencilVariant, alpha: int,
-                    z: float, exclude_zero_mode: bool = False) -> float:
-    """Tr (Delta_n + z^2)^(-alpha), summed over ALL (k1, k2).
+                    z: float) -> float:
+    """Tr (Delta_n + z^2)^(-alpha), summed over ALL (k1, k2), z > 0.
 
     The zero mode is included (this matches the resolvent-trace convention;
-    the spectral zeta sums exclude it).  z = 0 is allowed only together with
-    ``exclude_zero_mode``.
+    the spectral zeta sums exclude it), so z = 0 would make its term
+    infinite.
     """
     if alpha < 1:
         raise RangeError("alpha must be a positive integer")
-    if z < 0:
-        raise DomainError("z must be non-negative")
-    if z == 0.0 and not exclude_zero_mode:
-        raise DomainError("z=0 makes the zero-mode term infinite; "
-                          "pass exclude_zero_mode=True if that is intended")
+    if not z > 0:
+        raise DomainError(f"z must be positive, got {z}")
     lam = eigenvalue_grid(grid, variant).ravel()
-    if exclude_zero_mode:
-        lam = lam[1:]
     vals = (lam + z * z) ** (-float(alpha))
     return float(pairwise_sum(vals).real)

@@ -19,13 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 import toruszeta
 from _cli_digest import cli_digest, golden
-from toruszeta import conjecture, epstein
-from toruszeta.cli import (_COMPLEX_RE, RecordWriter, RunConfig, _cmd_coeff,
-                           _cmd_emcheck, _cmd_epstein, _cmd_expansion,
-                           _cmd_hn, _cmd_omega, _cmd_scan, _cmd_xi,
-                           _cmd_zeta, _cmd_zeta1d, _g17, main, parse_args,
-                           parse_complex)
-from toruszeta.conjecture import QUANTITY_REGISTRY, ScanRecord
+from toruszeta import conjecture, epstein, lattice
+from toruszeta.cli import (_COMPLEX_RE, QUANTITY_REGISTRY, RecordWriter,
+                           RunConfig, ScanRecord, _cmd_coeff, _cmd_emcheck,
+                           _cmd_epstein, _cmd_expansion, _cmd_hn, _cmd_omega,
+                           _cmd_scan, _cmd_xi, _cmd_zeta, _cmd_zeta1d, _g17,
+                           main, parse_args, parse_complex)
 from toruszeta.errors import NonFiniteError, ZeroShortfallWarning
 from toruszeta.lattice import StencilVariant, TorusGrid, spectral_zeta
 
@@ -34,6 +33,15 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_scan_record_registry():
+    with pytest.raises(ValueError):
+        ScanRecord(s=0.5 + 1j, quantity="not_registered", value=1.0)
+    # the columns of one batch of rows have one length
+    with pytest.raises(ValueError):
+        ScanRecord(s=np.array([0.5 + 1j, 0.5 + 2j]), quantity="xi",
+                   value=np.ones(3))
 
 
 def test_parse_complex():
@@ -60,6 +68,23 @@ def test_zeta_empty_spectrum_exit_code(capsys):
     code, _, err = run_cli(["zeta", "--n", "1", "--variant", "five", "--s", "1"], capsys)
     assert code == 2
     assert "empty spectrum" in err
+
+
+def test_zeta_calls_the_public_spectral_zeta_once(capsys, monkeypatch):
+    # the benchmark's tracer wraps lattice.spectral_zeta, so the CLI must
+    # reach the spectral sum through that name
+    calls = []
+    original = lattice.spectral_zeta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "spectral_zeta", counted)
+    code, out, _ = run_cli(["zeta", "--n", "16", "--variant", "nine",
+                            "--s", "0.3+2i"], capsys)
+    assert code == 0 and out.count("zeta_discrete") == 1
+    assert len(calls) == 1 and calls[0][0] == TorusGrid(16)
 
 
 def test_zeta_large_n_convergence(capsys):
@@ -192,6 +217,11 @@ def test_emcheck(capsys):
     assert code == 0
     rows = {r["quantity"]: r for r in csv.DictReader(io.StringIO(out))}
     assert float(rows["em_diff"]["value_re"]) <= 1e-12
+    # the remainder kernel B_(2M+1) needs 2M+1 <= 64: M is rejected up front
+    for m in ("0", "32", "40"):
+        code, out, err = run_cli(["emcheck", "--m", m], capsys)
+        assert (code, out) == (2, ""), m
+        assert f"M={m} outside 1..31" in err
 
 
 def test_config_file_override(tmp_path, capsys):
@@ -533,13 +563,22 @@ def test_write_all_writes_the_bytes_of_one_write_per_record(
 @pytest.mark.parametrize("to_file", [False, True])
 def test_non_finite_record_mid_batch_exits_3_after_the_prefix(
         fmt, to_file, tmp_path, capsys, monkeypatch):
-    records = _GOOD[:1] + [_NAN] + _GOOD[1:]
+    # a nan ratio at the second n: the rows of the first n go out, then
+    # the writer stops at the nan row
+    s, ratios = 0.3 + 2.0j, [1.25, float("nan"), 1.0625]
+    meta = {"near_zero": "false"}
+    records = [ScanRecord(s, quantity, value, n=n, meta=meta)
+               for n, ratio in zip((16, 32, 64), ratios)
+               for quantity, value in (("hn_ratio", ratio),
+                                       ("hn_ratio_defect_n2",
+                                        (ratio - 1.0) * n * n))]
     path = str(tmp_path / "run.out") if to_file else None
     _, expect = _writer_output(records, fmt, path, False, capsys)
+    assert "hn_ratio_defect_n2" in expect and "32" not in expect
     monkeypatch.setattr(conjecture, "hn_ratio_study",
-                        lambda *args, **kwargs: records)
+                        lambda *args, **kwargs: (ratios, None))
     argv = ["--format", fmt] + (["--out", path] if path else []) \
-        + ["hn", "--s", "0.3+2i"]
+        + ["hn", "--s", "0.3+2i", "--n-list", "16,32,64"]
     code, out, err = run_cli(argv, capsys)
     assert code == 3 and "non-finite" in err
     if path:
@@ -897,16 +936,38 @@ def test_a_failure_before_the_first_row_writes_nothing(fmt, to_file, line,
         assert path.read_text() == ""
 
 
+@pytest.mark.parametrize("line, option", [
+    ("scan --kind omega --b 70 --a-min nan", "--a-min"),
+    ("scan --kind omega --b 70 --a-max inf", "--a-max"),
+    ("scan --kind omega --b nan --points 5", "--b"),
+    ("scan --kind xi-defect --im-max inf", "--im-max"),
+    ("scan --kind xi-defect --im-min=-inf", "--im-min"),
+    ("scan --kind xi-defect --re-min nan --re-points 3 --im-points 2",
+     "--re-min"),
+    ("scan --kind xi-defect --re-max inf", "--re-max"),
+    ("scan --kind zeros --t-max inf", "--t-max"),
+    ("scan --kind zeros --t-min nan", "--t-min"),
+])
+def test_non_finite_scan_bounds_exit_2_naming_the_option(line, option,
+                                                         capsys):
+    # rejected before any point is built from them: no NumPy warning, and
+    # the message names the option, not a nan nobody typed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(shlex.split(line), capsys)
+    assert (code, out) == (2, "")
+    assert f"error: {option} must be finite" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("line", [
-    "scan --kind omega --b 70 --a-min nan",
-    "scan --kind omega --b nan --points 5",
-    "scan --kind xi-defect --im-max inf",
-    "scan --kind xi-defect --re-min nan --re-points 3 --im-points 2",
+    "scan --kind omega --b 70 --a-min -1e308 --a-max 1e308 --points 3",
+    "scan --kind xi-defect --im-min -1e308 --im-max 1e308",
 ])
 def test_non_finite_points_exit_2_as_a_domain_error(line, capsys):
-    # rejected where the points enter the series, not by the writer (exit
-    # 3) or by a RecursionError (exit 4)
+    # finite bounds whose span overflows make non-finite points: rejected
+    # where they enter the series, not by the writer (exit 3) or by a
+    # RecursionError (exit 4)
     code, out, err = run_cli(shlex.split(line), capsys)
     assert (code, out) == (2, "")
     assert "error: s must be finite" in err

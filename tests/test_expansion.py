@@ -346,10 +346,13 @@ def test_em_verify_runge():
                           * (x + 1j) ** (-k - 1)).real
     lhs, rhs = em_verify(3, 10, fn, deriv)
     assert abs(lhs - rhs) <= 1e-12
-    lhs, rhs = em_verify(3, 10, fn, deriv, upper_open=True)
-    assert abs(lhs - rhs) <= 1e-12
-    with pytest.raises(RangeError):
-        em_verify(0, 10, fn, deriv)
+    # B_(2M+1) of the remainder kernel exists up to 2M+1 = 64
+    lhs, rhs = em_verify(31, 10, lambda x: x * x,
+                         lambda k, x: 2.0 * x if k == 1 else 0.0)
+    assert abs(lhs - rhs) <= 1e-11
+    for big_m in (0, 32):
+        with pytest.raises(RangeError, match=f"M={big_m} outside 1..31"):
+            em_verify(big_m, 10, fn, deriv)
 
 
 def test_em_boundary_and_derivative_terms_vanish_on_symbol():
@@ -472,21 +475,22 @@ def test_zeta_regularized_integral_representation():
     assert abs(lhs - rhs) <= 1e-6 * (1 + abs(rhs))
 
 
-def test_expansion_summary_bundle():
-    from toruszeta.expansion import ExpansionResult, expansion_summary
+def test_residual_order_returns_the_fitted_residuals():
     s = 0.3 + 2.0j
-    res = expansion_summary(s, NINE, [32, 64, 128], orders_included=1)
-    assert isinstance(res, ExpansionResult)
-    assert res.slope <= -3.5
-    assert [n for n, _ in res.residuals] == [32, 64, 128]
-    assert all(r > 0 for _, r in res.residuals)
-    assert abs(res.v_front * res.b0 - epstein_zeta_2d(s)) \
+    slope, residuals = residual_order(s, NINE, [32, 64, 128])
+    assert slope <= -3.5
+    assert [n for n, _ in residuals] == [32, 64, 128]
+    assert all(r > 0 for _, r in residuals)
+    xs = np.log([n for n, _ in residuals])
+    assert slope == pytest.approx(
+        np.polyfit(xs, np.log([r for _, r in residuals]), 1)[0], rel=1e-12)
+    assert abs(v_factor(2, s) * coeff_b0(s) - epstein_zeta_2d(s)) \
         <= 1e-12 * abs(epstein_zeta_2d(s))
-    assert abs(res.b1 - coeff_b1_tilde(s)) <= 1e-12 * abs(res.b1)
-    with pytest.raises(RangeError):
-        ExpansionResult(s=s, variant=NINE, leading=1.0, b0=1.0, b1=1.0,
-                        v_front=1.0, residuals=((64, 1.0), (32, 1.0)),
-                        slope=-4.0)
-    with pytest.raises(RangeError):
-        ExpansionResult(s=s, variant=NINE, leading=1.0, b0=1.0, b1=1.0,
-                        v_front=1.0, residuals=((32, 0.0),), slope=-4.0)
+
+
+def test_residual_order_rejects_an_unordered_n_list_before_any_work():
+    expansion._leading_coeff.cache_clear()
+    for n_list in ([64, 32, 128], [32, 32, 64]):
+        with pytest.raises(RangeError, match="strictly increasing"):
+            residual_order(0.3 + 2.0j, NINE, n_list)
+    assert expansion._leading_coeff.cache_info().misses == 0

@@ -45,10 +45,13 @@ def _words(text):
     return set(re.findall(r"\w+", text))
 
 
+def _test_files():
+    return [name for name in sorted(os.listdir(os.path.join(ROOT, "tests")))
+            if name.startswith("test_") and name.endswith(".py")]
+
+
 def _test_words():
-    return _words("".join(_read("tests", name)
-                          for name in sorted(os.listdir(os.path.join(ROOT, "tests")))
-                          if name.startswith("test_") and name.endswith(".py")))
+    return _words("".join(_read("tests", name) for name in _test_files()))
 
 
 def _traced():
@@ -114,3 +117,78 @@ def test_the_ledger_is_every_public_name_once():
     public = {name for name, obj in vars(toruszeta).items()
               if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
     assert public == set(listed)
+
+
+# The parameter ledger: every defaulted parameter of an exported callable,
+# and who sets it outside that callable's own unit tests: a CLI option
+# ("--tol"), an acceptance criterion ("criterion 08"), or a library function
+# that passes it ("module.function").  The references and the paper
+# statements have tests as their users by design; theirs name the test
+# that sets the parameter.
+PARAMETERS = {
+    "ConvergenceError": {"estimate": "quadrature._graded_panels"},
+    "IntegrandSpec": {"descriptor_zero": "criterion 08",
+                      "descriptor_infinity": "criterion 08"},
+    "PoleError": {"location": "epstein.omega"},
+    "ZeroDenominatorError": {"factor": "conjecture.omega_ratio"},
+    "find_critical_zeros": {"step": "--step", "strict": "--strict"},
+    "h_function": {"tol": "conjecture.hn_ratio_study"},
+    "hn_ratio_study": {"tol": "--tol"},
+    "leading_coeff": {"tol": "--tol"},
+    "leading_coeff_error": {"tol": "--tol"},
+    "omega": {"route": "test_omega_dual_formulas"},
+    "omega_ratio": {"route": "--route"},
+    "quad_periodic_2d": {
+        "tol": "test_leading_coeff_inner_reduction_vs_2d_quadrature"},
+    "regularized_integral": {
+        "tol": "test_zeta_regularized_integral_representation"},
+    "residual_order": {"orders_included": "--orders", "tol": "--tol"},
+    "spectral_zeta": {"abs_parts": "cli._cmd_zeta"},
+}
+
+
+def _defaulted(obj) -> list:
+    # a class counts through its own __init__: enums and the exceptions
+    # that only inherit one take no parameters of their own
+    if inspect.isclass(obj):
+        if "__init__" not in vars(obj):
+            return []
+        obj = obj.__init__
+    return [name for name, p in inspect.signature(obj).parameters.items()
+            if p.default is not inspect.Parameter.empty]
+
+
+def test_the_parameter_ledger_is_every_defaulted_parameter():
+    found = {name: _defaulted(obj) for name, obj in vars(toruszeta).items()
+             if not name.startswith("_") and callable(obj)}
+    assert {name: sorted(params) for name, params in found.items()
+            if params} == {name: sorted(params)
+                           for name, params in PARAMETERS.items()}
+
+
+def _test_function(name: str, files) -> str:
+    text = "".join(_read("tests", f) for f in files)
+    match = re.search(rf"^def {name}\(.*?(?=^\S)", text + "\n#",
+                      re.S | re.M)
+    assert match, name
+    return match.group(0)
+
+
+@pytest.mark.parametrize("callee, param, user", [
+    (callee, param, user) for callee, params in PARAMETERS.items()
+    for param, user in params.items()])
+def test_every_parameter_of_the_ledger_has_its_user(callee, param, user):
+    if user.startswith("--"):
+        body = _read("src", "toruszeta", "cli.py")
+        assert f'_Opt("{user}"' in body
+    elif user.startswith("criterion "):
+        body = _test_function(f"test_criterion_{user.split()[1]}_\\w+",
+                              ["test_acceptance.py"])
+    elif user.startswith("test_"):
+        body = _test_function(user, _test_files())
+    else:
+        module, function = user.split(".")
+        body = inspect.getsource(getattr(importlib.import_module(
+            f"toruszeta.{module}"), function))
+        assert param in _words(body)
+    assert callee in _words(body)

@@ -12,7 +12,7 @@ from toruszeta.expansion import symbol_value
 from toruszeta.errors import (DegenerateError, DomainError, NonFiniteError,
                               RangeError, ShapeError)
 from toruszeta.lattice import (StencilVariant, TorusGrid, _axis_fold,
-                               _spectral_zeta_sums, apply_stencil, axis_symbol,
+                               apply_stencil, axis_symbol,
                                eigenvalue, eigenvalue_grid, fold_square,
                                folded_spectrum, operator_matrix,
                                resolvent_trace, spectral_zeta,
@@ -115,7 +115,6 @@ def test_spectral_zeta_hand_sum():
 def test_spectral_zeta_degenerate():
     with pytest.raises(DegenerateError):
         spectral_zeta(TorusGrid(1), FIVE, 1.0)
-    assert spectral_zeta(TorusGrid(1), FIVE, 1.0, allow_empty=True) == 0.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -195,12 +194,9 @@ def test_resolvent_trace_hand_sum():
 def test_resolvent_trace_zero_mode_conventions():
     # n=1: only the zero mode survives -> z^(-2 alpha)
     assert resolvent_trace(TorusGrid(1), FIVE, 2, 2.0) == pytest.approx(2.0 ** -4)
+    # the included zero mode makes z = 0 infinite
     with pytest.raises(DomainError):
         resolvent_trace(TorusGrid(4), NINE, 2, 0.0)
-    # exclusion flag makes z=0 legal
-    val = resolvent_trace(TorusGrid(4), NINE, 2, 0.0, exclude_zero_mode=True)
-    lam = eigenvalue_grid(TorusGrid(4), NINE).ravel()[1:]
-    assert val == pytest.approx(float(np.sum(lam ** -2.0)), rel=1e-13)
 
 
 def test_resolvent_trace_and_circle_validate():
@@ -290,7 +286,7 @@ def test_spectral_zeta_is_the_reducer_over_the_terms(n, variant, sigma, t):
     s = complex(sigma, t)
     lam, mult = folded_spectrum(n, variant)
     abs_parts = []
-    value = _spectral_zeta_sums(TorusGrid(n), variant, s, abs_parts=abs_parts)
+    value = spectral_zeta(TorusGrid(n), variant, s, abs_parts=abs_parts)
     assert value == spectral_zeta(TorusGrid(n), variant, s) \
         == pairwise_sum(mult * np.exp(-s * np.log(lam)))
     ref = math.fsum(mult * np.exp(-sigma * np.log(lam)))

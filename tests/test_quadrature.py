@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruszeta.errors import DescriptorError
+from toruszeta.errors import DescriptorError, ShapeError
 from toruszeta.quadrature import (AsymptoticDescriptor, AsymptoticTerm,
                                   IntegrandSpec, Location,
                                   change_of_variables_check, quad_periodic_2d,
@@ -88,6 +88,13 @@ def test_regularized_underflowing_exponential(c):
     # exp(-c z) underflows to 0 at the probes z >= 1e4: faster than any power
     val = regularized_integral(IntegrandSpec(lambda z: np.exp(-c * z)))
     assert val.real == pytest.approx(1.0 / c, rel=1e-12)
+
+
+def test_an_evaluator_must_return_its_nodes_shape():
+    # no per-node scalar fallback: an evaluator that returns one number
+    # for an array of nodes is an error
+    with pytest.raises(ShapeError, match=r"shape \(\) for nodes of shape"):
+        regularized_integral(IntegrandSpec(lambda z: 0.0))
 
 
 def test_regularized_missing_descriptor_rejected():

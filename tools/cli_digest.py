@@ -157,7 +157,7 @@ COMMANDS = (
     "xi --s garbage",
     "epstein --s 0.5 --direct-cutoff 5",
     "coeff a --s 2 --variant nine",
-    # a non-finite point is a usage error where it enters the series
+    # a non-finite scan bound is a usage error before any point is built
     "scan --kind omega --b 70 --a-max inf",
     "scan --kind xi-defect --im-max inf",
     "scan --kind omega --b 70 --a-min nan",
