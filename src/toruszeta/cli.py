@@ -75,34 +75,6 @@ def _parse_int_list(text: str) -> list[int]:
     return vals
 
 
-@dataclass
-class RunConfig:
-    quad_tol: float = 1e-12
-    fmt: str = "csv"
-    out: str | None = None
-    strict: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.quad_tol <= 1e-3:
-            raise DomainError(f"quad_tol={self.quad_tol} outside (0, 1e-3]")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"format {self.fmt!r} not in {{csv,json}}")
-
-
-def _load_config_file(path: str) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line (need key=value): {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
-
-
 _COLUMNS = ("quantity", "s_re", "s_im", "n", "value_re", "value_im",
             "err_est", "meta")
 
@@ -194,11 +166,12 @@ class RecordWriter:
     first row, or with ``close`` if no row came.  So a command that fails
     before its first row leaves its output empty."""
 
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self._fh = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
-        self._owns = cfg.out is not None
-        self._head = ",".join(_COLUMNS) + "\r\n" if cfg.fmt == "csv" else "["
+    def __init__(self, fmt: str, out: str | None):
+        self.fmt = fmt
+        # an empty --out is stdout, which is not ours to close
+        self._owns = bool(out)
+        self._fh = open(out, "w", newline="") if self._owns else sys.stdout
+        self._head = ",".join(_COLUMNS) + "\r\n" if fmt == "csv" else "["
 
     def write_all(self, records) -> None:
         """Write the rows of the records in order, the header before the
@@ -208,7 +181,7 @@ class RecordWriter:
         chunks = []
         try:
             for rec in records:
-                row, numbers = _batch(rec, self.cfg.fmt)
+                row, numbers = _batch(rec, self.fmt)
                 finite = np.isfinite(numbers).all(axis=0)
                 good = finite.size if finite.all() else int(np.argmin(finite))
                 text = (row * good) \
@@ -216,7 +189,7 @@ class RecordWriter:
                 if good and self._head:
                     # the first JSON row has no separator before it
                     chunks.append(self._head)
-                    text = text[1:] if self.cfg.fmt == "json" else text
+                    text = text[1:] if self.fmt == "json" else text
                     self._head = ""
                 chunks.append(text)
                 if good < finite.size:
@@ -238,7 +211,7 @@ class RecordWriter:
         Closing twice is harmless."""
         if finish:
             self._fh.write(self._head
-                           + ("\n]\n" if self.cfg.fmt == "json" else ""))
+                           + ("\n]\n" if self.fmt == "json" else ""))
             self._fh.flush()
         if self._owns:
             self._fh.close()
@@ -255,7 +228,7 @@ def _variant(text: str) -> lattice.StencilVariant:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_zeta(args, cfg: RunConfig, w: RecordWriter) -> None:
+def _cmd_zeta(args, w: RecordWriter) -> None:
     s = parse_complex(args.s)
     grid = lattice.TorusGrid(args.n)
     variant = _variant(args.variant)
@@ -272,23 +245,23 @@ def _cmd_zeta(args, cfg: RunConfig, w: RecordWriter) -> None:
                        meta={"variant": args.variant}))
 
 
-def _cmd_zeta1d(args, cfg: RunConfig, w: RecordWriter) -> None:
+def _cmd_zeta1d(args, w: RecordWriter) -> None:
     s = parse_complex(args.s)
     val = lattice.spectral_zeta_1d(args.n, s)
     w.write(ScanRecord(s, "zeta_circle", val, n=args.n))
 
 
-def _require_series_domain(im: float, cfg: RunConfig) -> None:
+def _require_series_domain(im: float, strict: bool) -> None:
     """--strict: reject Im(s) outside the validated zeta/beta domain."""
-    if cfg.strict and abs(im) > special.SERIES_MAX_IM:
+    if strict and abs(im) > special.SERIES_MAX_IM:
         raise DomainError(
             f"--strict: |Im(s)| = {abs(im):g} outside the validated "
             f"zeta/beta domain |Im(s)| <= {special.SERIES_MAX_IM:g}")
 
 
-def _cmd_epstein(args, cfg: RunConfig, w: RecordWriter) -> None:
+def _cmd_epstein(args, w: RecordWriter) -> None:
     s = parse_complex(args.s)
-    _require_series_domain(s.imag, cfg)
+    _require_series_domain(s.imag, args.strict)
     records = [ScanRecord(s, "epstein", epstein.epstein_zeta_2d(s))]
     if args.direct_cutoff:
         val, bound = epstein.epstein_direct_sum(s, args.direct_cutoff)
@@ -312,17 +285,17 @@ def _xi_with_defect(s: np.ndarray):
     return val, defect, underflow
 
 
-def _cmd_xi(args, cfg: RunConfig, w: RecordWriter) -> None:
+def _cmd_xi(args, w: RecordWriter) -> None:
     s = parse_complex(args.s)
-    _require_series_domain(s.imag, cfg)
+    _require_series_domain(s.imag, args.strict)
     [val], [defect], [underflow] = _xi_with_defect(np.array([s]))
     meta = {"underflow": "true"} if underflow else {}
     w.write(ScanRecord(s, "xi", val, meta=dict(meta, fe_defect=_g17(defect))))
 
 
-def _cmd_omega(args, cfg: RunConfig, w: RecordWriter) -> None:
+def _cmd_omega(args, w: RecordWriter) -> None:
     s = parse_complex(args.s)
-    _require_series_domain(s.imag, cfg)
+    _require_series_domain(s.imag, args.strict)
     if args.ratio:
         val = conjecture.omega_ratio(s, route=args.route)
         w.write(ScanRecord(s, "omega_ratio", val, meta={"route": args.route}))
@@ -330,44 +303,41 @@ def _cmd_omega(args, cfg: RunConfig, w: RecordWriter) -> None:
         w.write(ScanRecord(s, "omega", epstein.omega(s)))
 
 
-def _cmd_coeff(args, cfg: RunConfig, w: RecordWriter) -> None:
+def _cmd_coeff(args, w: RecordWriter) -> None:
     s = parse_complex(args.s)
-    kind = args.which
-    if kind == "a":
+    if args.which == "a":
         variant = _variant(args.variant)
-        val = expansion.leading_coeff(s, variant, cfg.quad_tol)
-        err = expansion.leading_coeff_error(s, variant, cfg.quad_tol)
+        val = expansion.leading_coeff(s, variant, args.tol)
+        err = expansion.leading_coeff_error(s, variant, args.tol)
         w.write(ScanRecord(s, "coeff_a", val, err_est=err,
                            meta={"variant": args.variant}))
-    elif kind == "b0":
+    elif args.which == "b0":
         w.write(ScanRecord(s, "coeff_b0", expansion.coeff_b0(s)))
-    elif kind == "b1tilde":
+    elif args.which == "b1tilde":
         w.write(ScanRecord(s, "coeff_b1tilde", expansion.coeff_b1_tilde(s)))
-    elif kind == "b1":
+    elif args.which == "b1":
         w.write(ScanRecord(s, "coeff_b1", expansion.coeff_b1(s)))
-    elif kind == "angular":
+    else:  # angular
         res = expansion.angular_lattice_sum(s)
         w.write(ScanRecord(s, "angular_sum", res.value, err_est=res.error))
-    else:  # pragma: no cover - the option table restricts choices
-        raise ValueError(kind)
 
 
-def _require_strip(s: complex, cfg: RunConfig) -> None:
-    if cfg.strict and not 0.0 < s.real < 1.0:
+def _require_strip(s: complex, strict: bool) -> None:
+    if strict and not 0.0 < s.real < 1.0:
         raise DomainError(f"--strict: Re(s) = {s.real} outside the strip (0,1)")
 
 
-def _cmd_expansion(args, cfg: RunConfig, w: RecordWriter) -> None:
+def _cmd_expansion(args, w: RecordWriter) -> None:
     s = parse_complex(args.s)
-    _require_strip(s, cfg)
+    _require_strip(s, args.strict)
     variant = _variant(args.variant)
     n_list = _parse_int_list(args.n_list)
     slope, residuals = expansion.residual_order(
-        s, variant, n_list, orders_included=args.orders, tol=cfg.quad_tol)
+        s, variant, n_list, orders_included=args.orders, tol=args.tol)
     b1 = (expansion.coeff_b1_tilde(s)
           if variant is lattice.StencilVariant.NINE_POINT
           else expansion.coeff_b1(s))
-    leading = expansion.leading_coeff(s, variant, cfg.quad_tol)
+    leading = expansion.leading_coeff(s, variant, args.tol)
     b0 = expansion.coeff_b0(s)
     v_front = epstein.v_factor(2, s)
     meta = {"variant": args.variant, "orders": str(args.orders)}
@@ -382,11 +352,11 @@ def _cmd_expansion(args, cfg: RunConfig, w: RecordWriter) -> None:
         ScanRecord(s, "expansion_slope", complex(slope), meta=meta)])
 
 
-def _cmd_hn(args, cfg: RunConfig, w: RecordWriter) -> None:
+def _cmd_hn(args, w: RecordWriter) -> None:
     s = parse_complex(args.s)
-    _require_strip(s, cfg)
+    _require_strip(s, args.strict)
     n_list = _parse_int_list(args.n_list)
-    ratios, fallback = conjecture.hn_ratio_study(s, n_list, tol=cfg.quad_tol)
+    ratios, fallback = conjecture.hn_ratio_study(s, n_list, tol=args.tol)
     meta = {"near_zero": str(fallback is not None).lower()}
     if fallback is not None:
         meta["omega_ratio_fallback"] = repr(float(fallback))
@@ -397,7 +367,7 @@ def _cmd_hn(args, cfg: RunConfig, w: RecordWriter) -> None:
                                          (ratio - 1.0) * n * n)))
 
 
-def _cmd_emcheck(args, cfg: RunConfig, w: RecordWriter) -> None:
+def _cmd_emcheck(args, w: RecordWriter) -> None:
     if args.fn == "runge":
         fn = lambda x: 1.0 / (1.0 + x * x)
         deriv = lambda k, x: ((1j) * (-1) ** k * math.factorial(k)
@@ -429,39 +399,52 @@ def _runs(labels) -> list:
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _require_finite(args, *dests) -> None:
     """Reject a non-finite scan bound before any point is built from it."""
     for dest in dests:
         value = getattr(args, dest)
         if not math.isfinite(value):
-            raise DomainError(f"--{dest.replace('_', '-')} must be finite, "
-                              f"got {value}")
+            raise DomainError(f"{_flag(dest)} must be finite, got {value}")
 
 
-def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
-    kind = args.kind
-    if kind == "omega":
+def _grid(args, lo: str, hi: str, count: str) -> np.ndarray:
+    """``np.linspace`` of the options ``lo``, ``hi`` and ``count``, once no
+    bound is non-finite, their span does not overflow and the count is not
+    negative: NumPy would make non-finite points or raise on those."""
+    _require_finite(args, lo, hi)
+    a, b, k = getattr(args, lo), getattr(args, hi), getattr(args, count)
+    if not math.isfinite(b - a):
+        raise DomainError(f"{_flag(hi)} - {_flag(lo)} overflows: {b} - {a}")
+    if k < 0:
+        raise DomainError(f"{_flag(count)} must not be negative, got {k}")
+    return np.linspace(a, b, k)
+
+
+def _cmd_scan(args, w: RecordWriter) -> None:
+    if args.kind == "omega":
         if args.b is None:
             raise ValueError("scan --kind omega requires --b")
-        _require_finite(args, "a_min", "a_max", "b")
-        if cfg.strict and not args.b > 65.0:
+        real = _grid(args, "a_min", "a_max", "points")
+        _require_finite(args, "b")
+        if args.strict and not args.b > 65.0:
             raise DomainError("--strict: omega scan requires b > 65")
-        _require_series_domain(args.b, cfg)
-        if args.points < 1:
-            return
-        pts = _points(np.linspace(args.a_min, args.a_max, args.points),
-                      args.b)
+        _require_series_domain(args.b, args.strict)
+        pts = _points(real, args.b)
         vals = np.abs(conjecture.omega_ratio_array(pts))
         monotone = bool(np.all(vals[1:] > vals[:-1]))
         w.write(ScanRecord(pts, "omega_ratio", vals,
                            meta={"monotone_scan": str(monotone).lower()}))
-    elif kind == "zeros":
+    elif args.kind == "zeros":
         _require_finite(args, "t_min", "t_max")
         if args.t_min >= args.t_max:
             return
-        _require_series_domain(args.t_max, cfg)
+        _require_series_domain(args.t_max, args.strict)
         recs = epstein.find_critical_zeros(args.t_min, args.t_max, args.step,
-                                           strict=cfg.strict)
+                                           strict=args.strict)
         ts = np.array([r.t for r in recs])
         residuals = np.array([r.residual for r in recs])
         sources = [r.source.value for r in recs]
@@ -471,51 +454,16 @@ def _cmd_scan(args, cfg: RunConfig, w: RecordWriter) -> None:
                                      "expected": str(recs[lo].expected),
                                      "found": str(recs[lo].found)})
                     for lo, hi in _runs(sources))
-    elif kind == "hn":
-        if args.s is None:
-            raise ValueError("scan --kind hn requires --s")
-        _cmd_hn(args, cfg, w)
-    elif kind == "xi-defect":
-        _require_finite(args, "re_min", "re_max", "im_min", "im_max")
-        im = np.linspace(args.im_min, args.im_max, args.im_points)
-        _require_series_domain(np.abs(im).max(initial=0.0), cfg)
-        pts = _points(
-            np.linspace(args.re_min, args.re_max, args.re_points)[:, None], im)
+    else:  # xi-defect
+        real = _grid(args, "re_min", "re_max", "re_points")
+        imag = _grid(args, "im_min", "im_max", "im_points")
+        _require_series_domain(np.abs(imag).max(initial=0.0), args.strict)
+        pts = _points(real[:, None], imag)
         _, defect, underflow = _xi_with_defect(pts)
         w.write_all(ScanRecord(pts[lo:hi], "xi_defect", defect[lo:hi],
                                meta={"underflow": "true"} if underflow[lo]
                                else {})
                     for lo, hi in _runs(underflow))
-    else:  # pragma: no cover
-        raise ValueError(kind)
-
-
-def _config_bool(text: str) -> bool:
-    """``true`` or ``false`` in any case; anything else is an error."""
-    if text.lower() not in ("true", "false"):
-        raise ValueError(f"config strict={text!r}: expected true or false")
-    return text.lower() == "true"
-
-
-def _build_config(args) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        raw = _load_config_file(args.config)
-        casts = {"quad_tol": float, "fmt": str, "out": str,
-                 "strict": _config_bool}
-        for key, val in raw.items():
-            if key not in casts:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = casts[key](val)
-    if args.tol is not None:
-        values["quad_tol"] = args.tol
-    if args.format is not None:
-        values["fmt"] = args.format
-    if args.out is not None:
-        values["out"] = args.out
-    if args.strict:
-        values["strict"] = True
-    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -565,15 +513,14 @@ _COMMANDS = {
         _S, _Opt("--variant", default="nine"), _N_LIST,
         _Opt("--orders", int, 1))),
     "hn": (_cmd_hn, "|H_n(1-s)/H_n(s)| study", (_S, _N_LIST)),
-    "scan": (_cmd_scan, "grid scans (omega, hn, xi-defect, zeros)", (
+    "scan": (_cmd_scan, "grid scans (omega, xi-defect, zeros)", (
         _Opt("--kind", default=_REQUIRED,
-             choices=("omega", "hn", "xi-defect", "zeros")),
+             choices=("omega", "xi-defect", "zeros")),
         _Opt("--b", float), _Opt("--a-min", float, 0.01),
         _Opt("--a-max", float, 0.99), _Opt("--points", int, 101),
         _Opt("--t-min", float, 1.0), _Opt("--t-max", float, 20.0),
         _Opt("--step", float, help="zero scan: the largest sampling spacing "
                                    "in t (default: Gram points only)"),
-        _Opt("--s"), _N_LIST,
         _Opt("--re-min", float, 0.1), _Opt("--re-max", float, 0.9),
         _Opt("--re-points", int, 5), _Opt("--im-min", float, 1.0),
         _Opt("--im-max", float, 40.0), _Opt("--im-points", int, 4))),
@@ -583,10 +530,9 @@ _COMMANDS = {
 }
 
 _GLOBAL = (
-    _Opt("--tol", float, help="quadrature tolerance override"),
-    _Opt("--format", choices=("csv", "json")),
+    _Opt("--tol", float, 1e-12, help="quadrature tolerance override"),
+    _Opt("--format", default="csv", choices=("csv", "json")),
     _Opt("--out", help="output path (default stdout)"),
-    _Opt("--config", help="key=value file overriding defaults"),
     _Opt("--strict", None, False,
          help="reject arguments outside the theorem regime"),
     _Opt("command", default=_REQUIRED, choices=tuple(_COMMANDS)),
@@ -761,13 +707,15 @@ def parse_args(argv: list) -> SimpleNamespace:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = _build_config(args)
-        writer = RecordWriter(cfg)
-    except (*_USAGE_ERRORS, OSError) as exc:
+        # before --out is opened: a bad tolerance writes nothing
+        if not 0.0 < args.tol <= 1e-3:
+            raise DomainError(f"quad_tol={args.tol} outside (0, 1e-3]")
+        writer = RecordWriter(args.format, args.out)
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        args.handler(args, cfg, writer)
+        args.handler(args, writer)
         writer.close()
         return 0
     except _USAGE_ERRORS as exc:

@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import (DegenerateError, DomainError, NonFiniteError, RangeError,
                      ShapeError)
-from .summation import _SLICE, pairwise_sum, streamed_pairwise_sum
+from .summation import (_SLICE, _leaf_layout, pairwise_sum,
+                        streamed_pairwise_sum)
 
 
 class StencilVariant(enum.Enum):
@@ -193,14 +194,19 @@ def _powsum(lam: np.ndarray, mult: np.ndarray, s: complex,
             abs_parts: list | None = None) -> complex:
     """sum mult * lam^(-s) over flat positive lam, deterministic order, from
     one streamed pass.  Given a list ``abs_parts``, the pass also appends to
-    it each slice's sum mult * lam^(-Re s), whose total is sum |terms|."""
+    it each slice's sum mult * lam^(-Re s), whose total is sum |terms|.
+    Every slice is formed in the same two buffers: fresh slice-sized
+    temporaries fault in new pages or not as the heap's state decides."""
+    size = min(lam.size, _leaf_layout(lam.size)[2])
+    log_buf, buf = np.empty(size), np.empty(size, dtype=complex)
 
     def terms(a: int, b: int) -> np.ndarray:
-        log_lam = np.log(lam[a:b])
+        log_lam, out = np.log(lam[a:b], out=log_buf[:b - a]), buf[:b - a]
         if abs_parts is not None:
             abs_parts.append(
                 float((mult[a:b] * np.exp(-s.real * log_lam)).sum()))
-        return mult[a:b] * np.exp(-s * log_lam)
+        np.exp(np.multiply(-s, log_lam, out=out), out=out)
+        return np.multiply(mult[a:b], out, out=out)
 
     total = streamed_pairwise_sum(lam.size, terms)
     if not np.isfinite(total):

@@ -120,6 +120,14 @@ class IntegrandSpec:
     descriptor_zero: AsymptoticDescriptor | None = None
     descriptor_infinity: AsymptoticDescriptor | None = None
 
+    def __post_init__(self):
+        # a descriptor in the other slot would integrate one half twice
+        for d, location in ((self.descriptor_zero, Location.AT_ZERO),
+                            (self.descriptor_infinity, Location.AT_INFINITY)):
+            if d is not None and d.location is not location:
+                raise DescriptorError(f"descriptor of {d.location.name} in "
+                                      f"the {location.name} slot")
+
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         out = np.asarray(self.evaluator(z))

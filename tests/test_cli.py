@@ -21,7 +21,7 @@ import toruszeta
 from _cli_digest import cli_digest, golden
 from toruszeta import conjecture, epstein, lattice
 from toruszeta.cli import (_COMPLEX_RE, QUANTITY_REGISTRY, RecordWriter,
-                           RunConfig, ScanRecord, _cmd_coeff, _cmd_emcheck,
+                           ScanRecord, _cmd_coeff, _cmd_emcheck,
                            _cmd_epstein, _cmd_expansion, _cmd_hn, _cmd_omega,
                            _cmd_scan, _cmd_xi, _cmd_zeta, _cmd_zeta1d, _g17,
                            main, parse_args, parse_complex)
@@ -224,43 +224,22 @@ def test_emcheck(capsys):
         assert f"M={m} outside 1..31" in err
 
 
-def test_config_file_override(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("quad_tol=1e-6\nfmt=json\n")
-    out_path = tmp_path / "o.json"
-    code, _, _ = run_cli(["--config", str(cfg), "--out", str(out_path),
-                          "xi", "--s", "0.3+5i"], capsys)
-    assert code == 0
-    rows = json.loads(out_path.read_text())
-    assert rows[0]["quantity"] == "xi"
-
-
 def test_config_validation(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("quad_tol=0.5\n")  # outside (0, 1e-3]
-    code, _, err = run_cli(["--config", str(cfg), "xi", "--s", "0.3+5i"], capsys)
-    assert code == 2
-    cfg.write_text("nonsense=1\n")
-    code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+5i"], capsys)
-    assert code == 2
-    cfg.write_text("threads=2\n")  # the thread pool and its key are gone
-    code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+5i"], capsys)
-    assert code == 2
-    cfg.write_text("lattice_cutoff=64\n")  # the angular sum is exact now
-    code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+5i"], capsys)
-    assert code == 2
-    cfg.write_text("strict=yes\n")  # true or false only, in any case
-    code, out, err = run_cli(["--config", str(cfg), "xi", "--s", "0.3+600i"],
-                             capsys)
-    assert code == 2 and out == "" and "strict" in err
-    cfg.write_text("strict=TRUE\n")
-    code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+600i"],
-                         capsys)
-    assert code == 2  # outside the validated domain under strict
-    cfg.write_text("strict=False\n")
-    code, _, _ = run_cli(["--config", str(cfg), "xi", "--s", "0.3+600i"],
-                         capsys)
+    # --tol outside (0, 1e-3] exits 2 before --out is opened
+    out_path = tmp_path / "o.csv"
+    for tol in ("0.5", "0", "-1e-8", "nan"):
+        code, out, err = run_cli(["--tol", tol, "--out", str(out_path),
+                                  "xi", "--s", "0.3+5i"], capsys)
+        assert (code, out) == (2, ""), tol
+        assert "outside (0, 1e-3]" in err and not out_path.exists(), tol
+    code, _, _ = run_cli(["--tol", "1e-3", "xi", "--s", "0.3+5i"], capsys)
     assert code == 0
+
+
+def test_an_empty_out_is_stdout_and_stays_open(capsys):
+    expect = run_cli(["xi", "--s", "0.3+5i"], capsys)
+    assert run_cli(["--out", "", "xi", "--s", "0.3+5i"], capsys) == expect
+    assert not sys.stdout.closed
 
 
 def test_coeff_commands(capsys):
@@ -445,7 +424,7 @@ def test_every_emitted_quantity_is_registered(capsys):
         ["coeff", "b1tilde", "--s", "0.3+2i"],
         ["coeff", "b1", "--s", "0.3+2i"],
         ["omega", "--s", "0.3+2i"],
-        ["scan", "--kind", "hn", "--s", "0.3+2i", "--n-list", "16,32"],
+        ["hn", "--s", "0.3+2i", "--n-list", "16,32"],
     )
     for argv in commands:
         code, out, _ = run_cli(argv, capsys)
@@ -480,8 +459,7 @@ def test_negative_complex_after_a_space(capsys):
 def test_scan_required_flags(capsys):
     # a scan's per-kind requirements exit 2 before the header, in both formats
     for fmt in ("csv", "json"):
-        for argv, phrase in ((["scan", "--kind", "hn"], "requires --s"),
-                             (["scan", "--kind", "omega"], "requires --b"),
+        for argv, phrase in ((["scan", "--kind", "omega"], "requires --b"),
                              (["--strict", "scan", "--kind", "omega", "--b",
                                "60"], "b > 65"),
                              (["--strict", "scan", "--kind", "zeros",
@@ -523,7 +501,7 @@ def _writer_output(records, fmt, path, batched, capsys):
     """(raised, output) of RecordWriter over ``records``: one write_all
     call, or one write per record.  Like main, it stops at a NonFiniteError
     without closing the writer."""
-    w = RecordWriter(RunConfig(fmt=fmt, out=path))
+    w = RecordWriter(fmt, path)
     raised = False
     try:
         if batched:
@@ -648,12 +626,10 @@ def _reference_parser() -> argparse.ArgumentParser:
         prog="toruszeta",
         description="Spectral zeta functions of discrete-torus Laplacians "
                     "and the Epstein-Riemann machinery")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=1e-12,
                    help="quadrature tolerance override")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--config", default=None,
-                   help="key=value file overriding defaults")
     p.add_argument("--strict", action="store_true",
                    help="reject arguments outside the theorem regime")
     sub = p.add_subparsers(dest="command", required=True)
@@ -705,8 +681,8 @@ def _reference_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", default="32,64,128,256")
     sp.set_defaults(handler=_cmd_hn)
 
-    sp = sub.add_parser("scan", help="grid scans (omega, hn, xi-defect, zeros)")
-    sp.add_argument("--kind", choices=("omega", "hn", "xi-defect", "zeros"),
+    sp = sub.add_parser("scan", help="grid scans (omega, xi-defect, zeros)")
+    sp.add_argument("--kind", choices=("omega", "xi-defect", "zeros"),
                     required=True)
     sp.add_argument("--b", type=float, default=None)
     sp.add_argument("--a-min", type=float, default=0.01)
@@ -717,8 +693,6 @@ def _reference_parser() -> argparse.ArgumentParser:
     sp.add_argument("--step", type=float, default=None,
                     help="zero scan: the largest sampling spacing in t "
                          "(default: Gram points only)")
-    sp.add_argument("--s", default=None)
-    sp.add_argument("--n-list", default="32,64,128,256")
     sp.add_argument("--re-min", type=float, default=0.1)
     sp.add_argument("--re-max", type=float, default=0.9)
     sp.add_argument("--re-points", type=int, default=5)
@@ -959,18 +933,44 @@ def test_non_finite_scan_bounds_exit_2_naming_the_option(line, option,
     assert f"error: {option} must be finite" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("line", [
-    "scan --kind omega --b 70 --a-min -1e308 --a-max 1e308 --points 3",
-    "scan --kind xi-defect --im-min -1e308 --im-max 1e308",
+@pytest.mark.parametrize("line, options", [
+    ("scan --kind omega --b 70 --a-min -1e308 --a-max 1e308 --points 3",
+     "--a-max - --a-min"),
+    ("scan --kind xi-defect --im-min -1e308 --im-max 1e308",
+     "--im-max - --im-min"),
+    ("scan --kind xi-defect --re-min 1e308 --re-max -1e308",
+     "--re-max - --re-min"),
 ])
-def test_non_finite_points_exit_2_as_a_domain_error(line, capsys):
-    # finite bounds whose span overflows make non-finite points: rejected
-    # where they enter the series, not by the writer (exit 3) or by a
-    # RecursionError (exit 4)
-    code, out, err = run_cli(shlex.split(line), capsys)
+def test_non_finite_points_exit_2_as_a_domain_error(line, options, capsys):
+    # finite bounds whose span overflows would make non-finite points:
+    # rejected before np.linspace, with no NumPy warning, naming both
+    # options, not a nan nobody typed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(shlex.split(line), capsys)
     assert (code, out) == (2, "")
-    assert "error: s must be finite" in err
+    assert f"error: {options} overflows" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("line, option", [
+    ("scan --kind omega --b 70", "--points"),
+    ("scan --kind xi-defect", "--re-points"),
+    ("scan --kind xi-defect", "--im-points"),
+])
+def test_a_negative_point_count_exits_2_and_zero_is_an_empty_scan(
+        fmt, line, option, capsys):
+    argv = ["--format", fmt] + shlex.split(line) + [option]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for count in ("-1", "-5"):
+            code, out, err = run_cli(argv + [count], capsys)
+            assert (code, out) == (2, ""), count
+            assert f"error: {option} must not be negative, got {count}" in err
+        code, out, _ = run_cli(argv + ["0"], capsys)
+    assert code == 0
+    assert out == ("[\n]\n" if fmt == "json" else
+                   "quantity,s_re,s_im,n,value_re,value_im,err_est,meta\r\n")
 
 
 @pytest.mark.parametrize("line", ["xi --s garbage",

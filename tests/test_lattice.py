@@ -293,6 +293,16 @@ def test_spectral_zeta_is_the_reducer_over_the_terms(n, variant, sigma, t):
     assert abs(math.fsum(abs_parts) - ref) <= 1e-14 * ref
 
 
+def test_spectral_zeta_keeps_its_bits_when_a_leaf_row_outgrows_a_slice():
+    # n = 3000 folds to 1,127,250 terms: leaf rows of 17,614 > 2^14
+    # elements, so each slice, and the buffers it is formed in, is one row
+    n, s = 3000, 0.6 + 7.0j
+    lam, mult = folded_spectrum(n, NINE)
+    assert -(-lam.size // 64) > 2 ** 14
+    assert spectral_zeta(TorusGrid(n), NINE, s) \
+        == pairwise_sum(mult * np.exp(-s * np.log(lam)))
+
+
 def test_spectral_sum_builds_no_n2_temporaries():
     n, v = 2048, NINE
     folded_spectrum.cache_clear()

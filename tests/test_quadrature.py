@@ -121,6 +121,20 @@ def test_descriptor_validation():
         AsymptoticTerm(1.0, -1, 1.0)
 
 
+def test_a_descriptor_must_sit_in_the_slot_of_its_end():
+    # int_0^oo z^(-1/2) e^(-z) dz = sqrt(pi); a descriptor in the other
+    # slot made regularized_integral integrate one half twice and skip the
+    # other (0.5576 and 2.9873)
+    f = lambda z: z ** -0.5 * np.exp(-z)
+    at_zero = AsymptoticDescriptor([AsymptoticTerm(-0.5, 0, 1.0)], AT0)
+    assert regularized_integral(IntegrandSpec(f, at_zero)) \
+        == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    for slots in ({"descriptor_zero": AsymptoticDescriptor((), ATI)},
+                  {"descriptor_infinity": at_zero}):
+        with pytest.raises(DescriptorError, match="slot"):
+            IntegrandSpec(f, **slots)
+
+
 def _inv_power_spec() -> IntegrandSpec:
     # f = 1/(1+z): coefficient 1 on z^-1 at infinity, regular at 0
     return IntegrandSpec(

@@ -66,7 +66,8 @@ COMMANDS = (
     "scan --kind zeros --t-min 1 --t-max 20",
     "scan --kind xi-defect --re-points 5 --im-points 4",
     "emcheck --m 3 --n 10 --fn runge",
-    # every subcommand, coeff kind, scan kind, route and variant
+    # every subcommand, coeff kind, scan kind (omega, zeros and xi-defect),
+    # route and variant
     "zeta --n 64 --variant five --s 0.5+1i",
     "epstein --s 0.3+2i",
     "omega --s 0.3+2i",
@@ -83,7 +84,10 @@ COMMANDS = (
     "coeff angular --s 0.3+2i",
     "expansion --s 0.3+2i --variant five --n-list 32,64,128 --orders 1",
     "hn --s 0.5+14.1347i --n-list 32,64",
+    # scan --kind hn, --s and --n-list are gone (exit 2 in the parser); hn
+    # writes the bytes that alias wrote
     "scan --kind hn --s 0.3+2i --n-list 32,64",
+    "hn --s 0.3+2i --n-list 32,64",
     "scan --kind zeros --t-min 5 --t-max 5",
     "emcheck --m 2 --n 6 --fn square",
     # critical-line scans over many series orders, up to the domain edge
@@ -161,6 +165,13 @@ COMMANDS = (
     "scan --kind omega --b 70 --a-max inf",
     "scan --kind xi-defect --im-max inf",
     "scan --kind omega --b 70 --a-min nan",
+    # so are finite bounds whose span overflows, and a negative point count;
+    # a count of 0 is an empty scan
+    "scan --kind omega --b 70 --a-min -1e308 --a-max 1e308 --points 3",
+    "scan --kind xi-defect --im-min -1e308 --im-max 1e308",
+    "scan --kind omega --b 70 --points -5",
+    "scan --kind xi-defect --re-points -1",
+    "scan --kind omega --b 70 --points 0",
     # the benchmark's bridge region, Re s in (0.6, 0.8), Im s in (0.5, 3.5)
     "coeff a --s 0.7+2.5i --variant five",
     "coeff angular --s 0.7+2.5i",
