@@ -195,8 +195,8 @@ def _powsum(lam: np.ndarray, mult: np.ndarray, s: complex,
     """sum mult * lam^(-s) over flat positive lam, deterministic order, from
     one streamed pass.  Given a list ``abs_parts``, the pass also appends to
     it each slice's sum mult * lam^(-Re s), whose total is sum |terms|.
-    Every slice is formed in the same two buffers: fresh slice-sized
-    temporaries fault in new pages or not as the heap's state decides."""
+    The terms are formed in two buffers every slice reuses (fresh ones fault
+    in pages or not as the heap decides); the abs_parts sums still allocate."""
     size = min(lam.size, _leaf_layout(lam.size)[2])
     log_buf, buf = np.empty(size), np.empty(size, dtype=complex)
 

@@ -41,4 +41,4 @@ def test_a_stale_entry_fails_before_any_test_runs(monkeypatch):
     with pytest.raises(mutants.StaleMutant, match="stale: .* occurs 0 times"):
         mutants.run(stale)
     monkeypatch.setattr(mutants, "MUTANTS", mutants.MUTANTS + (stale,))
-    assert mutants.main(["stale"]) == 2
+    assert mutants.main() == 2

@@ -11,14 +11,12 @@ before any test with exit 2, so the list stays current with the code.  Any
 other pytest outcome than pass or fail (a node id that names no test, a
 collection error) raises, since it would otherwise pass for a kill.
 
-Before the mutants, the tests of all selected entries run once on an
-unmutated copy, which must pass.
+Before the mutants, the tests of all entries run once on an unmutated
+copy, which must pass.
 
-    python tools/mutants.py              # every entry
-    python tools/mutants.py NAME ...     # the named entries
-    python tools/mutants.py --list       # the names
+    python tools/mutants.py
 
-Exit 0 when every entry run is killed, 1 when one survives.  A change that
+Exit 0 when every entry is killed, 1 when one survives.  A change that
 rewrites a kernel adds its mutants here, instead of describing them in
 prose.
 """
@@ -171,35 +169,27 @@ def run(mutant: Mutant, root: str = ROOT) -> bool:
         return _pytest(tree, mutant.tests) == 1
 
 
-def main(argv: list) -> int:
-    if argv == ["--list"]:
-        print("\n".join(m.name for m in MUTANTS))
-        return 0
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"no such entry: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    selected = [m for m in MUTANTS if not argv or m.name in argv]
+def main() -> int:
     try:
-        for mutant in selected:
+        for mutant in MUTANTS:
             check(mutant)
     except StaleMutant as exc:
         print(f"stale entry: {exc}", file=sys.stderr)
         return 2
-    tests = dict.fromkeys(t for m in selected for t in m.tests)
+    tests = dict.fromkeys(t for m in MUTANTS for t in m.tests)
     with _copy(ROOT) as tree:
         if _pytest(tree, tests):
             print("the tests fail on the unmutated code", file=sys.stderr)
             return 2
     survived = 0
-    for mutant in selected:
+    for mutant in MUTANTS:
         killed = run(mutant)
         survived += not killed
         print(f"{'killed' if killed else 'SURVIVED':<9}{mutant.name}",
               flush=True)
-    print(f"{len(selected) - survived} of {len(selected)} killed")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} killed")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
