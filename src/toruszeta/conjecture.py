@@ -157,8 +157,7 @@ def hn_ratio_study(s: complex, n_list: Sequence[int], tol: float = 1e-12):
                     f"non-finite Omega ratio fallback at s={s}")
     ratios = []
     for n in n_list:
-        num = h_function(1.0 - s, n, tol)
-        den = h_function(s, n, tol)
+        num, den = h_function(np.array([1.0 - s, s]), n, tol)
         if abs(den) < _TINY:
             raise ZeroDenominatorError(
                 f"H_n(s) ~ 0 at n={n}; s may sit on a xi_2 zero "

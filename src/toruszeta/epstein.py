@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (DomainError, PoleError, SignalLostError,
                      ZeroShortfallWarning)
-from .lattice import _powsum, fold_square
+from .lattice import _fold_source, _powsum
 from .special import (_LD_LOG_PI, _LOG_PI, _as_array, _gamma_poles,
                       complex_gamma_array, complex_log_gamma_array,
                       dirichlet_beta_array, riemann_zeta_array,
@@ -49,6 +49,9 @@ def epstein_zeta_2d(s: complex) -> complex:
     return epstein_zeta_2d_array([s])[0]
 
 
+DIRECT_SUM_MAX_CUTOFF = 8192  # ~cutoff^2/2 terms, as at lattice.GRID_MAX_N
+
+
 def epstein_direct_sum(s: complex, cutoff: int) -> tuple[complex, float]:
     """Truncated lattice sum over 0 < max(|k1|,|k2|) <= cutoff.
 
@@ -61,13 +64,12 @@ def epstein_direct_sum(s: complex, cutoff: int) -> tuple[complex, float]:
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError("direct Epstein sum needs Re(s) > 1")
-    if cutoff < 1:
-        raise DomainError("cutoff must be >= 1")
+    if not 1 <= cutoff <= DIRECT_SUM_MAX_CUTOFF:
+        raise DomainError(f"cutoff {cutoff} outside [1, {DIRECT_SUM_MAX_CUTOFF}]")
     axis_mult = np.full(cutoff + 1, 2.0)
     axis_mult[0] = 1.0  # k and -k coincide only at 0
-    k1, k2, mult = fold_square(axis_mult)
-    q = (k1 * k1 + k2 * k2).astype(float)
-    total = _powsum(q, mult, s)
+    total = complex(_powsum(*_fold_source(np.arange(cutoff + 1.0) ** 2,
+                                          axis_mult, np.add), np.array([s]))[0])
     sigma = s.real
     bound = 8.0 * cutoff ** (2.0 - 2.0 * sigma) / (2.0 * sigma - 2.0)
     return total, bound

@@ -50,13 +50,14 @@ from .errors import DomainError, RangeError, SignalLostError
 from .lattice import (StencilVariant, TorusGrid, axis_symbol, spectral_zeta,
                       stencil_symbol)
 from .quadrature import QuadResult, quad_periodic_2d, _gl_panels, _graded_panels
-from .special import _BERNOULLI_MAX, bernoulli_fraction, bernoulli_polynomial
+from .special import (_BERNOULLI_MAX, _as_array, bernoulli_fraction,
+                      bernoulli_polynomial)
 
 
 def _cross_coeff(variant: StencilVariant) -> float:
     """Coefficient of a b in the unit-square symbol: -2 pi^2/3 (9-point) or
     0 (5-point), read off exactly: 2 - c and (2 - c) - 2 do not round."""
-    return stencil_symbol(variant, 1.0, 1.0, 1) - 2.0
+    return float(stencil_symbol(variant, 1.0, 1.0, 1)) - 2.0
 
 
 @lru_cache(maxsize=4)
@@ -474,22 +475,22 @@ def resolvent_leading_term(n: int, variant: StencilVariant, alpha: int,
     return float(n ** (2 - 2 * alpha)) * inner.value.real
 
 
-def h_function(s: complex, n: int, tol: float = 1e-12) -> complex:
-    """H_n(s) = pi^-s Gamma(s) (zeta(Delta~_n, s) - V_2(s) a~(s) n^(2-2s)).
-
-    Always the 9-point variant; a~(s) and the Gamma factors are memoized
-    per s so n-sweeps pay the quadrature and the Gamma calls once.
-    """
-    s = complex(s)
-    if not 0.0 < s.real < 1.0:
+def h_function(s, n: int, tol: float = 1e-12):
+    """H_n(s) = pi^-s Gamma(s) (zeta(Delta~_n, s) - V_2(s) a~(s) n^(2-2s)),
+    9-point, at one point s or each point of a 1-D array from one spectral
+    pass; a~(s) and the Gamma factors are memoized per s for n-sweeps."""
+    points = _as_array(np.atleast_1d(s))
+    if not ((0.0 < points.real) & (points.real < 1.0)).all():
         raise DomainError("H_n defined for Re(s) in (0,1)")
     if n < 2:
         raise RangeError("n must be >= 2")
-    zn = spectral_zeta(TorusGrid(n), StencilVariant.NINE_POINT, s)
-    lead = leading_coeff(s, StencilVariant.NINE_POINT, tol)
-    npow = complex(n) ** (2.0 - 2.0 * s)
-    front, v2 = _h_gamma_factors(s)
-    return front * (zn - v2 * lead * npow)
+    zn = spectral_zeta(TorusGrid(n), StencilVariant.NINE_POINT, points)
+    h = []
+    for p, z in zip(points.tolist(), zn.tolist()):
+        lead = leading_coeff(p, StencilVariant.NINE_POINT, tol)
+        front, v2 = _h_gamma_factors(p)
+        h.append(front * (z - v2 * lead * complex(n) ** (2.0 - 2.0 * p)))
+    return np.array(h, dtype=complex) if np.ndim(s) else h[0]
 
 
 @lru_cache(maxsize=64)

@@ -18,30 +18,27 @@ Zero-mode conventions differ on purpose: spectral zeta sums exclude
 Both symbols are invariant under k -> n-k on either axis and under
 k1 <-> k2, so the spectral zeta sums run over the fundamental domain
 0 <= k1 <= k2 <= n/2 only, each eigenvalue weighted by the number of
-(k1, k2) it stands for (1, 2, 4 or 8: ``folded_spectrum``).  The weights
-are powers of two, so weighting is exact and spectral_zeta(conj s) ==
-conj(spectral_zeta(s)) holds bit for bit.  ``_powsum`` streams the terms
-mult * lam^(-s) to the reducer one cache-sized slice at a time, so no
-array of n^2/8 terms is ever built; for a caller that asks (the CLI's
-``err_est``, through ``spectral_zeta``'s ``abs_parts``) it sums the
-magnitudes mult * lam^(-Re s) from the same logarithms.  ``spectral_zeta``
-is the one entry point of the 2-D sums, for the CLI and the library alike.
-The dense ``eigenvalue_grid`` serves the resolvent trace.
+(k1, k2) it stands for (1, 2, 4 or 8, so weighting is exact and
+spectral_zeta(conj s) == conj(spectral_zeta(s)) holds bit for bit).
+``_fold_source`` forms that triangle (and ``epstein_direct_sum``'s) a
+slice at a time from O(n) arrays and ``_powsum`` streams its terms to the
+reducer: no array of n^2/8 eigenvalues or terms is built, none memoized.
+``spectral_zeta`` is the one entry point of the 2-D sums; the dense
+``eigenvalue_grid`` serves the resolvent trace.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import (DegenerateError, DomainError, NonFiniteError, RangeError,
                      ShapeError)
-from .summation import (_SLICE, _leaf_layout, pairwise_sum,
-                        streamed_pairwise_sum)
+from .summation import _leaf_layout, pairwise_sum, streamed_pairwise_sum
 
 
 class StencilVariant(enum.Enum):
@@ -49,15 +46,18 @@ class StencilVariant(enum.Enum):
     NINE_POINT = "nine"
 
 
+GRID_MAX_N = 16384  # ~n^2/8 = 34 million spectral terms, about 2 s
+
+
 @dataclass(frozen=True)
 class TorusGrid:
-    """n points per axis on the 2-torus."""
+    """n points per axis on the 2-torus, 1 <= n <= ``GRID_MAX_N``."""
 
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise RangeError(f"grid size n={self.n} must be >= 1")
+        if not 1 <= self.n <= GRID_MAX_N:
+            raise RangeError(f"grid size n={self.n} outside [1, {GRID_MAX_N}]")
 
 
 def axis_symbol(u, n):
@@ -85,67 +85,50 @@ def _axis_fold(n: int) -> tuple[np.ndarray, np.ndarray]:
     return head, mult
 
 
-def fold_square(axis_mult: np.ndarray):
-    """Fold a square index set over the swap k1 <-> k2.
+def _fold_source(head: np.ndarray, axis_mult: np.ndarray, combine):
+    """(size, span) of a square index set folded over k1 <-> k2: the terms
+    over 0 <= k1 <= k2 < head.size but (0, 0), in the triangle's flat order,
+    are ``combine(x, y, out=y)`` of axis values head[k1], head[k2] with the
+    weights axis_mult[k1] axis_mult[k2], twice that off the diagonal;
+    ``span(a, b, lam, mult)`` forms [a, b) in the buffers lam and mult."""
+    m = head.size
+    # the flat index of (k, k), without (0, 0); starts[m] is the size
+    starts = [k * m - k * (k - 1) // 2 - 1 for k in range(m + 1)]
+    # row k1's weights 2 axis_mult[k1] axis_mult[k2], halved on the diagonal
+    shared = {v: 2.0 * v * axis_mult for v in set(axis_mult.tolist())}
+    row_weights = [shared[v] for v in axis_mult.tolist()]
 
-    ``axis_mult[k]`` says how many indices of one axis the folded index k
-    stands for.  Returns (k1, k2, mult) over 0 <= k1 <= k2 < len(axis_mult)
-    without (0, 0): mult counts the points of the full square that share
-    (k1, k2) up to the swap, and sums to (sum axis_mult)^2 - 1.
-    """
-    k1, k2 = np.triu_indices(axis_mult.size)
-    mult = axis_mult[k1] * axis_mult[k2] * np.where(k1 == k2, 1.0, 2.0)
-    return k1[1:], k2[1:], mult[1:]
+    def span(a: int, b: int, lam: np.ndarray, mult: np.ndarray):
+        r0 = bisect.bisect_right(starts, a) - 1
+        r1 = bisect.bisect_left(starts, b, r0)  # rows r0..r1-1 hold [a, b)
+        ends = [a, *starts[r0 + 1:r1], b]
+        runs = [(r + lo - st, hi - lo) for r, lo, hi, st in  # (first k2, count)
+                zip(range(r0, r1), ends, ends[1:], starts[r0:r1])]
+        y = np.concatenate([head[c:c + n] for c, n in runs], out=lam)
+        w = np.concatenate([row[c:c + n] for row, (c, n) in
+                            zip(row_weights[r0:r1], runs)], out=mult)
+        w[[st - a for st in starts[r0:r1] if st >= a]] *= 0.5  # diagonal
+        return combine(np.repeat(head[r0:r1], [n for _, n in runs]), y, y), w
+
+    return starts[m], span
 
 
-def stencil_symbol(variant: StencilVariant, a, b, n):
+def stencil_symbol(variant: StencilVariant, a, b, n, out=None):
     """Combine the axis symbols a, b of an n-point axis (scalars or
-    broadcastable arrays): 5-point a + b, 9-point a + b - (2 pi^2/(3 n^2)) a b.
+    broadcastable arrays): 5-point a + b, 9-point a + b - (2 pi^2/(3 n^2)) a b,
+    in ``out`` if given (it may be a or b).
     """
     if variant is StencilVariant.NINE_POINT:
-        c = 2.0 * math.pi ** 2 / (3.0 * n ** 2)
-        return a + b - c * (a * b)
-    return a + b
+        ab = a * b
+        ab *= 2.0 * math.pi ** 2 / (3.0 * n ** 2)
+        return np.subtract(np.add(a, b, out=out), ab, out=out)
+    return np.add(a, b, out=out)
 
 
 def eigenvalue_grid(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
     """All n x n eigenvalues, indexed by (k1, k2)."""
     e = axis_symbol(np.arange(grid.n), grid.n)
     return stencil_symbol(variant, e[:, None], e[None, :], grid.n)
-
-
-@lru_cache(maxsize=8)
-def folded_spectrum(n: int, variant: StencilVariant) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero eigenvalues over 0 <= k1 <= k2 <= n/2 and their multiplicities.
-
-    Built a block of rows k1 at a time, about ``summation._SLICE`` entries
-    a block, into two preallocated arrays: a block is the symbol over its
-    rows and the columns k2 from its first row on, kept where k2 >= k1.  So
-    the flat order is that of ``fold_square``, no index array of the
-    triangle's size is built, and the values are exactly those of
-    ``eigenvalue_grid`` at the same (k1, k2); the multiplicities (1, 2, 4
-    or 8) sum to n^2 - 1.  Both arrays are read-only, since the memo hands
-    the same pair to every caller.
-    """
-    head, axis_mult = _axis_fold(n)
-    m = head.size
-    lam = np.empty(m * (m + 1) // 2)
-    mult = np.empty(lam.size)
-    rows = max(1, _SLICE // m)
-    start = 0
-    for r0 in range(0, m, rows):
-        k1 = np.arange(r0, min(r0 + rows, m))[:, None]
-        k2 = np.arange(r0, m)
-        upper = k2 >= k1
-        stop = start + np.count_nonzero(upper)
-        lam[start:stop] = stencil_symbol(variant, head[k1], head[r0:], n)[upper]
-        mult[start:stop] = (axis_mult[k1] * axis_mult[r0:]
-                            * np.where(k1 == k2, 1.0, 2.0))[upper]
-        start = stop
-    lam, mult = lam[1:], mult[1:]  # without the zero mode (0, 0)
-    lam.flags.writeable = False
-    mult.flags.writeable = False
-    return lam, mult
 
 
 def eigenvalue(grid: TorusGrid, variant: StencilVariant, k1: int, k2: int) -> float:
@@ -190,46 +173,54 @@ def operator_matrix(grid: TorusGrid, variant: StencilVariant) -> np.ndarray:
     return mat
 
 
-def _powsum(lam: np.ndarray, mult: np.ndarray, s: complex,
-            abs_parts: list | None = None) -> complex:
-    """sum mult * lam^(-s) over flat positive lam, deterministic order, from
-    one streamed pass.  Given a list ``abs_parts``, the pass also appends to
-    it each slice's sum mult * lam^(-Re s), whose total is sum |terms|.
-    The terms are formed in two buffers every slice reuses (fresh ones fault
-    in pages or not as the heap decides); the abs_parts sums still allocate."""
-    size = min(lam.size, _leaf_layout(lam.size)[2])
-    log_buf, buf = np.empty(size), np.empty(size, dtype=complex)
+def _powsum(size: int, span, s: np.ndarray,
+            abs_parts: list | None = None) -> np.ndarray:
+    """sum mult * lam^(-s) over ``size`` terms at each point of the 1-D s:
+    per slice, (lam, mult) = ``span(a, b, lam_buf, mult_buf)``, one log and
+    one exp per point, in buffers made once, each point with its own bits.
+    ``abs_parts`` gets each slice's sum mult * lam^(-Re s), point by point."""
+    width = min(size, _leaf_layout(size)[2])
+    lam_buf, mult_buf, log_buf, mag_buf = np.empty((4, width))
+    buf = np.empty(s.size * width, dtype=complex)
 
     def terms(a: int, b: int) -> np.ndarray:
-        log_lam, out = np.log(lam[a:b], out=log_buf[:b - a]), buf[:b - a]
-        if abs_parts is not None:
-            abs_parts.append(
-                float((mult[a:b] * np.exp(-s.real * log_lam)).sum()))
-        np.exp(np.multiply(-s, log_lam, out=out), out=out)
-        return np.multiply(mult[a:b], out, out=out)
+        lam, mult = span(a, b, lam_buf[:b - a], mult_buf[:b - a])
+        log_lam = np.log(lam, out=log_buf[:b - a])
+        out = buf[:s.size * (b - a)].reshape(s.size, b - a)
+        for p, row in zip(s, out):
+            if abs_parts is not None:
+                mag = np.multiply(log_lam, -p.real, out=mag_buf[:b - a])
+                np.exp(mag, out=mag)
+                abs_parts.append(float(np.multiply(mult, mag, out=mag).sum()))
+            np.exp(np.multiply(-p, log_lam, out=row), out=row)
+            np.multiply(mult, row, out=row)
+        return out
 
-    total = streamed_pairwise_sum(lam.size, terms)
-    if not np.isfinite(total):
-        raise NonFiniteError(f"non-finite spectral sum {total} at s={s} (lam^-s overflows)")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        total = streamed_pairwise_sum(size, terms)
+    bad = ~np.isfinite(total)
+    if bad.any():
+        raise NonFiniteError(f"non-finite spectral sum {complex(total[bad][0])}"
+                             f" at s={complex(s[bad][0])} (lam^-s overflows)")
     return total
 
 
-def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s: complex,
-                  abs_parts: list | None = None) -> complex:
-    """zeta(Delta_n, s) = sum over (k1,k2) != (0,0) of eigenvalue^(-s).
-
-    Principal-branch powers (all eigenvalues are positive once the zero mode
-    is excluded), summed over the folded spectrum with multiplicities and
-    reduced by the leaf-compensated pairwise tree, one cache-sized slice of
-    terms at a time, so results are bit-identical across runs.  Given a list
-    ``abs_parts``, the pass also appends to it the slice sums of |terms| =
-    eigenvalue^(-Re s) (see ``_powsum``).
-    """
-    s = complex(s)
-    if grid.n == 1:
+def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s,
+                  abs_parts: list | None = None):
+    """zeta(Delta_n, s) = sum over (k1,k2) != (0,0) of eigenvalue^(-s), at
+    one point s or each point of a 1-D array, from one pass of principal
+    powers over the folded spectrum and the pairwise tree: bit-identical
+    across runs and batches.  ``abs_parts``: see ``_powsum``."""
+    from .special import _as_array  # keeps lattice's import light
+    points = _as_array(s) if np.ndim(s) else np.array([complex(s)])
+    n = grid.n
+    if n == 1:
         raise DegenerateError("empty spectrum: n=1 torus has only the zero mode")
-    lam, mult = folded_spectrum(grid.n, variant)
-    return _powsum(lam, mult, s, abs_parts)
+    head, axis_mult = _axis_fold(n)
+    total = _powsum(*_fold_source(head, axis_mult, lambda a, b, out:
+                                  stencil_symbol(variant, a, b, n, out)),
+                    points, abs_parts)
+    return total if np.ndim(s) else complex(total[0])
 
 
 def spectral_zeta_1d(n: int, s: complex) -> complex:
@@ -241,7 +232,8 @@ def spectral_zeta_1d(n: int, s: complex) -> complex:
     if n == 1:
         raise DegenerateError("empty spectrum: n=1 circle has only the zero mode")
     head, mult = _axis_fold(n)
-    return _powsum(head[1:], mult[1:], s)
+    return complex(_powsum(n // 2, lambda a, b, *_: (
+        head[1 + a:1 + b], mult[1 + a:1 + b]), np.array([s]))[0])
 
 
 def resolvent_trace(grid: TorusGrid, variant: StencilVariant, alpha: int,

@@ -15,8 +15,10 @@ leaf rows, asking a term function for each slice in turn, so the terms
 are formed and reduced while they are in cache and the full array of
 terms never exists.  A slice is as many rows as fit in ``_SLICE``
 elements, at least one; only the zeros past n are materialised, in the
-last slice.  ``pairwise_sum`` is the same reducer over slices of a given
-array.  Slicing changes neither the bracketing nor the bits.
+last slice.  Leading axes of a slice are a batch of sums reduced side by
+side, elementwise, so each has the bits it has alone.  ``pairwise_sum``
+is the same reducer over slices of a given array.  Slicing changes
+neither the bracketing nor the bits.
 
 The Kahan recurrence has one form, ``_kahan_columns``, which runs it down
 the rows of a 2-D array, one in-place NumPy operation per row for all
@@ -44,17 +46,16 @@ _LEAF = 64
 # slice of 2^14 complex terms is 256 KB, so it and the few temporaries
 # that form it stay in a 2 MB L2 cache.  Chosen by measurement on the
 # n = 1024 / 2048 zeta jobs: 2^13 and 2^14 tie, 2^15 and 2^16 are slower.
-# ``lattice.folded_spectrum`` builds its blocks of rows to the same size.
 _SLICE = 2 ** 14
 
 
 def _kahan_columns(rows: np.ndarray, s: np.ndarray,
                    c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Continue the Kahan sums (s, c) of columns down the rows of a 2-D
-    array, one NumPy operation per row, in place in s, c and two buffers
-    of their size; the last compensations are not yet applied."""
+    """Continue the Kahan sums (s, c) of columns down the rows (axis -2) of
+    an array, one NumPy operation per row, in place in s, c and two
+    buffers of their size; the last compensations are not yet applied."""
     y, t = np.empty_like(s), np.empty_like(s)
-    for row in rows:
+    for row in rows.swapaxes(0, -2):
         np.subtract(row, c, out=y)
         np.add(s, y, out=t)
         np.subtract(t, s, out=c)
@@ -73,12 +74,13 @@ def _leaf_layout(n: int) -> tuple[int, int, int]:
     return rows, width, max(1, _SLICE // width) * width
 
 
-def streamed_pairwise_sum(n: int, terms: Callable[[int, int], np.ndarray]) -> complex:
+def streamed_pairwise_sum(n: int, terms: Callable[[int, int], np.ndarray]):
     """Sum n terms with the leaf-compensated tree, one slice at a time.
 
-    ``terms(a, b)`` returns elements [a, b) as a 1-D array.  It is called
-    on consecutive runs of whole leaf rows that cover [0, n) once, in
-    order; only the last run may end inside a row, at n.
+    ``terms(a, b)`` returns elements [a, b) along the last axis (any leading
+    axes are a batch, and so is the result).  It is called on consecutive
+    runs of whole leaf rows that cover [0, n) once, in order; only the last
+    run may end inside a row, at n.
     """
     if n == 0:
         return 0j
@@ -86,26 +88,29 @@ def streamed_pairwise_sum(n: int, terms: Callable[[int, int], np.ndarray]) -> co
     s = c = None
     for a in range(0, rows * width, step):
         b = min(a + step, rows * width)
-        block = terms(a, min(b, n)) if a < n else np.empty(0)
+        block = terms(a, min(b, n)) if a < n else np.empty(s.shape[:-1] + (0,))
         if s is None:
-            s = np.zeros(width, dtype=np.result_type(block.dtype, np.float64))
+            s = np.zeros(block.shape[:-1] + (width,),
+                         dtype=np.result_type(block.dtype, np.float64))
             c = np.zeros_like(s)
-        if block.size < b - a:  # the zeros past n
-            block = np.concatenate((block, np.zeros(b - a - block.size, s.dtype)))
-        s, c = _kahan_columns(block.astype(s.dtype, copy=False).reshape(-1, width), s, c)
-    if n <= _LEAF:
-        return complex(s[0])
-    s = s - c  # each leaf's last correction, not yet applied
-    err = np.zeros_like(s)
-    while s.size > 1:
-        if s.size % 2:
-            s = np.append(s, 0.0)
-            err = np.append(err, 0.0)
-        a, b = s[0::2], s[1::2]
-        s = a + b
-        b_seen = s - a  # TwoSum: a + b == s + (a - (s - b_seen)) + (b - b_seen)
-        err = err[0::2] + err[1::2] + ((a - (s - b_seen)) + (b - b_seen))
-    return complex(s[0] + err[0])
+        pad = np.zeros(s.shape[:-1] + (b - a - block.shape[-1],), s.dtype)
+        block = np.concatenate((block, pad), axis=-1) if pad.size else block
+        s, c = _kahan_columns(block.astype(s.dtype, copy=False).reshape(
+            s.shape[:-1] + ((b - a) // width, width)), s, c)
+    if n > _LEAF:  # the last corrections, then the tree: zeros up to a
+        # power of two are the zero partners of odd levels' last sums
+        s = np.concatenate((s - c, np.zeros(s.shape[:-1] + (
+            (1 << (width - 1).bit_length()) - width,), s.dtype)), axis=-1)
+        err = np.zeros_like(s)
+        while s.shape[-1] > 1:
+            a, b = s[..., 0::2], s[..., 1::2]
+            s = a + b
+            b_seen = s - a  # TwoSum: a + b == s + (a - (s - b_seen)) + (b - b_seen)
+            err = err[..., 0::2] + err[..., 1::2] \
+                + ((a - (s - b_seen)) + (b - b_seen))
+        s = s + err
+    total = s[..., 0]
+    return complex(total) if total.ndim == 0 else total
 
 
 def pairwise_sum(values: np.ndarray) -> complex:

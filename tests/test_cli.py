@@ -307,6 +307,40 @@ def test_non_finite_value_exits_3(capsys):
     assert out == ""  # the only row is bad: not even the header
 
 
+def test_a_spectral_overflow_writes_one_stderr_line_and_exits_3():
+    # the overflow is reported once, by the error; no RuntimeWarning names
+    # a library source line before it
+    src = os.path.join(os.path.dirname(toruszeta.__file__), os.pardir)
+    done = subprocess.run(
+        [sys.executable, "-m", "toruszeta.cli", "zeta", "--n", "64",
+         "--s", "-400"], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "convergence error: non-finite spectral sum (nan+nanj) at "
+        "s=(-400+0j) (lam^-s overflows)"]
+
+
+@pytest.mark.parametrize("line, limit", [
+    ("zeta --n 1000000 --s 0.5", lattice.GRID_MAX_N),
+    ("epstein --s 1.5 --direct-cutoff 1000000",
+     epstein.DIRECT_SUM_MAX_CUTOFF)])
+def test_a_grid_or_cutoff_past_its_limit_exits_2_before_any_work(
+        line, limit, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the spectral pass ran")
+
+    monkeypatch.setattr(lattice, "_powsum", no_work)
+    monkeypatch.setattr(epstein, "_powsum", no_work)
+    code, out, err = run_cli(shlex.split(line), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"[1, {limit}]" in err
+    # the limit itself is accepted
+    code, _, err = run_cli(shlex.split(line.replace("1000000", str(limit))),
+                           capsys)
+    assert code == 4 and "the spectral pass ran" in err
+
+
 def test_g17_rejects_non_finite():
     assert _g17(0.1) == "0.10000000000000001"
     for bad in (float("nan"), float("inf"), -float("inf")):

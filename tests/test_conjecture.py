@@ -163,6 +163,17 @@ def test_hn_ratio_study_on_zero():
         assert r == pytest.approx(1.0, abs=1e-5)
 
 
+def test_hn_ratio_study_is_the_ratio_of_the_scalar_h_values():
+    # one batched H_n call per n keeps the bits of the two scalar calls,
+    # numerator 1 - s over denominator s
+    from toruszeta.expansion import h_function
+    s, ns = 0.3 + 2.0j, [16, 33, 64]
+    ratios, _ = hn_ratio_study(s, ns)
+    assert ratios == [abs(h_function(1.0 - s, n) / h_function(s, n))
+                      for n in ns]
+    assert all(r > 1.0 + 1e-4 for r in ratios)  # swapped, each would be < 1
+
+
 def test_hn_ratio_study_conjugate_mirror():
     s = 0.3 + 2.0j
     a, _ = hn_ratio_study(s, [32, 64])

@@ -401,6 +401,18 @@ def test_h_function_ratio_and_conjugation():
         h_function(s, 1)
 
 
+def test_h_function_over_an_array_gives_each_point_its_scalar_bits():
+    s = np.array([0.3 + 2.0j, 0.7 - 2.0j, 0.5 + 0.25j, 0.3 + 2.0j])
+    for n in (2, 17, 128):
+        batch = h_function(s, n)
+        assert batch.shape == s.shape
+        for j, p in enumerate(s):
+            scalar = h_function(complex(p), n)
+            assert batch[j] == scalar and type(scalar) is np.complex128
+    with pytest.raises(DomainError):
+        h_function(np.array([0.3 + 2.0j, 1.2 + 1.0j]), 16)
+
+
 def test_residual_order_nine_point():
     s = 0.3 + 2.0j
     slope1, _ = residual_order(s, NINE, [32, 64, 128, 256], orders_included=1)

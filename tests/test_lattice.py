@@ -11,13 +11,12 @@ from toruszeta.epstein import epstein_direct_sum
 from toruszeta.expansion import symbol_value
 from toruszeta.errors import (DegenerateError, DomainError, NonFiniteError,
                               RangeError, ShapeError)
-from toruszeta.lattice import (StencilVariant, TorusGrid, _axis_fold,
-                               apply_stencil, axis_symbol,
-                               eigenvalue, eigenvalue_grid, fold_square,
-                               folded_spectrum, operator_matrix,
-                               resolvent_trace, spectral_zeta,
-                               spectral_zeta_1d, stencil_symbol)
-from toruszeta.summation import pairwise_sum
+from toruszeta.lattice import (GRID_MAX_N, StencilVariant, TorusGrid,
+                               _axis_fold, _fold_source, apply_stencil,
+                               axis_symbol, eigenvalue, eigenvalue_grid,
+                               operator_matrix, resolvent_trace,
+                               spectral_zeta, spectral_zeta_1d, stencil_symbol)
+from toruszeta.summation import _leaf_layout, pairwise_sum
 
 FIVE = StencilVariant.FIVE_POINT
 NINE = StencilVariant.NINE_POINT
@@ -227,16 +226,43 @@ def _fsum_powers(lam, s):
             math.fsum(np.abs(terms)))
 
 
-def test_folded_spectrum_multiplicities():
+def _reference_fold(n, variant):
+    """The fold by index arrays: the nonzero eigenvalues over
+    0 <= k1 <= k2 <= n/2 from np.triu_indices, in its flat order, and the
+    number of (k1, k2) of the n x n square that each stands for."""
+    head, axis_mult = _axis_fold(n)
+    k1, k2 = np.triu_indices(head.size)
+    mult = axis_mult[k1] * axis_mult[k2] * np.where(k1 == k2, 1.0, 2.0)
+    return stencil_symbol(variant, head[k1], head[k2], n)[1:], mult[1:]
+
+
+def _streamed_fold(n, variant, cuts=()):
+    """The terms of ``spectral_zeta``'s pass, taken out slice by slice: at
+    the reducer's slices, or split at the positions ``cuts`` as well."""
+    head, axis_mult = _axis_fold(n)
+    size, span = _fold_source(head, axis_mult, lambda a, b, out:
+                              stencil_symbol(variant, a, b, n, out))
+    step = _leaf_layout(size)[2]
+    ends = sorted(set(range(0, size, step)) | {size} | set(cuts))
+    parts = [[x.copy() for x in span(a, b, np.empty(b - a), np.empty(b - a))]
+             for a, b in zip(ends, ends[1:])]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _reference_sum(n, variant, s):
+    lam, mult = _reference_fold(n, variant)
+    return pairwise_sum(mult * np.exp(-s * np.log(lam)))
+
+
+def test_fold_multiplicities():
     for n in range(1, 18):
         for v in StencilVariant:
-            lam, mult = folded_spectrum(n, v)
+            lam, mult = _reference_fold(n, v)
             assert mult.sum() == n * n - 1
             assert set(mult) <= {1.0, 2.0, 4.0, 8.0}
             # the folded values are dense-grid values, bit for bit
             dense = eigenvalue_grid(TorusGrid(n), v).ravel()[1:]
             assert np.isin(lam, dense).all()
-            assert not lam.flags.writeable and not mult.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,22 +286,31 @@ def test_folded_direct_sum_matches_dense_fsum(cutoff, sigma, t):
     assert abs(total - ref) <= 1e-14 * mag
 
 
-def _reference_folded_spectrum(n, variant):
-    """The fold before it was built in blocks: triu_indices and gathers."""
-    head, axis_mult = _axis_fold(n)
-    k1, k2, mult = fold_square(axis_mult)
-    lam = stencil_symbol(variant, head[k1], head[k2], n)
-    return lam, mult
-
-
-def test_block_built_fold_matches_the_index_fold():
-    for n in list(range(1, 41)) + [1023, 1024]:
+def test_streamed_fold_matches_the_index_fold():
+    for n in list(range(2, 41)) + [1023, 1024]:
         for v in StencilVariant:
-            lam, mult = folded_spectrum(n, v)
-            ref_lam, ref_mult = _reference_folded_spectrum(n, v)
+            lam, mult = _streamed_fold(n, v)
+            ref_lam, ref_mult = _reference_fold(n, v)
             assert lam.dtype == ref_lam.dtype and mult.dtype == ref_mult.dtype
             assert lam.tobytes() == ref_lam.tobytes(), (n, v)
             assert mult.tobytes() == ref_mult.tobytes(), (n, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 200), st.sampled_from(list(StencilVariant)),
+       st.lists(st.floats(0.0, 1.0), max_size=6),
+       st.floats(-1.0, 2.0), st.floats(-50.0, 50.0))
+def test_streamed_pass_is_the_index_fold_and_the_reducer(n, variant, cuts, sigma,
+                                                         t):
+    # slices cut anywhere, mostly inside a row, give the index fold's
+    # terms, and the pass has the bits of the reducer over them
+    lam, mult = _reference_fold(n, variant)
+    got = _streamed_fold(n, variant, [int(c * lam.size) for c in cuts])
+    assert got[0].tobytes() == lam.tobytes()
+    assert got[1].tobytes() == mult.tobytes()
+    s = complex(sigma, t)
+    assert spectral_zeta(TorusGrid(n), variant, s) \
+        == _reference_sum(n, variant, s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,7 +319,7 @@ def test_block_built_fold_matches_the_index_fold():
 def test_spectral_zeta_is_the_reducer_over_the_terms(n, variant, sigma, t):
     # the streamed pass has the bits of the reducer over the whole array
     s = complex(sigma, t)
-    lam, mult = folded_spectrum(n, variant)
+    lam, mult = _reference_fold(n, variant)
     abs_parts = []
     value = spectral_zeta(TorusGrid(n), variant, s, abs_parts=abs_parts)
     assert value == spectral_zeta(TorusGrid(n), variant, s) \
@@ -297,23 +332,52 @@ def test_spectral_zeta_keeps_its_bits_when_a_leaf_row_outgrows_a_slice():
     # n = 3000 folds to 1,127,250 terms: leaf rows of 17,614 > 2^14
     # elements, so each slice, and the buffers it is formed in, is one row
     n, s = 3000, 0.6 + 7.0j
-    lam, mult = folded_spectrum(n, NINE)
+    lam, _ = _reference_fold(n, NINE)
     assert -(-lam.size // 64) > 2 ** 14
-    assert spectral_zeta(TorusGrid(n), NINE, s) \
-        == pairwise_sum(mult * np.exp(-s * np.log(lam)))
+    assert spectral_zeta(TorusGrid(n), NINE, s) == _reference_sum(n, NINE, s)
+
+
+def test_spectral_zeta_over_an_array_gives_each_point_its_scalar_bits():
+    s = np.array([0.745236 + 4.850816j, 0.3 - 2.0j, 2.5, -1.5 + 0.25j,
+                  0.745236 + 4.850816j])
+    for n in (2, 9, 64, 1024):
+        for v in StencilVariant:
+            abs_parts = []
+            batch = spectral_zeta(TorusGrid(n), v, s, abs_parts=abs_parts)
+            assert batch.shape == s.shape
+            for j, p in enumerate(s):
+                parts = []
+                assert batch[j] == spectral_zeta(TorusGrid(n), v, p, parts)
+                # the batch's magnitudes: slice by slice, point by point
+                assert abs_parts[j::s.size] == parts
+    assert spectral_zeta(TorusGrid(8), FIVE, s[:0]).shape == (0,)
+    with pytest.raises(ShapeError):
+        spectral_zeta(TorusGrid(8), FIVE, s.reshape(1, -1))
+    with pytest.raises(DomainError):
+        spectral_zeta(TorusGrid(8), FIVE, np.array([0.5, np.nan]))
+
+
+def test_an_overflowing_point_inside_a_batch_raises():
+    with pytest.raises(NonFiniteError, match=r"s=\(-400\+0j\)"):
+        spectral_zeta(TorusGrid(64), FIVE, np.array([0.5 + 1j, -400.0, 2.0]))
+
+
+def test_the_grid_size_is_bounded():
+    assert TorusGrid(GRID_MAX_N).n == GRID_MAX_N
+    for n in (0, GRID_MAX_N + 1):
+        with pytest.raises(RangeError, match=f"outside \\[1, {GRID_MAX_N}\\]"):
+            TorusGrid(n)
 
 
 def test_spectral_sum_builds_no_n2_temporaries():
+    # nothing of the triangle's size (8.4 MB of eigenvalues and weights at
+    # n = 2048) is built, nor held between calls
     n, v = 2048, NINE
-    folded_spectrum.cache_clear()
     tracemalloc.start()
     try:
-        lam, mult = folded_spectrum(n, v)
-        held, fold_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        spectral_zeta(TorusGrid(n), v, 0.745236 + 4.850816j)
-        zeta_peak = tracemalloc.get_traced_memory()[1] - held
+        spectral_zeta(TorusGrid(n), v, 0.745236 + 4.850816j, abs_parts=[])
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fold_peak <= 1.25 * (lam.nbytes + mult.nbytes)
-    assert zeta_peak <= 4e6
+    # what stays held is NumPy's and the interpreter's own small caches
+    assert peak <= 2e6 and held <= 1e5

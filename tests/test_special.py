@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from toruszeta.errors import DomainError, PoleError, RangeError, ShapeError
 from toruszeta import special
 from toruszeta.expansion import _h_moments
-from toruszeta.lattice import StencilVariant, folded_spectrum
+from toruszeta.lattice import StencilVariant
 from toruszeta.quadrature import _gl_rule
 from toruszeta.special import (EULER_GAMMA, bernoulli_fraction,
                                bernoulli_polynomial, complex_gamma,
@@ -821,8 +821,7 @@ def test_memoized_arrays_are_read_only():
     memoized = [special._borwein_weights(40), log_primes, *stride_rows,
                 *special._sieve(64),
                 *(rows for level in levels for rows in level[2:]),
-                _h_moments(StencilVariant.NINE_POINT),
-                *folded_spectrum(16, StencilVariant.FIVE_POINT), *_gl_rule(8)]
+                _h_moments(StencilVariant.NINE_POINT), *_gl_rule(8)]
     for a in memoized:
         with pytest.raises(ValueError):
             a[0] = a[0]

@@ -151,6 +151,12 @@ COMMANDS = (
     "zeta --n 23 --variant nine --s 0.4+3i",
     "zeta --n 1023 --variant five --s 0.6+7i",
     "zeta --n 2048 --variant nine --s 0.745236+4.850816i",
+    # the fold's edges: the smallest odd triangle, (0, 1) and (1, 1); leaf
+    # rows longer than a slice, so every slice starts inside a triangle row;
+    # the direct sum's smallest square
+    "zeta --n 3 --s 0.5+1i",
+    "zeta --n 3000 --variant nine --s 0.6+7i",
+    "epstein --s 2.2+1.7i --direct-cutoff 1",
     # a scan's per-kind requirement missing: exit 2 before any output
     "scan --kind hn",
     "--format json scan --kind omega",

@@ -99,11 +99,27 @@ MUTANTS = (
            '        _require_finite(args, "b")\n', "",
            ("tests/test_cli.py::"
             "test_non_finite_scan_bounds_exit_2_naming_the_option",)),
-    Mutant("powsum-buffers-of-one-slice", "src/toruszeta/lattice.py",
-           "size = min(lam.size, _leaf_layout(lam.size)[2])",
-           "size = min(lam.size, _SLICE)",
+    Mutant("slice-buffers-short-of-a-leaf-row", "src/toruszeta/lattice.py",
+           "width = min(size, _leaf_layout(size)[2])",
+           "width = min(size, 2 ** 14)",
            ("tests/test_lattice.py::"
             "test_spectral_zeta_keeps_its_bits_when_a_leaf_row_outgrows_a_slice",)),
+    Mutant("fold-diagonal-weight-doubled", "src/toruszeta/lattice.py",
+           "if st >= a]] *= 0.5", "if st >= a]] *= 1.0",
+           ("tests/test_lattice.py::"
+            "test_streamed_fold_matches_the_index_fold",)),
+    Mutant("fold-row-offset-off-by-one-mid-row", "src/toruszeta/lattice.py",
+           "runs = [(r + lo - st, hi - lo)",
+           "runs = [(r + lo - st + (lo == a > st >= 0), hi - lo)",
+           ("tests/test_lattice.py::"
+            "test_streamed_pass_is_the_index_fold_and_the_reducer",)),
+    Mutant("nyquist-weight-two", "src/toruszeta/lattice.py",
+           "        mult[half] = 1.0\n", "        mult[half] = 2.0\n",
+           ("tests/test_lattice.py::test_fold_multiplicities",)),
+    Mutant("hn-pair-swapped", "src/toruszeta/conjecture.py",
+           "num, den = h_function(", "den, num = h_function(",
+           ("tests/test_conjecture.py::"
+            "test_hn_ratio_study_is_the_ratio_of_the_scalar_h_values",)),
     Mutant("descriptor-slot-unchecked", "src/toruszeta/quadrature.py",
            "if d is not None and d.location is not location:",
            "if False:",
