@@ -14,10 +14,10 @@ names its users.  A name that only the library calls is not re-exported.
 from .conjecture import hn_ratio_study, omega_ratio, omega_ratio_array
 from .epstein import (OmegaRoute, ZeroRecord, complete_xi_array,
                       epstein_direct_sum, epstein_zeta_2d,
-                      find_critical_zeros, omega, v_factor)
+                      find_critical_zeros, omega)
 from .expansion import (angular_lattice_sum, coeff_b0, coeff_b1,
                         coeff_b1_tilde, em_verify, leading_coeff,
-                        leading_coeff_error, residual_order)
+                        residual_order)
 from .lattice import StencilVariant, TorusGrid, spectral_zeta, spectral_zeta_1d
 from .quadrature import QuadResult
 # raised or warned by the functions here; the CLI maps errors to exit codes
@@ -27,7 +27,7 @@ from .errors import (ConvergenceError, DegenerateError, DescriptorError,
                      ZeroDenominatorError, ZeroShortfallWarning)
 # called by an acceptance criterion (tests/test_acceptance.py)
 from .conjecture import monotonicity_scan
-from .epstein import ZeroSource, complete_xi, v_factor_inv
+from .epstein import ZeroSource, complete_xi, v_factor, v_factor_inv
 from .expansion import (TaylorCoefficient, h_function, series_truncation_check,
                         taylor_coefficients)
 from .lattice import apply_stencil, eigenvalue

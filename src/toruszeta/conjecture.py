@@ -156,8 +156,8 @@ def hn_ratio_study(s: complex, n_list: Sequence[int], tol: float = 1e-12):
                 raise NonFiniteError(
                     f"non-finite Omega ratio fallback at s={s}")
     ratios = []
-    for n in n_list:
-        num, den = h_function(np.array([1.0 - s, s]), n, tol)
+    for n, (num, den) in zip(n_list, h_function(np.array([1.0 - s, s]),
+                                                 n_list, tol)):
         if abs(den) < _TINY:
             raise ZeroDenominatorError(
                 f"H_n(s) ~ 0 at n={n}; s may sit on a xi_2 zero "

@@ -21,9 +21,9 @@ the closed form
 
 leaving a 2-D (x, z) quadrature with geometrically graded panels toward the
 corner singularity (the z-panels are ``quadrature._graded_panels``, whose
-floor exit takes over past Re(s) = 1; ``leading_coeff_error`` is its achieved
-error); on z >= 1 the integrand is analytic in 1/z^2 and the tail integral
-is summed exactly as
+floor exit takes over past Re(s) = 1; ``leading_coeff`` returns its achieved
+error with the value); on z >= 1 the integrand is analytic in 1/z^2 and the
+tail integral is summed exactly as
 
     int_1^oo = sum_{j>=0} (j+1) (-1)^j <h^j> / (2s + 2j),
 
@@ -109,34 +109,17 @@ def _inner_j(z: np.ndarray, variant: StencilVariant) -> np.ndarray:
 
 
 def leading_coeff(s: complex, variant: StencilVariant,
-                  tol: float = 1e-12) -> complex:
-    """Leading expansion coefficient a(s) / a~(s).
+                  tol: float = 1e-12) -> QuadResult:
+    """Leading expansion coefficient a(s) / a~(s) and its achieved error.
 
     Defined for 0 < Re(s) < 1.75 away from s = 1: inside the strip (0,1)
     this is the convergent triple integral, beyond it the regularized
     continuation (precision degrades past Re(s) ~ 1.6 as the corner
-    subtraction hits its roundoff floor).  Memoized per (s, variant, tol)
-    because H_n calls it for every n.
+    subtraction hits its roundoff floor).  The error is the geometric tail
+    estimate of the z-panels left unsummed plus the roundoff floor of the
+    corner subtraction summed over the panels taken.
     """
-    return _leading_coeff(complex(s), variant, tol)[0]
-
-
-def leading_coeff_error(s: complex, variant: StencilVariant,
-                        tol: float = 1e-12) -> float:
-    """Achieved error estimate of ``leading_coeff(s, variant, tol)``.
-
-    The geometric tail estimate of the z-panels left unsummed plus the
-    roundoff floor of the corner subtraction summed over the panels taken;
-    shares the memo of ``leading_coeff``, so asking for both costs one
-    quadrature.
-    """
-    return _leading_coeff(complex(s), variant, tol)[1]
-
-
-@lru_cache(maxsize=64)
-def _leading_coeff(s: complex, variant: StencilVariant,
-                   tol: float) -> tuple[complex, float]:
-    """(a(s), achieved error estimate); see ``leading_coeff``."""
+    s = complex(s)
     if not 0.0 < s.real < 1.75 or s == 1.0:
         raise DomainError(
             f"leading coefficient defined for 0 < Re(s) < 1.75, s != 1; got {s}")
@@ -172,7 +155,7 @@ def _leading_coeff(s: complex, variant: StencilVariant,
                 break
         else:
             small = 0
-    return complex(value + tail_acc), err
+    return QuadResult(complex(value + tail_acc), err)
 
 
 def coeff_b0(s: complex) -> complex:
@@ -275,13 +258,11 @@ def angular_lattice_sum(s: complex) -> QuadResult:
                       float(np.sum(np.abs(fine - coarse)) + np.sum(em)) + ends)
 
 
-@lru_cache(maxsize=64)
 def coeff_b1(s: complex) -> complex:
     """b1(s) = b1~(s) - (4 pi^2/(2-s)) A(s) (5-point), A = angular_lattice_sum.
 
     The denominator exponent 4 and the absence of an extra V_2(s) factor
-    follow the partial-fraction derivation of the coefficient.  Memoized per
-    s, so an expansion study runs the angular sum once.
+    follow the partial-fraction derivation of the coefficient.
     """
     s = complex(s)
     return coeff_b1_tilde(s) \
@@ -475,39 +456,40 @@ def resolvent_leading_term(n: int, variant: StencilVariant, alpha: int,
     return float(n ** (2 - 2 * alpha)) * inner.value.real
 
 
-def h_function(s, n: int, tol: float = 1e-12):
+def h_function(s, n, tol: float = 1e-12):
     """H_n(s) = pi^-s Gamma(s) (zeta(Delta~_n, s) - V_2(s) a~(s) n^(2-2s)),
-    9-point, at one point s or each point of a 1-D array from one spectral
-    pass; a~(s) and the Gamma factors are memoized per s for n-sweeps."""
+    9-point, at one s or a 1-D array of s, and at one n or a 1-D sequence
+    of n (a leading axis): every n checked, then a~(s) and the Gamma factors
+    once per point, then one spectral pass per n over all the points."""
     points = _as_array(np.atleast_1d(s))
     if not ((0.0 < points.real) & (points.real < 1.0)).all():
         raise DomainError("H_n defined for Re(s) in (0,1)")
-    if n < 2:
+    ns = np.atleast_1d(n).tolist()
+    if any(m < 2 for m in ns):
         raise RangeError("n must be >= 2")
-    zn = spectral_zeta(TorusGrid(n), StencilVariant.NINE_POINT, points)
-    h = []
-    for p, z in zip(points.tolist(), zn.tolist()):
-        lead = leading_coeff(p, StencilVariant.NINE_POINT, tol)
-        front, v2 = _h_gamma_factors(p)
-        h.append(front * (z - v2 * lead * complex(n) ** (2.0 - 2.0 * p)))
-    return np.array(h, dtype=complex) if np.ndim(s) else h[0]
-
-
-@lru_cache(maxsize=64)
-def _h_gamma_factors(s: complex) -> tuple[complex, complex]:
-    """pi^(-s) Gamma(s) and V_2(s), the Gamma factors of ``h_function``."""
-    return _pi_pow_gamma([s])[0], v_factor(2, s)
+    grids = [TorusGrid(m) for m in ns]
+    pts = points.tolist()
+    lead = [leading_coeff(p, StencilVariant.NINE_POINT, tol).value for p in pts]
+    front = _pi_pow_gamma(points)
+    v2 = [v_factor(2, p) for p in pts]
+    h = np.empty((len(ns), len(pts)), dtype=complex)
+    for row, m, grid in zip(h, ns, grids):
+        zn = spectral_zeta(grid, StencilVariant.NINE_POINT, points)
+        row[:] = [f * (z - v * a * complex(m) ** (2.0 - 2.0 * p))
+                  for p, z, a, f, v in zip(pts, zn.tolist(), lead, front, v2)]
+    h = h if np.ndim(s) else h[:, 0]
+    return h if np.ndim(n) else h[0]
 
 
 def residual_order(s: complex, variant: StencilVariant, n_list,
                    orders_included: int = 1, tol: float = 1e-12):
     """Log-log slope of the expansion residual over a geometric n list.
 
-    Returns (slope, [(n, |residual|)]); the n list must hold at least three
-    strictly increasing values.  The leading term and the constant term
-    zeta(Delta, s) are always subtracted; ``orders_included`` >= 1 also
-    subtracts the n^-2 coefficient (b1~ for the 9-point, b1 with the angular
-    term for the 5-point).
+    Returns (slope, [(n, |residual|)], (a(s), V_2(s), b1)); the n list must
+    hold at least three strictly increasing values.  The leading term and
+    the constant term zeta(Delta, s) are always subtracted, the n^-2 term
+    b1 (b1~ for the 9-point, b1 with the angular term for the 5-point) when
+    ``orders_included`` >= 1; b1 is returned either way.
     Raises SignalLostError when any residual sits on the summation /
     quadrature noise floor instead of the signal.
     """
@@ -518,14 +500,12 @@ def residual_order(s: complex, variant: StencilVariant, n_list,
         raise RangeError("residual n values must be strictly increasing")
     if not 0 <= orders_included <= 1:
         raise RangeError("orders beyond b1 are not implemented")
-    lead = leading_coeff(s, variant, tol)
+    lead = leading_coeff(s, variant, tol).value
     v2 = v_factor(2, s)
     const = epstein_zeta_2d(s)
-    b1term = 0j
-    if orders_included >= 1:
-        b1 = coeff_b1_tilde(s) if variant is StencilVariant.NINE_POINT \
-            else coeff_b1(s)
-        b1term = v2 * b1
+    b1 = coeff_b1_tilde(s) if variant is StencilVariant.NINE_POINT \
+        else coeff_b1(s)
+    b1term = v2 * b1 if orders_included >= 1 else 0j
     pts = []
     for n in n_list:
         zn = spectral_zeta(TorusGrid(n), variant, s)
@@ -533,8 +513,8 @@ def residual_order(s: complex, variant: StencilVariant, n_list,
             + b1term * float(n) ** -2.0
         resid = abs(zn - model)
         # tol/100 relative is an assumed floor on the leading coefficient's
-        # error, not a bound: at s = 0.3+2i and 0.7+2i (9-point),
-        # leading_coeff_error is 2.7-3.7x above it
+        # error, not a bound: at s = 0.3+2i and 0.7+2i (9-point), the error
+        # leading_coeff returns is 2.7-3.7x above it
         floor = 1e-14 * abs(zn) + 0.01 * tol * abs(v2 * lead) \
             * float(n) ** (2.0 - 2.0 * s.real)
         if resid < 10.0 * floor:
@@ -545,4 +525,5 @@ def residual_order(s: complex, variant: StencilVariant, n_list,
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope, [(int(n), math.exp(y)) for n, y in zip(n_list, ys)]
+    return slope, [(int(n), math.exp(y)) for n, y in zip(n_list, ys)], \
+        (lead, v2, b1)

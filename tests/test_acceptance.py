@@ -66,7 +66,7 @@ def test_criterion_02_convergence_above_strip():
 def test_criterion_03_critical_strip_expansion():
     t0 = time.perf_counter()
     s = 0.3 + 2.0j
-    lead = leading_coeff(s, NINE, 1e-12)
+    lead = leading_coeff(s, NINE, 1e-12).value
     v2 = v_factor(2, s)
     const = epstein_zeta_2d(s)
     b1 = s * math.pi ** 2 / 3 * v_factor_inv(2, s) * epstein_zeta_2d(s - 1)

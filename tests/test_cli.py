@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 import toruszeta
 from _cli_digest import cli_digest, golden
 from toruszeta import conjecture, epstein, lattice
-from toruszeta.cli import (_COMPLEX_RE, QUANTITY_REGISTRY, RecordWriter,
-                           ScanRecord, _cmd_coeff, _cmd_emcheck,
+from toruszeta.cli import (_COMPLEX_RE, QUANTITY_REGISTRY, SCAN_MAX_POINTS,
+                           RecordWriter, ScanRecord, _cmd_coeff, _cmd_emcheck,
                            _cmd_epstein, _cmd_expansion, _cmd_hn, _cmd_omega,
                            _cmd_scan, _cmd_xi, _cmd_zeta, _cmd_zeta1d, _g17,
                            main, parse_args, parse_complex)
@@ -339,6 +339,74 @@ def test_a_grid_or_cutoff_past_its_limit_exits_2_before_any_work(
     code, _, err = run_cli(shlex.split(line.replace("1000000", str(limit))),
                            capsys)
     assert code == 4 and "the spectral pass ran" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("epstein --s 2+1i --direct-cutoff 100000", "cutoff 100000 outside"),
+    ("epstein --s 0.5 --direct-cutoff 10", "needs Re(s) > 1")])
+def test_a_rejected_direct_sum_exits_2_before_the_series(line, message,
+                                                         capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(epstein, "zeta_beta_arrays", calls.append)
+    code, out, err = run_cli(shlex.split(line), capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert message in err
+
+
+@pytest.mark.parametrize("line, at_limit, options", [
+    ("scan --kind omega --b 70 --points 1000000000000",
+     "scan --kind omega --b 70 --points 262144", "--points"),
+    ("scan --kind xi-defect --re-points 1000000 --im-points 1000000",
+     "scan --kind xi-defect --re-points 262144 --im-points 1", "--re-points"),
+    ("scan --kind xi-defect --re-points 2 --im-points 1000000",
+     "scan --kind xi-defect --re-points 2 --im-points 131072", "--im-points"),
+    ("scan --kind xi-defect --re-points 1024 --im-points 1024",
+     "scan --kind xi-defect --re-points 512 --im-points 512",
+     "--re-points x --im-points"),
+])
+def test_a_scan_past_its_point_cap_exits_2_before_any_output(
+        line, at_limit, options, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(conjecture, "omega_ratio_array", no_work)
+    monkeypatch.setattr(epstein, "complete_xi_array", no_work)
+    code, out, err = run_cli(shlex.split(line), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {options} = ")
+    assert f"exceeds {SCAN_MAX_POINTS}" in err
+    # the cap itself is accepted
+    code, _, err = run_cli(shlex.split(at_limit), capsys)
+    assert code == 4 and "the scan ran" in err
+
+
+def test_a_five_point_expansion_job_runs_each_coefficient_once(capsys,
+                                                               monkeypatch):
+    from toruszeta import expansion
+    calls = []
+    for name in ("angular_lattice_sum", "leading_coeff"):
+        def counted(*args, _original=getattr(expansion, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(expansion, name, counted)
+    code, out, _ = run_cli(["expansion", "--s", "0.5", "--variant", "five",
+                            "--n-list", "32,64,128"], capsys)
+    assert code == 0 and out.count("expansion_b1") == 1
+    assert sorted(calls) == ["angular_lattice_sum", "leading_coeff"]
+
+
+def test_an_hn_n_list_with_a_bad_n_exits_2_before_any_quadrature(
+        capsys, monkeypatch):
+    from toruszeta import expansion
+
+    def no_work(*args):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(expansion, "_graded_panels", no_work)
+    code, out, err = run_cli(["hn", "--s", "0.3+2i", "--n-list", "64,1"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert "n must be >= 2" in err
 
 
 def test_g17_rejects_non_finite():

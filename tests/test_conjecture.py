@@ -174,6 +174,23 @@ def test_hn_ratio_study_is_the_ratio_of_the_scalar_h_values():
     assert all(r > 1.0 + 1e-4 for r in ratios)  # swapped, each would be < 1
 
 
+def test_hn_ratio_study_runs_one_leading_coefficient_per_point(monkeypatch):
+    # a~(1 - s) and a~(s) once each, however many n
+    from toruszeta import expansion
+    calls = []
+    original = expansion.leading_coeff
+
+    def counted(s, *args):
+        calls.append(s)
+        return original(s, *args)
+
+    monkeypatch.setattr(expansion, "leading_coeff", counted)
+    s = 0.3 + 2.0j
+    ratios, _ = hn_ratio_study(s, [16, 32, 64, 128, 256])
+    assert len(ratios) == 5
+    assert sorted(calls, key=lambda p: p.real) == [s, 1.0 - s]
+
+
 def test_hn_ratio_study_conjugate_mirror():
     s = 0.3 + 2.0j
     a, _ = hn_ratio_study(s, [32, 64])

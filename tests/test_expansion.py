@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _trace_utils import make_truncated_trace
-from toruszeta import expansion
+from toruszeta import expansion, lattice
 from toruszeta.epstein import epstein_zeta_2d, v_factor, v_factor_inv
 from toruszeta.errors import DomainError, RangeError, SignalLostError
 from toruszeta.expansion import (angular_lattice_sum, coeff_b0, coeff_b1,
                                  coeff_b1_tilde, em_verify, h_function,
-                                 leading_coeff, leading_coeff_error,
-                                 residual_order,
+                                 leading_coeff, residual_order,
                                  resolvent_leading_term,
                                  series_truncation_check, symbol_value,
                                  taylor_coefficients)
@@ -23,8 +22,9 @@ from toruszeta.expansion import (_angular_sum_values, _h_moments, _inner_j,
 from toruszeta.lattice import (StencilVariant, TorusGrid, axis_symbol,
                                resolvent_trace, stencil_symbol)
 from toruszeta.quadrature import (AsymptoticDescriptor, AsymptoticTerm,
-                                  IntegrandSpec, Location, _gl_panels,
-                                  quad_periodic_2d, regularized_integral)
+                                  IntegrandSpec, Location, QuadResult,
+                                  _gl_panels, quad_periodic_2d,
+                                  regularized_integral)
 
 FIVE = StencilVariant.FIVE_POINT
 NINE = StencilVariant.NINE_POINT
@@ -37,23 +37,24 @@ A_HALF_NINE = 3.3314201382356536
 
 
 def test_leading_coeff_goldens():
-    assert leading_coeff(0.5, FIVE, 1e-12).real == pytest.approx(
+    assert leading_coeff(0.5, FIVE, 1e-12).value.real == pytest.approx(
         A_HALF_FIVE, abs=1e-12)
-    assert leading_coeff(0.5, NINE, 1e-12).real == pytest.approx(
+    assert leading_coeff(0.5, NINE, 1e-12).value.real == pytest.approx(
         A_HALF_NINE, abs=1e-12)
 
 
 def test_leading_coeff_returns_builtin_types():
     # complex and float, not NumPy scalars, so repr() reads them back
     for variant in (FIVE, NINE):
-        assert type(leading_coeff(0.3 + 2.0j, variant)) is complex
-        assert type(leading_coeff_error(0.3 + 2.0j, variant)) is float
+        res = leading_coeff(0.3 + 2.0j, variant)
+        assert type(res) is QuadResult
+        assert type(res.value) is complex and type(res.error) is float
 
 
 def test_leading_coeff_variants_differ():
     # the 9-point cross term lowers the symbol, so a~ exceeds a here
-    a5 = leading_coeff(0.5, FIVE).real
-    a9 = leading_coeff(0.5, NINE).real
+    a5 = leading_coeff(0.5, FIVE).value.real
+    a9 = leading_coeff(0.5, NINE).value.real
     assert a5 != a9
     assert a9 > a5
 
@@ -76,8 +77,8 @@ def test_leading_coeff_inner_reduction_vs_2d_quadrature():
 
 def test_leading_coeff_conjugation_and_domain():
     s = 0.3 + 2.0j
-    a = leading_coeff(s, NINE)
-    b = leading_coeff(s.conjugate(), NINE)
+    a = leading_coeff(s, NINE).value
+    b = leading_coeff(s.conjugate(), NINE).value
     assert abs(a.conjugate() - b) <= 1e-13 * abs(a)
     with pytest.raises(DomainError):
         leading_coeff(-0.1, NINE)
@@ -93,7 +94,7 @@ def test_leading_coeff_error_is_an_achieved_bound(variant):
     for s in (0.5, 0.3 + 2.0j, 0.75 + 1.0j, 1.5 + 1.0j):
         loose = leading_coeff(s, variant, 1e-8)
         tight = leading_coeff(s, variant, 1e-13)
-        assert abs(loose - tight) <= leading_coeff_error(s, variant, 1e-8)
+        assert abs(loose.value - tight.value) <= loose.error
 
 
 def test_coeff_b0_examples():
@@ -179,7 +180,7 @@ def test_leading_coeff_peak_memory():
     expansion._h_moments.cache_clear()
     tracemalloc.start()
     try:
-        expansion._leading_coeff.__wrapped__(0.733873 + 2.718712j, NINE, 1e-12)
+        leading_coeff(0.733873 + 2.718712j, NINE, 1e-12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,8 +273,10 @@ def test_coeff_b1_structure():
 def test_coeff_b1_improves_five_point_residual():
     # with the angular term the n^-2 coefficient is fully cancelled
     s = 0.5
-    slope0, pts0 = residual_order(s, FIVE, [32, 64, 128], orders_included=0)
-    slope1, pts1 = residual_order(s, FIVE, [32, 64, 128], orders_included=1)
+    slope0, pts0, _ = residual_order(s, FIVE, [32, 64, 128],
+                                     orders_included=0)
+    slope1, pts1, _ = residual_order(s, FIVE, [32, 64, 128],
+                                     orders_included=1)
     assert pts1[2][1] < pts0[2][1] / 50.0
     assert slope1 <= -3.5
     assert slope0 == pytest.approx(-2.0, abs=0.3)
@@ -282,7 +285,8 @@ def test_coeff_b1_improves_five_point_residual():
 @pytest.mark.parametrize("s", [0.5, 0.3 + 2.0j, 0.7 + 2.0j])
 def test_five_point_residual_order_is_four(s):
     # with the exact angular sum, b1 leaves no n^-2 trace in the residual
-    slope, _ = residual_order(s, FIVE, [32, 64, 128, 256], orders_included=1)
+    slope, _, _ = residual_order(s, FIVE, [32, 64, 128, 256],
+                                 orders_included=1)
     assert slope == pytest.approx(-4.0, abs=0.02)
 
 
@@ -413,17 +417,44 @@ def test_h_function_over_an_array_gives_each_point_its_scalar_bits():
         h_function(np.array([0.3 + 2.0j, 1.2 + 1.0j]), 16)
 
 
+def test_h_function_over_an_n_sequence_gives_each_n_the_bits_of_its_call(
+        monkeypatch):
+    s = np.array([0.3 + 2.0j, 0.7 - 2.0j, 0.3 + 2.0j])
+    ns = [2, 17, 128]
+    batch = h_function(s, ns)
+    assert batch.shape == (3, 3)
+    for row, n in zip(batch, ns):
+        assert np.array_equal(row, h_function(s, n))
+    column = h_function(complex(s[1]), np.array(ns))
+    assert column.shape == (3,) and np.array_equal(column, batch[:, 1])
+    assert h_function(s, []).shape == (0, 3)
+
+    # every n is checked before a quadrature or a spectral pass runs
+    def no_work(*args):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(expansion, "_graded_panels", no_work)
+    monkeypatch.setattr(expansion, "spectral_zeta", no_work)
+    with pytest.raises(RangeError, match="n must be >= 2"):
+        h_function(s, [64, 1])
+    with pytest.raises(RangeError, match="grid size"):
+        h_function(s, [64, lattice.GRID_MAX_N + 1])
+
+
 def test_residual_order_nine_point():
     s = 0.3 + 2.0j
-    slope1, _ = residual_order(s, NINE, [32, 64, 128, 256], orders_included=1)
+    slope1, _, _ = residual_order(s, NINE, [32, 64, 128, 256],
+                                  orders_included=1)
     assert slope1 <= -3.5
-    slope0, _ = residual_order(s, NINE, [32, 64, 128, 256], orders_included=0)
+    slope0, _, _ = residual_order(s, NINE, [32, 64, 128, 256],
+                                  orders_included=0)
     assert slope0 == pytest.approx(-2.0, abs=0.3)
 
 
 def test_residual_order_outside_strip():
     # leading term decays faster than n^-2 here; the b1~ term dominates
-    slope, _ = residual_order(1.5 + 1.0j, NINE, [32, 64, 128], orders_included=0)
+    slope, _, _ = residual_order(1.5 + 1.0j, NINE, [32, 64, 128],
+                                 orders_included=0)
     assert slope == pytest.approx(-2.0, abs=0.3)
 
 
@@ -489,7 +520,7 @@ def test_zeta_regularized_integral_representation():
 
 def test_residual_order_returns_the_fitted_residuals():
     s = 0.3 + 2.0j
-    slope, residuals = residual_order(s, NINE, [32, 64, 128])
+    slope, residuals, _ = residual_order(s, NINE, [32, 64, 128])
     assert slope <= -3.5
     assert [n for n, _ in residuals] == [32, 64, 128]
     assert all(r > 0 for _, r in residuals)
@@ -500,9 +531,12 @@ def test_residual_order_returns_the_fitted_residuals():
         <= 1e-12 * abs(epstein_zeta_2d(s))
 
 
-def test_residual_order_rejects_an_unordered_n_list_before_any_work():
-    expansion._leading_coeff.cache_clear()
+def test_residual_order_rejects_an_unordered_n_list_before_any_work(
+        monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(expansion, "_graded_panels", no_work)
     for n_list in ([64, 32, 128], [32, 32, 64]):
         with pytest.raises(RangeError, match="strictly increasing"):
             residual_order(0.3 + 2.0j, NINE, n_list)
-    assert expansion._leading_coeff.cache_info().misses == 0

@@ -9,6 +9,7 @@ import ast
 import importlib.util
 import inspect
 import os
+import pkgutil
 import re
 import types
 
@@ -135,7 +136,6 @@ PARAMETERS = {
     "h_function": {"tol": "conjecture.hn_ratio_study"},
     "hn_ratio_study": {"tol": "--tol"},
     "leading_coeff": {"tol": "--tol"},
-    "leading_coeff_error": {"tol": "--tol"},
     "omega": {"route": "test_omega_dual_formulas"},
     "omega_ratio": {"route": "--route"},
     "quad_periodic_2d": {
@@ -192,3 +192,20 @@ def test_every_parameter_of_the_ledger_has_its_user(callee, param, user):
             f"toruszeta.{module}"), function))
         assert param in _words(body)
     assert callee in _words(body)
+
+
+# The memo policy: only tables keyed on integers or an enum are memoized,
+# never a result keyed on s.
+TABLE_BUILDERS = {"quadrature._gl_rule", "expansion._h_moments",
+                  "expansion._correction_polys", "special._borwein_weights",
+                  "special._sieve_plan", "special._bernoulli_numbers"}
+
+
+def test_the_only_memos_are_the_table_builders():
+    memos = set()
+    for info in pkgutil.iter_modules(toruszeta.__path__):
+        module = importlib.import_module(f"toruszeta.{info.name}")
+        memos |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if hasattr(obj, "cache_info")
+                  and obj.__module__ == module.__name__}
+    assert memos == TABLE_BUILDERS

@@ -117,9 +117,23 @@ MUTANTS = (
            "        mult[half] = 1.0\n", "        mult[half] = 2.0\n",
            ("tests/test_lattice.py::test_fold_multiplicities",)),
     Mutant("hn-pair-swapped", "src/toruszeta/conjecture.py",
-           "num, den = h_function(", "den, num = h_function(",
+           "for n, (num, den) in zip(", "for n, (den, num) in zip(",
            ("tests/test_conjecture.py::"
             "test_hn_ratio_study_is_the_ratio_of_the_scalar_h_values",)),
+    Mutant("hn-leading-coeff-of-the-first-point", "src/toruszeta/expansion.py",
+           "leading_coeff(p, StencilVariant.NINE_POINT, tol).value for p in",
+           "leading_coeff(pts[0], StencilVariant.NINE_POINT, tol).value for p in",
+           ("tests/test_expansion.py::"
+            "test_h_function_over_an_array_gives_each_point_its_scalar_bits",)),
+    Mutant("b1-subtracted-at-order-zero", "src/toruszeta/expansion.py",
+           "b1term = v2 * b1 if orders_included >= 1 else 0j",
+           "b1term = v2 * b1",
+           ("tests/test_expansion.py::test_residual_order_nine_point",)),
+    Mutant("coeff-b1-memoized-on-s", "src/toruszeta/expansion.py",
+           "\ndef coeff_b1(s: complex)",
+           "\n@lru_cache(maxsize=64)\ndef coeff_b1(s: complex)",
+           ("tests/test_exports.py::"
+            "test_the_only_memos_are_the_table_builders",)),
     Mutant("descriptor-slot-unchecked", "src/toruszeta/quadrature.py",
            "if d is not None and d.location is not location:",
            "if False:",
@@ -133,6 +147,15 @@ MUTANTS = (
            "    if k < 0:\n", "    if False:\n",
            ("tests/test_cli.py::"
             "test_a_negative_point_count_exits_2_and_zero_is_an_empty_scan",)),
+    Mutant("scan-point-cap-unchecked", "src/toruszeta/cli.py",
+           "    if k > SCAN_MAX_POINTS:\n", "    if False:\n",
+           ("tests/test_cli.py::"
+            "test_a_scan_past_its_point_cap_exits_2_before_any_output",)),
+    Mutant("closed-form-before-the-direct-sum", "src/toruszeta/cli.py",
+           "    direct = []\n",
+           "    direct = []\n    epstein.epstein_zeta_2d(s)\n",
+           ("tests/test_cli.py::"
+            "test_a_rejected_direct_sum_exits_2_before_the_series",)),
 )
 
 
