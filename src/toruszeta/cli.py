@@ -276,7 +276,7 @@ def _xi_with_defect(s: np.ndarray):
     flag at every point of s, from one batched pass over the points and
     their mirrors 1 - s.  Where both underflow to 0 the defect is vacuous:
     the flag is set, and one warning goes to stderr."""
-    xi = epstein.complete_xi_array(np.concatenate([s, 1.0 - s]))
+    xi = epstein.complete_xi(np.concatenate([s, 1.0 - s]))
     val, mirror = xi[:s.size], xi[s.size:]
     defect = np.abs(val - mirror) / (1.0 + np.abs(val))
     underflow = (val == 0.0) & (mirror == 0.0)
@@ -332,9 +332,10 @@ def _cmd_expansion(args, w: RecordWriter) -> None:
     _require_strip(s, args.strict)
     variant = _variant(args.variant)
     n_list = _parse_int_list(args.n_list)
-    slope, residuals, (leading, v_front, b1) = expansion.residual_order(
-        s, variant, n_list, orders_included=args.orders, tol=args.tol)
-    b0 = expansion.coeff_b0(s)
+    slope, residuals, (leading, v_front, const, b1) = \
+        expansion.residual_order(s, variant, n_list,
+                                 orders_included=args.orders, tol=args.tol)
+    b0 = epstein.v_factor_inv(2, s) * const  # coeff_b0's expression
     meta = {"variant": args.variant, "orders": str(args.orders)}
     coeff_meta = dict(meta,
                       leading=_g17(leading.real) + "+" + _g17(leading.imag) + "i",
@@ -435,7 +436,7 @@ def _cmd_scan(args, w: RecordWriter) -> None:
             raise DomainError("--strict: omega scan requires b > 65")
         _require_series_domain(args.b, args.strict)
         pts = _points(real, args.b)
-        vals = np.abs(conjecture.omega_ratio_array(pts))
+        vals = np.abs(conjecture.omega_ratio(pts))
         monotone = bool(np.all(vals[1:] > vals[:-1]))
         w.write(ScanRecord(pts, "omega_ratio", vals,
                            meta={"monotone_scan": str(monotone).lower()}))

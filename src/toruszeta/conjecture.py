@@ -6,10 +6,11 @@ on Re(s) = 1/2, |Omega(1-s)/Omega(s)| is strictly increasing across the
 strip for large Im(s), and |H_n(1-s)/H_n(s)| converges to 1 away from zeros
 of zeta(Delta, s) with an n^-2 correction driven by Omega.
 
-The omega1 Omega ratio is array-first: ``omega_ratio_array`` makes one
-batched zeta(Delta, s -+ 1) pass and forms the quotients as one array
-operation, so each value has the same bits in any batch.  The omega2 and
-direct routes stay scalar, as independent cross-checks.
+``omega_ratio`` by its omega1 route takes one s or a 1-D array of s, as
+the functions of ``special`` do: one batched zeta(Delta, s -+ 1) pass, and
+the quotients formed as one array operation, so each value has the same
+bits in any batch.  The omega2 and direct routes take one s, as
+independent cross-checks.
 
 The functions here return numbers and verdicts, not rows: ``cli`` alone
 builds the records it writes.
@@ -22,29 +23,33 @@ from typing import Sequence
 
 import numpy as np
 
-from .epstein import (complete_xi, epstein_zeta_2d, epstein_zeta_2d_array,
-                      find_critical_zeros, omega)
-from .errors import NonFiniteError, PoleError, ZeroDenominatorError
+from .epstein import complete_xi, epstein_zeta_2d, find_critical_zeros, omega
+from .errors import (NonFiniteError, PoleError, ShapeError,
+                     ZeroDenominatorError)
 from .expansion import h_function
-from .special import _as_array
+from .special import _as_points, _one_or_many
 
 _TINY = 1e-280
 _ZERO_DISTANCE_TAG = 0.05  # |s - zero| below which hn_ratio_study tags s
 
 
-def omega_ratio(s: complex, route: str = "omega1") -> complex:
+def omega_ratio(s, route: str = "omega1"):
     """Omega(1-s)/Omega(s), default via the zeta(Delta, s+-1) route:
 
         Omega(1-s)/Omega(s) = (s(s-1)/pi^2) zeta(Delta,s+1)/zeta(Delta,s-1).
 
-    ``route`` selects "omega1" (above, ``omega_ratio_array`` at one point),
+    ``route`` selects "omega1" (above, at one s or a 1-D array of s),
     "omega2" (the mirrored zeta(Delta,-s)/zeta(Delta,2-s) form), or
-    "direct" (quotient of the two Omega evaluations); all three agree
-    wherever defined.
+    "direct" (quotient of the two Omega evaluations), these two at one s
+    only (ShapeError for an array); all three agree wherever defined.
     """
-    s = complex(s)
     if route == "omega1":
-        return omega_ratio_array([s])[0]
+        return _omega1(s)
+    if route not in ("omega2", "direct"):
+        raise ValueError(f"unknown route {route!r}")
+    if np.ndim(s):
+        raise ShapeError(f"the {route} route takes one s, not an array")
+    s = complex(s)
     if route == "omega2":
         den = epstein_zeta_2d(2.0 - s)
         if abs(den) < _TINY:
@@ -53,27 +58,25 @@ def omega_ratio(s: complex, route: str = "omega1") -> complex:
         if s == 0.0 or s == 1.0:
             raise PoleError("omega2 route singular at s in {0,1}", location=s)
         return math.pi ** 2 / (s * (s - 1.0)) * epstein_zeta_2d(-s) / den
-    if route == "direct":
-        den = omega(s)
-        if abs(den) < _TINY:
-            raise ZeroDenominatorError("Omega(s) vanishes", factor="Omega(s)")
-        return omega(1.0 - s) / den
-    raise ValueError(f"unknown route {route!r}")
+    den = omega(s)
+    if abs(den) < _TINY:
+        raise ZeroDenominatorError("Omega(s) vanishes", factor="Omega(s)")
+    return omega(1.0 - s) / den
 
 
 def _shifted_zetas(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """zeta(Delta, s+1) and zeta(Delta, s-1) at every point of s, from one
     batched pass; raises ZeroDenominatorError where the second vanishes."""
-    zeta = epstein_zeta_2d_array(np.concatenate([s - 1.0, s + 1.0]))
+    zeta = epstein_zeta_2d(np.concatenate([s - 1.0, s + 1.0]))
     if np.any(np.abs(zeta[:s.size]) < _TINY):
         raise ZeroDenominatorError(
             "zeta(Delta, s-1) vanishes", factor="zeta(Delta,s-1)")
     return zeta[s.size:], zeta[:s.size]
 
 
-def omega_ratio_array(s) -> np.ndarray:
-    """The omega1 route of ``omega_ratio`` at every point of a 1-D array."""
-    s = _as_array(s)
+@_one_or_many
+def _omega1(s: np.ndarray) -> np.ndarray:
+    """The omega1 route of ``omega_ratio``."""
     num, den = _shifted_zetas(s)
     return s * (s - 1.0) / math.pi ** 2 * num / den
 
@@ -88,7 +91,7 @@ def q_factor(s: complex) -> float:
 
 def eta_factor(s: complex) -> float:
     """eta(s) = |zeta(Delta, s+1) / zeta(Delta, s-1)|."""
-    num, den = _shifted_zetas(_as_array([s]))
+    num, den = _shifted_zetas(_as_points([s]))
     return abs(num[0]) / abs(den[0])
 
 
@@ -119,7 +122,7 @@ def monotonicity_scan(b: float, a_grid: Sequence[float]):
         raise ValueError("a_grid must be strictly increasing")
     exploratory = not b > 65.0
     points = [complex(a, b) for a in a_grid]
-    values = [abs(v) for v in omega_ratio_array(points)]
+    values = [abs(v) for v in omega_ratio(points)]
     strictly_increasing = all(
         v2 > v1 + _STRICT_SLACK for v1, v2 in zip(values, values[1:]))
     crossing = None

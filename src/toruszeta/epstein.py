@@ -10,12 +10,13 @@ it sit the direct lattice sum for validation, the complete xi function and
 its functional equation xi2(s) = xi2(1-s), the V_alpha front factor, Omega,
 and critical-line zero location via Hardy-rotated real signals.
 
-zeta(Delta, s), xi2 and the Hardy signals are array-first, one batched
-series pass per call (zeta(Delta, s) takes zeta and beta from one shared
-power table); ``epstein_zeta_2d`` and ``complete_xi`` are the array
-functions at one point.  The Gamma factors (one batched Gamma call, or
+``epstein_zeta_2d`` and ``complete_xi`` take one s or a 1-D array of s,
+as the functions of ``special`` do, and the Hardy signals an array of t:
+one batched series pass per call (zeta(Delta, s) takes zeta and beta from
+one shared power table).  The Gamma factors (one batched Gamma call, or
 log-Gamma for the Hardy phases) and the products are elementwise array
-operations, so each value has the same bits in any batch.
+operations, so each value has the same bits in any batch.  The zero scan
+stops at ``ZERO_SCAN_MAX_T``.
 """
 
 from __future__ import annotations
@@ -30,23 +31,17 @@ import numpy as np
 from .errors import (DomainError, PoleError, SignalLostError,
                      ZeroShortfallWarning)
 from .lattice import _fold_source, _powsum
-from .special import (_LD_LOG_PI, _LOG_PI, _as_array, _gamma_poles,
-                      complex_gamma_array, complex_log_gamma_array,
-                      dirichlet_beta_array, riemann_zeta_array,
-                      zeta_beta_arrays)
+from .special import (_LD_LOG_PI, _LOG_PI, _gamma_poles, _one_or_many,
+                      _zeta_beta, complex_gamma, complex_log_gamma,
+                      dirichlet_beta, riemann_zeta)
 
 
-def epstein_zeta_2d_array(s) -> np.ndarray:
-    """zeta(Delta, s) = 4 zeta_R(s) beta(s) at every point of a 1-D array,
-    from one batched pass that shares the power table of the two series;
-    its pole s = 1 is zeta_R's."""
-    zeta, beta = zeta_beta_arrays(s)
+@_one_or_many
+def epstein_zeta_2d(s):
+    """zeta(Delta, s) = 4 zeta_R(s) beta(s), from one batched pass that
+    shares the power table of the two series; its pole s = 1 is zeta_R's."""
+    zeta, beta = _zeta_beta(s)
     return 4.0 * zeta * beta
-
-
-def epstein_zeta_2d(s: complex) -> complex:
-    """``epstein_zeta_2d_array`` at one point."""
-    return epstein_zeta_2d_array([s])[0]
 
 
 DIRECT_SUM_MAX_CUTOFF = 8192  # ~cutoff^2/2 terms, as at lattice.GRID_MAX_N
@@ -92,24 +87,25 @@ def v_factor_inv(alpha: int, s: complex) -> complex:
     s = complex(s)
     if alpha < 1:
         raise DomainError("alpha must be a positive integer")
-    gamma = complex_gamma_array([s, alpha - s])
+    gamma = complex_gamma([s, alpha - s])
     return complex(gamma[0] * gamma[1] / (2.0 * math.factorial(alpha - 1)))
 
 
-def _pi_pow_gamma(s) -> np.ndarray:
-    """pi^(-s) Gamma(s) at every point of a 1-D array, with -s log pi in
+def _pi_pow_gamma(s):
+    """pi^(-s) Gamma(s) at one s or a 1-D array of s, with -s log pi in
     Gamma's long-double exponent; exactly real on the real axis."""
-    return complex_gamma_array(s, _LD_LOG_PI)
+    return complex_gamma(s, log_base=_LD_LOG_PI)
 
 
 def _xi(s: np.ndarray) -> np.ndarray:
     """pi^(-s) Gamma(s) zeta(Delta, s) at every point of s, as given."""
-    return _pi_pow_gamma(s) * epstein_zeta_2d_array(s)
+    return _pi_pow_gamma(s) * epstein_zeta_2d(s)
 
 
-def complete_xi_array(s) -> np.ndarray:
-    """Complete Epstein zeta xi2(s) = pi^(-s) Gamma(s) zeta(Delta, s) at
-    every point of a 1-D array, from one batched zeta(Delta, s) pass.
+@_one_or_many
+def complete_xi(s):
+    """Complete Epstein zeta xi2(s) = pi^(-s) Gamma(s) zeta(Delta, s), from
+    one batched zeta(Delta, s) pass.
 
     Satisfies xi2(s) = xi2(1-s).  Poles at s = 0 (raised by Gamma)
     and s = 1 (raised by zeta).  At s = -k, k = 1, 2, ..., the zero of
@@ -125,7 +121,6 @@ def complete_xi_array(s) -> np.ndarray:
     zero part (xi2 underflows far up the line) or of an inf or nan one, so
     a folded point whose value has such a part is evaluated as given.
     """
-    s = _as_array(s)
     negative_int = _gamma_poles(s) & (s.real <= -1.0)
     s = np.where(negative_int, 1.0 - s, s)
     folded = s.imag < 0.0
@@ -143,11 +138,6 @@ def complete_xi_array(s) -> np.ndarray:
     if redo.any():
         xi[redo] = _xi(s[redo])
     return xi
-
-
-def complete_xi(s: complex) -> complex:
-    """``complete_xi_array`` at one point."""
-    return complete_xi_array([s])[0]
 
 
 class OmegaRoute(enum.Enum):
@@ -173,7 +163,7 @@ def omega(s: complex, route: OmegaRoute = OmegaRoute.DIRECT) -> complex:
             raise PoleError("xi route is 0/0 at s = 1; use the direct route",
                             location=s)
         return (s * (s - 1.0) * math.pi / 3.0) * complete_xi(s - 1.0)
-    return (s / 3.0) * math.pi ** 2 * _pi_pow_gamma([s])[0] \
+    return (s / 3.0) * math.pi ** 2 * _pi_pow_gamma(s) \
         * epstein_zeta_2d(s - 1.0)
 
 
@@ -218,6 +208,9 @@ _RESOLVE_ROUNDS = 8
 _ROOT_TOL = 1e-13
 _ROOT_RTOL = 4e-16
 _MAX_POLISH = 100
+# the highest t a zero scan reaches: t_max = 1500 takes ~2 s, since the
+# series order grows like t and the Gram points like t log t
+ZERO_SCAN_MAX_T = 1500.0
 
 
 def _by_factor(beta: np.ndarray, table: dict) -> np.ndarray:
@@ -227,7 +220,7 @@ def _by_factor(beta: np.ndarray, table: dict) -> np.ndarray:
 def _hardy_phase(ts: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """theta(t) of the zeta factor (beta False) or the beta factor (beta
     True) at every t of ``ts``: one batched log-Gamma call."""
-    return complex_log_gamma_array(_by_factor(beta, _PHASE_A) + 0.5j * ts) \
+    return complex_log_gamma(_by_factor(beta, _PHASE_A) + 0.5j * ts) \
         .imag + 0.5 * ts * _by_factor(beta, _PHASE_LOG_B)
 
 
@@ -240,8 +233,8 @@ def _hardy_z(ts, beta) -> np.ndarray:
     beta = np.broadcast_to(np.asarray(beta, dtype=bool), ts.shape)
     s = 0.5 + 1j * ts
     vals = np.empty_like(s)
-    vals[~beta] = riemann_zeta_array(s[~beta])
-    vals[beta] = dirichlet_beta_array(s[beta])
+    vals[~beta] = riemann_zeta(s[~beta])
+    vals[beta] = dirichlet_beta(s[beta])
     theta = _hardy_phase(ts, beta)
     return np.cos(theta) * vals.real - np.sin(theta) * vals.imag
 
@@ -395,10 +388,14 @@ def find_critical_zeros(t_min: float, t_max: float, step: float | None = None,
     factor's counts: ``found`` zeros in the window, ``expected`` = found plus
     the zeros still missing from the blocks that meet it.  A shortfall
     warns (ZeroShortfallWarning), or raises SignalLostError if ``strict``.
-    ``step``, if given, caps the sampling spacing.
+    ``step``, if given, caps the sampling spacing.  DomainError past
+    ``ZERO_SCAN_MAX_T``.
     """
     if not 0 < t_min < t_max:
         raise DomainError("need 0 < t_min < t_max")
+    if t_max > ZERO_SCAN_MAX_T:
+        raise DomainError(f"zero scan t_max {t_max:g} exceeds "
+                          f"{ZERO_SCAN_MAX_T:g}")
     if step is not None and not 0 < step < math.inf:
         raise DomainError(f"scan step must be positive and finite, got {step}")
     factors = (False, True)
@@ -433,7 +430,7 @@ def find_critical_zeros(t_min: float, t_max: float, step: float | None = None,
                                *map(np.concatenate, zip(*brackets)))
     keep = (roots >= t_min) & (roots <= t_max)
     roots, beta = roots[keep], beta[keep]
-    residuals = np.abs(epstein_zeta_2d_array(0.5 + 1j * roots))
+    residuals = np.abs(epstein_zeta_2d(0.5 + 1j * roots))
     found = [int(np.count_nonzero(beta == b)) for b in factors]
     expected = [n + sum(max(0, want - seen) for _, _, want, seen in bl)
                 for n, bl in zip(found, blocks)]

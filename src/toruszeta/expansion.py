@@ -50,7 +50,7 @@ from .errors import DomainError, RangeError, SignalLostError
 from .lattice import (StencilVariant, TorusGrid, axis_symbol, spectral_zeta,
                       stencil_symbol)
 from .quadrature import QuadResult, quad_periodic_2d, _gl_panels, _graded_panels
-from .special import (_BERNOULLI_MAX, _as_array, bernoulli_fraction,
+from .special import (_BERNOULLI_MAX, _as_points, bernoulli_fraction,
                       bernoulli_polynomial)
 
 
@@ -461,7 +461,7 @@ def h_function(s, n, tol: float = 1e-12):
     9-point, at one s or a 1-D array of s, and at one n or a 1-D sequence
     of n (a leading axis): every n checked, then a~(s) and the Gamma factors
     once per point, then one spectral pass per n over all the points."""
-    points = _as_array(np.atleast_1d(s))
+    points = _as_points(np.atleast_1d(s))
     if not ((0.0 < points.real) & (points.real < 1.0)).all():
         raise DomainError("H_n defined for Re(s) in (0,1)")
     ns = np.atleast_1d(n).tolist()
@@ -485,11 +485,12 @@ def residual_order(s: complex, variant: StencilVariant, n_list,
                    orders_included: int = 1, tol: float = 1e-12):
     """Log-log slope of the expansion residual over a geometric n list.
 
-    Returns (slope, [(n, |residual|)], (a(s), V_2(s), b1)); the n list must
-    hold at least three strictly increasing values.  The leading term and
-    the constant term zeta(Delta, s) are always subtracted, the n^-2 term
-    b1 (b1~ for the 9-point, b1 with the angular term for the 5-point) when
-    ``orders_included`` >= 1; b1 is returned either way.
+    Returns (slope, [(n, |residual|)], (a(s), V_2(s), zeta(Delta, s), b1));
+    the n list must hold at least three strictly increasing values.  The
+    leading term and the constant term zeta(Delta, s) are always
+    subtracted, the n^-2 term b1 (b1~ for the 9-point, b1 with the angular
+    term for the 5-point) when ``orders_included`` >= 1; b1 is returned
+    either way.
     Raises SignalLostError when any residual sits on the summation /
     quadrature noise floor instead of the signal.
     """
@@ -526,4 +527,4 @@ def residual_order(s: complex, variant: StencilVariant, n_list,
     ys = np.array([p[1] for p in pts])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return slope, [(int(n), math.exp(y)) for n, y in zip(n_list, ys)], \
-        (lead, v2, b1)
+        (lead, v2, const, b1)

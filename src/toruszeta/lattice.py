@@ -211,8 +211,8 @@ def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s,
     one point s or each point of a 1-D array, from one pass of principal
     powers over the folded spectrum and the pairwise tree: bit-identical
     across runs and batches.  ``abs_parts``: see ``_powsum``."""
-    from .special import _as_array  # keeps lattice's import light
-    points = _as_array(s) if np.ndim(s) else np.array([complex(s)])
+    from .special import _as_points  # keeps lattice's import light
+    points = _as_points(s if np.ndim(s) else [s])
     n = grid.n
     if n == 1:
         raise DegenerateError("empty spectrum: n=1 torus has only the zero mode")

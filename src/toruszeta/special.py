@@ -3,18 +3,17 @@
 Gamma, log-Gamma, digamma, Riemann zeta, Dirichlet beta, Bernoulli numbers
 and polynomials -- every transcendental ingredient the lattice/zeta modules
 consume.  Digamma takes a complex or real s and returns Python complex.
-Gamma, log-Gamma, zeta and beta are array-first: ``complex_gamma_array``,
-``complex_log_gamma_array``, ``riemann_zeta_array`` and
-``dirichlet_beta_array`` take a 1-D array of s; ``complex_gamma``,
-``complex_log_gamma``, ``riemann_zeta`` and ``dirichlet_beta`` are them at
-one point, and ``zeta_beta_arrays`` gives both series from one pass.  Both
-series sum terms w_k m^(-s) over m = 1..n (zeta) or the odd m up to 2n - 1
-(beta), and m^(-s) is completely multiplicative: a table of m^(-s) needs an
-exp at the primes only, and one table serves both series.  Each value has
-the same bits in any batch: every point's terms come from elementwise
-operations and its own order's weights, and are added in row order by one
-column sum per block of points.  The array functions reject an inf or nan s
-with DomainError.  Everything is pure and safe to call concurrently.
+``complex_gamma``, ``complex_log_gamma``, ``riemann_zeta`` and
+``dirichlet_beta`` take one s or a 1-D array of s (``_one_or_many``): an
+array gives an array, one s the value it has inside any batch, as an
+np.complex128.  They reject an inf or nan s with DomainError and any other
+shape with ShapeError.  Both series sum terms w_k m^(-s) over m = 1..n
+(zeta) or the odd m up to 2n - 1 (beta), and m^(-s) is completely
+multiplicative: a table of m^(-s) needs an exp at the primes only, and one
+table serves both series (``_zeta_beta``).  Each value has the same bits in
+any batch: every point's terms come from elementwise operations and its own
+order's weights, and are added in row order by one column sum per block of
+points.  Everything is pure and safe to call concurrently.
 
 Gamma, log-Gamma and digamma take one Stirling step: the shift
 k = max(0, ceil(8 - Re s)), the exponent (w - 1/2) log w - w +
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -61,7 +60,7 @@ _STIRLING_LG = (
 )
 
 
-def _as_array(s) -> np.ndarray:
+def _as_points(s) -> np.ndarray:
     """s as a 1-D complex array; ShapeError for any other shape and
     DomainError at the first inf or nan point."""
     values = np.asarray(s, dtype=complex)
@@ -71,6 +70,18 @@ def _as_array(s) -> np.ndarray:
     if not finite.all():
         raise DomainError(f"s must be finite, got {values[~finite][0]}")
     return values
+
+
+def _one_or_many(fn):
+    """fn, a function of a 1-D complex array of s, made to take one s or a
+    1-D array of s, each checked by ``_as_points``: one s gives the element
+    of its one-point batch, which keeps NumPy's arithmetic in its callers."""
+    @wraps(fn)
+    def one_or_many(s, *args, **kwargs):
+        if np.ndim(s):
+            return fn(_as_points(s), *args, **kwargs)
+        return fn(_as_points([s]), *args, **kwargs)[0]
+    return one_or_many
 
 
 def _gamma_poles(s, what: str | None = None) -> np.ndarray:
@@ -142,33 +153,28 @@ def _gamma_ld(s: np.ndarray, log_base) -> np.ndarray:
     return out
 
 
-def complex_gamma_array(s, log_base=0.0) -> np.ndarray:
-    """Gamma(s) at every point of a 1-D array, times b^(-s) for a base b
-    given by its logarithm ``log_base`` (a long double, e.g. ``_LD_LOG_PI``
-    for pi^(-s) Gamma(s)); PoleError at the non-positive integers.
+@_one_or_many
+def complex_gamma(s, log_base=0.0):
+    """Gamma(s), times b^(-s) for a base b given by its logarithm
+    ``log_base`` (a long double, e.g. ``_LD_LOG_PI`` for pi^(-s) Gamma(s));
+    PoleError at the non-positive integers.
 
     The exponent is formed in long double, so the result is accurate to a
     few ulp out to |Im(s)| ~ 200 and exactly real on the real axis.
     """
-    s = _as_array(s)
     _gamma_poles(s, "Gamma")
     return _gamma_ld(s.astype(np.clongdouble), _LD(log_base)).astype(complex)
 
 
-def complex_gamma(s: complex) -> complex:
-    """``complex_gamma_array`` at one point."""
-    return complex(complex_gamma_array([s])[0])
-
-
-def complex_log_gamma_array(s) -> np.ndarray:
-    """The principal branch of log Gamma at every point of a 1-D array:
-    real on (0, oo), analytic off (-oo, 0], exp(log_gamma) == complex_gamma;
-    PoleError at the non-positive integers.
+@_one_or_many
+def complex_log_gamma(s):
+    """The principal branch of log Gamma: real on (0, oo), analytic off
+    (-oo, 0], exp(log_gamma) == complex_gamma; PoleError at the non-positive
+    integers.
 
     The Stirling exponent at w = s + k less the sum of the principal
     log(s + j), j < k: the principal branch off the poles (Hare 1997).
     """
-    s = _as_array(s)
     _gamma_poles(s, "log-Gamma")
     k, shifted = _stirling_shift(s)
     shift = np.zeros_like(s)
@@ -176,11 +182,6 @@ def complex_log_gamma_array(s) -> np.ndarray:
         shift = shift + np.where(taken, np.log(z), 0.0)
     return (_stirling_exponent(s.astype(np.clongdouble), k) - shift) \
         .astype(complex)
-
-
-def complex_log_gamma(s: complex) -> complex:
-    """``complex_log_gamma_array`` at one point."""
-    return complex(complex_log_gamma_array([s])[0])
 
 
 def digamma(s: complex) -> complex:
@@ -423,7 +424,7 @@ def _zeta_front(s: np.ndarray) -> np.ndarray:
     """2 sin(pi s/2) (2 pi)^(s-1) Gamma(1-s), so zeta(s) = front
     zeta(1-s)."""
     return 2.0 * _sinpi(0.5 * s) \
-        * complex_gamma_array(1.0 - s, 2.0 * _LD_LOG_SQRT_TWO_PI)
+        * complex_gamma(1.0 - s, 2.0 * _LD_LOG_SQRT_TWO_PI)
 
 
 def _zeta_from_eta(s: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -435,53 +436,42 @@ def _zeta_from_eta(s: np.ndarray, eta: np.ndarray) -> np.ndarray:
     denom = _eta_denominator(s)
     reflect = denom == 0.0
     return _continue(s, reflect, eta[~reflect] / denom[~reflect],
-                     _zeta_front, riemann_zeta_array)
+                     _zeta_front, riemann_zeta)
 
 
-def riemann_zeta_array(s) -> np.ndarray:
-    """Riemann zeta at every point of a 1-D array, PoleError at s = 1:
-    Borwein-accelerated eta series for Re(s) >= -1, functional-equation
-    reflection for Re(s) < -1 and near the eta denominator zeros."""
-    s = _as_array(s)
+@_one_or_many
+def riemann_zeta(s):
+    """Riemann zeta, PoleError at s = 1: Borwein-accelerated eta series for
+    Re(s) >= -1, functional-equation reflection for Re(s) < -1 and near the
+    eta denominator zeros."""
     return _zeta_from_eta(s, _borwein_series(s, (1,))[0])
-
-
-def riemann_zeta(s: complex) -> complex:
-    """``riemann_zeta_array`` at one point."""
-    return riemann_zeta_array([s])[0]
 
 
 def _beta_front(s: np.ndarray) -> np.ndarray:
     """cos(pi s/2) (pi/2)^(s-1) Gamma(1-s), so beta(s) = front
     beta(1-s)."""
     return _sinpi(0.5 * s + 0.5) \
-        * complex_gamma_array(1.0 - s, _LD_LOG_HALF_PI)
+        * complex_gamma(1.0 - s, _LD_LOG_HALF_PI)
 
 
 def _beta_from_series(s: np.ndarray, series: np.ndarray) -> np.ndarray:
     """beta at every point of s from its sums of ``_borwein_series``."""
     reflect = s.real < -1.0
     return _continue(s, reflect, series[~reflect], _beta_front,
-                     dirichlet_beta_array)
+                     dirichlet_beta)
 
 
-def dirichlet_beta_array(s) -> np.ndarray:
-    """Dirichlet beta (the L-function of the odd character mod 4; entire)
-    at every point of a 1-D array: accelerated alternating series for
-    Re(s) >= -1, reflection below."""
-    s = _as_array(s)
+@_one_or_many
+def dirichlet_beta(s):
+    """Dirichlet beta (the L-function of the odd character mod 4; entire):
+    accelerated alternating series for Re(s) >= -1, reflection below."""
     return _beta_from_series(s, _borwein_series(s, (2,))[0])
 
 
-def dirichlet_beta(s: complex) -> complex:
-    """``dirichlet_beta_array`` at one point."""
-    return dirichlet_beta_array([s])[0]
-
-
-def zeta_beta_arrays(s) -> tuple[np.ndarray, np.ndarray]:
-    """``riemann_zeta_array(s)`` and ``dirichlet_beta_array(s)``, with
-    their bits, from one power table per block for both series."""
-    s = _as_array(s)
+def _zeta_beta(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``riemann_zeta(s)`` and ``dirichlet_beta(s)`` at every point of a
+    1-D complex array checked by ``_as_points``, with their bits, from one
+    power table per block for both series."""
     eta, series = _borwein_series(s, (1, 2))
     return _zeta_from_eta(s, eta), _beta_from_series(s, series)
 

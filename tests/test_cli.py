@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import toruszeta
 from _cli_digest import cli_digest, golden
-from toruszeta import conjecture, epstein, lattice
+from toruszeta import conjecture, epstein, expansion, lattice
 from toruszeta.cli import (_COMPLEX_RE, QUANTITY_REGISTRY, SCAN_MAX_POINTS,
                            RecordWriter, ScanRecord, _cmd_coeff, _cmd_emcheck,
                            _cmd_epstein, _cmd_expansion, _cmd_hn, _cmd_omega,
@@ -347,10 +347,44 @@ def test_a_grid_or_cutoff_past_its_limit_exits_2_before_any_work(
 def test_a_rejected_direct_sum_exits_2_before_the_series(line, message,
                                                          capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(epstein, "zeta_beta_arrays", calls.append)
+    monkeypatch.setattr(epstein, "_zeta_beta", calls.append)
     code, out, err = run_cli(shlex.split(line), capsys)
     assert (code, out, calls) == (2, "", [])
     assert message in err
+
+
+def test_a_zero_scan_past_its_bound_exits_2_before_any_output(capsys,
+                                                              monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(epstein, "_hardy_phase", no_work)
+    line = "scan --kind zeros --t-min 1 --t-max 1501"
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(["--format", fmt, *shlex.split(line)], capsys)
+        assert (code, out) == (2, "")
+        assert "exceeds 1500" in err
+
+
+def test_an_expansion_job_evaluates_zeta_delta_at_s_and_s_minus_1(
+        capsys, monkeypatch):
+    # expansion_b0 is built from the constant term residual_order used,
+    # not from a third series pass
+    calls, own = [], epstein.epstein_zeta_2d
+
+    def counted(s):
+        calls.append(s)
+        return own(s)
+
+    for module in (conjecture, epstein, expansion):
+        monkeypatch.setattr(module, "epstein_zeta_2d", counted)
+    s = 0.3 + 2j
+    for variant in ("nine", "five"):
+        calls.clear()
+        code, _, _ = run_cli(["expansion", "--s", "0.3+2i", "--variant",
+                              variant, "--n-list", "32,64,128"], capsys)
+        assert code == 0
+        assert calls == [s, s - 1.0]
 
 
 @pytest.mark.parametrize("line, at_limit, options", [
@@ -369,8 +403,8 @@ def test_a_scan_past_its_point_cap_exits_2_before_any_output(
     def no_work(*args):
         raise AssertionError("the scan ran")
 
-    monkeypatch.setattr(conjecture, "omega_ratio_array", no_work)
-    monkeypatch.setattr(epstein, "complete_xi_array", no_work)
+    monkeypatch.setattr(conjecture, "omega_ratio", no_work)
+    monkeypatch.setattr(epstein, "complete_xi", no_work)
     code, out, err = run_cli(shlex.split(line), capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {options} = ")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from toruszeta.conjecture import (eta_factor, hn_ratio_study,
-                                  monotonicity_scan, omega_ratio,
-                                  omega_ratio_array, q_factor, rho_factor)
+                                  monotonicity_scan, omega_ratio, q_factor,
+                                  rho_factor)
 from toruszeta.errors import PoleError, ZeroDenominatorError
 
 # |zeta(Delta, s+1)/zeta(Delta, s-1)| at 0.75+70i, pinned offline (30 digits)
@@ -37,7 +37,7 @@ def test_omega_ratio_array_matches_scalar_bits():
     points = [complex(a, b) for b in (5.0, 70.0, 99.0)
               for a in np.linspace(0.01, 0.99, 41)]
     expect = np.array([omega_ratio(s) for s in points])
-    got = omega_ratio_array(points)
+    got = omega_ratio(points)
     assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 

@@ -9,16 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 import toruszeta
 from toruszeta import epstein
-from toruszeta.conjecture import omega_ratio, omega_ratio_array
+from toruszeta.conjecture import omega_ratio
 from toruszeta.epstein import (OmegaRoute, ZeroSource, _hardy_z,
                                _illinois_lockstep, complete_xi,
-                               complete_xi_array, epstein_direct_sum,
-                               epstein_zeta_2d, epstein_zeta_2d_array,
+                               epstein_direct_sum, epstein_zeta_2d,
                                find_critical_zeros, hardy_z_beta,
                                hardy_z_riemann, omega, v_factor, v_factor_inv)
-from toruszeta.errors import (DomainError, PoleError, SignalLostError,
-                              ZeroShortfallWarning)
-from toruszeta.special import digamma, riemann_zeta, riemann_zeta_array
+from toruszeta.errors import (DomainError, PoleError, ShapeError,
+                              SignalLostError, ZeroShortfallWarning)
+from toruszeta.special import (complex_gamma, complex_log_gamma, digamma,
+                               dirichlet_beta, riemann_zeta)
 
 CATALAN = 0.915965594177219015
 # first critical-line zeros of the two Glasser factors, pinned by the
@@ -337,6 +337,18 @@ def test_zero_scan_domain():
         find_critical_zeros(-1.0, 5.0)
 
 
+def test_a_zero_scan_past_its_bound_raises_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(epstein, "_hardy_phase", no_work)
+    with pytest.raises(DomainError, match="exceeds 1500"):
+        find_critical_zeros(1.0, np.nextafter(epstein.ZERO_SCAN_MAX_T, 2e3))
+    # the bound itself is accepted
+    with pytest.raises(AssertionError, match="the scan ran"):
+        find_critical_zeros(1.0, epstein.ZERO_SCAN_MAX_T)
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=complex).view(np.uint64)
 
@@ -346,15 +358,44 @@ def test_batched_epstein_and_xi_match_scalar_bits():
     # buckets wide enough for the batched column loop
     points = [complex(a, b) for a in np.linspace(0.05, 0.95, 19)
               for b in np.linspace(-99.0, 99.0, 7)]
-    for scalar, batched in ((epstein_zeta_2d, epstein_zeta_2d_array),
-                            (complete_xi, complete_xi_array)):
-        expect = [scalar(s) for s in points]
-        assert np.array_equal(_bits(batched(points)), _bits(expect))
+    for fn in (epstein_zeta_2d, complete_xi):
+        expect = [fn(s) for s in points]
+        assert np.array_equal(_bits(fn(points)), _bits(expect))
     with pytest.raises(PoleError):
-        epstein_zeta_2d_array([2.0, 1.0])
+        epstein_zeta_2d([2.0, 1.0])
     for pole in (0.0, 1.0):
         with pytest.raises(PoleError):
-            complete_xi_array([0.5 + 3.0j, pole])
+            complete_xi([0.5 + 3.0j, pole])
+
+
+@pytest.mark.parametrize("fn", [
+    complex_gamma, complex_log_gamma, riemann_zeta, dirichlet_beta,
+    epstein_zeta_2d, complete_xi, omega_ratio])
+def test_one_s_or_an_array_of_s(fn):
+    # one point is the element of a batch, bits and type, wherever it sits;
+    # an empty array gives an empty array; any other shape, or a nan point,
+    # raises
+    p, q = 0.3 + 5.0j, 0.7 - 12.0j
+    one = fn(p)
+    for batch, at in (([p, q], 0), ([q, p], 1)):
+        value = fn(np.array(batch))[at]
+        assert type(one) is type(value) is np.complex128
+        assert np.array_equal(_bits([one]), _bits([value]))
+    empty = fn(np.array([], dtype=complex))
+    assert empty.shape == (0,) and empty.dtype == complex
+    with pytest.raises(ShapeError):
+        fn(np.array([[p, q]]))
+    with pytest.raises(DomainError):
+        fn(math.nan)
+
+
+@pytest.mark.parametrize("route", ["omega2", "direct"])
+def test_the_cross_check_omega_routes_take_one_s(route):
+    assert omega_ratio(0.3 + 5.0j, route) == pytest.approx(
+        omega_ratio(0.3 + 5.0j), rel=1e-10)
+    for s in ([0.3 + 5.0j], np.array([0.3 + 5.0j, 0.7 - 12.0j])):
+        with pytest.raises(ShapeError):
+            omega_ratio(s, route)
 
 
 def test_xi_batches_fold_to_one_evaluation_per_point(monkeypatch):
@@ -374,7 +415,7 @@ def test_xi_batches_fold_to_one_evaluation_per_point(monkeypatch):
     grids = [(np.linspace(lo, hi, 7)[:, None] + 1j * im).ravel()
              for lo, hi in ((0.125, 0.875), (0.1, 0.9))]
     # a mirror-exact grid and its mirrors: the 7 x 4 points of Im(s) >= 0
-    complete_xi_array(np.concatenate([grids[0], 1.0 - grids[0]]))
+    complete_xi(np.concatenate([grids[0], 1.0 - grids[0]]))
     assert evaluated == [7 * 4]
     special_points = np.array([
         0.3 + 5j, 0.3 - 5j, 0.3 + 5j, 0.7 - 5j, 0.3 + 0j,
@@ -383,7 +424,7 @@ def test_xi_batches_fold_to_one_evaluation_per_point(monkeypatch):
     batch = np.concatenate([*grids, 1.0 - grids[1], special_points])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        got = complete_xi_array(batch)
+        got = complete_xi(batch)
         # the folded points whose value has a zero, inf or nan part again,
         # as given
         assert len(evaluated) == 3
@@ -404,31 +445,30 @@ def test_xi_functional_equation_over_the_domain(x, y):
     s = complex(x, y)
     if min(abs(s), abs(1.0 - s)) < 1e-3:
         return
-    val, mirror = complete_xi_array([s, 1.0 - s])
+    val, mirror = complete_xi([s, 1.0 - s])
     assert abs(val - mirror) <= 1e-11 * abs(val)
 
 
 def test_non_finite_points_raise():
-    for batched in (epstein_zeta_2d_array, complete_xi_array,
-                    omega_ratio_array):
+    for fn in (epstein_zeta_2d, complete_xi, omega_ratio):
         for bad in (math.nan, complex(0.5, math.inf)):
             with pytest.raises(DomainError, match="finite"):
-                batched([0.5 + 3.0j, bad])
+                fn([0.5 + 3.0j, bad])
 
 
-@pytest.mark.parametrize("scalar, batched, pole", [
-    (riemann_zeta, riemann_zeta_array, 1.0),
-    (epstein_zeta_2d, epstein_zeta_2d_array, 1.0),
-    (complete_xi, complete_xi_array, 0.0),
-    (complete_xi, complete_xi_array, 1.0),
-    (omega_ratio, omega_ratio_array, 0.0),
-    (omega_ratio, omega_ratio_array, 2.0),
+@pytest.mark.parametrize("fn, pole", [
+    (riemann_zeta, 1.0),
+    (epstein_zeta_2d, 1.0),
+    (complete_xi, 0.0),
+    (complete_xi, 1.0),
+    (omega_ratio, 0.0),
+    (omega_ratio, 2.0),
 ])
-def test_poles_raise_through_scalar_and_array(scalar, batched, pole):
+def test_poles_raise_through_scalar_and_array(fn, pole):
     with pytest.raises(PoleError):
-        scalar(pole)
+        fn(pole)
     with pytest.raises(PoleError):
-        batched([0.5 + 3.0j, pole])
+        fn([0.5 + 3.0j, pole])
 
 
 def _illinois_one(fn, lo, hi, flo, fhi):
@@ -484,7 +524,7 @@ def test_xi_at_the_negative_integers():
     # the zero of zeta(Delta, -k) cancels Gamma's pole: xi2(-k) = xi2(k+1)
     for k in (1, 2, 5):
         assert complete_xi(-float(k)) == complete_xi(k + 1.0)
-    near, at, mirror = complete_xi_array([-2.0 + 1e-3j, -2.0, 3.0])
+    near, at, mirror = complete_xi([-2.0 + 1e-3j, -2.0, 3.0])
     assert at == mirror
     assert abs(near - at) <= 1e-3 * abs(at)
     for pole in (0.0, 1.0):
@@ -496,7 +536,7 @@ def test_xi_is_exactly_real_on_the_real_axis():
     # pi^(-s) Gamma(s) takes Gamma's sign from the reflection, not from
     # exp(+-i pi), so no imaginary rounding is left over
     points = [-0.5, -2.5, 0.3, 3.5]
-    for val in list(complete_xi_array(points)) \
+    for val in list(complete_xi(points)) \
             + [complete_xi(s) for s in points]:
         assert val.imag == 0.0 and val.real != 0.0
     # the long-double Gamma leaves the series as the main error: zeta(-0.5) is good

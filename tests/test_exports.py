@@ -132,6 +132,7 @@ PARAMETERS = {
                       "descriptor_infinity": "criterion 08"},
     "PoleError": {"location": "epstein.omega"},
     "ZeroDenominatorError": {"factor": "conjecture.omega_ratio"},
+    "complex_gamma": {"log_base": "epstein._pi_pow_gamma"},
     "find_critical_zeros": {"step": "--step", "strict": "--strict"},
     "h_function": {"tol": "conjecture.hn_ratio_study"},
     "hn_ratio_study": {"tol": "--tol"},

@@ -14,11 +14,8 @@ from toruszeta.lattice import StencilVariant
 from toruszeta.quadrature import _gl_rule
 from toruszeta.special import (EULER_GAMMA, bernoulli_fraction,
                                bernoulli_polynomial, complex_gamma,
-                               complex_gamma_array, complex_log_gamma,
-                               complex_log_gamma_array, digamma,
-                               dirichlet_beta, dirichlet_beta_array,
-                               riemann_zeta, riemann_zeta_array,
-                               zeta_beta_arrays)
+                               complex_log_gamma, digamma, dirichlet_beta,
+                               riemann_zeta)
 
 # golden values pinned offline with an arbitrary-precision oracle (30 digits)
 GAMMA_HALF_14I = complex(-4.05370307803728149e-10, -5.77329983455360516e-10)
@@ -38,7 +35,7 @@ def test_gamma_poles():
         with pytest.raises(PoleError):
             complex_gamma(s)
         with pytest.raises(PoleError, match="Gamma has a pole"):
-            complex_gamma_array([2.5 + 1.0j, s])
+            complex_gamma([2.5 + 1.0j, s])
     with pytest.raises(PoleError, match="digamma has a pole"):
         digamma(-3.0)
 
@@ -213,13 +210,10 @@ def _bits(values) -> np.ndarray:
 
 
 def _assert_batched_matches_scalar(points):
-    shared = zeta_beta_arrays(points)
-    for scalar, batched, both in ((riemann_zeta, riemann_zeta_array,
-                                   shared[0]),
-                                  (dirichlet_beta, dirichlet_beta_array,
-                                   shared[1])):
-        expect = np.array([scalar(s) for s in points], dtype=complex)
-        assert np.array_equal(_bits(batched(points)), _bits(expect))
+    shared = special._zeta_beta(np.asarray(points, dtype=complex))
+    for fn, both in ((riemann_zeta, shared[0]), (dirichlet_beta, shared[1])):
+        expect = np.array([fn(s) for s in points], dtype=complex)
+        assert np.array_equal(_bits(fn(points)), _bits(expect))
         assert np.array_equal(_bits(both), _bits(expect))
 
 
@@ -284,15 +278,15 @@ def test_column_blocks_stay_within_the_budget():
 
 
 def test_batched_series_empty_and_pole():
-    for batched in (riemann_zeta_array, dirichlet_beta_array):
+    for batched in (riemann_zeta, dirichlet_beta):
         out = batched(np.array([], dtype=complex))
         assert out.shape == (0,) and out.dtype == complex
         with pytest.raises(ShapeError):
             batched(np.ones((2, 2)))
     with pytest.raises(PoleError):
-        riemann_zeta_array([0.5 + 1.0j, 1.0, 2.0])
+        riemann_zeta([0.5 + 1.0j, 1.0, 2.0])
     # beta is entire: s = 1 is an ordinary point
-    assert dirichlet_beta_array([1.0])[0] == dirichlet_beta(1.0)
+    assert dirichlet_beta([1.0])[0] == dirichlet_beta(1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
@@ -301,8 +295,8 @@ def test_batched_series_empty_and_pole():
 def test_array_functions_reject_non_finite_points(bad):
     # a nan point would otherwise take the reflection over and over
     # (RecursionError) or come out as a silent 0 from the series
-    for fn in (riemann_zeta_array, dirichlet_beta_array, zeta_beta_arrays,
-               complex_gamma_array, complex_log_gamma_array):
+    for fn in (riemann_zeta, dirichlet_beta, complex_gamma,
+               complex_log_gamma):
         with pytest.raises(DomainError, match="finite"):
             fn([0.5 + 3.0j, bad])
     with pytest.raises(DomainError):
@@ -397,11 +391,11 @@ def test_borwein_weights_memo_holds_a_batched_sweep():
     points = (np.linspace(-1.0, 2.0, 12)[:, None]
               + 1j * np.linspace(0.0, 100.0, 201)).ravel()
     assert len({special._series_order(complex(s)) for s in points}) == 104
-    riemann_zeta_array(points)
-    dirichlet_beta_array(points)
+    riemann_zeta(points)
+    dirichlet_beta(points)
     misses = special._borwein_weights.cache_info().misses
-    riemann_zeta_array(points)
-    dirichlet_beta_array(points)
+    riemann_zeta(points)
+    dirichlet_beta(points)
     assert special._borwein_weights.cache_info().misses == misses
 
 
@@ -412,11 +406,10 @@ def test_conjugation_is_exact(points):
     # with no rounding difference; only the sign of a zero part may flip
     # (s on the real axis, or an imaginary part that underflows)
     points = np.array(points, dtype=complex)
-    for scalar, batched in ((riemann_zeta, riemann_zeta_array),
-                            (dirichlet_beta, dirichlet_beta_array)):
-        assert np.array_equal(batched(points.conj()), batched(points).conj())
-        lhs = [scalar(s.conjugate()) for s in points[:3]]
-        rhs = [scalar(s).conjugate() for s in points[:3]]
+    for fn in (riemann_zeta, dirichlet_beta):
+        assert np.array_equal(fn(points.conj()), fn(points).conj())
+        lhs = [fn(s.conjugate()) for s in points[:3]]
+        rhs = [fn(s).conjugate() for s in points[:3]]
         assert np.array_equal(lhs, rhs)
 
 
@@ -482,7 +475,7 @@ _log_gamma_points = st.builds(complex, st.floats(-10, 10),
 @settings(max_examples=300, deadline=None)
 @given(_log_gamma_points)
 def test_log_gamma_array_matches_reference(s):
-    got = complex_log_gamma_array([s])[0]
+    got = complex_log_gamma(s)
     expect = _reference_log_gamma(s)
     diff = got - expect
     if s.real <= 0.0:
@@ -495,7 +488,7 @@ def test_log_gamma_array_matches_reference(s):
 @given(st.lists(_log_gamma_points, max_size=40))
 def test_log_gamma_one_point_and_batched_bits_agree(points):
     one = [complex_log_gamma(s) for s in points]
-    assert np.array_equal(_bits(complex_log_gamma_array(points)), _bits(one))
+    assert np.array_equal(_bits(complex_log_gamma(points)), _bits(one))
 
 
 def test_log_gamma_poles_raise_through_scalar_and_array():
@@ -503,7 +496,7 @@ def test_log_gamma_poles_raise_through_scalar_and_array():
         with pytest.raises(PoleError):
             complex_log_gamma(pole)
         with pytest.raises(PoleError):
-            complex_log_gamma_array([2.5 + 1.0j, pole])
+            complex_log_gamma([2.5 + 1.0j, pole])
 
 
 # (Re s, Im s, Gamma(s), pi^(-s) Gamma(s)): 36 random points of Re(s) in
@@ -579,21 +572,21 @@ def test_gamma_accuracy_on_the_golden_set():
     right = s.real > 0.0
     for log_base, col in ((0.0, 2), (special._LD_LOG_PI, 4)):
         ref = _GOLDEN_GAMMA[:, col] + 1j * _GOLDEN_GAMMA[:, col + 1]
-        got = complex_gamma_array(s, log_base)
+        got = complex_gamma(s, log_base)
         err = np.abs(got - ref) / np.abs(ref)
         assert err[right].max() <= 5e-15
         assert err[~right].max() <= 1e-14
         # pi^(-s) Gamma(s) and Gamma(s) are exactly real on the real axis
         assert not got[s.imag == 0.0].imag.any()
     one_point = [complex_gamma(z) for z in s]
-    assert np.array_equal(_bits(one_point), _bits(complex_gamma_array(s)))
+    assert np.array_equal(_bits(one_point), _bits(complex_gamma(s)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_log_gamma_points, max_size=40))
 def test_gamma_one_point_and_batched_bits_agree(points):
     one = [complex_gamma(s) for s in points]
-    assert np.array_equal(_bits(complex_gamma_array(points)), _bits(one))
+    assert np.array_equal(_bits(complex_gamma(points)), _bits(one))
 
 
 def _reference_series_order(s: complex) -> int:
@@ -693,7 +686,7 @@ _FORMER_MAX_ERROR = {"domain": 7.36e-14, "outside": 8.79e-13}
 def test_series_accuracy_on_the_golden_set():
     s = _GOLDEN_SERIES[:, 0] + 1j * _GOLDEN_SERIES[:, 1]
     domain = np.abs(s.imag) <= special.SERIES_MAX_IM
-    for fn, col in ((riemann_zeta_array, 2), (dirichlet_beta_array, 4)):
+    for fn, col in ((riemann_zeta, 2), (dirichlet_beta, 4)):
         ref = _GOLDEN_SERIES[:, col] + 1j * _GOLDEN_SERIES[:, col + 1]
         err = np.abs(fn(s) - ref) / np.abs(ref)
         assert err[domain].max() <= _FORMER_MAX_ERROR["domain"]
@@ -758,7 +751,7 @@ def test_log_gamma_and_digamma_accuracy_on_the_golden_set():
     log_gamma = _GOLDEN_LOG_GAMMA[:, 2] + 1j * _GOLDEN_LOG_GAMMA[:, 3]
     psi = _GOLDEN_LOG_GAMMA[:, 4] + 1j * _GOLDEN_LOG_GAMMA[:, 5]
     hardy = np.isin(s.real, (0.25, 0.75))
-    err = np.abs(complex_log_gamma_array(s) - log_gamma)
+    err = np.abs(complex_log_gamma(s) - log_gamma)
     assert (err / np.maximum(1.0, np.abs(log_gamma)))[~hardy].max() <= 2e-15
     assert err[hardy].max() <= 2e-14
     got = np.array([digamma(z) for z in s])

@@ -135,8 +135,10 @@ COMMANDS = (
     "zeta --n 1 --variant five --s 1",
     "scan --kind nope",
     "scan --kind zeros --t-min 1 --t-max 20 --step -0.1",
-    # a bad zero-scan start: exit 2 before any output
+    # a bad zero-scan start, or an end past ZERO_SCAN_MAX_T: exit 2 before
+    # any output
     "scan --kind zeros --t-min -1 --t-max 20",
+    "scan --kind zeros --t-min 1 --t-max 1501",
     "--tol 1e-4 expansion --s 0.3+2i --variant nine --n-list 64,128,256 --orders 1",
     # command lines the parser rejects: a missing required option, an
     # unknown option, an ambiguous prefix, a bad int, a global flag after

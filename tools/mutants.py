@@ -156,6 +156,25 @@ MUTANTS = (
            "    direct = []\n    epstein.epstein_zeta_2d(s)\n",
            ("tests/test_cli.py::"
             "test_a_rejected_direct_sum_exits_2_before_the_series",)),
+    # Python's complex division rounds otherwise than NumPy's: the omega2
+    # route's quotient of one-point values moves by an ulp, which the
+    # golden listing's bounds allow, so the type check kills it
+    Mutant("one-point-returns-python-complex", "src/toruszeta/special.py",
+           "        return fn(_as_points([s]), *args, **kwargs)[0]\n",
+           "        return complex(fn(_as_points([s]), *args, **kwargs)[0])\n",
+           ("tests/test_epstein.py::test_one_s_or_an_array_of_s",)),
+    Mutant("two-d-input-accepted", "src/toruszeta/special.py",
+           "    if values.ndim != 1:\n", "    if values.ndim > 2:\n",
+           ("tests/test_epstein.py::test_one_s_or_an_array_of_s",)),
+    Mutant("expansion-b0-from-a-second-series-pass", "src/toruszeta/cli.py",
+           "    b0 = epstein.v_factor_inv(2, s) * const",
+           "    b0 = expansion.coeff_b0(s)",
+           ("tests/test_cli.py::"
+            "test_an_expansion_job_evaluates_zeta_delta_at_s_and_s_minus_1",)),
+    Mutant("zero-scan-bound-unchecked", "src/toruszeta/epstein.py",
+           "    if t_max > ZERO_SCAN_MAX_T:\n", "    if False:\n",
+           ("tests/test_epstein.py::"
+            "test_a_zero_scan_past_its_bound_raises_before_any_work",)),
 )
 
 
