@@ -9,8 +9,8 @@ configurations produce byte-identical output files; timing goes to stderr
 only.  Rows are built here alone: each handler calls the library, which
 returns numbers, and wraps them in ``ScanRecord``s, whose quantity must be
 in ``QUANTITY_REGISTRY``.  A scan writes its rows as columnar records: each
-is formatted with one %-template, its text cells escaped once, and checked
-for inf and nan one column at a time.
+is checked for inf and nan one column at a time, its text cells escaped
+once, and each distinct number of a column formatted once (``_rows``).
 
 The command line is read in one pass over one table of subcommands
 (``_COMMANDS``: per subcommand its handler, help and options, per option
@@ -132,11 +132,10 @@ def _escape(text: str, fmt: str) -> str:
     return text.replace("%", "%%")
 
 
-def _batch(rec: ScanRecord, fmt: str) -> tuple[str, np.ndarray]:
-    """One row of ``rec`` as a %-template, with its text cells escaped once
-    for the whole batch and %.17g (the format of ``_g17``) in its number
-    cells, and the numbers of its rows, one row per number cell.  A JSON
-    row starts with its separator from the row before."""
+def _batch(rec: ScanRecord, fmt: str) -> tuple[list, np.ndarray]:
+    """The cells of one row of ``rec`` in the column order of ``fmt``, its
+    text cells escaped once for the whole batch and None in its number
+    cells, and the numbers of its rows, one row per number cell."""
     value = np.atleast_1d(np.asarray(rec.value, dtype=complex))
     numbers = {"value_re": value.real, "value_im": value.imag}
     if rec.s is not None:
@@ -147,15 +146,38 @@ def _batch(rec: ScanRecord, fmt: str) -> tuple[str, np.ndarray]:
     text = {"quantity": rec.quantity, "n": "" if rec.n is None else str(rec.n),
             "meta": ";".join(f"{k}={v}" for k, v in sorted(rec.meta.items()))}
     names = _COLUMNS if fmt == "csv" else sorted(_COLUMNS)
-    number = "%.17g" if fmt == "csv" else '"%.17g"'
-    cells = [number if c in numbers else _escape(text.get(c, ""), fmt)
-             for c in names]
+    return ([None if c in numbers else _escape(text.get(c, ""), fmt)
+             for c in names],
+            np.array([numbers[c] for c in names if c in numbers]))
+
+
+def _template(cells: list, fmt: str) -> str:
+    """A row of ``fmt`` from its cells; a JSON row starts with its
+    separator from the row before."""
     if fmt == "csv":
-        row = ",".join(cells) + "\r\n"
-    else:
-        row = ",\n {" + ", ".join(f'"{c}": {v}' for c, v in zip(names, cells)) \
-            + "}"
-    return row, np.array([numbers[c] for c in names if c in numbers])
+        return ",".join(cells) + "\r\n"
+    return ",\n {" + ", ".join(f'"{c}": {v}' for c, v
+                              in zip(sorted(_COLUMNS), cells)) + "}"
+
+
+def _rows(cells: list, numbers: np.ndarray, fmt: str) -> str:
+    """The rows of the finite ``numbers`` (a row per None of ``cells``) in
+    the row template of ``cells``, every number as %.17g (as ``_g17``): a
+    column whose bits are all equal formatted once, into the template, any
+    other each distinct bit pattern once (so -0.0 and 0.0 stay apart)."""
+    cells, columns, quote = list(cells), [], '"' * (fmt == "json")
+    for i, column in zip([i for i, c in enumerate(cells) if c is None],
+                         numbers):
+        bits = column.view(np.uint64)
+        if (bits == bits[0]).all():
+            cells[i] = quote + "%.17g" % column[0] + quote
+        else:  # return_inverse: a plain np.unique imports numpy.ma
+            keys, inverse = np.unique(bits, return_inverse=True)
+            columns.append(np.array(["%.17g" % x for x in keys.view(float)
+                                     .tolist()], dtype=object)[inverse])
+            cells[i] = quote + "%s" + quote
+    varying = np.column_stack(columns).ravel().tolist() if columns else []
+    return (_template(cells, fmt) * numbers.shape[1]) % tuple(varying)
 
 
 class RecordWriter:
@@ -184,8 +206,7 @@ class RecordWriter:
                 row, numbers = _batch(rec, self.fmt)
                 finite = np.isfinite(numbers).all(axis=0)
                 good = finite.size if finite.all() else int(np.argmin(finite))
-                text = (row * good) \
-                    % tuple(numbers[:, :good].T.ravel().tolist())
+                text = _rows(row, numbers[:, :good], self.fmt) if good else ""
                 if good and self._head:
                     # the first JSON row has no separator before it
                     chunks.append(self._head)

@@ -148,6 +148,9 @@ def hn_ratio_study(s: complex, n_list: Sequence[int], tol: float = 1e-12):
     |ratio - 1| n^2.
     """
     s = complex(s)
+    # H_n first: where V_2 overflows (|Im s| past ~239) it fails before any
+    # zero scan, so the probe never nears the scan's bound
+    pairs = h_function(np.array([1.0 - s, s]), n_list, tol)
     fallback = None
     # detected zeros all sit on Re = 1/2, so only nearby Re(s) can qualify
     if abs(s.real - 0.5) < _ZERO_DISTANCE_TAG and abs(s.imag) > 1.0:
@@ -159,8 +162,7 @@ def hn_ratio_study(s: complex, n_list: Sequence[int], tol: float = 1e-12):
                 raise NonFiniteError(
                     f"non-finite Omega ratio fallback at s={s}")
     ratios = []
-    for n, (num, den) in zip(n_list, h_function(np.array([1.0 - s, s]),
-                                                 n_list, tol)):
+    for n, (num, den) in zip(n_list, pairs):
         if abs(den) < _TINY:
             raise ZeroDenominatorError(
                 f"H_n(s) ~ 0 at n={n}; s may sit on a xi_2 zero "

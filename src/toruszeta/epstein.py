@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, PoleError, SignalLostError,
+from .errors import (DomainError, NonFiniteError, PoleError, SignalLostError,
                      ZeroShortfallWarning)
 from .lattice import _fold_source, _powsum
 from .special import (_LD_LOG_PI, _LOG_PI, _gamma_poles, _one_or_many,
@@ -79,7 +79,9 @@ def v_factor(alpha: int, s: complex) -> complex:
         raise DomainError("alpha must be a positive integer")
     if _gamma_poles([s, alpha - s]).any():
         return 0j
-    return 1.0 / v_factor_inv(alpha, s)
+    if (inverse := v_factor_inv(alpha, s)) == 0.0:  # past |Im s| ~ 239
+        raise NonFiniteError(f"V_{alpha}(s) overflows at s = {s}")
+    return 1.0 / inverse
 
 
 def v_factor_inv(alpha: int, s: complex) -> complex:

@@ -220,7 +220,7 @@ def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s,
     total = _powsum(*_fold_source(head, axis_mult, lambda a, b, out:
                                   stencil_symbol(variant, a, b, n, out)),
                     points, abs_parts)
-    return total if np.ndim(s) else complex(total[0])
+    return total if np.ndim(s) else total[0]
 
 
 def spectral_zeta_1d(n: int, s: complex) -> complex:

@@ -35,6 +35,7 @@ the direct series.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -210,19 +211,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 _RESCALE = 2.0 ** 900
+# the largest order whose running sum d_n / n stays below _RESCALE
+_ONE_PASS_MAX = 357
+# series order -> its signed weights, read-only, for the orders up to
+# _ONE_PASS_MAX (at most 0.5 MB in all; ``_borwein_weights``)
+_WEIGHTS: dict = {}
 
 
-# holds all 104 orders (27..130) of Re(s) in [-1, 2], |Im(s)| <= 100
+# the larger orders, which a sweep in t meets without end, 128 at a time
 @lru_cache(maxsize=128)
-def _borwein_weights(n: int) -> np.ndarray:
-    """Signed Chebyshev/binomial weights (-1)^k (d_n - d_k)/d_n, k < n.
-
-    d_k = n sum_{j <= k} p_j with p_0 = 1/n, p_{j+1} = p_j (4 (n+j)(n-j)) /
-    ((2j+1)(2j+2)): one running product and one running sum, in order.
-    d_k grows like (3+sqrt(8))^k, so where the sum passes 2^900 (n > ~350)
-    the values so far are divided by 2^900 and both runs resume from there;
-    orders below that keep their bits.
-    """
+def _order_weights(n: int) -> np.ndarray:
+    """Order n's signed weights by its own running product and sum, both
+    divided by 2^900 where the sum passes it (n > ``_ONE_PASS_MAX``)."""
     j = np.arange(n)
     steps = 4.0 * (n + j) * (n - j) / ((2 * j + 1) * (2 * j + 2))
     d = np.empty(n + 1)
@@ -243,8 +243,38 @@ def _borwein_weights(n: int) -> np.ndarray:
     return _read_only(w)
 
 
+def _one_pass_weights(orders: list) -> None:
+    """Put the signed weights of ``orders`` (none above ``_ONE_PASS_MAX``)
+    in ``_WEIGHTS`` from one running product and sum down the rows of a
+    (j, order) table, element for element the arithmetic of
+    ``_order_weights``; past row n a column's steps are <= 0, its product 0."""
+    n = np.array(orders)
+    j = np.arange(n.max())[:, None]
+    p = np.vstack([1.0 / n, 4.0 * (n + j) * (n - j)
+                   / ((2 * j + 1) * (2 * j + 2))])
+    d = n * np.add.accumulate(np.multiply.accumulate(p, axis=0), axis=0)
+    top = d[n, np.arange(n.size)]
+    w = (top - d[:-1]) / top
+    w[1::2] = -w[1::2]
+    _WEIGHTS.update((m, _read_only(w[:m, c].copy()))
+                    for c, m in enumerate(orders))
+
+
+def _borwein_weights(orders: list) -> dict:
+    """{n: signed Chebyshev/binomial weights (-1)^k (d_n - d_k)/d_n, k < n}
+    for the distinct int ``orders``, none above ``_ONE_PASS_MAX`` (|Im(s)|
+    ~ 355 on the line), from ``_WEIGHTS`` once it holds them: d_k = n
+    sum_{j <= k} p_j, p_0 = 1/n, p_{j+1} = p_j 4 (n+j)(n-j) / ((2j+1)(2j+2)).
+    The orders it lacks are built in one pass, with the bits of
+    ``_order_weights``, which serves the larger orders (whose sum passes
+    2^900) one at a time."""
+    if missing := [n for n in orders if n not in _WEIGHTS]:
+        _one_pass_weights(missing)
+    return {n: _WEIGHTS[n] for n in orders}
+
+
 # The validated domain of zeta and beta: their accuracy target is tested on
-# |Im(s)| <= SERIES_MAX_IM, whose series orders the weights memo holds.  The
+# |Im(s)| <= SERIES_MAX_IM (series orders 27..130 on Re(s) in [-1, 2]).  The
 # CLI rejects points outside it under --strict.
 SERIES_MAX_IM = 100.0
 
@@ -361,6 +391,10 @@ def _borwein_series(s: np.ndarray, strides: tuple) -> np.ndarray:
     by_order = series[np.argsort(orders, kind="stable")]
     orders = np.sort(orders, kind="stable")
     blocks = _column_blocks(orders, strides)
+    cuts = [0, *(np.flatnonzero(orders[1:] != orders[:-1]) + 1).tolist(),
+            orders.size]  # where each run of one order starts, and the end
+    held = _borwein_weights([m for m in orders[cuts[:-1]].tolist()
+                             if m <= _ONE_PASS_MAX])
     size = _sieve_plan(_plan_order(int(orders[-1])), strides)[3] \
         * (blocks[0][1] - blocks[0][0])
     table, terms = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
@@ -380,12 +414,12 @@ def _borwein_series(s: np.ndarray, strides: tuple) -> np.ndarray:
                     phase[:, column], out=p[1:1 + log_primes.size])
         for first, end, factor_rows, cofactor_rows in levels:
             np.multiply(p[factor_rows], p[cofactor_rows], out=p[first:end])
-        block = orders[lo:hi]
-        runs = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(),
-                hi - lo]
-        for a, b in zip(runs, runs[1:]):
-            m = int(block[a])
-            w[:m, a:b] = _borwein_weights(m)[:, None]
+        first = bisect_right(cuts, lo) - 1
+        for a, b in zip(cuts[first:], cuts[first + 1:]):
+            if a >= hi:
+                break
+            m, a, b = int(orders[a]), max(a, lo) - lo, min(b, hi) - lo
+            w[:m, a:b] = (held[m] if m in held else _order_weights(m))[:, None]
             w[m:, a:b] = 0.0
         for i, term_rows in enumerate(stride_rows):
             np.multiply(np.take(p, term_rows[:n], axis=0, out=t), w, out=t)

@@ -23,8 +23,9 @@ from toruszeta import conjecture, epstein, expansion, lattice
 from toruszeta.cli import (_COMPLEX_RE, QUANTITY_REGISTRY, SCAN_MAX_POINTS,
                            RecordWriter, ScanRecord, _cmd_coeff, _cmd_emcheck,
                            _cmd_epstein, _cmd_expansion, _cmd_hn, _cmd_omega,
-                           _cmd_scan, _cmd_xi, _cmd_zeta, _cmd_zeta1d, _g17,
-                           main, parse_args, parse_complex)
+                           _batch, _cmd_scan, _cmd_xi, _cmd_zeta, _cmd_zeta1d,
+                           _g17, _rows, _template, main, parse_args,
+                           parse_complex)
 from toruszeta.errors import NonFiniteError, ZeroShortfallWarning
 from toruszeta.lattice import StencilVariant, TorusGrid, spectral_zeta
 
@@ -269,32 +270,48 @@ def test_cli_import_builds_no_tables():
     # them does not pay for them at import
     probe = ("import toruszeta.cli\n"
              "from toruszeta.quadrature import _gl_rule\n"
-             "from toruszeta.special import (_SIEVE, _bernoulli_numbers,\n"
-             "    _borwein_weights, _sieve_plan)\n"
+             "from toruszeta.special import (_SIEVE, _WEIGHTS,\n"
+             "    _bernoulli_numbers, _order_weights, _sieve_plan)\n"
              "print(*(f.cache_info().currsize for f in (_gl_rule,\n"
-             "    _bernoulli_numbers, _borwein_weights, _sieve_plan)),\n"
-             "    len(_SIEVE))")
+             "    _bernoulli_numbers, _order_weights, _sieve_plan)),\n"
+             "    len(_WEIGHTS), len(_SIEVE))")
     src = os.path.dirname(os.path.dirname(toruszeta.__file__))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert done.stdout.split() == ["0", "0", "0", "0", "0"]
+    assert done.stdout.split() == ["0"] * 6
+
+
+# one small job of each kind the benchmark runs
+_JOB_KINDS = (
+    "zeta --n 16 --s 0.5+1i", "zeta1d --n 16 --s 0.25",
+    "epstein --s 2 --direct-cutoff 5", "hn --s 0.3+2i --n-list 16,32",
+    "expansion --s 0.3+2i --variant nine --n-list 16,32,64 --orders 1",
+    "coeff a --s 0.5 --variant nine", "scan --kind zeros --t-min 1 --t-max 20",
+    "scan --kind omega --b 70 --points 11",
+    "scan --kind xi-defect --re-points 3 --im-points 3", "xi --s 0.3+5i",
+    "omega --s 0.5+70i --ratio")
 
 
 def test_a_cli_job_loads_no_argparse():
-    # the command line is read from the option table in cli, so a job
-    # imports neither argparse nor the gettext and locale it pulls in
+    # everything a job uses is imported with toruszeta.cli, so no module
+    # enters sys.modules inside main; the command line is read from the
+    # option table in cli, so neither argparse nor the gettext and locale it
+    # pulls in is ever loaded
     probe = ("import contextlib, io, sys\n"
              "import toruszeta.cli\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = toruszeta.cli.main(['xi', '--s', '0.3+5i'])\n"
-             "print(code, *sorted({'argparse', 'gettext', 'locale'}\n"
-             "                    & set(sys.modules)))")
+             f"for argv in {_JOB_KINDS!r}:\n"
+             "    before = set(sys.modules)\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = toruszeta.cli.main(argv.split())\n"
+             "    print(code, *sorted(set(sys.modules) - before), sep=',')\n"
+             "print(*sorted({'argparse', 'gettext', 'locale'}\n"
+             "              & set(sys.modules)), sep=',')")
     src = os.path.dirname(os.path.dirname(toruszeta.__file__))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=60, check=True,
+                          text=True, timeout=120, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert done.stdout.split() == ["0"]
+    assert done.stdout.splitlines() == ["0"] * len(_JOB_KINDS) + [""]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -751,6 +768,63 @@ def test_a_columnar_record_writes_the_bytes_of_its_rows(fmt, bad_row,
         expect += "\n]\n"
     assert _writer_output([record], fmt, None, True, capsys) \
         == (bad_row is not None, expect)
+
+
+def _per_cell_text(record, fmt: str, good: int) -> str:
+    """The first ``good`` rows of ``record`` as the former writer made them:
+    every number cell of every row through one %.17g row template."""
+    cells, numbers = _batch(record, fmt)
+    number = "%.17g" if fmt == "csv" else '"%.17g"'
+    row = _template([number if c is None else c for c in cells], fmt)
+    return (row * good) % tuple(numbers[:, :good].T.ravel().tolist())
+
+
+# (s, value, err_est) of records whose columns repeat in every way
+_COLUMN_CASES = {
+    # two constant columns of different numbers, -0.0 constant in a third
+    "constant": (np.full(4, 0.5 + 3.0j), np.array([1.0, 2.0, 3.0, 4.0]),
+                 np.full(4, -0.0)),
+    "repeated": (np.array([0.1, 0.2, 0.1, 0.3, 0.2]) + 1j * np.array(
+                     [1.0, 1.0, 2.0, 2.0, 1.0]),
+                 np.array([7.0, 1 / 3, 7.0, 1 / 3, 1e-300]), None),
+    "signed-zeros": (np.array([0.0, -0.0, 0.0, -0.0]) + 0.25j,
+                     np.array([complex(0.0, -0.0), complex(-0.0, 0.0),
+                               complex(-0.0, -0.0), 0j]),
+                     np.array([0.0, 0.0, -0.0, 0.0])),
+    "one-row": (np.array([0.3 + 5.0j]), np.array([2.5 - 1e17j]),
+                np.array([1e-9])),
+    "empty": (np.array([], dtype=complex), np.array([], dtype=complex),
+              None),
+    # constant over the rows before the nan, other numbers after it
+    "nan-mid-column": (np.array([0.5, 0.5, 0.5, 0.7]) + 2.0j,
+                       np.array([1.5, 1.5, float("nan"), 2.5]),
+                       np.array([1e-3, 1e-3, 2e-3, 1e-3])),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_COLUMN_CASES))
+def test_each_distinct_number_is_formatted_once_with_the_cells_bytes(
+        fmt, case, capsys):
+    # a constant column goes into the row template, any other formats each
+    # distinct bit pattern once; the bytes are those of one template for
+    # every cell, the non-finite gate unchanged
+    s, value, err = _COLUMN_CASES[case]
+    record = ScanRecord(s, "zero", value, n=3, err_est=err,
+                        meta={"source": "a,b 100%"})
+    good = 2 if case == "nan-mid-column" else s.size
+    cells, numbers = _batch(record, fmt)
+    text = _per_cell_text(record, fmt, good)
+    if good:
+        assert _rows(cells, numbers[:, :good], fmt) == text
+    head = ",".join(_COLUMNS) + "\r\n" if fmt == "csv" else "["
+    if fmt == "json":
+        text = text[1:]
+    expect = head + text if good else ""
+    if good == s.size:
+        expect += ("" if good else head) + ("\n]\n" if fmt == "json" else "")
+    assert _writer_output([record], fmt, None, True, capsys) \
+        == (good < s.size, expect)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from toruszeta import conjecture
 from toruszeta.conjecture import (eta_factor, hn_ratio_study,
                                   monotonicity_scan, omega_ratio, q_factor,
                                   rho_factor)
-from toruszeta.errors import PoleError, ZeroDenominatorError
+from toruszeta.errors import NonFiniteError, PoleError, ZeroDenominatorError
 
 # |zeta(Delta, s+1)/zeta(Delta, s-1)| at 0.75+70i, pinned offline (30 digits)
 ETA_GOLDEN = 0.0101705044779227135
@@ -189,6 +190,22 @@ def test_hn_ratio_study_runs_one_leading_coefficient_per_point(monkeypatch):
     ratios, _ = hn_ratio_study(s, [16, 32, 64, 128, 256])
     assert len(ratios) == 5
     assert sorted(calls, key=lambda p: p.real) == [s, 1.0 - s]
+
+
+def test_hn_past_the_v2_overflow_fails_before_any_zero_scan(monkeypatch):
+    # past |Im s| ~ 239 V_2 overflows, so near the line the study fails on
+    # H_n before its near-zero probe scans (which near |Im s| = 1500 would
+    # pass the zero scan's bound); below, the probe scans |Im s| -+ 1.5
+    windows = []
+    scan = conjecture.find_critical_zeros
+    monkeypatch.setattr(conjecture, "find_critical_zeros",
+                        lambda lo, hi: windows.append((lo, hi)) or scan(lo, hi))
+    for t in (1499.5, -300.0):
+        with pytest.raises(NonFiniteError, match="V_2"):
+            hn_ratio_study(complex(0.5, t), [32, 64])
+    assert windows == []
+    hn_ratio_study(complex(0.5, 14.0), [32])
+    assert windows == [(12.5, 15.5)]
 
 
 def test_hn_ratio_study_conjugate_mirror():

@@ -1,5 +1,6 @@
 """Epstein zeta machinery: Glasser factors, xi, V, Omega, zero scans."""
 
+import functools
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from toruszeta.epstein import (OmegaRoute, ZeroSource, _hardy_z,
                                hardy_z_riemann, omega, v_factor, v_factor_inv)
 from toruszeta.errors import (DomainError, PoleError, ShapeError,
                               SignalLostError, ZeroShortfallWarning)
+from toruszeta.lattice import StencilVariant, TorusGrid, spectral_zeta
 from toruszeta.special import (complex_gamma, complex_log_gamma, digamma,
                                dirichlet_beta, riemann_zeta)
 
@@ -370,7 +372,9 @@ def test_batched_epstein_and_xi_match_scalar_bits():
 
 @pytest.mark.parametrize("fn", [
     complex_gamma, complex_log_gamma, riemann_zeta, dirichlet_beta,
-    epstein_zeta_2d, complete_xi, omega_ratio])
+    epstein_zeta_2d, complete_xi, omega_ratio,
+    functools.partial(spectral_zeta, TorusGrid(8), StencilVariant.NINE_POINT)],
+    ids=lambda fn: getattr(fn, "__name__", "spectral_zeta"))
 def test_one_s_or_an_array_of_s(fn):
     # one point is the element of a batch, bits and type, wherever it sits;
     # an empty array gives an empty array; any other shape, or a nan point,

@@ -196,10 +196,40 @@ def test_every_parameter_of_the_ledger_has_its_user(callee, param, user):
 
 
 # The memo policy: only tables keyed on integers or an enum are memoized,
-# never a result keyed on s.
+# never a result keyed on s.  A memo is a function with an lru_cache, or a
+# module global that a function of its module writes (``_memo_globals``).
 TABLE_BUILDERS = {"quadrature._gl_rule", "expansion._h_moments",
-                  "expansion._correction_polys", "special._borwein_weights",
-                  "special._sieve_plan", "special._bernoulli_numbers"}
+                  "expansion._correction_polys", "special._sieve_plan",
+                  "special._bernoulli_numbers", "special._order_weights",
+                  "special._WEIGHTS", "special._SIEVE"}
+
+
+def _memo_globals(source: str, module_names) -> set:
+    """The module globals (of ``module_names``) that a function of
+    ``source`` writes: a name it declares ``global``, or one it does not
+    bind locally and writes by key (``name[key] = ...``) or by
+    ``setdefault`` or ``update``."""
+    names = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                names |= set(node.names)
+            elif isinstance(node, ast.Subscript) \
+                    and isinstance(node.ctx, ast.Store):
+                target = node.value
+            elif isinstance(node, ast.Attribute) \
+                    and node.attr in ("setdefault", "update"):
+                target = node.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id not in local:
+                names.add(target.id)
+    return names & set(module_names)
 
 
 def test_the_only_memos_are_the_table_builders():
@@ -209,4 +239,7 @@ def test_the_only_memos_are_the_table_builders():
         memos |= {f"{info.name}.{name}" for name, obj in vars(module).items()
                   if hasattr(obj, "cache_info")
                   and obj.__module__ == module.__name__}
+        memos |= {f"{info.name}.{name}" for name in
+                  _memo_globals(inspect.getsource(module), vars(module))}
     assert memos == TABLE_BUILDERS
+

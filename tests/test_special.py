@@ -180,18 +180,31 @@ def test_bernoulli_table_is_reusable():
         bernoulli_fraction(65)
 
 
-def test_borwein_weights_memo_holds_a_critical_line_sweep():
+def _no_weights_built(monkeypatch):
+    """Make building any weight vector fail: from here on every order must
+    come from the memo."""
+    def built(*args):
+        raise AssertionError("a weight vector was built")
+
+    monkeypatch.setattr(special, "_one_pass_weights", built)
+    monkeypatch.setattr(special, "_order_weights", built)
+
+
+def test_borwein_weights_memo_holds_a_critical_line_sweep(monkeypatch):
     # |t| <= 100 needs ~90 series orders on Re(s) = 1/2; a second sweep over
-    # the same points must find every weight vector in the memo
+    # the same points, one point per call, must find every weight vector in
+    # the memo
     ts = np.linspace(0.0, 100.0, 201)
     for t in ts:
         riemann_zeta(complex(0.5, t))
         dirichlet_beta(complex(0.5, t))
-    misses = special._borwein_weights.cache_info().misses
+    held = dict(special._WEIGHTS)
+    _no_weights_built(monkeypatch)
     for t in ts:
         riemann_zeta(complex(0.5, t))
         dirichlet_beta(complex(0.5, t))
-    assert special._borwein_weights.cache_info().misses == misses
+    assert special._WEIGHTS.keys() == held.keys()
+    assert all(special._WEIGHTS[n] is w for n, w in held.items())
 
 
 def test_trivial_zeros():
@@ -323,13 +336,70 @@ def _former_borwein_weights(n: int) -> np.ndarray:
     return w
 
 
-def test_borwein_weights_match_the_former_loop_bit_for_bit():
+def _running_sum(n: int) -> float:
+    """d_n / n, the largest running sum of order n's weights, unrescaled."""
+    j = np.arange(n)
+    steps = 4.0 * (n + j) * (n - j) / ((2 * j + 1) * (2 * j + 2))
+    return np.add.accumulate(np.multiply.accumulate(
+        np.concatenate([[1.0 / n], steps])))[-1]
+
+
+def test_one_pass_orders_are_those_below_the_first_rescale():
+    top = special._ONE_PASS_MAX
+    assert _running_sum(top) <= special._RESCALE < _running_sum(top + 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_borwein_weights_match_the_former_loop_bit_for_bit(monkeypatch):
     # orders past ~350 pass 2^900 and rescale (past ~700 twice), which the
-    # vectorized runs must resume from with the loop's bits
-    weights = special._borwein_weights.__wrapped__
+    # vectorized runs must resume from with the loop's bits; the orders
+    # below, built in one pass over (j, order), must have the loop's bits
+    # whatever batch asks for them, and no overflow may warn
     for n in range(24, 1001):
-        assert np.array_equal(weights(n).view(np.uint64),
-                              _former_borwein_weights(n).view(np.uint64)), n
+        assert np.array_equal(_bits(special._order_weights(n)),
+                              _bits(_former_borwein_weights(n))), n
+    orders = [n for n in range(24, 1001) if n <= special._ONE_PASS_MAX]
+    batches = ([orders], [orders[::2], orders[1::2]])
+    for requests in batches:
+        monkeypatch.setattr(special, "_WEIGHTS", {})
+        got = {}
+        for request in requests:
+            got.update(special._borwein_weights(request))
+        assert sorted(got) == sorted(special._WEIGHTS) == orders
+        for n in orders:
+            assert np.array_equal(_bits(got[n]),
+                                  _bits(_former_borwein_weights(n))), n
+            assert got[n].dtype == float and not got[n].flags.writeable
+            assert got[n].flags.c_contiguous and got[n].base is None
+
+
+def test_a_batch_builds_only_the_orders_the_memo_lacks(monkeypatch):
+    monkeypatch.setattr(special, "_WEIGHTS", {})
+    first = special._borwein_weights([30, 40, 357])
+    built = []
+    one_pass = special._one_pass_weights
+    monkeypatch.setattr(special, "_one_pass_weights",
+                        lambda orders: built.append(orders) or one_pass(orders))
+    second = special._borwein_weights([30, 35, 40, 357, 50])
+    assert built == [[35, 50]]
+    assert sorted(special._WEIGHTS) == [30, 35, 40, 50, 357]
+    assert all(second[n] is first[n] for n in (30, 40, 357))
+    _no_weights_built(monkeypatch)
+    assert special._borwein_weights([50, 357])[357] is first[357]
+
+
+def test_a_sweep_past_the_one_pass_orders_holds_a_bounded_memo(monkeypatch):
+    # t in [400, 580] on the line meets ~160 orders past _ONE_PASS_MAX:
+    # those come from the per-order lru, 128 at most, and the one-pass memo
+    # holds none of them, so a sweep in t holds a bounded memo at any height
+    monkeypatch.setattr(special, "_WEIGHTS", {})
+    special._order_weights.cache_clear()
+    points = 0.5 + 1j * np.linspace(400.0, 580.0, 200)
+    orders = set(special._series_order(points).tolist())
+    assert min(orders) > special._ONE_PASS_MAX and len(orders) > 128
+    assert np.isfinite(riemann_zeta(points)).all()
+    assert not special._WEIGHTS
+    assert special._order_weights.cache_info().currsize == 128
 
 
 def _row_by_row_series(s: complex, strides: tuple) -> list:
@@ -347,7 +417,7 @@ def _row_by_row_series(s: complex, strides: tuple) -> list:
         p[first:end] = p[factor_rows] * p[cofactor_rows]
     sums = []
     for term_rows in stride_rows:
-        terms = p[term_rows[:n], 0] * special._borwein_weights(n)
+        terms = p[term_rows[:n], 0] * special._order_weights(n)
         acc = terms[0]
         for term in terms[1:]:
             acc = acc + term
@@ -385,18 +455,24 @@ def test_column_sum_adds_every_column_in_row_order():
     assert {1, 2, 3} <= seen_widths and max(seen_widths) > 100
 
 
-def test_borwein_weights_memo_holds_a_batched_sweep():
-    # Re(s) in [-1, 2], |Im(s)| <= 100 needs all 104 orders 27..130; a second
-    # batched sweep must find every weight vector in the memo
+def test_borwein_weights_memo_holds_a_batched_sweep(monkeypatch):
+    # Re(s) in [-1, 2], |Im(s)| <= 100 needs all 104 orders 27..130, which
+    # a cold batch builds in one pass; a second batched sweep must find
+    # every weight vector in the memo
     points = (np.linspace(-1.0, 2.0, 12)[:, None]
               + 1j * np.linspace(0.0, 100.0, 201)).ravel()
     assert len({special._series_order(complex(s)) for s in points}) == 104
+    monkeypatch.setattr(special, "_WEIGHTS", {})
+    passes = []
+    one_pass = special._one_pass_weights
+    monkeypatch.setattr(special, "_one_pass_weights",
+                        lambda orders: passes.append(orders) or one_pass(orders))
+    riemann_zeta(points)
+    assert passes == [list(range(27, 131))]
+    _no_weights_built(monkeypatch)
     riemann_zeta(points)
     dirichlet_beta(points)
-    misses = special._borwein_weights.cache_info().misses
-    riemann_zeta(points)
-    dirichlet_beta(points)
-    assert special._borwein_weights.cache_info().misses == misses
+    assert sorted(special._WEIGHTS) == list(range(27, 131))
 
 
 @settings(max_examples=40, deadline=None)
@@ -604,9 +680,9 @@ def test_series_orders_match_the_per_point_formula():
     orders = special._series_order(points)
     expect = [_reference_series_order(s) for s in map(complex, points)]
     assert np.array_equal(orders, expect)
-    # every order of the domain is one the weights memo holds
+    # every order of the domain is built in one pass, with no rescale
     assert orders.min() == 27 and orders.max() == 130
-    assert special._borwein_weights.cache_info().maxsize >= 130 - 27 + 1
+    assert orders.max() <= special._ONE_PASS_MAX
 
 
 # (Re s, Im s, zeta(s), beta(s)): 42 random points of Re(s) in [-0.9, 1.9],
@@ -811,7 +887,7 @@ def test_sieve_plans_are_sliced_from_one_growing_sieve(monkeypatch):
 def test_memoized_arrays_are_read_only():
     # a memo shares its arrays with every caller, so none may be written
     log_primes, levels, stride_rows, _ = special._sieve_plan(32, (1, 2))
-    memoized = [special._borwein_weights(40), log_primes, *stride_rows,
+    memoized = [special._borwein_weights([40])[40], log_primes, *stride_rows,
                 *special._sieve(64),
                 *(rows for level in levels for rows in level[2:]),
                 _h_moments(StencilVariant.NINE_POINT), *_gl_rule(8)]

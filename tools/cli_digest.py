@@ -139,6 +139,9 @@ COMMANDS = (
     # any output
     "scan --kind zeros --t-min -1 --t-max 20",
     "scan --kind zeros --t-min 1 --t-max 1501",
+    # hn near the line past that bound: V_2(s) overflows past |Im s| ~ 239,
+    # before its near-zero probe runs a zero scan (exit 3, no output)
+    "hn --s 0.5+1499.5i --n-list 32,64",
     "--tol 1e-4 expansion --s 0.3+2i --variant nine --n-list 64,128,256 --orders 1",
     # command lines the parser rejects: a missing required option, an
     # unknown option, an ambiguous prefix, a bad int, a global flag after

@@ -49,6 +49,12 @@ class StaleMutant(Exception):
 
 _GOLDEN = ("tests/test_cli_digest.py::"
            "test_cli_output_matches_the_golden_listing")
+_WRITER = ("tests/test_cli.py::"
+           "test_each_distinct_number_is_formatted_once_with_the_cells_bytes")
+_WEIGHTS = ("tests/test_special.py::"
+            "test_borwein_weights_match_the_former_loop_bit_for_bit")
+_BOUNDED = ("tests/test_special.py::"
+            "test_a_sweep_past_the_one_pass_orders_holds_a_bounded_memo")
 
 MUTANTS = (
     # the Euler-Maclaurin remainder kernel B_(2M+1) needs 2M+1 <= 64
@@ -175,6 +181,39 @@ MUTANTS = (
            "    if t_max > ZERO_SCAN_MAX_T:\n", "    if False:\n",
            ("tests/test_epstein.py::"
             "test_a_zero_scan_past_its_bound_raises_before_any_work",)),
+    # a constant column's number taken from another row of the numbers
+    # (another column's first number)
+    Mutant("writer-constant-from-the-wrong-row", "src/toruszeta/cli.py",
+           'cells[i] = quote + "%.17g" % column[0] + quote',
+           'cells[i] = quote + "%.17g" % numbers[0, 0] + quote',
+           (_WRITER,)),
+    Mutant("writer-distinct-keyed-on-value", "src/toruszeta/cli.py",
+           "np.unique(bits, return_inverse=True)",
+           "np.unique(column, return_inverse=True)", (_WRITER,)),
+    Mutant("one-pass-weights-skip-the-sign-flip", "src/toruszeta/special.py",
+           "    w[1::2] = -w[1::2]\n    _WEIGHTS", "    _WEIGHTS",
+           (_WEIGHTS,)),
+    # past ~403 the unrescaled one pass overflows
+    Mutant("rescaled-order-takes-the-one-pass", "src/toruszeta/special.py",
+           "_ONE_PASS_MAX = 357", "_ONE_PASS_MAX = 1000", (_WEIGHTS,)),
+    Mutant("weights-rebuilt-for-held-orders", "src/toruszeta/special.py",
+           "missing := [n for n in orders if n not in _WEIGHTS]",
+           "missing := list(orders)",
+           ("tests/test_special.py::"
+            "test_a_batch_builds_only_the_orders_the_memo_lacks",)),
+    # a batch's orders past the first rescale sent to the one pass, whose
+    # memo never drops an entry
+    Mutant("large-orders-held-batch-wide", "src/toruszeta/special.py",
+           "\n                             if m <= _ONE_PASS_MAX])", "])",
+           (_BOUNDED,)),
+    Mutant("large-orders-held-without-bound", "src/toruszeta/special.py",
+           "@lru_cache(maxsize=128)\ndef _order_weights",
+           "@lru_cache(maxsize=None)\ndef _order_weights", (_BOUNDED,)),
+    Mutant("spectral-zeta-one-point-python-complex",
+           "src/toruszeta/lattice.py",
+           "return total if np.ndim(s) else total[0]",
+           "return total if np.ndim(s) else complex(total[0])",
+           ("tests/test_epstein.py::test_one_s_or_an_array_of_s",)),
 )
 
 
