@@ -12,7 +12,7 @@ names its users.  A name that only the library calls is not re-exported.
 
 # called by the CLI, with the types they take and return
 from .conjecture import hn_ratio_study, omega_ratio
-from .epstein import (OmegaRoute, ZeroRecord, complete_xi, epstein_direct_sum,
+from .epstein import (OmegaRoute, complete_xi, epstein_direct_sum,
                       epstein_zeta_2d, find_critical_zeros, omega)
 from .expansion import (angular_lattice_sum, coeff_b0, coeff_b1,
                         coeff_b1_tilde, em_verify, leading_coeff,
@@ -26,7 +26,7 @@ from .errors import (ConvergenceError, DegenerateError, DescriptorError,
                      ZeroDenominatorError, ZeroShortfallWarning)
 # called by an acceptance criterion (tests/test_acceptance.py)
 from .conjecture import monotonicity_scan
-from .epstein import ZeroSource, v_factor, v_factor_inv
+from .epstein import v_factor, v_factor_inv
 from .expansion import (TaylorCoefficient, h_function, series_truncation_check,
                         taylor_coefficients)
 from .lattice import apply_stencil, eigenvalue

@@ -466,16 +466,13 @@ def _cmd_scan(args, w: RecordWriter) -> None:
         if args.t_min >= args.t_max:
             return
         _require_series_domain(args.t_max, args.strict)
-        recs = epstein.find_critical_zeros(args.t_min, args.t_max, args.step,
-                                           strict=args.strict)
-        ts = np.array([r.t for r in recs])
-        residuals = np.array([r.residual for r in recs])
-        sources = [r.source.value for r in recs]
+        ts, sources, residuals, found, expected = epstein.find_critical_zeros(
+            args.t_min, args.t_max, args.step, strict=args.strict)
         w.write_all(ScanRecord(_points(0.5, ts[lo:hi]), "zero", ts[lo:hi],
                                err_est=residuals[lo:hi],
-                               meta={"source": sources[lo],
-                                     "expected": str(recs[lo].expected),
-                                     "found": str(recs[lo].found)})
+                               meta={"source": str(sources[lo]),
+                                     "expected": str(expected[sources[lo]]),
+                                     "found": str(found[sources[lo]])})
                     for lo, hi in _runs(sources))
     else:  # xi-defect
         real = _grid(args, "re_min", "re_max", "re_points")

@@ -155,8 +155,8 @@ def hn_ratio_study(s: complex, n_list: Sequence[int], tol: float = 1e-12):
     # detected zeros all sit on Re = 1/2, so only nearby Re(s) can qualify
     if abs(s.real - 0.5) < _ZERO_DISTANCE_TAG and abs(s.imag) > 1.0:
         b = abs(s.imag)
-        zeros = find_critical_zeros(max(1.0, b - 1.5), b + 1.5)
-        if any(abs(s - complex(0.5, z.t)) < _ZERO_DISTANCE_TAG for z in zeros):
+        t = find_critical_zeros(max(1.0, b - 1.5), b + 1.5)[0]
+        if (np.abs(s - (0.5 + 1j * t)) < _ZERO_DISTANCE_TAG).any():
             fallback = abs(omega_ratio(s))
             if not math.isfinite(fallback):
                 raise NonFiniteError(

@@ -16,7 +16,8 @@ one batched series pass per call (zeta(Delta, s) takes zeta and beta from
 one shared power table).  The Gamma factors (one batched Gamma call, or
 log-Gamma for the Hardy phases) and the products are elementwise array
 operations, so each value has the same bits in any batch.  The zero scan
-stops at ``ZERO_SCAN_MAX_T``.
+returns columns, t, source, residual and each factor's found and expected
+counts, and stops at ``ZERO_SCAN_MAX_T``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,23 +169,10 @@ def omega(s: complex, route: OmegaRoute = OmegaRoute.DIRECT) -> complex:
         * epstein_zeta_2d(s - 1.0)
 
 
-class ZeroSource(enum.Enum):
-    RIEMANN_FACTOR = "riemann"
-    BETA_FACTOR = "beta"
-
-
-@dataclass(frozen=True)
-class ZeroRecord:
-    """A critical-line zero at height t of the factor ``source``, with the
-    residual |zeta(Delta, 1/2 + it)| there.  ``expected`` and ``found`` are
-    its factor's counts over the scanned window (see
-    ``find_critical_zeros``)."""
-
-    t: float
-    source: ZeroSource
-    residual: float
-    expected: int
-    found: int
+# The labels of the two factors of zeta(Delta, s) = 4 zeta_R(s) beta(s), in
+# the order of the factor flags (False zeta, True beta): the zero scan's
+# ``source`` column and the keys of its counts.
+FACTORS = ("riemann", "beta")
 
 
 # The Hardy phase of the zeta factor (keyed False) and the beta factor (True)
@@ -378,7 +365,7 @@ def _blocks(t, z, j, head: bool, beta: bool, t_min: float, t_max: float):
 
 
 def find_critical_zeros(t_min: float, t_max: float, step: float | None = None,
-                        strict: bool = False) -> list[ZeroRecord]:
+                        strict: bool = False):
     """Critical-line zeros of zeta(Delta, 1/2+it) on [t_min, t_max].
 
     Samples the two real Hardy-rotated Glasser factors at their Gram points
@@ -386,10 +373,15 @@ def find_critical_zeros(t_min: float, t_max: float, step: float | None = None,
     of every Gram block that shows fewer sign changes than Rosser's rule
     says it holds zeros, and polishes each sign change with the lockstep
     Illinois iteration to ~1e-13 in t.  Every Hardy-Z call serves both
-    factors.  Labels every zero with the factor that vanishes, and with its
-    factor's counts: ``found`` zeros in the window, ``expected`` = found plus
-    the zeros still missing from the blocks that meet it.  A shortfall
-    warns (ZeroShortfallWarning), or raises SignalLostError if ``strict``.
+    factors.
+
+    Returns the columns (t, source, residual, found, expected): the zeros'
+    heights t, sorted, a tie ordered by factor; ``source``, the label in
+    ``FACTORS`` of the factor that vanishes; ``residual`` =
+    |zeta(Delta, 1/2 + it)| there; and, keyed by label, each factor's
+    ``found`` zeros in the window and ``expected`` = found plus the zeros
+    still missing from the blocks that meet it.  A shortfall warns
+    (ZeroShortfallWarning), or raises SignalLostError if ``strict``.
     ``step``, if given, caps the sampling spacing.  DomainError past
     ``ZERO_SCAN_MAX_T``.
     """
@@ -432,22 +424,21 @@ def find_critical_zeros(t_min: float, t_max: float, step: float | None = None,
                                *map(np.concatenate, zip(*brackets)))
     keep = (roots >= t_min) & (roots <= t_max)
     roots, beta = roots[keep], beta[keep]
+    order = np.lexsort((beta, roots))
+    roots, beta = roots[order], beta[order]
     residuals = np.abs(epstein_zeta_2d(0.5 + 1j * roots))
     found = [int(np.count_nonzero(beta == b)) for b in factors]
     expected = [n + sum(max(0, want - seen) for _, _, want, seen in bl)
                 for n, bl in zip(found, blocks)]
-    sources = (ZeroSource.RIEMANN_FACTOR, ZeroSource.BETA_FACTOR)
     if found != expected:
         message = "zero scan on [%g, %g]: " % (t_min, t_max) + "; ".join(
-            f"{src.value} factor shows {n} of the {m} zeros its Gram blocks "
-            "hold" for src, n, m in zip(sources, found, expected) if n != m)
+            f"{src} factor shows {n} of the {m} zeros its Gram blocks hold"
+            for src, n, m in zip(FACTORS, found, expected) if n != m)
         if strict:
             raise SignalLostError(message)
         warnings.warn(message, ZeroShortfallWarning)
-    return [ZeroRecord(t=t0, source=sources[b], residual=r,
-                       expected=expected[b], found=found[b])
-            for t0, b, r in sorted(zip(roots.tolist(), beta.astype(int).tolist(),
-                                       residuals.tolist()))]
+    return (roots, np.array(FACTORS)[beta.astype(int)], residuals,
+            dict(zip(FACTORS, found)), dict(zip(FACTORS, expected)))
 
 
 def _labels(parts) -> np.ndarray:

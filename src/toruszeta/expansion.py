@@ -459,7 +459,8 @@ def resolvent_leading_term(n: int, variant: StencilVariant, alpha: int,
 def h_function(s, n, tol: float = 1e-12):
     """H_n(s) = pi^-s Gamma(s) (zeta(Delta~_n, s) - V_2(s) a~(s) n^(2-2s)),
     9-point, at one s or a 1-D array of s, and at one n or a 1-D sequence
-    of n (a leading axis): every n checked, then a~(s) and the Gamma factors
+    of n (a leading axis): every n checked, then V_2(s) (which overflows
+    past |Im s| ~ 239, before any other work), a~(s) and the Gamma factors
     once per point, then one spectral pass per n over all the points."""
     points = _as_points(np.atleast_1d(s))
     if not ((0.0 < points.real) & (points.real < 1.0)).all():
@@ -469,9 +470,9 @@ def h_function(s, n, tol: float = 1e-12):
         raise RangeError("n must be >= 2")
     grids = [TorusGrid(m) for m in ns]
     pts = points.tolist()
+    v2 = [v_factor(2, p) for p in pts]
     lead = [leading_coeff(p, StencilVariant.NINE_POINT, tol).value for p in pts]
     front = _pi_pow_gamma(points)
-    v2 = [v_factor(2, p) for p in pts]
     h = np.empty((len(ns), len(pts)), dtype=complex)
     for row, m, grid in zip(h, ns, grids):
         zn = spectral_zeta(grid, StencilVariant.NINE_POINT, points)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from toruszeta.conjecture import monotonicity_scan, omega_ratio
-from toruszeta.epstein import (ZeroSource, complete_xi, epstein_zeta_2d,
+from toruszeta.epstein import (complete_xi, epstein_zeta_2d,
                                find_critical_zeros, v_factor, v_factor_inv)
 from toruszeta.expansion import (em_verify, h_function, leading_coeff,
                                  series_truncation_check, taylor_coefficients)
@@ -231,17 +231,15 @@ def test_criterion_10_euler_maclaurin_identity():
 
 def test_criterion_11_zero_inventory():
     t0 = time.perf_counter()
-    records = find_critical_zeros(1.0, 20.0)
-    beta_low = [r for r in records
-                if r.source is ZeroSource.BETA_FACTOR and r.t < 10.0]
-    riem_low = [r for r in records
-                if r.source is ZeroSource.RIEMANN_FACTOR and r.t < 20.0]
-    resid_ok = all(r.residual < 1e-8 for r in records)
+    t, source, residual, _, _ = find_critical_zeros(1.0, 20.0)
+    beta_low = t[(source == "beta") & (t < 10.0)]
+    riem_low = t[(source == "riemann") & (t < 20.0)]
+    resid_ok = bool((residual < 1e-8).all())
     # goldens pinned by the bisection oracle at first build
-    golden_ok = (beta_low and abs(beta_low[0].t - 6.02094890469759665) <= 5e-9
-                 and riem_low
-                 and abs(riem_low[0].t - 14.1347251417346938) <= 5e-9)
+    golden_ok = (beta_low.size and abs(beta_low[0] - 6.02094890469759665) <= 5e-9
+                 and riem_low.size
+                 and abs(riem_low[0] - 14.1347251417346938) <= 5e-9)
     dt = time.perf_counter() - t0
-    ok = bool(beta_low) and bool(riem_low) and resid_ok and golden_ok and dt < 30.0
+    ok = bool(beta_low.size) and bool(riem_low.size) and resid_ok and golden_ok and dt < 30.0
     _report(11, "zero inventory on t in [1,20]: both factors, residual < 1e-8",
-            ok, dt, f"found={len(records)}")
+            ok, dt, f"found={t.size}")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from toruszeta import conjecture
+from toruszeta import conjecture, expansion
 from toruszeta.conjecture import (eta_factor, hn_ratio_study,
                                   monotonicity_scan, omega_ratio, q_factor,
                                   rho_factor)
@@ -195,15 +195,18 @@ def test_hn_ratio_study_runs_one_leading_coefficient_per_point(monkeypatch):
 def test_hn_past_the_v2_overflow_fails_before_any_zero_scan(monkeypatch):
     # past |Im s| ~ 239 V_2 overflows, so near the line the study fails on
     # H_n before its near-zero probe scans (which near |Im s| = 1500 would
-    # pass the zero scan's bound); below, the probe scans |Im s| -+ 1.5
-    windows = []
-    scan = conjecture.find_critical_zeros
+    # pass the zero scan's bound), and before H_n computes a leading
+    # coefficient; below, the probe scans |Im s| -+ 1.5
+    windows, leads = [], []
+    scan, lead = conjecture.find_critical_zeros, expansion.leading_coeff
     monkeypatch.setattr(conjecture, "find_critical_zeros",
                         lambda lo, hi: windows.append((lo, hi)) or scan(lo, hi))
+    monkeypatch.setattr(expansion, "leading_coeff",
+                        lambda s, *a: leads.append(s) or lead(s, *a))
     for t in (1499.5, -300.0):
         with pytest.raises(NonFiniteError, match="V_2"):
             hn_ratio_study(complex(0.5, t), [32, 64])
-    assert windows == []
+    assert windows == [] and leads == []
     hn_ratio_study(complex(0.5, 14.0), [32])
     assert windows == [(12.5, 15.5)]
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import toruszeta
 from toruszeta import epstein
 from toruszeta.conjecture import omega_ratio
-from toruszeta.epstein import (OmegaRoute, ZeroSource, _hardy_z,
+from toruszeta.epstein import (OmegaRoute, _hardy_z,
                                _illinois_lockstep, complete_xi,
                                epstein_direct_sum, epstein_zeta_2d,
                                find_critical_zeros, hardy_z_beta,
@@ -130,26 +130,25 @@ def test_omega_schwarz():
 
 
 def test_zero_scan():
-    records = find_critical_zeros(1.0, 20.0)
-    beta = [r for r in records if r.source is ZeroSource.BETA_FACTOR]
-    riem = [r for r in records if r.source is ZeroSource.RIEMANN_FACTOR]
+    t, source, residual, found, expected = find_critical_zeros(1.0, 20.0)
+    riem, beta = _split_by_source((t, source))
     assert len(beta) == len(BETA_ZEROS)
     assert len(riem) == len(RIEMANN_ZEROS)
-    for rec, ref in zip(beta, BETA_ZEROS):
-        assert rec.t == pytest.approx(ref, abs=5e-9)
-    for rec, ref in zip(riem, RIEMANN_ZEROS):
-        assert rec.t == pytest.approx(ref, abs=5e-9)
-    for rec in records:
-        assert rec.residual < 1e-8
-        assert abs(epstein_zeta_2d(complex(0.5, rec.t))) < 1e-8
+    for got, ref in zip(beta, BETA_ZEROS):
+        assert got == pytest.approx(ref, abs=5e-9)
+    for got, ref in zip(riem, RIEMANN_ZEROS):
+        assert got == pytest.approx(ref, abs=5e-9)
+    assert (residual < 1e-8).all()
+    assert (np.abs(epstein_zeta_2d(0.5 + 1j * t)) < 1e-8).all()
+    assert found == expected == {"riemann": 1, "beta": 5}
 
 
 def test_zero_scan_stays_inside_window():
     # the first Riemann zero, t = 14.134725, lies just past t_max
-    records = find_critical_zeros(1.0, 14.13)
-    assert records
-    assert all(r.t <= 14.13 for r in records)
-    assert not [r for r in records if r.source is ZeroSource.RIEMANN_FACTOR]
+    t, source, _, found, _ = find_critical_zeros(1.0, 14.13)
+    assert t.size
+    assert (t <= 14.13).all()
+    assert "riemann" not in source and found["riemann"] == 0
 
 
 def _dense_reference(t_min, t_max, beta, step=0.02, tol=1e-9):
@@ -173,9 +172,11 @@ def _dense_reference(t_min, t_max, beta, step=0.02, tol=1e-9):
     return roots[roots <= t_max]
 
 
-def _split_by_source(records):
-    return ([r.t for r in records if r.source is ZeroSource.RIEMANN_FACTOR],
-            [r.t for r in records if r.source is ZeroSource.BETA_FACTOR])
+def _split_by_source(columns):
+    """The t of each factor's zeros, zeta's then beta's, from the scan's
+    columns (t, source, ...)."""
+    t, source = columns[:2]
+    return t[source == "riemann"].tolist(), t[source == "beta"].tolist()
 
 
 @pytest.mark.parametrize("beta", [False, True])
@@ -193,17 +194,17 @@ def test_turning_points_are_zeros_of_the_phase_slope(beta):
 
 
 def test_gram_scan_matches_the_dense_reference_on_1_100():
-    records = find_critical_zeros(1.0, 100.0)
-    riem, beta = _split_by_source(records)
-    assert (len(records), len(riem), len(beta)) == (79, 29, 50)
-    for found, flag in ((riem, False), (beta, True)):
+    columns = find_critical_zeros(1.0, 100.0)
+    t, _, residual, found, expected = columns
+    riem, beta = _split_by_source(columns)
+    assert (len(t), len(riem), len(beta)) == (79, 29, 50)
+    assert (np.diff(t) > 0.0).all()  # sorted by t, not factor by factor
+    for zeros, flag in ((riem, False), (beta, True)):
         ref = _dense_reference(1.0, 100.0, flag)
-        assert len(ref) == len(found)
-        assert np.abs(np.array(found) - ref).max() <= 1e-9
-    assert max(r.residual for r in records) <= 1e-10
-    for r in records:
-        assert r.expected == r.found == (29 if r.source
-                                         is ZeroSource.RIEMANN_FACTOR else 50)
+        assert len(ref) == len(zeros)
+        assert np.abs(np.array(zeros) - ref).max() <= 1e-9
+    assert residual.max() <= 1e-10
+    assert found == expected == {"riemann": 29, "beta": 50}
 
 
 @pytest.mark.parametrize("window, counts", [
@@ -214,13 +215,19 @@ def test_gram_scan_matches_the_dense_reference_on_1_100():
     ((95.0, 100.0), (2, 3)),
 ])
 def test_gram_scan_windows_match_the_dense_reference(window, counts):
-    riem, beta = _split_by_source(find_critical_zeros(*window))
+    columns = find_critical_zeros(*window)
+    riem, beta = _split_by_source(columns)
     assert (len(riem), len(beta)) == counts
-    for found, flag in ((riem, False), (beta, True)):
+    for zeros, flag in ((riem, False), (beta, True)):
         ref = _dense_reference(*window, flag, step=0.005)
-        assert len(found) == len(ref), flag
-        assert all(abs(a - b) <= 1e-9 for a, b in zip(found, ref))
-        assert all(window[0] <= t <= window[1] for t in found)
+        assert len(zeros) == len(ref), flag
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(zeros, ref))
+        assert all(window[0] <= t <= window[1] for t in zeros)
+    if window == (1.0, 6.0):
+        t, source, residual, found, expected = columns
+        assert t.dtype == residual.dtype == np.float64
+        assert t.shape == residual.shape == source.shape == (0,)
+        assert found == expected == {"riemann": 0, "beta": 0}
 
 
 def _sampled(monkeypatch):
@@ -245,9 +252,8 @@ def test_zero_scan_step_caps_the_sampling_spacing(monkeypatch, step):
     ts, beta = calls[0]  # the first call samples both factors
     for flag in (False, True):
         assert np.diff(np.sort(ts[beta == flag])).max() <= step * (1 + 1e-12)
-    assert [r.source for r in capped] == [r.source for r in plain]
-    assert np.abs(np.array([r.t for r in capped])
-                  - [r.t for r in plain]).max() <= 1e-12
+    assert capped[1].tolist() == plain[1].tolist()
+    assert np.abs(capped[0] - plain[0]).max() <= 1e-12
 
 
 def test_zero_scan_uses_few_hardy_z_points(monkeypatch):
@@ -296,13 +302,11 @@ def test_zero_scan_shortfall_warns_or_raises(monkeypatch, flag, lo, hi,
                                               missing):
     _flip(monkeypatch, flag, lo, hi)
     full = 5 if flag else 1  # zeros of the factor on [1, 20]
-    shows = f"{'beta' if flag else 'riemann'} factor shows " \
-        f"{full - missing} of the {full} zeros"
+    label = "beta" if flag else "riemann"
+    shows = f"{label} factor shows {full - missing} of the {full} zeros"
     with pytest.warns(ZeroShortfallWarning, match=shows):
-        records = find_critical_zeros(1.0, 20.0)
-    assert {(r.expected, r.found) for r in records
-            if (r.source is ZeroSource.BETA_FACTOR) == flag} \
-        <= {(full, full - missing)}
+        _, _, _, found, expected = find_critical_zeros(1.0, 20.0)
+    assert (expected[label], found[label]) == (full, full - missing)
     with pytest.raises(SignalLostError):
         find_critical_zeros(1.0, 20.0, strict=True)
 
@@ -319,11 +323,10 @@ def test_zero_scan_halves_a_short_gram_block_until_it_shows_its_zeros(
     calls = _sampled(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = find_critical_zeros(1.0, 20.0)
-    _, beta = _split_by_source(records)
+        columns = find_critical_zeros(1.0, 20.0)
+    _, beta = _split_by_source(columns)
     assert len(beta) == 5 and abs(beta[1] - moved) <= 1e-9
-    assert {(r.expected, r.found) for r in records
-            if r.source is ZeroSource.BETA_FACTOR} == {(5, 5)}
+    assert (columns[4]["beta"], columns[3]["beta"]) == (5, 5)
     # the two calls after the first sampling halve that block only
     for ts, beta in calls[1:3]:
         assert beta.all() and ((8.28 < ts) & (ts < 14.65)).all()

@@ -89,6 +89,8 @@ COMMANDS = (
     "scan --kind hn --s 0.3+2i --n-list 32,64",
     "hn --s 0.3+2i --n-list 32,64",
     "scan --kind zeros --t-min 5 --t-max 5",
+    # a zero scan that runs and finds nothing (the line above returns first)
+    "scan --kind zeros --t-min 1 --t-max 6",
     "emcheck --m 2 --n 6 --fn square",
     # critical-line scans over many series orders, up to the domain edge
     "scan --kind zeros --t-min 60 --t-max 80",

@@ -55,6 +55,8 @@ _WEIGHTS = ("tests/test_special.py::"
             "test_borwein_weights_match_the_former_loop_bit_for_bit")
 _BOUNDED = ("tests/test_special.py::"
             "test_a_sweep_past_the_one_pass_orders_holds_a_bounded_memo")
+_DENSE = ("tests/test_epstein.py::"
+          "test_gram_scan_matches_the_dense_reference_on_1_100")
 
 MUTANTS = (
     # the Euler-Maclaurin remainder kernel B_(2M+1) needs 2M+1 <= 64
@@ -209,6 +211,15 @@ MUTANTS = (
     Mutant("large-orders-held-without-bound", "src/toruszeta/special.py",
            "@lru_cache(maxsize=128)\ndef _order_weights",
            "@lru_cache(maxsize=None)\ndef _order_weights", (_BOUNDED,)),
+    # the zeros come factor by factor, zeta's then beta's, as bracketed
+    Mutant("zero-rows-by-factor", "src/toruszeta/epstein.py",
+           "    order = np.lexsort((beta, roots))\n"
+           "    roots, beta = roots[order], beta[order]\n", "",
+           (_GOLDEN, _DENSE)),
+    Mutant("zero-counts-swapped", "src/toruszeta/epstein.py",
+           "dict(zip(FACTORS, found)), dict(zip(FACTORS, expected))",
+           "dict(zip(FACTORS[::-1], found)), "
+           "dict(zip(FACTORS[::-1], expected))", (_GOLDEN, _DENSE)),
     Mutant("spectral-zeta-one-point-python-complex",
            "src/toruszeta/lattice.py",
            "return total if np.ndim(s) else total[0]",
