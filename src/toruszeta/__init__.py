@@ -30,9 +30,8 @@ from .epstein import v_factor, v_factor_inv
 from .expansion import (TaylorCoefficient, h_function, series_truncation_check,
                         taylor_coefficients)
 from .lattice import apply_stencil, eigenvalue
-from .quadrature import (AsymptoticDescriptor, AsymptoticTerm, IntegrandSpec,
-                         Location, change_of_variables_check,
-                         regularized_integral)
+from .quadrature import (AsymptoticTerm, IntegrandSpec,
+                         change_of_variables_check, regularized_integral)
 from .special import complex_gamma, riemann_zeta
 # traced by benchmark/spans.py
 from .epstein import hardy_z_beta, hardy_z_riemann

@@ -41,6 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import conjecture, epstein, expansion, lattice, special
+from .epstein import SCAN_MAX_POINTS
 from .errors import (ConvergenceError, DegenerateError, DescriptorError,
                      DomainError, NonFiniteError, PoleError, RangeError,
                      ShapeError, SignalLostError, ZeroDenominatorError)
@@ -353,10 +354,9 @@ def _cmd_expansion(args, w: RecordWriter) -> None:
     _require_strip(s, args.strict)
     variant = _variant(args.variant)
     n_list = _parse_int_list(args.n_list)
-    slope, residuals, (leading, v_front, const, b1) = \
+    slope, residuals, (leading, v_front, b0, b1) = \
         expansion.residual_order(s, variant, n_list,
                                  orders_included=args.orders, tol=args.tol)
-    b0 = epstein.v_factor_inv(2, s) * const  # coeff_b0's expression
     meta = {"variant": args.variant, "orders": str(args.orders)}
     coeff_meta = dict(meta,
                       leading=_g17(leading.real) + "+" + _g17(leading.imag) + "i",
@@ -376,7 +376,7 @@ def _cmd_hn(args, w: RecordWriter) -> None:
     ratios, fallback = conjecture.hn_ratio_study(s, n_list, tol=args.tol)
     meta = {"near_zero": str(fallback is not None).lower()}
     if fallback is not None:
-        meta["omega_ratio_fallback"] = repr(float(fallback))
+        meta["omega_ratio_fallback"] = _g17(fallback)
     w.write_all(ScanRecord(s, quantity, value, n=n, meta=meta)
                 for n, ratio in zip(n_list, ratios)
                 for quantity, value in (("hn_ratio", ratio),
@@ -426,10 +426,6 @@ def _require_finite(args, *dests) -> None:
         value = getattr(args, dest)
         if not math.isfinite(value):
             raise DomainError(f"{_flag(dest)} must be finite, got {value}")
-
-
-# the most points a scan evaluates: 2^18 take ~1.8 s and ~150 MB on a Xeon
-SCAN_MAX_POINTS = 2 ** 18
 
 
 def _grid(args, lo: str, hi: str, count: str) -> np.ndarray:

@@ -4,11 +4,12 @@ zeta(Delta, s) is evaluated through Glasser's factorization
 
     zeta(Delta, s) = 4 zeta_R(s) beta(s),
 
-never through the regularized-integral representation (that path is
-exercised once, as a cross-validation, by the expansion module).  On top of
-it sit the direct lattice sum for validation, the complete xi function and
-its functional equation xi2(s) = xi2(1-s), the V_alpha front factor, Omega,
-and critical-line zero location via Hardy-rotated real signals.
+never through the regularized-integral representation (only the tests
+in ``tests/test_expansion.py`` take that path, as a cross-validation).  On
+top of it sit the direct lattice sum for validation, the complete xi
+function and its functional equation xi2(s) = xi2(1-s), the V_alpha front
+factor, Omega, and critical-line zero location via Hardy-rotated real
+signals.
 
 ``epstein_zeta_2d`` and ``complete_xi`` take one s or a 1-D array of s,
 as the functions of ``special`` do, and the Hardy signals an array of t:
@@ -200,6 +201,9 @@ _MAX_POLISH = 100
 # the highest t a zero scan reaches: t_max = 1500 takes ~2 s, since the
 # series order grows like t and the Gram points like t log t
 ZERO_SCAN_MAX_T = 1500.0
+# the most points a scan evaluates: 2^18 take ~1.8 s and ~150 MB on a Xeon;
+# a zero scan's step may cut its sampled intervals into no more parts
+SCAN_MAX_POINTS = 2 ** 18
 
 
 def _by_factor(beta: np.ndarray, table: dict) -> np.ndarray:
@@ -302,7 +306,7 @@ def _illinois_lockstep(fn, lo, hi, flo, fhi) -> np.ndarray:
     return np.where(np.abs(fhi) < np.abs(flo), hi, lo)
 
 
-def _factor_samples(t_min: float, t_max: float, step, beta: bool,
+def _factor_samples(t_min: float, t_max: float, beta: bool,
                     theta_ends: np.ndarray):
     """The first samples of one factor's scan: (t ascending, Gram index j
     or nan, whether the first sample is a head below the first Gram
@@ -313,9 +317,7 @@ def _factor_samples(t_min: float, t_max: float, step, beta: bool,
     max(t_max, t_turn)), but from j_first at the lowest.  A window that
     starts below the first Gram point gets a head, t_min itself: no zero of
     either factor lies below its first Gram point (see ``_blocks``), so
-    nothing there needs a finer grid.  Given ``step``, every longer
-    interval, the head's included, is cut into equal parts no longer than
-    it.
+    nothing there needs a finer grid.
     """
     first = _FIRST_GRAM[beta]
     j_lo, j_hi = np.floor(theta_ends / math.pi) + (1 - _MARGIN, _MARGIN)
@@ -324,11 +326,6 @@ def _factor_samples(t_min: float, t_max: float, step, beta: bool,
     head = theta_ends[0] < first * math.pi
     if head:
         t, j, _ = _merge(t, j, [t_min])
-    if step is not None:
-        parts = np.ceil(np.diff(t) / step).astype(int)
-        t, j, _ = _merge(t, j, np.concatenate([[]] + [
-            np.linspace(a, b, k + 1)[1:-1]
-            for a, b, k in zip(t[:-1], t[1:], parts) if k > 1]))
     return t, j, head
 
 
@@ -382,8 +379,10 @@ def find_critical_zeros(t_min: float, t_max: float, step: float | None = None,
     ``found`` zeros in the window and ``expected`` = found plus the zeros
     still missing from the blocks that meet it.  A shortfall warns
     (ZeroShortfallWarning), or raises SignalLostError if ``strict``.
-    ``step``, if given, caps the sampling spacing.  DomainError past
-    ``ZERO_SCAN_MAX_T``.
+    ``step``, if given, caps the sampling spacing: every longer interval,
+    the head's and the margins' included, is cut into equal parts no longer
+    than it.  DomainError past ``ZERO_SCAN_MAX_T``, or when those parts
+    number more than ``SCAN_MAX_POINTS``.
     """
     if not 0 < t_min < t_max:
         raise DomainError("need 0 < t_min < t_max")
@@ -396,9 +395,21 @@ def find_critical_zeros(t_min: float, t_max: float, step: float | None = None,
     ends = np.concatenate([np.maximum([t_min, t_max], _TURN[b])
                            for b in factors])
     theta = _hardy_phase(ends, np.repeat(factors, 2)).reshape(2, 2)
-    ts, js, heads = zip(*(_factor_samples(t_min, t_max, step, b, th)
+    ts, js, heads = zip(*(_factor_samples(t_min, t_max, b, th)
                           for b, th in zip(factors, theta)))
     ts, js = list(ts), list(js)
+    if step is not None:
+        with np.errstate(over="ignore"):  # an inf part count is rejected
+            parts = [np.ceil(np.diff(t) / step) for t in ts]
+        total = sum(float(p.sum()) for p in parts)
+        if total > SCAN_MAX_POINTS:
+            raise DomainError(f"zero scan step {step:g} cuts the sampled "
+                              f"intervals into {total:.3g} parts, more than "
+                              f"{SCAN_MAX_POINTS}")
+        for i, (t, p) in enumerate(zip(ts, parts)):
+            ts[i], js[i], _ = _merge(t, js[i], np.concatenate([[]] + [
+                np.linspace(a, b, int(k) + 1)[1:-1]
+                for a, b, k in zip(t[:-1], t[1:], p) if k > 1]))
     zs = _split(_hardy_z(np.concatenate(ts), _labels(ts)), ts)
     for rounds in range(_RESOLVE_ROUNDS + 1):
         blocks = [_blocks(ts[i], zs[i], js[i], heads[i], b, t_min, t_max)

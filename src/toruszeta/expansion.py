@@ -158,10 +158,15 @@ def leading_coeff(s: complex, variant: StencilVariant,
     return QuadResult(complex(value + tail_acc), err)
 
 
+def _b0(s: complex, zeta_delta: complex) -> complex:
+    """b0(s) from zeta_delta = zeta(Delta, s)."""
+    return v_factor_inv(2, s) * zeta_delta
+
+
 def coeff_b0(s: complex) -> complex:
     """b0(s) = b0~(s) = V_2(s)^-1 zeta(Delta, s)."""
     s = complex(s)
-    return v_factor_inv(2, s) * epstein_zeta_2d(s)
+    return _b0(s, epstein_zeta_2d(s))
 
 
 def coeff_b1_tilde(s: complex) -> complex:
@@ -403,13 +408,16 @@ def series_truncation_check(variant: StencilVariant, big_n: int,
 # Euler-Maclaurin verifier
 # ---------------------------------------------------------------------------
 
+EM_MAX_N = 128  # 32 kernel values per unit panel: about 2-3 s at M = 31
+
+
 def em_verify(big_m: int, n: int, fn, derivative):
     """Both sides of the Euler-Maclaurin identity for sum_{i=0}^n u(i).
 
     ``derivative(order, x)`` must return u^(order)(x); orders used are the
     odd ones up to 2M-1 plus 2M+1 for the remainder kernel, whose Bernoulli
-    polynomial B_{2M+1} needs 2M+1 <= 64, so 1 <= M <= 31.  Returns
-    (lhs, rhs).
+    polynomial B_{2M+1} needs 2M+1 <= 64, so 1 <= M <= 31; and
+    2 <= n <= ``EM_MAX_N``.  Returns (lhs, rhs).
     """
     top = (_BERNOULLI_MAX - 1) // 2
     if not 1 <= big_m <= top:
@@ -417,6 +425,8 @@ def em_verify(big_m: int, n: int, fn, derivative):
                          f"B_(2M+1) needs 2M+1 <= {_BERNOULLI_MAX}")
     if n < 2:
         raise RangeError("n must be >= 2")
+    if n > EM_MAX_N:
+        raise RangeError(f"n={n} exceeds {EM_MAX_N}")
     lhs = math.fsum(fn(float(i)) for i in range(n + 1))
     boundary = 0.5 * (fn(0.0) + fn(float(n)))
     corr = 0.0
@@ -486,8 +496,9 @@ def residual_order(s: complex, variant: StencilVariant, n_list,
                    orders_included: int = 1, tol: float = 1e-12):
     """Log-log slope of the expansion residual over a geometric n list.
 
-    Returns (slope, [(n, |residual|)], (a(s), V_2(s), zeta(Delta, s), b1));
-    the n list must hold at least three strictly increasing values.  The
+    Returns (slope, [(n, |residual|)], (a(s), V_2(s), b0, b1)), b0 built
+    from the zeta(Delta, s) it subtracted, as ``coeff_b0`` builds it; the n
+    list must hold at least three strictly increasing values.  The
     leading term and the constant term zeta(Delta, s) are always
     subtracted, the n^-2 term b1 (b1~ for the 9-point, b1 with the angular
     term for the 5-point) when ``orders_included`` >= 1; b1 is returned
@@ -528,4 +539,4 @@ def residual_order(s: complex, variant: StencilVariant, n_list,
     ys = np.array([p[1] for p in pts])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return slope, [(int(n), math.exp(y)) for n, y in zip(n_list, ys)], \
-        (lead, v2, const, b1)
+        (lead, v2, _b0(s, const), b1)

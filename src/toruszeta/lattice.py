@@ -47,6 +47,7 @@ class StencilVariant(enum.Enum):
 
 
 GRID_MAX_N = 16384  # ~n^2/8 = 34 million spectral terms, about 2 s
+CIRCLE_MAX_N = 2 ** 22  # two n/2-float arrays: about 0.15 s and 95 MB
 
 
 @dataclass(frozen=True)
@@ -226,9 +227,11 @@ def spectral_zeta(grid: TorusGrid, variant: StencilVariant, s,
 def spectral_zeta_1d(n: int, s: complex) -> complex:
     """zeta(L_n, s) on the discrete circle: sum_{k=1}^{n-1} eigenvalue^(-s).
 
-    Summed over k = 1..n/2, folding k <-> n-k.
+    Summed over k = 1..n/2, folding k <-> n-k; n <= ``CIRCLE_MAX_N``.
     """
     s = complex(s)
+    if n > CIRCLE_MAX_N:
+        raise RangeError(f"circle size n={n} exceeds {CIRCLE_MAX_N}")
     if n == 1:
         raise DegenerateError("empty spectrum: n=1 circle has only the zero mode")
     head, mult = _axis_fold(n)

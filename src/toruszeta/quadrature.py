@@ -1,28 +1,28 @@
 """Quadrature and Hadamard regularization.
 
 Spectrally convergent 2-D periodic quadrature, and regularized integrals
-driven by caller-supplied asymptotic descriptors of the form
+driven by caller-supplied asymptotic expansions of the form
 
     u(z) ~ sum_j c_j z^(a_j) log^(k_j) z        (z -> 0 or z -> oo).
 
 An integrand comes as an ``IntegrandSpec``: an evaluator over a float array
-of nodes, which returns an array of the same shape, and its descriptors,
-each a sequence of ``AsymptoticTerm``.
+of nodes, which returns an array of the same shape, and its expansions at 0
+and at oo, each a tuple of ``AsymptoticTerm``.  The slot a tuple sits in is
+the one record of the end it belongs to.
 
-The regularized integral subtracts the descriptor terms analytically and
+The regularized integral subtracts the expansion terms analytically and
 adds back their closed-form regularized antiderivatives, so pure powers
 integrate to exactly zero by construction.  Its residual at each end, and
 the leading coefficient's in ``expansion``, go through the one graded-panel
 routine ``_graded_panels``: it stops on a tolerance test or on the roundoff
 floor of the subtraction and reports an achieved error.  Each of its panels
-evaluates the integrand and the descriptor once per node, for the residual
+evaluates the integrand and the expansion once per node, for the residual
 and its floor alike.  Every Gauss-Legendre panel rule here and in
 ``expansion`` takes its nodes, widths and weights from ``_gl_panels``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,13 +37,12 @@ from .errors import ConvergenceError, DescriptorError, ShapeError
 _OSC_TOL = 1e-13          # reject |Re a| below this with Im a != 0 (pure oscillation)
 
 
-class Location(enum.Enum):
-    AT_ZERO = "zero"
-    AT_INFINITY = "infinity"
-
-
 @dataclass(frozen=True)
 class AsymptoticTerm:
+    """One term c z^a log^k z of an expansion.  A purely oscillatory
+    exponent, Re a = 0 with Im a != 0, is rejected: the constant term of
+    such an expansion is not well defined."""
+
     exponent: complex
     log_power: int
     coefficient: complex
@@ -51,82 +50,62 @@ class AsymptoticTerm:
     def __post_init__(self):
         if self.log_power < 0:
             raise DescriptorError("log power must be non-negative")
+        a = complex(self.exponent)
+        if abs(a.real) < _OSC_TOL and abs(a.imag) > _OSC_TOL:
+            raise DescriptorError(
+                f"purely oscillatory exponent {a} has no regularized limit")
+
+
+def _expansion_values(terms: tuple, z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    acc = np.zeros(z.shape, dtype=complex)
+    if not terms:
+        return acc
+    lz = np.log(z)
+    for t in terms:
+        a = complex(t.exponent)
+        # real exponents take the same pow path a caller's z**a does, so
+        # subtracting an exactly-matching term cancels to the last bit
+        base = z ** a.real if a.imag == 0.0 else np.exp(a * lz)
+        if t.log_power:
+            base = base * lz ** t.log_power
+        acc += t.coefficient * base
+    return acc
+
+
+def _inverse_power_coefficients(terms: tuple) -> dict:
+    """Map log_power -> coefficient for the z^(-1) log^k z terms."""
+    out: dict[int, complex] = {}
+    for t in terms:
+        if complex(t.exponent) == -1.0 + 0.0j:
+            out[t.log_power] = out.get(t.log_power, 0j) + t.coefficient
+    return out
 
 
 @dataclass(frozen=True)
-class AsymptoticDescriptor:
-    """Finite power/log expansion of an integrand at 0 or infinity.
-
-    Terms must be ordered by decreasing Re(exponent) for AT_INFINITY and
-    increasing for AT_ZERO.  Borderline terms with Re(exponent) = 0 but a
-    non-zero imaginary part (pure oscillation) are rejected: the constant
-    term of such an expansion is not well defined.
-    """
-
-    terms: tuple
-    location: Location
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        res = [complex(t.exponent).real for t in terms]
-        if self.location is Location.AT_INFINITY:
-            if any(res[i] < res[i + 1] - 1e-15 for i in range(len(res) - 1)):
-                raise DescriptorError(
-                    "AT_INFINITY terms must have non-increasing Re(exponent)")
-        else:
-            if any(res[i] > res[i + 1] + 1e-15 for i in range(len(res) - 1)):
-                raise DescriptorError(
-                    "AT_ZERO terms must have non-decreasing Re(exponent)")
-        for t in terms:
-            a = complex(t.exponent)
-            if abs(a.real) < _OSC_TOL and abs(a.imag) > _OSC_TOL:
-                raise DescriptorError(
-                    f"purely oscillatory exponent {a} has no regularized limit")
-        object.__setattr__(self, "terms", terms)
-
-    def evaluate(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        acc = np.zeros(z.shape, dtype=complex)
-        if not self.terms:
-            return acc
-        lz = np.log(z)
-        for t in self.terms:
-            a = complex(t.exponent)
-            # real exponents take the same pow path a caller's z**a does, so
-            # subtracting an exactly-matching term cancels to the last bit
-            base = z ** a.real if a.imag == 0.0 else np.exp(a * lz)
-            if t.log_power:
-                base = base * lz ** t.log_power
-            acc += t.coefficient * base
-        return acc
-
-    def coefficients_of_inverse_power(self) -> dict:
-        """Map log_power -> coefficient for the z^(-1) log^k z terms."""
-        out: dict[int, complex] = {}
-        for t in self.terms:
-            if complex(t.exponent) == -1.0 + 0.0j:
-                out[t.log_power] = out.get(t.log_power, 0j) + t.coefficient
-        return out
-
-
-@dataclass
 class IntegrandSpec:
-    """Integrand on (0, oo) plus optional endpoint descriptors.
+    """Integrand on (0, oo) plus its expansions at 0 and at oo.
 
     ``evaluator`` takes a float ndarray and returns an ndarray of its shape.
+    Each expansion is a tuple of ``AsymptoticTerm``, by increasing
+    Re(exponent) at 0 and by decreasing Re(exponent) at oo; an empty one
+    subtracts nothing.
     """
 
     evaluator: Callable
-    descriptor_zero: AsymptoticDescriptor | None = None
-    descriptor_infinity: AsymptoticDescriptor | None = None
+    descriptor_zero: tuple = ()
+    descriptor_infinity: tuple = ()
 
     def __post_init__(self):
-        # a descriptor in the other slot would integrate one half twice
-        for d, location in ((self.descriptor_zero, Location.AT_ZERO),
-                            (self.descriptor_infinity, Location.AT_INFINITY)):
-            if d is not None and d.location is not location:
-                raise DescriptorError(f"descriptor of {d.location.name} in "
-                                      f"the {location.name} slot")
+        for name, sign, order in (("descriptor_zero", 1.0, "non-decreasing"),
+                                  ("descriptor_infinity", -1.0,
+                                   "non-increasing")):
+            terms = tuple(getattr(self, name))
+            res = [sign * complex(t.exponent).real for t in terms]
+            if any(a > b + 1e-15 for a, b in zip(res, res[1:])):
+                raise DescriptorError(
+                    f"{name} terms must have {order} Re(exponent)")
+            object.__setattr__(self, name, terms)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -251,17 +230,16 @@ _PROBE_ZERO = np.array([1e-3, 1e-4, 1e-5, 1e-6])
 _PROBE_INF = np.array([1e3, 1e4, 1e5, 1e6])
 
 
-def _residual_and_scale(f: IntegrandSpec, d: AsymptoticDescriptor, z):
-    """The residual f - d at z and the scale |f| + |d| of its rounding, from
-    one evaluation of f and of d."""
-    fz, dz = f(z), d.evaluate(z)
+def _residual_and_scale(f: IntegrandSpec, terms: tuple, z):
+    """The residual f - terms at z and the scale |f| + |terms| of its
+    rounding, from one evaluation of f and of the terms."""
+    fz, dz = f(z), _expansion_values(terms, z)
     return fz - dz, np.abs(fz) + np.abs(dz)
 
 
-def _check_integrable(f: IntegrandSpec, d: AsymptoticDescriptor) -> None:
-    at_zero = d.location is Location.AT_ZERO
+def _check_integrable(f: IntegrandSpec, terms: tuple, at_zero: bool) -> None:
     pts = _PROBE_ZERO if at_zero else _PROBE_INF
-    residual, raw = _residual_and_scale(f, d, pts)
+    residual, raw = _residual_and_scale(f, terms, pts)
     r = np.abs(residual)
     floor = 1e3 * np.finfo(float).eps * raw + 1e-280
     above = r > floor
@@ -284,23 +262,24 @@ def _check_integrable(f: IntegrandSpec, d: AsymptoticDescriptor) -> None:
             "descriptor is missing divergent terms")
 
 
-def _half_integral(f: IntegrandSpec, d: AsymptoticDescriptor,
+def _half_integral(f: IntegrandSpec, terms: tuple, at_zero: bool,
                    tol: float) -> complex:
-    """Regularized integral of f over d's half of (0, oo): the graded
-    panels on the residual f - d, plus the closed forms of d's terms."""
-    at_zero = d.location is Location.AT_ZERO
+    """Regularized integral of f over (0, 1] (``at_zero``) or [1, oo) with
+    the expansion ``terms`` of that end: the graded panels on the residual
+    f - terms, plus the closed forms of the terms."""
     eps = np.finfo(float).eps
 
     def panel(lo, hi, t):
         # [1, oo) onto (0, 1] by z = 1/t, dz = dt / t^2
-        residual, raw = _residual_and_scale(f, d, t if at_zero else 1.0 / t)
+        residual, raw = _residual_and_scale(f, terms,
+                                            t if at_zero else 1.0 / t)
         noise = eps * raw
         if not at_zero:
             residual, noise = residual / (t * t), noise / (t * t)
         return residual, (hi - lo) * float(np.max(noise))
 
     part, _ = _graded_panels(panel, tol, 0.02, 4)
-    for term in d.terms:
+    for term in terms:
         reg = term.coefficient * _reg_power_log_01(term.exponent, term.log_power)
         part = part + reg if at_zero else part - reg
     return part
@@ -309,46 +288,38 @@ def _half_integral(f: IntegrandSpec, d: AsymptoticDescriptor,
 def regularized_integral(f: IntegrandSpec, tol: float = 1e-12) -> complex:
     """Hadamard-regularized integral of f over (0, oo).
 
-    Descriptor terms are subtracted from the integrand on (0, 1] (terms at
-    0) and on [1, oo) (terms at infinity), the residual is integrated
-    numerically, and the closed-form regularized integrals of the
-    subtracted terms are added back.  The splitting point is 1.  Both ends
-    are checked for integrability before any panel work.
+    The expansion at 0 is subtracted from the integrand on (0, 1] and the
+    one at infinity on [1, oo), the residual is integrated numerically,
+    and the closed-form regularized integrals of the subtracted terms are
+    added back.  The splitting point is 1.  Both ends are checked for
+    integrability before any panel work.
     """
-    # an absent descriptor is an empty one: f - 0 and |f| + 0 are exact
-    halves = [d if d is not None else AsymptoticDescriptor((), location)
-              for d, location in ((f.descriptor_zero, Location.AT_ZERO),
-                                  (f.descriptor_infinity, Location.AT_INFINITY))]
-    for d in halves:
-        _check_integrable(f, d)
-    return _half_integral(f, halves[0], tol) + _half_integral(f, halves[1], tol)
+    zero, infinity = (f.descriptor_zero, True), (f.descriptor_infinity, False)
+    _check_integrable(f, *zero)
+    _check_integrable(f, *infinity)
+    return _half_integral(f, *zero, tol) + _half_integral(f, *infinity, tol)
 
 
-def _scaled_descriptor(d: AsymptoticDescriptor | None, lam: float):
-    """Descriptor of z -> f(lam z) given the descriptor of f."""
-    if d is None:
-        return None
+def _scaled_descriptor(terms: tuple, lam: float, at_zero: bool) -> tuple:
+    """Expansion of z -> f(lam z) at one end given f's there."""
     loglam = math.log(lam)
     out: dict[tuple[complex, int], complex] = {}
-    for t in d.terms:
+    for t in terms:
         a = complex(t.exponent)
         scale = lam ** a * t.coefficient
         for j in range(t.log_power + 1):
             c = scale * math.comb(t.log_power, j) * loglam ** (t.log_power - j)
             out[(a, j)] = out.get((a, j), 0j) + c
-    terms = [AsymptoticTerm(a, k, c) for (a, k), c in out.items()]
-    key = (lambda t: -complex(t.exponent).real) \
-        if d.location is Location.AT_INFINITY else \
-        (lambda t: complex(t.exponent).real)
-    terms.sort(key=key)
-    return AsymptoticDescriptor(terms, d.location)
+    sign = 1.0 if at_zero else -1.0
+    return tuple(sorted((AsymptoticTerm(a, k, c) for (a, k), c in out.items()),
+                        key=lambda t: sign * complex(t.exponent).real))
 
 
 def change_of_variables_check(f: IntegrandSpec, lam: float):
     """Both sides of the regularized change-of-variables rule for z -> lam z.
 
     lhs is the regularized integral of f(lam z), computed from scratch with
-    transformed descriptors.  rhs is
+    transformed expansions.  rhs is
 
         lam^-1 ( reg-int f  +  sum_k a_k log^(k+1)(lam)/(k+1)
                             -  sum_k b_k log^(k+1)(lam)/(k+1) )
@@ -364,19 +335,18 @@ def change_of_variables_check(f: IntegrandSpec, lam: float):
 
     scaled = IntegrandSpec(
         evaluator=lambda z: f(np.asarray(z, dtype=float) * lam),
-        descriptor_zero=_scaled_descriptor(f.descriptor_zero, lam),
-        descriptor_infinity=_scaled_descriptor(f.descriptor_infinity, lam),
+        descriptor_zero=_scaled_descriptor(f.descriptor_zero, lam, True),
+        descriptor_infinity=_scaled_descriptor(f.descriptor_infinity, lam,
+                                               False),
     )
     lhs = regularized_integral(scaled)
 
     base = regularized_integral(f)
     loglam = math.log(lam)
     corr = 0j
-    if f.descriptor_infinity is not None:
-        for k, c in f.descriptor_infinity.coefficients_of_inverse_power().items():
-            corr += c * loglam ** (k + 1) / (k + 1)
-    if f.descriptor_zero is not None:
-        for k, c in f.descriptor_zero.coefficients_of_inverse_power().items():
-            corr -= c * loglam ** (k + 1) / (k + 1)
+    for k, c in _inverse_power_coefficients(f.descriptor_infinity).items():
+        corr += c * loglam ** (k + 1) / (k + 1)
+    for k, c in _inverse_power_coefficients(f.descriptor_zero).items():
+        corr -= c * loglam ** (k + 1) / (k + 1)
     rhs = (base + corr) / lam
     return lhs, rhs

@@ -16,8 +16,7 @@ from toruszeta.expansion import (em_verify, h_function, leading_coeff,
                                  series_truncation_check, taylor_coefficients)
 from toruszeta.lattice import (StencilVariant, TorusGrid, apply_stencil,
                                eigenvalue, spectral_zeta, spectral_zeta_1d)
-from toruszeta.quadrature import (AsymptoticDescriptor, AsymptoticTerm,
-                                  IntegrandSpec, Location,
+from toruszeta.quadrature import (AsymptoticTerm, IntegrandSpec,
                                   change_of_variables_check,
                                   regularized_integral)
 from toruszeta.special import complex_gamma, riemann_zeta
@@ -150,8 +149,7 @@ def test_criterion_08_regularization_axioms():
     for a in (-1.5, -0.5, 0.7, 2.0):
         spec = IntegrandSpec(
             lambda z, a=a: z ** a,
-            AsymptoticDescriptor([AsymptoticTerm(a, 0, 1.0)], Location.AT_ZERO),
-            AsymptoticDescriptor([AsymptoticTerm(a, 0, 1.0)], Location.AT_INFINITY))
+            (AsymptoticTerm(a, 0, 1.0),), (AsymptoticTerm(a, 0, 1.0),))
         pure_ok = pure_ok and abs(regularized_integral(spec)) <= 1e-13
     rng = np.random.default_rng(21)
     cov_ok = True
@@ -161,10 +159,8 @@ def test_criterion_08_regularization_axioms():
         spec = IntegrandSpec(
             lambda z, a0=a0, c0=c0, ci=ci: c0 * z ** a0 * np.exp(-z * z)
             + ci / (1.0 + z),
-            AsymptoticDescriptor([AsymptoticTerm(a0, 0, c0)], Location.AT_ZERO),
-            AsymptoticDescriptor(
-                [AsymptoticTerm(-1.0, 0, ci), AsymptoticTerm(-2.0, 0, -ci)],
-                Location.AT_INFINITY))
+            (AsymptoticTerm(a0, 0, c0),),
+            (AsymptoticTerm(-1.0, 0, ci), AsymptoticTerm(-2.0, 0, -ci)))
         lam = rng.uniform(0.3, 3.0)
         lhs, rhs = change_of_variables_check(spec, lam)
         cov_ok = cov_ok and abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))

@@ -431,6 +431,26 @@ def test_a_scan_past_its_point_cap_exits_2_before_any_output(
     assert code == 4 and "the scan ran" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("zeta1d --n 1000000000000 --s 0.5",
+     "circle size n=1000000000000 exceeds 4194304"),
+    ("emcheck --n 129", "n=129 exceeds 128"),
+    ("scan --kind zeros --t-min 1 --t-max 20 --step 1e-13",
+     "into 5.66e+14 parts, more than 262144"),
+    ("scan --kind zeros --t-min 1 --t-max 20 --step 1e-300",
+     "into 5.66e+301 parts, more than 262144"),
+])
+def test_a_size_past_its_bound_exits_2_before_any_output(line, message,
+                                                          capsys):
+    # these exited 4 on a MemoryError, or took a step that overflowed
+    # with a RuntimeWarning and then dropped it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(shlex.split(line), capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_a_five_point_expansion_job_runs_each_coefficient_once(capsys,
                                                                monkeypatch):
     from toruszeta import expansion

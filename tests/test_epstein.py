@@ -354,6 +354,29 @@ def test_a_zero_scan_past_its_bound_raises_before_any_work(monkeypatch):
         find_critical_zeros(1.0, epstein.ZERO_SCAN_MAX_T)
 
 
+def test_a_zero_scan_step_past_its_sample_budget_raises_before_any_work(
+        monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(epstein, "_hardy_z", no_work)
+    budget = f"parts, more than {epstein.SCAN_MAX_POINTS}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # part counts past any integer come first: unchecked, they fail
+        # in np.linspace before allocating anything
+        for step in (5e-324, 1e-300, 1e-13):
+            with pytest.raises(DomainError, match=budget):
+                find_critical_zeros(1.0, 20.0, step)
+        # the window alone is 10^5 parts, the margins' Gram intervals are
+        # some 3 x 10^9 more
+        with pytest.raises(DomainError, match=budget):
+            find_critical_zeros(20.0, 20.001, 1e-8)
+    # a step within the budget goes on to the Hardy signals
+    with pytest.raises(AssertionError, match="the scan ran"):
+        find_critical_zeros(1.0, 20.0, 1e-3)
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=complex).view(np.uint64)
 

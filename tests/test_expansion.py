@@ -21,8 +21,7 @@ from toruszeta.expansion import (_angular_sum_values, _h_moments, _inner_j,
                                  _inner_xshape, _k2_sum)
 from toruszeta.lattice import (StencilVariant, TorusGrid, axis_symbol,
                                resolvent_trace, stencil_symbol)
-from toruszeta.quadrature import (AsymptoticDescriptor, AsymptoticTerm,
-                                  IntegrandSpec, Location, QuadResult,
+from toruszeta.quadrature import (AsymptoticTerm, IntegrandSpec, QuadResult,
                                   _gl_panels, quad_periodic_2d,
                                   regularized_integral)
 
@@ -359,6 +358,17 @@ def test_em_verify_runge():
             em_verify(big_m, 10, fn, deriv)
 
 
+def test_em_verify_past_its_bound_raises_before_any_work():
+    def no_work(*args):
+        raise AssertionError("the sum ran")
+
+    with pytest.raises(RangeError, match=f"exceeds {expansion.EM_MAX_N}"):
+        em_verify(3, expansion.EM_MAX_N + 1, no_work, no_work)
+    # the bound itself is accepted
+    with pytest.raises(AssertionError, match="the sum ran"):
+        em_verify(3, expansion.EM_MAX_N, no_work, no_work)
+
+
 def test_em_boundary_and_derivative_terms_vanish_on_symbol():
     # periodicity kills the A-term, parity kills the D-term odd derivatives
     for variant in (FIVE, NINE):
@@ -493,10 +503,8 @@ def test_zz_resolvent_trace_identities():
         spec = IntegrandSpec(
             lambda z, tr=tr, c=c: np.exp(
                 c * np.log(np.asarray(np.atleast_1d(z), dtype=float))) * tr(z),
-            None,
-            AsymptoticDescriptor(
-                [AsymptoticTerm(1.0 - 2 * w, 0, math.pi / (beta - 1))],
-                Location.AT_INFINITY))
+            descriptor_infinity=(
+                AsymptoticTerm(1.0 - 2 * w, 0, math.pi / (beta - 1)),))
         lhs = regularized_integral(spec, 1e-9)
         rhs = v_factor_inv(beta, w) * epstein_zeta_2d(w)
         assert abs(lhs - rhs) <= 1e-6 * (1 + abs(rhs))
@@ -510,9 +518,7 @@ def test_zeta_regularized_integral_representation():
         lambda z: np.exp(
             (3.0 - 2.0 * s) * np.log(np.asarray(np.atleast_1d(z), dtype=float)))
         * tr(z),
-        None,
-        AsymptoticDescriptor([AsymptoticTerm(1.0 - 2 * s, 0, math.pi)],
-                             Location.AT_INFINITY))
+        descriptor_infinity=(AsymptoticTerm(1.0 - 2 * s, 0, math.pi),))
     lhs = v_factor(2, s) * regularized_integral(spec, 1e-9)
     rhs = epstein_zeta_2d(s)
     assert abs(lhs - rhs) <= 1e-6 * (1 + abs(rhs))

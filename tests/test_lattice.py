@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toruszeta import lattice
 from toruszeta.epstein import epstein_direct_sum
 from toruszeta.expansion import symbol_value
 from toruszeta.errors import (DegenerateError, DomainError, NonFiniteError,
                               RangeError, ShapeError)
-from toruszeta.lattice import (GRID_MAX_N, StencilVariant, TorusGrid,
+from toruszeta.lattice import (CIRCLE_MAX_N, GRID_MAX_N, StencilVariant,
+                               TorusGrid,
                                _axis_fold, _fold_source, apply_stencil,
                                axis_symbol, eigenvalue, eigenvalue_grid,
                                operator_matrix, resolvent_trace,
@@ -150,6 +152,20 @@ def test_spectral_zeta_1d():
     assert spectral_zeta_1d(3, 0.0).real == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(DegenerateError):
         spectral_zeta_1d(1, 1.0)
+
+
+def test_a_circle_past_its_bound_raises_before_any_work(monkeypatch):
+    # n = 10^12 once asked for two 4 TiB arrays
+    def no_work(*args):
+        raise AssertionError("the sum ran")
+
+    monkeypatch.setattr(lattice, "_axis_fold", no_work)
+    for n in (CIRCLE_MAX_N + 1, 10 ** 12):
+        with pytest.raises(RangeError, match=f"exceeds {CIRCLE_MAX_N}"):
+            spectral_zeta_1d(n, 0.5)
+    # the bound itself is accepted
+    with pytest.raises(AssertionError, match="the sum ran"):
+        spectral_zeta_1d(CIRCLE_MAX_N, 0.5)
 
 
 def test_eigenvalue_grid_mirror():

@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruszeta.errors import DescriptorError, ShapeError
-from toruszeta.quadrature import (AsymptoticDescriptor, AsymptoticTerm,
-                                  IntegrandSpec, Location,
+from toruszeta.quadrature import (AsymptoticTerm, IntegrandSpec,
                                   change_of_variables_check, quad_periodic_2d,
                                   regularized_integral)
-
-AT0, ATI = Location.AT_ZERO, Location.AT_INFINITY
 
 # int_0^1 int_0^1 (sin^2(pi x)/pi^2 + sin^2(pi y)/pi^2 + 1)^-2, pinned offline
 PERIODIC_GOLDEN = 0.829740139263150824
@@ -21,8 +18,7 @@ PERIODIC_GOLDEN = 0.829740139263150824
 def _power_spec(a: float) -> IntegrandSpec:
     return IntegrandSpec(
         lambda z, a=a: z ** a,
-        AsymptoticDescriptor([AsymptoticTerm(a, 0, 1.0)], AT0),
-        AsymptoticDescriptor([AsymptoticTerm(a, 0, 1.0)], ATI))
+        (AsymptoticTerm(a, 0, 1.0),), (AsymptoticTerm(a, 0, 1.0),))
 
 
 def test_quad_periodic_2d():
@@ -78,7 +74,7 @@ def test_regularized_z_minus_2_total():
 def test_regularized_exponential_integral_constant():
     # reg-int of e^-z / z = -EulerGamma (log-singular subtraction at 0)
     f = IntegrandSpec(lambda z: np.exp(-z) / z,
-                      AsymptoticDescriptor([AsymptoticTerm(-1.0, 0, 1.0)], AT0))
+                      (AsymptoticTerm(-1.0, 0, 1.0),))
     assert regularized_integral(f).real == pytest.approx(
         -0.5772156649015328606, abs=1e-12)
 
@@ -109,38 +105,42 @@ def test_regularized_missing_descriptor_rejected():
 
 
 def test_descriptor_validation():
-    with pytest.raises(DescriptorError):
-        AsymptoticDescriptor([AsymptoticTerm(2j, 0, 1.0)], ATI)
-    with pytest.raises(DescriptorError):
-        AsymptoticDescriptor(
-            [AsymptoticTerm(-2.0, 0, 1.0), AsymptoticTerm(-1.0, 0, 1.0)], ATI)
-    with pytest.raises(DescriptorError):
-        AsymptoticDescriptor(
-            [AsymptoticTerm(1.0, 0, 1.0), AsymptoticTerm(0.5, 0, 1.0)], AT0)
+    f = lambda z: np.exp(-z)
+    with pytest.raises(DescriptorError, match="oscillatory"):
+        IntegrandSpec(f, descriptor_infinity=(AsymptoticTerm(2j, 0, 1.0),))
+    with pytest.raises(DescriptorError, match="non-increasing"):
+        IntegrandSpec(f, descriptor_infinity=(
+            AsymptoticTerm(-2.0, 0, 1.0), AsymptoticTerm(-1.0, 0, 1.0)))
+    with pytest.raises(DescriptorError, match="non-decreasing"):
+        IntegrandSpec(f, descriptor_zero=(
+            AsymptoticTerm(1.0, 0, 1.0), AsymptoticTerm(0.5, 0, 1.0)))
     with pytest.raises(DescriptorError):
         AsymptoticTerm(1.0, -1, 1.0)
+    # in order, and equal real parts within the 1e-15 slack, both ends pass
+    for terms in ((AsymptoticTerm(-1.0, 0, 1.0), AsymptoticTerm(-1.0, 1, 1.0)),
+                  (AsymptoticTerm(-1.0, 0, 1.0),
+                   AsymptoticTerm(-1.0 - 5e-16 + 3j, 0, 1.0))):
+        IntegrandSpec(f, terms, terms[::-1])
+        IntegrandSpec(f, terms[::-1], terms)
 
 
 def test_a_descriptor_must_sit_in_the_slot_of_its_end():
     # int_0^oo z^(-1/2) e^(-z) dz = sqrt(pi); a descriptor in the other
     # slot made regularized_integral integrate one half twice and skip the
-    # other (0.5576 and 2.9873)
+    # other (0.5576 and 2.9873).  The slot is now the only record of the
+    # end, so the terms go to the slot that names it.
     f = lambda z: z ** -0.5 * np.exp(-z)
-    at_zero = AsymptoticDescriptor([AsymptoticTerm(-0.5, 0, 1.0)], AT0)
-    assert regularized_integral(IntegrandSpec(f, at_zero)) \
+    spec = IntegrandSpec(f, descriptor_zero=(AsymptoticTerm(-0.5, 0, 1.0),))
+    assert regularized_integral(spec) \
         == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    for slots in ({"descriptor_zero": AsymptoticDescriptor((), ATI)},
-                  {"descriptor_infinity": at_zero}):
-        with pytest.raises(DescriptorError, match="slot"):
-            IntegrandSpec(f, **slots)
 
 
 def _inv_power_spec() -> IntegrandSpec:
     # f = 1/(1+z): coefficient 1 on z^-1 at infinity, regular at 0
     return IntegrandSpec(
         lambda z: 1.0 / (1.0 + z),
-        descriptor_infinity=AsymptoticDescriptor(
-            [AsymptoticTerm(-1.0, 0, 1.0), AsymptoticTerm(-2.0, 0, -1.0)], ATI))
+        descriptor_infinity=(AsymptoticTerm(-1.0, 0, 1.0),
+                             AsymptoticTerm(-2.0, 0, -1.0)))
 
 
 def test_change_of_variables_plain_scaling():
@@ -179,8 +179,7 @@ def _gap2_spec(rng) -> IntegrandSpec:
     return IntegrandSpec(
         lambda z, a0=a0, c0=c0, ci=ci: c0 * z ** a0 * np.exp(-z * z)
         + ci / (1.0 + z * z),
-        AsymptoticDescriptor([AsymptoticTerm(a0, 0, c0)], AT0),
-        AsymptoticDescriptor([AsymptoticTerm(-2.0, 0, ci)], ATI))
+        (AsymptoticTerm(a0, 0, c0),), (AsymptoticTerm(-2.0, 0, ci),))
 
 
 def test_regularized_linearity():
@@ -191,16 +190,15 @@ def test_regularized_linearity():
         al, be = rng.normal(), rng.normal()
         terms0 = sorted(
             [AsymptoticTerm(t.exponent, 0, al * t.coefficient)
-             for t in fa.descriptor_zero.terms]
+             for t in fa.descriptor_zero]
             + [AsymptoticTerm(t.exponent, 0, be * t.coefficient)
-               for t in fb.descriptor_zero.terms],
+               for t in fb.descriptor_zero],
             key=lambda t: complex(t.exponent).real)
-        ci = al * fa.descriptor_infinity.terms[0].coefficient \
-            + be * fb.descriptor_infinity.terms[0].coefficient
+        ci = al * fa.descriptor_infinity[0].coefficient \
+            + be * fb.descriptor_infinity[0].coefficient
         comb = IntegrandSpec(
             lambda z: al * fa(np.asarray(z)) + be * fb(np.asarray(z)),
-            AsymptoticDescriptor(terms0, AT0),
-            AsymptoticDescriptor([AsymptoticTerm(-2.0, 0, ci)], ATI))
+            tuple(terms0), (AsymptoticTerm(-2.0, 0, ci),))
         got = regularized_integral(comb)
         assert abs(got - (al * va + be * vb)) <= 1e-8 * max(1.0, abs(got))
 
@@ -215,8 +213,7 @@ def test_regularized_integral_evaluates_f_once_per_node():
         return np.exp(-z) / np.sqrt(z) + 1.0 / (1.0 + z * z)
 
     spec = IntegrandSpec(
-        f, AsymptoticDescriptor([AsymptoticTerm(-0.5, 0, 1.0)], AT0),
-        AsymptoticDescriptor([AsymptoticTerm(-2.0, 0, 1.0)], ATI))
+        f, (AsymptoticTerm(-0.5, 0, 1.0),), (AsymptoticTerm(-2.0, 0, 1.0),))
     val = regularized_integral(spec)
     assert np.isfinite(val)
     nodes = np.concatenate(seen)

@@ -141,6 +141,14 @@ COMMANDS = (
     # any output
     "scan --kind zeros --t-min -1 --t-max 20",
     "scan --kind zeros --t-min 1 --t-max 1501",
+    # a zero-scan step that cuts the sampled intervals into more than
+    # SCAN_MAX_POINTS parts, or into a count past any integer; a circle
+    # past lattice.CIRCLE_MAX_N and an emcheck past expansion.EM_MAX_N:
+    # exit 2 before any output
+    "scan --kind zeros --t-min 1 --t-max 20 --step 1e-13",
+    "scan --kind zeros --t-min 1 --t-max 20 --step 1e-300",
+    "zeta1d --n 4194305 --s 0.5",
+    "emcheck --n 129",
     # hn near the line past that bound: V_2(s) overflows past |Im s| ~ 239,
     # before its near-zero probe runs a zero scan (exit 3, no output)
     "hn --s 0.5+1499.5i --n-list 32,64",

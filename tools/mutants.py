@@ -142,11 +142,10 @@ MUTANTS = (
            "\n@lru_cache(maxsize=64)\ndef coeff_b1(s: complex)",
            ("tests/test_exports.py::"
             "test_the_only_memos_are_the_table_builders",)),
-    Mutant("descriptor-slot-unchecked", "src/toruszeta/quadrature.py",
-           "if d is not None and d.location is not location:",
-           "if False:",
-           ("tests/test_quadrature.py::"
-            "test_a_descriptor_must_sit_in_the_slot_of_its_end",)),
+    Mutant("term-order-unchecked-at-infinity", "src/toruszeta/quadrature.py",
+           "if any(a > b + 1e-15 for a, b in zip(res, res[1:])):",
+           "if sign > 0 and any(a > b + 1e-15 for a, b in zip(res, res[1:])):",
+           ("tests/test_quadrature.py::test_descriptor_validation",)),
     Mutant("scan-span-unchecked", "src/toruszeta/cli.py",
            "    if not math.isfinite(b - a):\n", "    if False:\n",
            ("tests/test_cli.py::"
@@ -174,15 +173,27 @@ MUTANTS = (
     Mutant("two-d-input-accepted", "src/toruszeta/special.py",
            "    if values.ndim != 1:\n", "    if values.ndim > 2:\n",
            ("tests/test_epstein.py::test_one_s_or_an_array_of_s",)),
-    Mutant("expansion-b0-from-a-second-series-pass", "src/toruszeta/cli.py",
-           "    b0 = epstein.v_factor_inv(2, s) * const",
-           "    b0 = expansion.coeff_b0(s)",
+    Mutant("expansion-b0-from-a-second-series-pass",
+           "src/toruszeta/expansion.py",
+           "(lead, v2, _b0(s, const), b1)", "(lead, v2, coeff_b0(s), b1)",
            ("tests/test_cli.py::"
             "test_an_expansion_job_evaluates_zeta_delta_at_s_and_s_minus_1",)),
     Mutant("zero-scan-bound-unchecked", "src/toruszeta/epstein.py",
            "    if t_max > ZERO_SCAN_MAX_T:\n", "    if False:\n",
            ("tests/test_epstein.py::"
             "test_a_zero_scan_past_its_bound_raises_before_any_work",)),
+    Mutant("zero-scan-step-budget-unchecked", "src/toruszeta/epstein.py",
+           "        if total > SCAN_MAX_POINTS:\n", "        if False:\n",
+           ("tests/test_epstein.py::test_a_zero_scan_step_past_its_sample_"
+            "budget_raises_before_any_work",)),
+    Mutant("circle-bound-unchecked", "src/toruszeta/lattice.py",
+           "    if n > CIRCLE_MAX_N:\n", "    if False:\n",
+           ("tests/test_lattice.py::"
+            "test_a_circle_past_its_bound_raises_before_any_work",)),
+    Mutant("em-n-bound-unchecked", "src/toruszeta/expansion.py",
+           "    if n > EM_MAX_N:\n", "    if False:\n",
+           ("tests/test_expansion.py::"
+            "test_em_verify_past_its_bound_raises_before_any_work",)),
     # a constant column's number taken from another row of the numbers
     # (another column's first number)
     Mutant("writer-constant-from-the-wrong-row", "src/toruszeta/cli.py",
