@@ -79,26 +79,45 @@ def _h_moments(variant: StencilVariant) -> np.ndarray:
     return out
 
 
-def _inner_xshape(variant: StencilVariant, zmin: float):
-    """Graded x-nodes/weights on [0, 1/2] resolving the corner at scale zmin."""
-    edges = [0.5]
-    while edges[-1] > 0.25 * zmin and edges[-1] > 2.0 ** -200:
-        edges.append(0.5 * edges[-1])
-    # the panels [e_i+1, e_i] from 1/2 down, then [0, e_last]
-    x, width, w = _gl_panels(edges[1:] + [0.0], edges, 32)
-    sx = axis_symbol(x.ravel(), 1)
-    b = 1.0 + _cross_coeff(variant) * sx  # symbol = sx + b sy on the square
-    return sx, b, (width * w).ravel()
+_X_ORDER = 32  # GL rule of the x-panels
 
 
-def _inner_j(z: np.ndarray, variant: StencilVariant) -> np.ndarray:
-    """J(z) = int over the unit square of symbol(x,y,z)^-2, vectorized in z.
+def _x_rule(variant: StencilVariant):
+    """The graded x-rule on [0, 1/2] of one leading-coefficient call.
+
+    The panels [2^-i-1, 2^-i], i >= 1, are built once, as their axis
+    symbol sx, b (symbol = sx + b sy on the square) and weights, and
+    extended when a deeper z-panel needs more.  ``rule(zmin)``, the rule
+    resolving the corner at scale zmin, is a prefix of them plus its own
+    end panel [0, e], as (sx, b, w) over all its nodes."""
+    cross = _cross_coeff(variant)
+    panels = []
+
+    def build(lo, hi):
+        x, width, w = _gl_panels(lo, hi, _X_ORDER)
+        sx = axis_symbol(x, 1)
+        return sx, 1.0 + cross * sx, width * w
+
+    def rule(zmin):
+        m, e = 0, 0.5
+        while e > 0.25 * zmin and e > 2.0 ** -200:
+            m, e = m + 1, 0.5 * e
+        while len(panels) < m:
+            hi = 0.5 ** (len(panels) + 1)
+            panels.append(build(0.5 * hi, hi))
+        return [np.concatenate(col) for col in zip(*panels[:m], build(0.0, e))]
+    return rule
+
+
+def _inner_j(z: np.ndarray, rule) -> np.ndarray:
+    """J(z) = int over the unit square of symbol(x,y,z)^-2, vectorized in z,
+    on the x-rule ``rule`` of ``_x_rule``.
 
     The (z, x) integrand (c + b/(2 pi^2)) (c (c + b/pi^2))^-3/2, c = z^2 +
     sx, is formed in place in two float arrays.
     """
     z = np.asarray(z, dtype=float)
-    sx, b, w = _inner_xshape(variant, float(z.min()))
+    sx, b, w = rule(float(z.min()))
     c = np.add.outer(z * z, sx)
     y = np.add(c, b / math.pi ** 2)
     y *= c
@@ -108,21 +127,27 @@ def _inner_j(z: np.ndarray, variant: StencilVariant) -> np.ndarray:
     return 2.0 * (y @ w)
 
 
-def leading_coeff(s: complex, variant: StencilVariant,
+def leading_coeff(s, variant: StencilVariant,
                   tol: float = 1e-12) -> QuadResult:
-    """Leading expansion coefficient a(s) / a~(s) and its achieved error.
+    """Leading expansion coefficient a(s) / a~(s) and its achieved error, at
+    one s (a QuadResult of a complex and a float) or a 1-D array of s (of
+    two arrays).
 
     Defined for 0 < Re(s) < 1.75 away from s = 1: inside the strip (0,1)
     this is the convergent triple integral, beyond it the regularized
     continuation (precision degrades past Re(s) ~ 1.6 as the corner
     subtraction hits its roundoff floor).  The error is the geometric tail
     estimate of the z-panels left unsummed plus the roundoff floor of the
-    corner subtraction summed over the panels taken.
+    corner subtraction summed over the panels taken.  J(z) does not depend
+    on s: a call computes it once per z-panel for all its points, and each
+    point runs its own panel exits on those values, with the bits of its
+    one-point call.
     """
-    s = complex(s)
-    if not 0.0 < s.real < 1.75 or s == 1.0:
-        raise DomainError(
-            f"leading coefficient defined for 0 < Re(s) < 1.75, s != 1; got {s}")
+    points = _as_points(np.atleast_1d(s))
+    bad = (points.real <= 0.0) | (points.real >= 1.75) | (points == 1.0)
+    if bad.any():
+        raise DomainError("leading coefficient defined for 0 < Re(s) < 1.75, "
+                          f"s != 1; got {complex(points[bad][0])}")
     if tol <= 0:
         raise DomainError("tol must be positive")
 
@@ -133,29 +158,39 @@ def leading_coeff(s: complex, variant: StencilVariant,
     # aims well below the requested tol: residual-order studies subtract
     # V a(s) n^(2-2s), which amplifies any quadrature error by n^(2-2Re s).
     eps = float(np.finfo(float).eps)
-
-    def panel(lo, hi, z):
-        residual = np.exp((3.0 - 2.0 * s) * np.log(z)) \
-            * (_inner_j(z, variant) - math.pi / (z * z))
-        return residual, eps * math.pi * lo ** (1.0 - 2.0 * s.real) * (hi - lo)
-
-    acc, err = _graded_panels(panel, tol, 1e-3, 8)
-    value = acc + math.pi / (2.0 - 2.0 * s)
-
-    # z in [1, oo): exact geometric-series tail.
+    rule, corner = _x_rule(variant), {}  # depth -> (log z, J - pi/z^2)
     mom = _h_moments(variant)
-    tail_acc = 0j
-    small = 0
-    for j in range(len(mom)):
-        term = (j + 1) * (-1.0) ** j * mom[j] / (2.0 * s + 2.0 * j)
-        tail_acc += term
-        if abs(term) <= 1e-17 * max(1.0, abs(tail_acc)):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    return QuadResult(complex(value + tail_acc), err)
+    values, errors = [], []
+    for p in points.tolist():
+        def panel(lo, hi, z, p=p):
+            depth = round(-math.log2(hi))
+            if depth not in corner:
+                corner[depth] = np.log(z), \
+                    _inner_j(z, rule) - math.pi / (z * z)
+            log_z, residual = corner[depth]
+            return np.exp((3.0 - 2.0 * p) * log_z) * residual, \
+                eps * math.pi * lo ** (1.0 - 2.0 * p.real) * (hi - lo)
+
+        acc, err = _graded_panels(panel, tol, 1e-3, 8)
+        value = acc + math.pi / (2.0 - 2.0 * p)
+
+        # z in [1, oo): exact geometric-series tail.
+        tail_acc = 0j
+        small = 0
+        for j in range(len(mom)):
+            term = (j + 1) * (-1.0) ** j * mom[j] / (2.0 * p + 2.0 * j)
+            tail_acc += term
+            if abs(term) <= 1e-17 * max(1.0, abs(tail_acc)):
+                small += 1
+                if small >= 2:
+                    break
+            else:
+                small = 0
+        values.append(complex(value + tail_acc))
+        errors.append(err)
+    if np.ndim(s):
+        return QuadResult(np.array(values), np.array(errors))
+    return QuadResult(values[0], errors[0])
 
 
 def _b0(s: complex, zeta_delta: complex) -> complex:
@@ -481,7 +516,7 @@ def h_function(s, n, tol: float = 1e-12):
     grids = [TorusGrid(m) for m in ns]
     pts = points.tolist()
     v2 = [v_factor(2, p) for p in pts]
-    lead = [leading_coeff(p, StencilVariant.NINE_POINT, tol).value for p in pts]
+    lead = leading_coeff(points, StencilVariant.NINE_POINT, tol).value.tolist()
     front = _pi_pow_gamma(points)
     h = np.empty((len(ns), len(pts)), dtype=complex)
     for row, m, grid in zip(h, ns, grids):

@@ -18,7 +18,7 @@ from toruszeta.expansion import (angular_lattice_sum, coeff_b0, coeff_b1,
                                  series_truncation_check, symbol_value,
                                  taylor_coefficients)
 from toruszeta.expansion import (_angular_sum_values, _h_moments, _inner_j,
-                                 _inner_xshape, _k2_sum)
+                                 _k2_sum, _x_rule)
 from toruszeta.lattice import (StencilVariant, TorusGrid, axis_symbol,
                                resolvent_trace, stencil_symbol)
 from toruszeta.quadrature import (AsymptoticTerm, IntegrandSpec, QuadResult,
@@ -70,7 +70,7 @@ def test_leading_coeff_inner_reduction_vs_2d_quadrature():
                     val = val - (2 * math.pi ** 2 / 3) * sx * sy
                 return val ** -2.0
             ref = quad_periodic_2d(f, 1e-12).value.real
-            got = float(_inner_j(np.array([z]), variant)[0])
+            got = float(_inner_j(np.array([z]), _x_rule(variant))[0])
             assert got == pytest.approx(ref, rel=1e-11)
 
 
@@ -96,6 +96,38 @@ def test_leading_coeff_error_is_an_achieved_bound(variant):
         assert abs(loose.value - tight.value) <= loose.error
 
 
+@pytest.mark.parametrize("variant", [FIVE, NINE])
+def test_leading_coeff_over_an_array_gives_each_point_its_scalar_bits(
+        variant):
+    points = np.array([0.5, 0.3 + 2.0j, 0.7 - 2.5j, 1.5 + 1.0j, 0.5 + 14.0j])
+    res = leading_coeff(points, variant)
+    ones = [leading_coeff(p, variant) for p in points.tolist()]
+    assert _same_bits(res.value, np.array([r.value for r in ones]))
+    assert _same_bits(res.error, np.array([r.error for r in ones]))
+    with pytest.raises(DomainError, match=r"got \(1\+0j\)"):
+        leading_coeff(np.array([0.5, 1.0]), variant)
+
+
+def test_h_function_over_two_points_evaluates_j_once_per_panel_depth(
+        monkeypatch):
+    # a~(1 - s) and a~(s) share every J(z): the deeper point's panel count,
+    # not the sum of both
+    calls = []
+    original = expansion._inner_j
+    monkeypatch.setattr(expansion, "_inner_j",
+                        lambda z, rule: calls.append(z) or original(z, rule))
+    points = [0.3 + 2.0j, 0.7 - 2.0j]
+    each = []
+    for p in points:
+        calls.clear()
+        leading_coeff(p, NINE)
+        each.append(len(calls))
+    calls.clear()
+    h_function(np.array(points), 16)
+    assert len(calls) == max(each) < sum(each)
+    assert len({float(z[0]) for z in calls}) == len(calls)
+
+
 def test_coeff_b0_examples():
     s = 0.3 + 2.0j
     assert abs(v_factor(2, s) * coeff_b0(s) - epstein_zeta_2d(s)) \
@@ -119,7 +151,7 @@ def test_coeff_b1_tilde_examples():
 def _former_inner_j(z, variant):
     """``_inner_j`` as written out before it ran in place: the reference
     for its bits."""
-    sx, b, w = _inner_xshape(variant, float(z.min()))
+    sx, b, w = _x_rule(variant)(float(z.min()))
     c = sx[None, :] + (z * z)[:, None]
     y = (c + b[None, :] / (2.0 * math.pi ** 2)) \
         * (c * (c + b[None, :] / math.pi ** 2)) ** -1.5
@@ -147,7 +179,31 @@ def test_inner_j_in_place_keeps_the_bits_at_every_panel_depth():
     for variant in (FIVE, NINE):
         for k in range(41):
             z = _gl_panels(2.0 ** (-k - 1), 2.0 ** -k, 32)[0]
-            assert _same_bits(_inner_j(z, variant), _former_inner_j(z, variant))
+            assert _same_bits(_inner_j(z, _x_rule(variant)),
+                              _former_inner_j(z, variant))
+
+
+def _former_x_shape(variant, zmin):
+    """The x-rule resolving the corner at scale zmin, built from scratch:
+    the panels [e_i+1, e_i] from 1/2 down, then [0, e_last]."""
+    edges = [0.5]
+    while edges[-1] > 0.25 * zmin and edges[-1] > 2.0 ** -200:
+        edges.append(0.5 * edges[-1])
+    x, width, w = _gl_panels(edges[1:] + [0.0], edges, expansion._X_ORDER)
+    sx = axis_symbol(x.ravel(), 1)
+    b = 1.0 + (float(stencil_symbol(variant, 1.0, 1.0, 1)) - 2.0) * sx
+    return sx, b, (width * w).ravel()
+
+
+def test_one_x_rule_per_call_is_the_rule_built_from_scratch_at_every_depth():
+    # one rule, extended panel by panel as the z-panels deepen, and asked
+    # again for a shallower depth
+    for variant in (FIVE, NINE):
+        rule = _x_rule(variant)
+        for k in [*range(41), 3, 60]:
+            zmin = float(_gl_panels(2.0 ** (-k - 1), 2.0 ** -k, 32)[0][0])
+            got, ref = rule(zmin), _former_x_shape(variant, zmin)
+            assert all(_same_bits(a, b) for a, b in zip(got, ref))
 
 
 def test_k2_sum_in_place_keeps_the_bits():

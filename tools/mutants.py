@@ -129,10 +129,18 @@ MUTANTS = (
            ("tests/test_conjecture.py::"
             "test_hn_ratio_study_is_the_ratio_of_the_scalar_h_values",)),
     Mutant("hn-leading-coeff-of-the-first-point", "src/toruszeta/expansion.py",
-           "leading_coeff(p, StencilVariant.NINE_POINT, tol).value for p in",
-           "leading_coeff(pts[0], StencilVariant.NINE_POINT, tol).value for p in",
+           "leading_coeff(points, StencilVariant.NINE_POINT, tol)",
+           "leading_coeff(points[[0] * len(pts)], StencilVariant.NINE_POINT, "
+           "tol)",
            ("tests/test_expansion.py::"
             "test_h_function_over_an_array_gives_each_point_its_scalar_bits",)),
+    # a point past the first finds the deepest panel of the points before it
+    # missing from the memo, and evaluates J there again
+    Mutant("j-memo-keyed-on-the-next-depth", "src/toruszeta/expansion.py",
+           "            if depth not in corner:\n",
+           "            if depth + 1 not in corner:\n",
+           ("tests/test_expansion.py::"
+            "test_h_function_over_two_points_evaluates_j_once_per_panel_depth",)),
     Mutant("b1-subtracted-at-order-zero", "src/toruszeta/expansion.py",
            "b1term = v2 * b1 if orders_included >= 1 else 0j",
            "b1term = v2 * b1",
