@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _trace_utils import make_truncated_trace
-from toruszeta import expansion, lattice
+from toruszeta import expansion, lattice, quadrature
 from toruszeta.epstein import epstein_zeta_2d, v_factor, v_factor_inv
 from toruszeta.errors import DomainError, RangeError, SignalLostError
 from toruszeta.expansion import (angular_lattice_sum, coeff_b0, coeff_b1,
@@ -148,14 +148,18 @@ def test_coeff_b1_tilde_examples():
     assert abs(val.imag) <= 1e-13 * abs(val)
 
 
-def _former_inner_j(z, variant):
-    """``_inner_j`` as written out before it ran in place: the reference
-    for its bits."""
-    sx, b, w = _x_rule(variant)(float(z.min()))
+def _written_out_j(z, sx, b, w):
+    """J(z) on the x-rule (sx, b, w), written out."""
     c = sx[None, :] + (z * z)[:, None]
     y = (c + b[None, :] / (2.0 * math.pi ** 2)) \
         * (c * (c + b[None, :] / math.pi ** 2)) ** -1.5
     return 2.0 * (y @ w)
+
+
+def _former_inner_j(z, variant):
+    """``_inner_j`` as written out before it ran in place: the reference
+    for its bits."""
+    return _written_out_j(z, *_x_rule(variant)(float(z.min())))
 
 
 def _former_k2_sum(a2):
@@ -183,13 +187,13 @@ def test_inner_j_in_place_keeps_the_bits_at_every_panel_depth():
                               _former_inner_j(z, variant))
 
 
-def _former_x_shape(variant, zmin):
+def _former_x_shape(variant, zmin, order=expansion._X_ORDER):
     """The x-rule resolving the corner at scale zmin, built from scratch:
     the panels [e_i+1, e_i] from 1/2 down, then [0, e_last]."""
     edges = [0.5]
     while edges[-1] > 0.25 * zmin and edges[-1] > 2.0 ** -200:
         edges.append(0.5 * edges[-1])
-    x, width, w = _gl_panels(edges[1:] + [0.0], edges, expansion._X_ORDER)
+    x, width, w = _gl_panels(edges[1:] + [0.0], edges, order)
     sx = axis_symbol(x.ravel(), 1)
     b = 1.0 + (float(stencil_symbol(variant, 1.0, 1.0, 1)) - 2.0) * sx
     return sx, b, (width * w).ravel()
@@ -204,6 +208,37 @@ def test_one_x_rule_per_call_is_the_rule_built_from_scratch_at_every_depth():
             zmin = float(_gl_panels(2.0 ** (-k - 1), 2.0 ** -k, 32)[0][0])
             got, ref = rule(zmin), _former_x_shape(variant, zmin)
             assert all(_same_bits(a, b) for a, b in zip(got, ref))
+
+
+def test_inner_j_on_gl16_x_panels_is_within_4_eps_of_a_gl64_reference():
+    # on a ratio-2 panel the GL16 error is ~(3 + sqrt 8)^-32 ~ 3.5e-25:
+    # only rounding is left (2.9 eps measured; GL32 read 2.8)
+    eps = np.finfo(float).eps
+    for variant in (FIVE, NINE):
+        for k in range(41):
+            z = _gl_panels(2.0 ** (-k - 1), 2.0 ** -k, 32)[0]
+            ref = _written_out_j(z, *_former_x_shape(variant, z.min(), 64))
+            got = _inner_j(z, _x_rule(variant))
+            assert np.all(np.abs(got - ref) <= 4.0 * eps * np.abs(ref)), k
+
+
+@pytest.mark.parametrize("variant", [FIVE, NINE])
+def test_leading_coeff_at_height_is_its_gl64_z_reference_within_its_error(
+        variant, monkeypatch):
+    # z^(3-2s) turns by 2 |Im s| ln 2 radians per z-panel, which GL32 still
+    # resolves there and GL16 does not (3e-12 at 0.5+14i).  At this height
+    # |a(s)| ~ 1e-15 is rounding noise of O(0.1) parts; both rules round J
+    # to ~3 eps (above) where err's floor term assumes one, so they differ
+    # by up to ~3 err: 2.3e-15 measured, against err 7.1e-16
+    eps = np.finfo(float).eps
+    points = (0.5 + 14.0j, 0.5 + 30.0j)
+    got = [leading_coeff(s, variant) for s in points]
+    gl = quadrature._gl_panels
+    monkeypatch.setattr(quadrature, "_gl_panels",
+                        lambda lo, hi, order: gl(lo, hi, 2 * order))
+    for s, res in zip(points, got):
+        ref = leading_coeff(s, variant).value
+        assert abs(res.value - ref) <= res.error + 16.0 * eps, s
 
 
 def test_k2_sum_in_place_keeps_the_bits():

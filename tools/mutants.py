@@ -84,6 +84,16 @@ MUTANTS = (
            "    y **= -1.5\n", "    y = 1.0 / (y * np.sqrt(y))\n",
            ("tests/test_expansion.py::"
             "test_inner_j_in_place_keeps_the_bits_at_every_panel_depth",)),
+    Mutant("x-panels-gl8", "src/toruszeta/expansion.py",
+           "_X_ORDER = 16", "_X_ORDER = 8",
+           ("tests/test_expansion.py::"
+            "test_inner_j_on_gl16_x_panels_is_within_4_eps_of_a_gl64_reference",)),
+    Mutant("z-panels-gl16", "src/toruszeta/quadrature.py",
+           "        z, width, w = _gl_panels(lo, hi, 32)\n",
+           "        z, width, w = _gl_panels(lo, hi, 16)\n",
+           ("tests/test_expansion.py::"
+            "test_leading_coeff_at_height_is_its_gl64_z_reference_within_its_"
+            "error",)),
     Mutant("kahan-compensation-reassociated", "src/toruszeta/summation.py",
            "        np.subtract(t, s, out=c)\n        c -= y\n",
            "        np.subtract(t, y, out=c)\n        c -= s\n",
