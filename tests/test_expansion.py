@@ -449,6 +449,34 @@ def test_em_verify_runge():
             em_verify(big_m, 10, fn, deriv)
 
 
+def _runge():
+    return (lambda x: 1.0 / (1.0 + x * x),
+            lambda k, x: ((1j) * (-1) ** k * math.factorial(k)
+                          * (x + 1j) ** (-k - 1)).real)
+
+
+def test_em_verify_builds_its_kernel_once_at_the_nodes_of_the_unit_panel(
+        monkeypatch):
+    # B_(2M+1) at the 32 nodes of [0, 1], not at each panel's v - i
+    args = []
+    original = expansion.bernoulli_polynomial
+    monkeypatch.setattr(expansion, "bernoulli_polynomial",
+                        lambda k, x: args.append((k, x)) or original(k, x))
+    em_verify(3, 40, *_runge())
+    assert args == [(7, float(x)) for x in _gl_panels(0.0, 1.0, 32)[0]]
+
+
+def test_em_verify_keeps_its_former_bits_up_to_m_3():
+    # the kernel's nodes x are the former (0 + x) - 0 exactly, and up to
+    # M = 3 its values at (i + x) - i rounded the same
+    bits = lambda pair: [v.hex() for v in pair]
+    assert bits(em_verify(3, 10, *_runge())) == ["0x1.fb56c63f608aap+0"] * 2
+    assert bits(em_verify(3, 128, *_runge())) == ["0x1.08d1752dd7928p+1",
+                                                 "0x1.08d1752dd7929p+1"]
+    assert em_verify(2, 6, lambda x: x * x,
+                     lambda k, x: 2.0 * x if k == 1 else 0.0) == (91.0, 91.0)
+
+
 def test_em_verify_past_its_bound_raises_before_any_work():
     def no_work(*args):
         raise AssertionError("the sum ran")

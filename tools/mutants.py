@@ -64,6 +64,11 @@ MUTANTS = (
            "top = (_BERNOULLI_MAX - 1) // 2\n",
            "top = (_BERNOULLI_MAX - 1) // 2 + 1\n",
            ("tests/test_expansion.py::test_em_verify_runge",)),
+    # (1 + x) - 1 is not x at every node
+    Mutant("em-kernel-from-the-second-panel", "src/toruszeta/expansion.py",
+           "for x in nodes[0]])", "for x in nodes[1] - 1.0])",
+           ("tests/test_expansion.py::test_em_verify_builds_its_kernel_once_"
+            "at_the_nodes_of_the_unit_panel",)),
     Mutant("convergence-error-exits-4", "src/toruszeta/cli.py",
            "        return 3\n", "        return 4\n",
            ("tests/test_cli.py::test_expansion_signal_lost_exit_code",)),
