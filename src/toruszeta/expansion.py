@@ -28,7 +28,9 @@ tail integral is summed exactly as
     int_1^oo = sum_{j>=0} (j+1) (-1)^j <h^j> / (2s + 2j),
 
 with <h^j> the unit-square moments of the z-free symbol (a trigonometric
-polynomial, so the moments are exact trapezoid sums).
+polynomial, so the moments are exact trapezoid sums).  A call builds its
+x-panels once, at GL16 (see ``_X_ORDER``; the z-panels keep GL32), and J(z),
+which does not depend on s, once per z-panel for all its points.
 
 The array kernels (the (z, x) integrand of each z-panel, the closed-form
 k2-sum of the angular sum, the moments) run in place in arrays local to one
@@ -79,52 +81,38 @@ def _h_moments(variant: StencilVariant) -> np.ndarray:
     return out
 
 
-# GL rule of the x-panels.  On a ratio-2 panel the nearest singularity of
-# the x-integrand (x = 0, or x ~ +-iz) maps to distance >= 3 from [-1, 1],
-# so rho = 3 + sqrt(8) ~ 5.83 and the GL-n error is ~rho^-2n, 3.5e-25 at
-# n = 16 (the Bernstein-ellipse bound; Trefethen, SIAM Review 2008): J at
-# z-panel depths 0-40 is within 2.9 eps of a GL64 rule.  The z-panels of
-# ``_graded_panels`` keep GL32, since z^(3-2s) turns by 2 |Im s| ln 2
-# radians per panel: GL16 there moves a(0.5+14i) by 3e-12.
+# GL rule of the x-panels.  On a ratio-2 panel the x-integrand's nearest
+# singularity (x = 0, or x ~ +-iz) maps to distance >= 3 from [-1, 1], so
+# rho = 3 + sqrt(8) and the GL-n error is ~rho^-2n, 3.5e-25 at n = 16 (the
+# Bernstein-ellipse bound; Trefethen, SIAM Review 2008).  The z-panels keep
+# GL32: z^(3-2s) turns by 2 |Im s| ln 2 radians per panel.
 _X_ORDER = 16
 
 
-def _x_rule(variant: StencilVariant):
-    """The graded x-rule on [0, 1/2] of one leading-coefficient call.
-
-    The panels [2^-i-1, 2^-i], i >= 1, are built once, as their axis
-    symbol sx, b (symbol = sx + b sy on the square) and weights, and
-    extended when a deeper z-panel needs more.  ``rule(zmin)``, the rule
-    resolving the corner at scale zmin, is a prefix of them plus its own
-    end panel [0, e], as (sx, b, w) over all its nodes."""
-    cross = _cross_coeff(variant)
-    panels = []
-
-    def build(lo, hi):
-        x, width, w = _gl_panels(lo, hi, _X_ORDER)
-        sx = axis_symbol(x, 1)
-        return sx, 1.0 + cross * sx, width * w
-
-    def rule(zmin):
-        m, e = 0, 0.5
-        while e > 0.25 * zmin and e > 2.0 ** -200:
-            m, e = m + 1, 0.5 * e
-        while len(panels) < m:
-            hi = 0.5 ** (len(panels) + 1)
-            panels.append(build(0.5 * hi, hi))
-        return [np.concatenate(col) for col in zip(*panels[:m], build(0.0, e))]
-    return rule
+def _x_panel(cross: float, lo: float, hi: float):
+    """(sx, 1 + cross sx, weights) at the nodes of the x-panel [lo, hi]."""
+    x, width, w = _gl_panels(lo, hi, _X_ORDER)
+    sx = axis_symbol(x, 1)
+    return sx, 1.0 + cross * sx, width * w
 
 
-def _inner_j(z: np.ndarray, rule) -> np.ndarray:
-    """J(z) = int over the unit square of symbol(x,y,z)^-2, vectorized in z,
-    on the x-rule ``rule`` of ``_x_rule``.
+def _inner_j(z, variant: StencilVariant, panels: list) -> np.ndarray:
+    """J(z) = int over the unit square of symbol(x,y,z)^-2, vectorized in z.
 
-    The (z, x) integrand (c + b/(2 pi^2)) (c (c + b/pi^2))^-3/2, c = z^2 +
-    sx, is formed in place in two float arrays.
+    The x-rule resolves the corner at scale min z: the panels [2^-i-1, 2^-i]
+    from 1/2 down, held for the call in ``panels`` (extended here as far as
+    z needs), then [0, e].  The (z, x) integrand (c + b/(2 pi^2)) (c (c +
+    b/pi^2))^-3/2, c = z^2 + sx, symbol = sx + b sy on the square, is formed
+    in place in two float arrays.
     """
     z = np.asarray(z, dtype=float)
-    sx, b, w = rule(float(z.min()))
+    cross, m, e = _cross_coeff(variant), 0, 0.5
+    while e > 0.25 * float(z.min()) and e > 2.0 ** -200:
+        if m == len(panels):
+            panels.append(_x_panel(cross, 0.5 * e, e))
+        m, e = m + 1, 0.5 * e
+    sx, b, w = (np.concatenate(col)
+                for col in zip(*panels[:m], _x_panel(cross, 0.0, e)))
     c = np.add.outer(z * z, sx)
     y = np.add(c, b / math.pi ** 2)
     y *= c
@@ -137,18 +125,14 @@ def _inner_j(z: np.ndarray, rule) -> np.ndarray:
 def leading_coeff(s, variant: StencilVariant,
                   tol: float = 1e-12) -> QuadResult:
     """Leading expansion coefficient a(s) / a~(s) and its achieved error, at
-    one s (a QuadResult of a complex and a float) or a 1-D array of s (of
-    two arrays).
+    one s (builtin complex and float) or a 1-D array of s (two arrays).
 
     Defined for 0 < Re(s) < 1.75 away from s = 1: inside the strip (0,1)
     this is the convergent triple integral, beyond it the regularized
     continuation (precision degrades past Re(s) ~ 1.6 as the corner
     subtraction hits its roundoff floor).  The error is the geometric tail
     estimate of the z-panels left unsummed plus the roundoff floor of the
-    corner subtraction summed over the panels taken.  J(z) does not depend
-    on s: a call computes it once per z-panel for all its points, and each
-    point runs its own panel exits on those values, with the bits of its
-    one-point call.
+    corner subtraction summed over the panels taken.
     """
     points = _as_points(np.atleast_1d(s))
     bad = (points.real <= 0.0) | (points.real >= 1.75) | (points == 1.0)
@@ -165,35 +149,29 @@ def leading_coeff(s, variant: StencilVariant,
     # aims well below the requested tol: residual-order studies subtract
     # V a(s) n^(2-2s), which amplifies any quadrature error by n^(2-2Re s).
     eps = float(np.finfo(float).eps)
-    rule, corner = _x_rule(variant), {}  # depth -> (log z, J - pi/z^2)
-    mom = _h_moments(variant)
+    panels, jz = [], {}  # the x-panels; depth -> (log z, J - pi/z^2)
     values, errors = [], []
     for p in points.tolist():
         def panel(lo, hi, z, p=p):
             depth = round(-math.log2(hi))
-            if depth not in corner:
-                corner[depth] = np.log(z), \
-                    _inner_j(z, rule) - math.pi / (z * z)
-            log_z, residual = corner[depth]
+            if depth not in jz:
+                jz[depth] = np.log(z), \
+                    _inner_j(z, variant, panels) - math.pi / (z * z)
+            log_z, residual = jz[depth]
             return np.exp((3.0 - 2.0 * p) * log_z) * residual, \
                 eps * math.pi * lo ** (1.0 - 2.0 * p.real) * (hi - lo)
 
         acc, err = _graded_panels(panel, tol, 1e-3, 8)
-        value = acc + math.pi / (2.0 - 2.0 * p)
 
         # z in [1, oo): exact geometric-series tail.
-        tail_acc = 0j
-        small = 0
-        for j in range(len(mom)):
-            term = (j + 1) * (-1.0) ** j * mom[j] / (2.0 * p + 2.0 * j)
-            tail_acc += term
-            if abs(term) <= 1e-17 * max(1.0, abs(tail_acc)):
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-        values.append(complex(value + tail_acc))
+        tail, small = 0j, 0
+        for j, mj in enumerate(_h_moments(variant)):
+            term = (j + 1) * (-1.0) ** j * mj / (2.0 * p + 2.0 * j)
+            tail += term
+            small = (small + 1) * (abs(term) <= 1e-17 * max(1.0, abs(tail)))
+            if small >= 2:
+                break
+        values.append(complex(acc + math.pi / (2.0 - 2.0 * p) + tail))
         errors.append(err)
     if np.ndim(s):
         return QuadResult(np.array(values), np.array(errors))
@@ -450,9 +428,7 @@ def series_truncation_check(variant: StencilVariant, big_n: int,
 # Euler-Maclaurin verifier
 # ---------------------------------------------------------------------------
 
-# 64 callbacks per unit panel, the kernel built once per call: 0.03 s at
-# M = 31 (measured); kept, as no caller needs more panels
-EM_MAX_N = 128
+EM_MAX_N = 128  # 0.03 s at M = 31 (measured); no caller needs more panels
 
 
 def em_verify(big_m: int, n: int, fn, derivative):
@@ -478,8 +454,7 @@ def em_verify(big_m: int, n: int, fn, derivative):
         b2j = float(bernoulli_fraction(2 * j))
         corr += b2j / math.factorial(2 * j) \
             * (derivative(2 * j - 1, float(n)) - derivative(2 * j - 1, 0.0))
-    # the integral and the remainder in one pass over the unit panels; the
-    # kernel's fractional parts are the same nodes on every panel
+    # one kernel, then the integral and the remainder in one panel pass
     order = 2 * big_m + 1
     integral = remainder = 0.0
     nodes, _, gw = _gl_panels(np.arange(n), np.arange(1, n + 1), 32)

@@ -18,7 +18,7 @@ from toruszeta.expansion import (angular_lattice_sum, coeff_b0, coeff_b1,
                                  series_truncation_check, symbol_value,
                                  taylor_coefficients)
 from toruszeta.expansion import (_angular_sum_values, _h_moments, _inner_j,
-                                 _k2_sum, _x_rule)
+                                 _k2_sum)
 from toruszeta.lattice import (StencilVariant, TorusGrid, axis_symbol,
                                resolvent_trace, stencil_symbol)
 from toruszeta.quadrature import (AsymptoticTerm, IntegrandSpec, QuadResult,
@@ -70,7 +70,7 @@ def test_leading_coeff_inner_reduction_vs_2d_quadrature():
                     val = val - (2 * math.pi ** 2 / 3) * sx * sy
                 return val ** -2.0
             ref = quad_periodic_2d(f, 1e-12).value.real
-            got = float(_inner_j(np.array([z]), _x_rule(variant))[0])
+            got = float(_inner_j(np.array([z]), variant, [])[0])
             assert got == pytest.approx(ref, rel=1e-11)
 
 
@@ -115,7 +115,7 @@ def test_h_function_over_two_points_evaluates_j_once_per_panel_depth(
     calls = []
     original = expansion._inner_j
     monkeypatch.setattr(expansion, "_inner_j",
-                        lambda z, rule: calls.append(z) or original(z, rule))
+                        lambda z, *args: calls.append(z) or original(z, *args))
     points = [0.3 + 2.0j, 0.7 - 2.0j]
     each = []
     for p in points:
@@ -157,9 +157,10 @@ def _written_out_j(z, sx, b, w):
 
 
 def _former_inner_j(z, variant):
-    """``_inner_j`` as written out before it ran in place: the reference
-    for its bits."""
-    return _written_out_j(z, *_x_rule(variant)(float(z.min())))
+    """``_inner_j`` as written out before it ran in place, on the x-rule
+    built from scratch (``_former_x_shape`` below): the reference for its
+    bits."""
+    return _written_out_j(z, *_former_x_shape(variant, float(z.min())))
 
 
 def _former_k2_sum(a2):
@@ -179,12 +180,14 @@ def _same_bits(a, b):
 
 
 def test_inner_j_in_place_keeps_the_bits_at_every_panel_depth():
-    # the z-nodes of each graded panel, depth 0..40
+    # the z-nodes of each graded panel, depth 0..40, on the x-panels of one
+    # call, extended as the z-panels deepen, then asked for a shallower depth
     for variant in (FIVE, NINE):
-        for k in range(41):
+        panels = []
+        for k in [*range(41), 3, 60]:
             z = _gl_panels(2.0 ** (-k - 1), 2.0 ** -k, 32)[0]
-            assert _same_bits(_inner_j(z, _x_rule(variant)),
-                              _former_inner_j(z, variant))
+            assert _same_bits(_inner_j(z, variant, panels),
+                              _former_inner_j(z, variant)), k
 
 
 def _former_x_shape(variant, zmin, order=expansion._X_ORDER):
@@ -199,17 +202,6 @@ def _former_x_shape(variant, zmin, order=expansion._X_ORDER):
     return sx, b, (width * w).ravel()
 
 
-def test_one_x_rule_per_call_is_the_rule_built_from_scratch_at_every_depth():
-    # one rule, extended panel by panel as the z-panels deepen, and asked
-    # again for a shallower depth
-    for variant in (FIVE, NINE):
-        rule = _x_rule(variant)
-        for k in [*range(41), 3, 60]:
-            zmin = float(_gl_panels(2.0 ** (-k - 1), 2.0 ** -k, 32)[0][0])
-            got, ref = rule(zmin), _former_x_shape(variant, zmin)
-            assert all(_same_bits(a, b) for a, b in zip(got, ref))
-
-
 def test_inner_j_on_gl16_x_panels_is_within_4_eps_of_a_gl64_reference():
     # on a ratio-2 panel the GL16 error is ~(3 + sqrt 8)^-32 ~ 3.5e-25:
     # only rounding is left (2.9 eps measured; GL32 read 2.8)
@@ -218,7 +210,7 @@ def test_inner_j_on_gl16_x_panels_is_within_4_eps_of_a_gl64_reference():
         for k in range(41):
             z = _gl_panels(2.0 ** (-k - 1), 2.0 ** -k, 32)[0]
             ref = _written_out_j(z, *_former_x_shape(variant, z.min(), 64))
-            got = _inner_j(z, _x_rule(variant))
+            got = _inner_j(z, variant, [])
             assert np.all(np.abs(got - ref) <= 4.0 * eps * np.abs(ref)), k
 
 

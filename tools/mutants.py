@@ -152,8 +152,8 @@ MUTANTS = (
     # a point past the first finds the deepest panel of the points before it
     # missing from the memo, and evaluates J there again
     Mutant("j-memo-keyed-on-the-next-depth", "src/toruszeta/expansion.py",
-           "            if depth not in corner:\n",
-           "            if depth + 1 not in corner:\n",
+           "            if depth not in jz:\n",
+           "            if depth + 1 not in jz:\n",
            ("tests/test_expansion.py::"
             "test_h_function_over_two_points_evaluates_j_once_per_panel_depth",)),
     Mutant("b1-subtracted-at-order-zero", "src/toruszeta/expansion.py",
