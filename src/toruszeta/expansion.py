@@ -106,8 +106,8 @@ def _inner_j(z, variant: StencilVariant, panels: list) -> np.ndarray:
     in place in two float arrays.
     """
     z = np.asarray(z, dtype=float)
-    cross, m, e = _cross_coeff(variant), 0, 0.5
-    while e > 0.25 * float(z.min()) and e > 2.0 ** -200:
+    cross, zmin, m, e = _cross_coeff(variant), float(z.min()), 0, 0.5
+    while e > 0.25 * zmin and e > 2.0 ** -200:
         if m == len(panels):
             panels.append(_x_panel(cross, 0.5 * e, e))
         m, e = m + 1, 0.5 * e
