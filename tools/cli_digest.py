@@ -197,9 +197,9 @@ COMMANDS = (
     "coeff a --s 0.7+2.5i --variant five",
     "coeff angular --s 0.7+2.5i",
     "coeff b1 --s 0.7+2.5i",
-    # the leading coefficient at height, where z^(3-2s) turns by 11 radians
+    # the leading coefficient at height, where z^(3-2s) turns by 8 radians
     # per z-panel (higher up, |a(s)| ~ e^(-pi |Im s|) sinks into rounding)
-    "coeff a --s 0.5+8i --variant nine",
+    "coeff a --s 0.5+6i --variant nine",
     # the Euler-Maclaurin remainder kernel at EM_MAX_N panels: at the
     # largest M, and for Runge's function where its series still converges
     "emcheck --m 31 --n 128 --fn square",
